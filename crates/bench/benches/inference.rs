@@ -1,7 +1,9 @@
 //! Compile-time benchmark: parsing, lowering, and whole-program inference
 //! on the largest generated workloads (the analysis cost of the paper's
-//! Section 2.1/3 algorithms).
+//! Section 2.1/3 algorithms), and building the RTTI hierarchy of a
+//! 50–200 type deep `ijpeg_oo` chain (about 2k–8k lines).
 
+use ccured::Hierarchy;
 use ccured_infer::{infer, InferOptions};
 use ccured_workloads::{daemons, spec};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -28,5 +30,20 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench);
+fn bench_hierarchy(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hierarchy_build");
+    g.sample_size(20);
+    for types in [50, 100, 150, 200] {
+        let w = spec::ijpeg_oo(types, 28);
+        let tu = ccured_ast::parse_translation_unit(&w.source).unwrap();
+        let prog = ccured_cil::lower_translation_unit(&tu).unwrap();
+        let lines = w.source.lines().count();
+        g.bench_function(format!("ijpeg_oo({types})_{lines}_lines"), |b| {
+            b.iter(|| Hierarchy::build(&prog))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench, bench_hierarchy);
 criterion_main!(benches);

@@ -28,6 +28,7 @@
 //! assert_eq!(prog.functions.len(), 1);
 //! ```
 
+pub mod fxhash;
 pub mod ir;
 pub mod lower;
 pub mod phys;

@@ -22,8 +22,9 @@
 //! The SEQ cast rule (`seq_cast_ok`) implements the paper's side condition
 //! `t[n'] ≍ t'[n]` for the least `n·sizeof(t) = n'·sizeof(t')`.
 
-use crate::types::{FuncSig, QualId, Type, TypeId, TypeTable};
-use std::collections::{HashMap, HashSet};
+use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::types::{CompId, FuncSig, QualId, Type, TypeId, TypeTable};
+use std::rc::Rc;
 
 /// Budget on flattened atoms per type; exceeding it makes comparisons
 /// conservatively fail (never unsound: the cast is then treated as bad).
@@ -31,7 +32,7 @@ const ATOM_BUDGET: usize = 4096;
 
 /// One scalar atom of a flattened layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Piece {
+pub enum Piece {
     /// An integer of the given byte size (sign-insensitive).
     Int(u64),
     /// A float of the given byte size.
@@ -39,14 +40,78 @@ enum Piece {
     /// A pointer; compared by coinductive pointee equality.
     Ptr(TypeId, QualId),
     /// An opaque union; compared by identity.
-    Union(crate::types::CompId),
+    Union(CompId),
+}
+
+/// A [`Piece`] with the pointee dropped: what an atom looks like to a
+/// comparison that has not yet looked behind pointers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BlindPiece {
+    /// An integer of the given byte size.
+    Int(u64),
+    /// A float of the given byte size.
+    Float(u64),
+    /// A pointer to anything.
+    Ptr,
+    /// The union with this identity.
+    Union(CompId),
+}
+
+impl Piece {
+    /// The atom with its pointee (if any) dropped.
+    pub fn blind(&self) -> BlindPiece {
+        match self {
+            Piece::Int(s) => BlindPiece::Int(*s),
+            Piece::Float(s) => BlindPiece::Float(*s),
+            Piece::Ptr(..) => BlindPiece::Ptr,
+            Piece::Union(c) => BlindPiece::Union(*c),
+        }
+    }
+
+    /// Bytes the atom occupies.
+    pub fn byte_size(&self, types: &TypeTable) -> u64 {
+        match self {
+            Piece::Int(s) | Piece::Float(s) => *s,
+            Piece::Ptr(..) => types.machine.ptr_bytes,
+            Piece::Union(c) => types.comp(*c).size,
+        }
+    }
 }
 
 /// A flattened layout: non-padding atoms at offsets, plus the total size.
+///
+/// Atoms are in offset order and never overlap: struct fields and array
+/// elements are laid out one after another, and a union is one atom.
 #[derive(Debug, Clone)]
-struct AtomStream {
+pub struct AtomStream {
     atoms: Vec<(u64, Piece)>,
     size: u64,
+}
+
+impl AtomStream {
+    /// The atoms, as `(byte offset, atom)` in offset order.
+    pub fn atoms(&self) -> &[(u64, Piece)] {
+        &self.atoms
+    }
+
+    /// Total size in bytes, trailing padding included.
+    pub fn size(&self) -> u64 {
+        self.size
+    }
+}
+
+/// A pointee-blind summary of a type for bucketing: physically equal types
+/// always have equal keys, so [`PhysCtx::phys_eq`] only needs to run
+/// between types that share a key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum LayoutKey {
+    /// Size plus each atom's offset and [`BlindPiece`].
+    Flat(u64, Vec<(u64, BlindPiece)>),
+    /// A function type: arity and varargs-ness.
+    Func(usize, bool),
+    /// No flattened layout (incomplete, unsized or over the atom budget):
+    /// physically equal only to the structurally same type.
+    Opaque,
 }
 
 /// How a pointer cast classifies under the extended CCured type system.
@@ -68,6 +133,13 @@ pub enum CastClass {
     IntToPtr,
     /// A pointer cast to an integer.
     PtrToInt,
+}
+
+/// What a flattened layout is memoized under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum StreamKey {
+    Comp(CompId),
+    Type(TypeId),
 }
 
 /// Physical-type comparison context with memoization.
@@ -94,9 +166,15 @@ pub enum CastClass {
 /// ```
 pub struct PhysCtx<'a> {
     types: &'a TypeTable,
-    eq_memo: HashMap<(TypeId, TypeId), bool>,
-    stream_memo: HashMap<TypeId, Option<AtomStream>>,
-    quals_memo: HashMap<TypeId, std::rc::Rc<Vec<QualId>>>,
+    eq_memo: FxHashMap<(TypeId, TypeId), bool>,
+    /// `true` results cached while a coinductive hypothesis was open; a
+    /// hypothesis that fails retracts every entry logged after it.
+    eq_log: Vec<(TypeId, TypeId)>,
+    /// Hypotheses currently open (nesting depth of uncached `phys_eq`).
+    open: usize,
+    stream_memo: FxHashMap<StreamKey, Option<Rc<AtomStream>>>,
+    quals_memo: FxHashMap<TypeId, Rc<Vec<QualId>>>,
+    comparisons: u64,
 }
 
 impl<'a> PhysCtx<'a> {
@@ -104,22 +182,54 @@ impl<'a> PhysCtx<'a> {
     pub fn new(types: &'a TypeTable) -> Self {
         PhysCtx {
             types,
-            eq_memo: HashMap::new(),
-            stream_memo: HashMap::new(),
-            quals_memo: HashMap::new(),
+            eq_memo: FxHashMap::default(),
+            eq_log: Vec::new(),
+            open: 0,
+            stream_memo: FxHashMap::default(),
+            quals_memo: FxHashMap::default(),
+            comparisons: 0,
         }
     }
 
-    /// Flattens `t` into its atom stream (cached).
-    fn stream(&mut self, t: TypeId) -> Option<AtomStream> {
-        if let Some(s) = self.stream_memo.get(&t) {
+    /// Exact structural comparisons made so far: physical-equality checks
+    /// that missed the memo, plus prefix walks. A work measure that does
+    /// not depend on the wall clock.
+    pub fn comparisons(&self) -> u64 {
+        self.comparisons
+    }
+
+    /// The flattened layout of `t` (cached and shared), or `None` when `t`
+    /// has none: incomplete, unsized, a function, or over the atom budget.
+    pub fn stream(&mut self, t: TypeId) -> Option<Rc<AtomStream>> {
+        // Every use of a struct tag is a type of its own, all with the
+        // tag's layout: flatten it once.
+        let key = match self.types.get(t) {
+            Type::Comp(c) => StreamKey::Comp(*c),
+            _ => StreamKey::Type(t),
+        };
+        if let Some(s) = self.stream_memo.get(&key) {
             return s.clone();
         }
         let mut atoms = Vec::new();
         let size = self.flatten(t, 0, &mut atoms);
-        let result = size.map(|size| AtomStream { atoms, size });
-        self.stream_memo.insert(t, result.clone());
+        let result = size.map(|size| Rc::new(AtomStream { atoms, size }));
+        self.stream_memo.insert(key, result.clone());
         result
+    }
+
+    /// The bucketing key of `t`: `phys_eq(a, b)` implies
+    /// `layout_key(a) == layout_key(b)`.
+    pub fn layout_key(&mut self, t: TypeId) -> LayoutKey {
+        if let Type::Func(sig) = self.types.get(t) {
+            return LayoutKey::Func(sig.params.len(), sig.varargs);
+        }
+        match self.stream(t) {
+            Some(s) => LayoutKey::Flat(
+                s.size,
+                s.atoms.iter().map(|(o, p)| (*o, p.blind())).collect(),
+            ),
+            None => LayoutKey::Opaque,
+        }
     }
 
     /// Appends the atoms of `t` at base offset `off`; returns `t`'s size.
@@ -175,25 +285,44 @@ impl<'a> PhysCtx<'a> {
     }
 
     /// Physical type equality `a ≍ b` (paper Section 3.1).
+    ///
+    /// Coinductive: while `(a, b)` is being compared it is assumed equal,
+    /// so recursive structures terminate. A `true` that rests on an open
+    /// assumption is only provisional; when an assumption turns out false,
+    /// every `true` cached since it was made is retracted. So every cached
+    /// answer is final and the result never depends on query order.
     pub fn phys_eq(&mut self, a: TypeId, b: TypeId) -> bool {
         if self.types.same_type(a, b) {
             return true;
         }
         // Function types compare structurally (they only occur behind
         // pointers and have no layout).
-        if let (Type::Func(fa), Type::Func(fb)) = (self.types.get(a), self.types.get(b)) {
-            let (fa, fb) = (fa.clone(), fb.clone());
-            return self.func_eq(&fa, &fb);
+        let types = self.types;
+        if let (Type::Func(fa), Type::Func(fb)) = (types.get(a), types.get(b)) {
+            return self.func_eq(fa, fb);
         }
         let key = (a.min(b), a.max(b));
         if let Some(&r) = self.eq_memo.get(&key) {
             return r;
         }
-        // Coinductive hypothesis: assume equal while comparing (recursive
-        // structures through pointers).
+        self.comparisons += 1;
+        let mark = self.eq_log.len();
         self.eq_memo.insert(key, true);
+        self.open += 1;
         let result = self.phys_eq_uncached(a, b);
-        self.eq_memo.insert(key, result);
+        self.open -= 1;
+        if result {
+            self.eq_log.push(key);
+        } else {
+            for k in self.eq_log.drain(mark..) {
+                self.eq_memo.remove(&k);
+            }
+            self.eq_memo.insert(key, false);
+        }
+        if self.open == 0 {
+            // Every assumption is discharged: the logged results are final.
+            self.eq_log.clear();
+        }
         result
     }
 
@@ -203,9 +332,8 @@ impl<'a> PhysCtx<'a> {
             && self.phys_eq(fa.ret, fb.ret)
             && fa
                 .params
-                .clone()
                 .iter()
-                .zip(fb.params.clone().iter())
+                .zip(&fb.params)
                 .all(|(p, q)| self.phys_eq(*p, *q))
     }
 
@@ -257,6 +385,7 @@ impl<'a> PhysCtx<'a> {
         if ssup.size > ssub.size {
             return false;
         }
+        self.comparisons += 1;
         // Two-pointer walk: each sup atom must find its twin in sub.
         let mut j = 0;
         for (oa, pa) in &ssup.atoms {
@@ -266,8 +395,7 @@ impl<'a> PhysCtx<'a> {
             if j >= ssub.atoms.len() || ssub.atoms[j].0 != *oa {
                 return false;
             }
-            let pb = ssub.atoms[j].1.clone();
-            if !self.piece_eq(pa, &pb) {
+            if !self.piece_eq(pa, &ssub.atoms[j].1) {
                 return false;
             }
             j += 1;
@@ -321,7 +449,7 @@ impl<'a> PhysCtx<'a> {
         if fa.len() != ta.len() {
             return false;
         }
-        for ((oa, pa), (ob, pb)) in fa.iter().zip(ta.clone().iter()) {
+        for ((oa, pa), (ob, pb)) in fa.iter().zip(&ta) {
             if oa != ob || !self.piece_eq(pa, pb) {
                 return false;
             }
@@ -363,8 +491,12 @@ impl<'a> PhysCtx<'a> {
         if !self.phys_eq(a, b) {
             return None;
         }
+        // Scalars hold no pointers (the common case: most assignments).
+        if matches!(self.types.get(a), Type::Int(_) | Type::Float(_)) {
+            return Some(Vec::new());
+        }
         let mut pairs = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         self.collect_pairs(a, b, &mut pairs, &mut seen);
         Some(pairs)
     }
@@ -378,7 +510,7 @@ impl<'a> PhysCtx<'a> {
         let ssup = self.stream(sup)?;
         let ssub = self.stream(sub)?;
         let mut pairs = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut j = 0;
         for (oa, pa) in &ssup.atoms {
             while j < ssub.atoms.len() && ssub.atoms[j].0 < *oa {
@@ -402,13 +534,13 @@ impl<'a> PhysCtx<'a> {
         a: TypeId,
         b: TypeId,
         pairs: &mut Vec<(QualId, QualId)>,
-        seen: &mut HashSet<(TypeId, TypeId)>,
+        seen: &mut FxHashSet<(TypeId, TypeId)>,
     ) {
         if !seen.insert((a, b)) {
             return;
         }
-        if let (Type::Func(fa), Type::Func(fb)) = (self.types.get(a), self.types.get(b)) {
-            let (fa, fb) = (fa.clone(), fb.clone());
+        let types = self.types;
+        if let (Type::Func(fa), Type::Func(fb)) = (types.get(a), types.get(b)) {
             self.collect_pairs(fa.ret, fb.ret, pairs, seen);
             for (p, q) in fa.params.iter().zip(fb.params.iter()) {
                 self.collect_pairs(*p, *q, pairs, seen);
@@ -431,19 +563,19 @@ impl<'a> PhysCtx<'a> {
     /// All qualifier variables occurring anywhere inside `t` (used for WILD
     /// poisoning: a WILD type contaminates its whole base type). Memoized —
     /// the SPLIT and WILD fixpoints query the same types repeatedly.
-    pub fn quals_in_type(&mut self, t: TypeId) -> std::rc::Rc<Vec<QualId>> {
+    pub fn quals_in_type(&mut self, t: TypeId) -> Rc<Vec<QualId>> {
         if let Some(q) = self.quals_memo.get(&t) {
             return q.clone();
         }
         let mut out = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         self.quals_rec(t, &mut out, &mut seen);
-        let rc = std::rc::Rc::new(out);
+        let rc = Rc::new(out);
         self.quals_memo.insert(t, rc.clone());
         rc
     }
 
-    fn quals_rec(&mut self, t: TypeId, out: &mut Vec<QualId>, seen: &mut HashSet<TypeId>) {
+    fn quals_rec(&mut self, t: TypeId, out: &mut Vec<QualId>, seen: &mut FxHashSet<TypeId>) {
         if !seen.insert(t) {
             return;
         }
@@ -747,6 +879,89 @@ mod tests {
         let mut ctx = PhysCtx::new(&p.types);
         // Identical via the structural fast path despite the atom budget.
         assert!(ctx.phys_eq(pointee(&p, "a"), pointee(&p, "b")));
+    }
+
+    /// Pointee of the pointer field `field` of `struct tag`.
+    fn field_pointee(p: &Program, tag: &str, field: &str) -> TypeId {
+        let c = p.types.find_comp(tag, false).expect("struct");
+        let f = &p.types.comp(c).fields[p.types.field_index(c, field).expect("field")];
+        p.types.ptr_parts(f.ty).expect("pointer field").0
+    }
+
+    /// A and C differ only in `x`, so B and D (which point to them) differ
+    /// too. Comparing A with C first assumes B ≍ D on the way; the failed
+    /// assumption must not leave that `true` behind.
+    #[test]
+    fn failed_hypothesis_retracts_provisional_results() {
+        let p = prog(
+            "struct A { struct B *p; int x; };\n\
+             struct C { struct D *p; float x; };\n\
+             struct B { struct A *q; };\n\
+             struct D { struct C *q; };",
+        );
+        let (a, c) = (field_pointee(&p, "B", "q"), field_pointee(&p, "D", "q"));
+        let (b, d) = (field_pointee(&p, "A", "p"), field_pointee(&p, "C", "p"));
+        for first_ac in [true, false] {
+            let mut ctx = PhysCtx::new(&p.types);
+            if first_ac {
+                assert!(!ctx.phys_eq(a, c));
+                assert!(!ctx.phys_eq(b, d), "B ≍ D survived a failed A ≍ C");
+            } else {
+                assert!(!ctx.phys_eq(b, d));
+                assert!(!ctx.phys_eq(a, c));
+            }
+            assert!(!ctx.is_prefix_of(b, d) && !ctx.is_prefix_of(d, b));
+            assert!(ctx.phys_eq(a, a) && ctx.phys_eq(b, b));
+        }
+    }
+
+    #[test]
+    fn confirmed_hypotheses_stay_cached() {
+        let p = prog(
+            "struct L1 { int v; struct L1 *next; } *a;\n\
+             struct L2 { int v; struct L2 *next; } *b;",
+        );
+        let mut ctx = PhysCtx::new(&p.types);
+        let (ta, tb) = (pointee(&p, "a"), pointee(&p, "b"));
+        assert!(ctx.phys_eq(ta, tb));
+        let made = ctx.comparisons();
+        assert!(ctx.phys_eq(tb, ta));
+        assert_eq!(ctx.comparisons(), made, "answered from the memo");
+    }
+
+    #[test]
+    fn equal_types_share_a_layout_key() {
+        let p = prog(
+            "struct L1 { int v; struct L1 *next; } *a;\n\
+             struct L2 { int v; struct L2 *next; } *b;\n\
+             struct M { int v; int *next; } *c;\n\
+             struct N { int v; double d; } *d;\n\
+             struct Opaque *o;\n\
+             int (*f)(int, char *);\n\
+             int (*g)(int, char *);",
+        );
+        let mut ctx = PhysCtx::new(&p.types);
+        let key = |ctx: &mut PhysCtx, n: &str| ctx.layout_key(pointee(&p, n));
+        assert_eq!(key(&mut ctx, "a"), key(&mut ctx, "b"));
+        // Pointee-blind: M differs from L1 only behind its pointer.
+        assert_eq!(key(&mut ctx, "a"), key(&mut ctx, "c"));
+        assert!(!ctx.phys_eq(pointee(&p, "a"), pointee(&p, "c")));
+        assert_ne!(key(&mut ctx, "a"), key(&mut ctx, "d"));
+        assert_eq!(key(&mut ctx, "o"), LayoutKey::Opaque);
+        assert_eq!(key(&mut ctx, "f"), LayoutKey::Func(2, false));
+        assert_eq!(key(&mut ctx, "f"), key(&mut ctx, "g"));
+    }
+
+    #[test]
+    fn streams_are_shared_not_copied() {
+        let p = prog("struct S { int a[64]; } *s;");
+        let mut ctx = PhysCtx::new(&p.types);
+        let t = pointee(&p, "s");
+        let first = ctx.stream(t).expect("layout");
+        let again = ctx.stream(t).expect("layout");
+        assert!(Rc::ptr_eq(&first, &again));
+        assert_eq!(first.atoms().len(), 64);
+        assert_eq!(first.size(), 256);
     }
 
     #[test]

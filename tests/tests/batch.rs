@@ -6,6 +6,16 @@
 
 use ccured_batch::{run_batch, BatchConfig, BatchReport, Verdict};
 use std::path::PathBuf;
+use std::sync::{RwLock, RwLockReadGuard};
+
+/// The speedup test compares wall-clock times, so it holds this lock
+/// exclusively; every other test in this file holds it shared, and they
+/// never run beside it.
+static MACHINE: RwLock<()> = RwLock::new(());
+
+fn shared_machine() -> RwLockReadGuard<'static, ()> {
+    MACHINE.read().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A scratch directory that cleans up after itself.
 struct Scratch(PathBuf);
@@ -67,6 +77,7 @@ fn assert_identical(a: &BatchReport, b: &BatchReport, what: &str) {
 
 #[test]
 fn corpus_cures_cleanly() {
+    let _machine = shared_machine();
     let scratch = Scratch::new("clean");
     let units = corpus_in(&scratch.0.join("src"));
     let report = run_batch(&config(1, None), &units).expect("batch");
@@ -91,6 +102,7 @@ fn corpus_cures_cleanly() {
 
 #[test]
 fn jobs_one_jobs_eight_and_warm_cache_agree() {
+    let _machine = shared_machine();
     let scratch = Scratch::new("differential");
     let units = corpus_in(&scratch.0.join("src"));
     let cache = scratch.0.join("cache");
@@ -120,6 +132,7 @@ fn jobs_one_jobs_eight_and_warm_cache_agree() {
 
 #[test]
 fn touching_one_file_recures_only_that_unit() {
+    let _machine = shared_machine();
     let scratch = Scratch::new("invalidate");
     let units = corpus_in(&scratch.0.join("src"));
     let cfg = config(4, Some(&scratch.0.join("cache")));
@@ -147,20 +160,27 @@ fn touching_one_file_recures_only_that_unit() {
 
 #[test]
 fn warm_cache_beats_sequential_and_parallel_scales() {
+    let _machine = MACHINE.write().unwrap_or_else(|e| e.into_inner());
     let scratch = Scratch::new("speedup");
     let units = corpus_in(&scratch.0.join("src"));
     let cache = scratch.0.join("cache");
 
-    let seq = run_batch(&config(1, None), &units).expect("sequential");
-    let par = run_batch(&config(4, None), &units).expect("parallel");
+    // Alternate the sequential and parallel batches and keep each one's
+    // fastest run: on a shared host a slow phase can outlast one batch, so
+    // a single pair of runs may straddle it.
+    let (mut s, mut p) = (f64::INFINITY, f64::INFINITY);
+    let mut par = None;
+    for _ in 0..3 {
+        let seq = run_batch(&config(1, None), &units).expect("sequential");
+        let run = run_batch(&config(4, None), &units).expect("parallel");
+        s = s.min(seq.wall.as_secs_f64());
+        p = p.min(run.wall.as_secs_f64());
+        par = Some(run);
+    }
+    let par = par.expect("three parallel runs");
     run_batch(&config(4, Some(&cache)), &units).expect("cold cache");
     let warm = run_batch(&config(4, Some(&cache)), &units).expect("warm cache");
-
-    let (s, p, w) = (
-        seq.wall.as_secs_f64(),
-        par.wall.as_secs_f64(),
-        warm.wall.as_secs_f64(),
-    );
+    let w = warm.wall.as_secs_f64();
     assert!(
         w * 5.0 <= s,
         "warm cache not ≥5× faster: sequential {s:.4}s, warm {w:.4}s"
@@ -183,11 +203,12 @@ fn warm_cache_beats_sequential_and_parallel_scales() {
         );
     }
     // The pool performed at least as much work as the wall shows.
-    assert!(par.cpu >= par.wall || par.cpu.as_secs_f64() > p * 0.5);
+    assert!(par.cpu >= par.wall || par.cpu.as_secs_f64() > par.wall.as_secs_f64() * 0.5);
 }
 
 #[test]
 fn repeated_runs_are_deterministic() {
+    let _machine = shared_machine();
     let scratch = Scratch::new("repeat");
     let units = corpus_in(&scratch.0.join("src"));
     let cfg = config(8, None);
@@ -209,6 +230,7 @@ fn repeated_runs_are_deterministic() {
 
 #[test]
 fn manifest_and_directory_forms_agree() {
+    let _machine = shared_machine();
     let scratch = Scratch::new("manifest");
     let src = scratch.0.join("src");
     let units = corpus_in(&src);
