@@ -678,9 +678,8 @@ pub fn eliminate_checks(prog: &mut Program) -> ElisionResult {
 /// Deletes provably redundant checks from one function body. The analysis
 /// is intraprocedural, so per-function results compose: running this over
 /// every function (with the shared `tracked_globals` set from
-/// [`tracked_globals`]) is exactly [`eliminate_checks`]. The incremental
-/// recure path uses this to re-optimize only changed functions.
-pub fn eliminate_checks_in_function(
+/// [`tracked_globals`]) is exactly [`eliminate_checks`].
+pub(crate) fn eliminate_checks_in_function(
     prog: &mut Program,
     fi: usize,
     tracked_globals: &HashSet<u32>,
@@ -942,10 +941,8 @@ pub(crate) fn aliased_locals(func: &Function) -> HashSet<u32> {
 }
 
 /// Globals whose address is never taken anywhere in the program — the
-/// whole-program input of the per-function passes. Checks only clone
-/// expressions that already exist, so this set is identical whether it is
-/// computed before or after instrumentation.
-pub fn tracked_globals(prog: &Program) -> HashSet<u32> {
+/// whole-program input of the per-function passes.
+pub(crate) fn tracked_globals(prog: &Program) -> HashSet<u32> {
     let mut taken_locals = HashSet::new();
     let mut taken = HashSet::new();
     for f in &prog.functions {

@@ -29,8 +29,5 @@ pub mod widen;
 pub use blame::{blame_path, qual_names, render_blame, Blame, BlameStep};
 pub use cfg::{BasicBlock, BlockId, Branch, Cfg, InstrId, NaturalLoop};
 pub use dataflow::{forward, Analysis, Lattice};
-pub use elim::{
-    eliminate_checks, eliminate_checks_in_function, tracked_globals, ElisionResult, ElisionStats,
-    StaticFailure,
-};
-pub use loops::{optimize_function, optimize_program, OptAction, OptResult};
+pub use elim::{eliminate_checks, ElisionResult, ElisionStats, StaticFailure};
+pub use loops::{optimize_program, OptAction, OptResult};

@@ -92,10 +92,9 @@ pub fn optimize_program(prog: &mut Program, loop_opt: bool) -> OptResult {
 
 /// Runs the full static optimization pipeline over one function body:
 /// elimination, then (when `loop_opt`) the loop passes. Both passes are
-/// intraprocedural, so running this per function with the shared
-/// `tracked_globals` set composes to exactly [`optimize_program`] — the
-/// invariant the incremental recure path depends on.
-pub fn optimize_function(
+/// intraprocedural; `tracked_globals` is the program-wide set
+/// [`optimize_program`] computes once.
+fn optimize_function(
     prog: &mut Program,
     fi: usize,
     tracked_globals: &HashSet<u32>,

@@ -15,7 +15,7 @@
 use crate::cache::{Cache, CachedUnit};
 use crate::hash::fnv1a;
 use crate::report::{BatchReport, UnitOutcome, UnitReport, Verdict};
-use ccured::{isolated, CureError, Curer, StageTimings};
+use ccured::{isolated, CureError, Cured, Curer, StageTimings};
 use ccured_rt::Limits;
 use std::collections::VecDeque;
 use std::fs;
@@ -330,22 +330,11 @@ fn cure_unit(
     match isolated(|| curer.cure_source(&source)) {
         Ok(cured) => {
             if !out.from_cache {
-                out.cured_text = ccured_cil::pretty::dump_program(&cured.program);
-                out.report_digest = fnv1a(cured.report.canonical().as_bytes());
-                out.report = Some(UnitReport::from_cure(&cured.report));
+                let unit = record_cure(&cured, key, cache);
+                out.cured_text = unit.cured_text;
+                out.report = Some(unit.report);
+                out.report_digest = unit.report_digest;
                 out.cure_timings = cured.timings;
-                if let Some(cache) = cache {
-                    // A failed write only costs future hit-rate, not this run.
-                    let _ = cache.store(
-                        key,
-                        &CachedUnit {
-                            cured_text: out.cured_text.clone(),
-                            report: out.report.unwrap(),
-                            report_digest: out.report_digest,
-                            timings_ns: out.cure_timings.as_ns(),
-                        },
-                    );
-                }
             }
             if let Some(limits) = profile {
                 out.site_profile =
@@ -369,11 +358,30 @@ fn cure_unit(
     out
 }
 
+/// Renders a live cure the way the cache holds it (cured text, summary
+/// report, digest of the canonical report, stage timings) and stores it
+/// under `key` when a cache is open. Batch and serve both record their
+/// misses here, so either one's entries read back identically in the
+/// other.
+pub(crate) fn record_cure(cured: &Cured, key: u64, cache: Option<&Cache>) -> CachedUnit {
+    let unit = CachedUnit {
+        cured_text: ccured_cil::pretty::dump_program(&cured.program),
+        report: UnitReport::from_cure(&cured.report),
+        report_digest: fnv1a(cured.report.canonical().as_bytes()),
+        timings_ns: cured.timings.as_ns(),
+    };
+    if let Some(cache) = cache {
+        // A failed write only costs future hit rate, not this cure.
+        let _ = cache.store(key, &unit);
+    }
+    unit
+}
+
 /// Executes one cured unit with per-site profiling and returns the ranked
 /// hot-site rows. Observation-only: the run's outcome (check failure, fuel
 /// exhaustion, even a missing `main`) never alters the unit's verdict — the
 /// profile simply records whatever executed before the run stopped.
-pub(crate) fn profile_unit(cured: &ccured::Cured, limits: Limits) -> Vec<ccured_rt::SiteReport> {
+pub(crate) fn profile_unit(cured: &Cured, limits: Limits) -> Vec<ccured_rt::SiteReport> {
     let mut interp = ccured_rt::Interp::new(&cured.program, ccured_rt::ExecMode::cured(cured));
     interp.set_limits(limits);
     interp.enable_profile(cured.sites.len());

@@ -8,15 +8,15 @@
 //! This is the scaling layer the ROADMAP's production north star asks for:
 //! whole-suite runs (the paper's ftpd/sendmail/Olden experiments, a CI
 //! tree, an editor save-loop) are many independent units with mostly
-//! unchanged inputs — exactly the shape that parallelism plus incremental
-//! caching accelerates.
+//! unchanged inputs — exactly the shape that parallelism plus a
+//! whole-unit result cache accelerates.
 //!
 //! * **Parallel**: per-worker deques with work stealing
 //!   ([`engine::run_batch`]); one slow unit cannot serialize the tail.
 //! * **Isolated**: every cure runs under `ccured::isolated` with a bounded
 //!   worker stack, so a hostile unit yields a per-unit verdict, never a
 //!   sunk batch.
-//! * **Incremental**: cache keys are `hash(source ⊕ curer config ⊕ crate
+//! * **Cached**: cache keys are `hash(source ⊕ curer config ⊕ crate
 //!   version)` ([`cache::Cache::unit_key`]) — no paths or mtimes, so moves
 //!   and rebuilds still hit, while any semantic change misses exactly the
 //!   affected units.

@@ -1,7 +1,7 @@
 //! Per-unit outcomes and the aggregate [`BatchReport`].
 
 use crate::cache::NSTAGES;
-use ccured::{CureReport, StageTimings};
+use ccured::{json_str, CureReport, StageTimings};
 use ccured_rt::SiteReport;
 use std::time::Duration;
 
@@ -576,25 +576,6 @@ impl BatchReport {
         ));
         s
     }
-}
-
-/// JSON string literal with the escapes the report can actually produce.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

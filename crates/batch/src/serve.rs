@@ -1,12 +1,11 @@
 //! `ccured serve` — a fault-tolerant, long-lived cure daemon.
 //!
-//! A batch run pays the pool spin-up, cache open, and (on every changed
-//! unit) a full cure per invocation. The daemon keeps everything
-//! resident instead: a worker pool, the content-addressed whole-unit
-//! cache, and — the piece batch cannot exploit — a shared
-//! [`ccured::FnCache`], so a warm server re-cures only the *functions*
-//! an edit touched and splices cached renderings around them,
-//! byte-identical to a cold cure.
+//! A batch run pays the pool spin-up and cache open per invocation. The
+//! daemon keeps both resident instead: a worker pool and the
+//! content-addressed whole-unit cache. A byte-identical unit is answered
+//! from the cache; any other unit gets a full [`ccured::Curer::cure_source`]
+//! (the one cure driver batch uses too), so a served cure is
+//! byte-identical to a cold batch cure by construction.
 //!
 //! ## Protocol
 //!
@@ -14,11 +13,11 @@
 //!
 //! | request            | reply (single JSON line)                        |
 //! |--------------------|-------------------------------------------------|
-//! | `cure <path>`      | verdict, digest, check counts, fn hit/miss      |
+//! | `cure <path>`      | verdict, digest, check counts                   |
 //! | `profile <path>`   | cure + execute, top hot check sites             |
 //! | `explain <path>`   | static failures and optimizer attribution       |
 //! | `status`           | lifetime counters, cache stats, worker health   |
-//! | `reset`            | clears quarantine and the function cache        |
+//! | `reset`            | clears quarantine                               |
 //! | `shutdown`         | acknowledges, then stops the server             |
 //!
 //! Every reply is **terminal**: `{"status":"ok",...}`,
@@ -34,8 +33,7 @@
 //! * **Retry with backoff** — transient failures (worker panics
 //!   surfaced as `Internal`, deadline overruns) are retried with capped
 //!   exponential backoff; frontend and link errors are permanent and
-//!   returned immediately. A timed-out cure's completed functions stay
-//!   in the function cache, so the retry starts further along.
+//!   returned immediately.
 //! * **Load shedding** — when the request queue is at capacity the
 //!   server answers `busy` immediately instead of queueing unboundedly.
 //! * **Supervision** — a supervisor thread respawns any worker that
@@ -46,20 +44,16 @@
 //!   fail is quarantined: further requests for it are refused with a
 //!   terminal error until a `reset`.
 //!
-//! Concurrency note: each unit has its own function cache (a cache
-//! models one whole program, so sharing one across units would thrash).
-//! A worker checks the unit's cache out of the shared map for the
-//! duration of the cure, so cures for different units run fully in
-//! parallel; two simultaneous cures of the *same* unit both complete,
-//! one merely warming a cache the other's check-in discards.
+//! Cure replies carry `fn_hits` (always 0) and `fn_misses` (the cured
+//! program's function count; 0 on a unit-cache hit) so their schema
+//! stays stable for clients that read them.
 
 #![cfg(unix)]
 
-use crate::cache::{Cache, CachedUnit};
-use crate::engine::profile_unit;
-use crate::hash::{fnv1a, hex};
-use crate::report::{json_str, UnitReport};
-use ccured::{isolated, CureError, Curer, FnCache};
+use crate::cache::Cache;
+use crate::engine::{profile_unit, record_cure};
+use crate::hash::hex;
+use ccured::{isolated, json_str, CureError, Curer};
 use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::io::{self, BufRead, BufReader, Write};
@@ -77,8 +71,8 @@ pub struct ServeConfig {
     pub curer: Curer,
     /// Socket path; created on start, removed on stop.
     pub socket: PathBuf,
-    /// Whole-unit cache directory (`None` disables the disk cache; the
-    /// in-memory function cache is always on).
+    /// Whole-unit cache directory (`None` disables it, so every `cure`
+    /// runs the full pipeline).
     pub cache_dir: Option<PathBuf>,
     /// Worker threads processing requests. 0 means 2.
     pub workers: usize,
@@ -156,13 +150,6 @@ struct Shared {
     curer: Curer,
     config_fp: String,
     cache: Option<Cache>,
-    /// One function cache per unit path. A [`FnCache`] models a single
-    /// whole program (a new environment fingerprint clears it), so sharing
-    /// one across units would thrash; per-unit caches also let cures for
-    /// different units run concurrently — a worker checks its unit's cache
-    /// out of the map, cures without holding the map lock, and puts it
-    /// back.
-    fn_caches: Mutex<HashMap<String, FnCache>>,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     /// Consecutive-failure counts per request target; at
@@ -175,25 +162,11 @@ struct Shared {
 
 impl Shared {
     /// Locks a mutex, recovering from poisoning: every protected value
-    /// here (queue of jobs, counters map, the function cache) stays
-    /// internally consistent across a panic, and the daemon must keep
-    /// serving after one.
+    /// here (queue of jobs, quarantine counters) stays internally
+    /// consistent across a panic, and the daemon must keep serving after
+    /// one.
     fn lock<'a, T>(&self, m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
         m.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Checks the unit's function cache out of the map so the cure runs
-    /// without holding the map lock. Concurrent requests for the *same*
-    /// unit each get a cache (the second a fresh one); the last check-in
-    /// wins, which costs warmth, never correctness.
-    fn take_fn_cache(&self, path: &str) -> FnCache {
-        self.lock(&self.fn_caches)
-            .remove(path)
-            .unwrap_or_else(|| FnCache::with_hasher(fnv1a))
-    }
-
-    fn put_fn_cache(&self, path: &str, cache: FnCache) {
-        self.lock(&self.fn_caches).insert(path.to_string(), cache);
     }
 }
 
@@ -218,7 +191,6 @@ impl Server {
         };
         let _ = fs::remove_file(&cfg.socket);
         let listener = UnixListener::bind(&cfg.socket)?;
-        listener.set_nonblocking(true)?;
 
         let mut curer = cfg.curer.clone();
         curer.deadline(cfg.limits.deadline);
@@ -227,7 +199,6 @@ impl Server {
             curer,
             config_fp,
             cache,
-            fn_caches: Mutex::new(HashMap::new()),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             quarantine: Mutex::new(HashMap::new()),
@@ -277,7 +248,19 @@ impl Server {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.queue_cv.notify_all();
         if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+            // The acceptor blocks in `accept`; one connection wakes it to
+            // see the flag. The connect fails at once if it already exited.
+            // If another server has since bound the socket path, the
+            // connection reaches that one instead, so the join waits at
+            // most a grace period rather than hang.
+            let _ = UnixStream::connect(&self.shared.cfg.socket);
+            let grace = Instant::now() + Duration::from_secs(1);
+            while !h.is_finished() && Instant::now() < grace {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            if h.is_finished() {
+                let _ = h.join();
+            }
         }
         if let Some(h) = self.supervisor.take() {
             let _ = h.join();
@@ -350,23 +333,19 @@ fn supervise(shared: Arc<Shared>, mut handles: Vec<std::thread::JoinHandle<()>>,
     }
 }
 
+/// Accepts connections until shutdown. `accept` blocks, so a connection
+/// is handed off the moment it arrives; [`Server::stop`] connects once to
+/// wake the loop after setting the shutdown flag.
 fn accept_loop(shared: Arc<Shared>, listener: UnixListener) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
-                    .name("ccured-serve-conn".to_string())
-                    .spawn(move || handle_connection(shared, stream));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // Keep this short: an idle accept poll is pure latency on
-                // the front of every request, and the warm fast path it
-                // delays is itself well under a millisecond.
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => break,
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(stream) = stream else { break };
+        let shared = Arc::clone(&shared);
+        let _ = std::thread::Builder::new()
+            .name("ccured-serve-conn".to_string())
+            .spawn(move || handle_connection(shared, stream));
     }
 }
 
@@ -404,7 +383,6 @@ fn dispatch(shared: &Arc<Shared>, line: String) -> String {
         "status" => return status_json(shared),
         "reset" => {
             shared.lock(&shared.quarantine).clear();
-            shared.lock(&shared.fn_caches).clear();
             return r#"{"status":"ok","kind":"reset"}"#.to_string();
         }
         "shutdown" => {
@@ -569,17 +547,11 @@ fn cure_request(shared: &Arc<Shared>, path: &str) -> String {
     }
     shared.stats.unit_misses.fetch_add(1, Ordering::Relaxed);
 
-    // Incremental cure with capped exponential backoff on transient
-    // failures. The unit's function cache persists across requests — that
-    // IS the warm path — and across retry attempts, so a timed-out cure's
-    // completed functions make the retry start further along.
-    let mut fn_cache = shared.take_fn_cache(path);
+    // A full cure with capped exponential backoff on transient failures.
     let mut attempt = 0u32;
     let outcome = loop {
-        let result =
-            ccured::cure_source_incremental_isolated(&shared.curer, &source, &mut fn_cache);
-        match result {
-            Ok(incr) => break Ok(incr),
+        match isolated(|| shared.curer.cure_source(&source)) {
+            Ok(cured) => break Ok(cured),
             Err(e) if transient(&e) && attempt < shared.cfg.max_retries => {
                 attempt += 1;
                 shared.stats.retries.fetch_add(1, Ordering::Relaxed);
@@ -589,32 +561,18 @@ fn cure_request(shared: &Arc<Shared>, path: &str) -> String {
             Err(e) => break Err(e),
         }
     };
-    shared.put_fn_cache(path, fn_cache);
 
     match outcome {
-        Ok(incr) => {
-            let digest = fnv1a(incr.report.canonical().as_bytes());
-            if let Some(cache) = &shared.cache {
-                // A failed write only costs future hit rate.
-                let _ = cache.store(
-                    key,
-                    &CachedUnit {
-                        cured_text: incr.text.clone(),
-                        report: UnitReport::from_cure(&incr.report),
-                        report_digest: digest,
-                        timings_ns: incr.timings.as_ns(),
-                    },
-                );
-            }
+        Ok(cured) => {
+            let unit = record_cure(&cured, key, shared.cache.as_ref());
             shared.stats.cured.fetch_add(1, Ordering::Relaxed);
             shared.lock(&shared.quarantine).remove(path);
             format!(
-                r#"{{"status":"ok","kind":"cure","path":{},"from_cache":false,"digest":{},"checks_inserted":{},"fn_hits":{},"fn_misses":{},"retries":{attempt},"elapsed_ns":{}}}"#,
+                r#"{{"status":"ok","kind":"cure","path":{},"from_cache":false,"digest":{},"checks_inserted":{},"fn_hits":0,"fn_misses":{},"retries":{attempt},"elapsed_ns":{}}}"#,
                 json_str(path),
-                json_str(&hex(digest)),
-                incr.report.checks_inserted.total(),
-                incr.fn_hits,
-                incr.fn_misses,
+                json_str(&hex(unit.report_digest)),
+                unit.report.checks_inserted,
+                cured.program.functions.len(),
                 started.elapsed().as_nanos()
             )
         }
@@ -641,8 +599,9 @@ fn profile_request(shared: &Arc<Shared>, path: &str) -> String {
         Ok(s) => s,
         Err(reply) => return reply,
     };
-    // Profiling needs the in-memory program and site table, so this is a
-    // full (isolated, deadline-bounded) cure plus a sandboxed execution.
+    // Profiling needs the in-memory program and site table, which the
+    // unit cache does not hold: always a full (isolated, deadline-bounded)
+    // cure plus a sandboxed execution.
     match isolated(|| shared.curer.cure_source(&source)) {
         Ok(cured) => {
             let rows = isolated(|| Ok(profile_unit(&cured, shared.cfg.limits))).unwrap_or_default();
@@ -684,14 +643,11 @@ fn explain_request(shared: &Arc<Shared>, path: &str) -> String {
         Ok(s) => s,
         Err(reply) => return reply,
     };
-    let mut fn_cache = shared.take_fn_cache(path);
-    let result = ccured::cure_source_incremental_isolated(&shared.curer, &source, &mut fn_cache);
-    shared.put_fn_cache(path, fn_cache);
-    match result {
-        Ok(incr) => {
+    match isolated(|| shared.curer.cure_source(&source)) {
+        Ok(cured) => {
             shared.stats.cured.fetch_add(1, Ordering::Relaxed);
             shared.lock(&shared.quarantine).remove(path);
-            let r = &incr.report;
+            let r = &cured.report;
             let mut s = format!(
                 r#"{{"status":"ok","kind":"explain","path":{},"wild":{},"checks_inserted":{},"checks_elided":{},"hoisted":{},"widened":{},"static_failures":["#,
                 json_str(path),
@@ -728,19 +684,6 @@ fn explain_request(shared: &Arc<Shared>, path: &str) -> String {
 }
 
 fn status_json(shared: &Arc<Shared>) -> String {
-    // Sum over the per-unit caches (ones checked out by an in-flight cure
-    // are simply not counted this instant).
-    let (fn_entries, fn_hits, fn_misses, fn_invalidations) = {
-        let caches = shared.lock(&shared.fn_caches);
-        caches.values().fold((0, 0, 0, 0), |acc, c| {
-            (
-                acc.0 + c.len(),
-                acc.1 + c.hits(),
-                acc.2 + c.misses(),
-                acc.3 + c.invalidations(),
-            )
-        })
-    };
     let quarantined = shared
         .lock(&shared.quarantine)
         .values()
@@ -748,7 +691,7 @@ fn status_json(shared: &Arc<Shared>) -> String {
         .count();
     let s = &shared.stats;
     format!(
-        r#"{{"status":"ok","kind":"status","requests":{},"cured":{},"errors":{},"busy":{},"retries":{},"respawns":{},"quarantined":{quarantined},"queue_depth":{},"workers":{},"unit_cache":{{"hits":{},"misses":{}}},"fn_cache":{{"entries":{fn_entries},"hits":{fn_hits},"misses":{fn_misses},"invalidations":{fn_invalidations}}},"uptime_ms":{}}}"#,
+        r#"{{"status":"ok","kind":"status","requests":{},"cured":{},"errors":{},"busy":{},"retries":{},"respawns":{},"quarantined":{quarantined},"queue_depth":{},"workers":{},"unit_cache":{{"hits":{},"misses":{}}},"uptime_ms":{}}}"#,
         s.requests.load(Ordering::Relaxed),
         s.cured.load(Ordering::Relaxed),
         s.errors.load(Ordering::Relaxed),
@@ -826,9 +769,28 @@ mod tests {
         let _ = fs::remove_dir_all(&d);
     }
 
+    /// `stop` returns even when the socket path no longer leads to its
+    /// own acceptor: a second server started on the same path took it
+    /// over, so the wake-up connection reaches that server instead.
+    #[test]
+    fn stop_returns_after_the_socket_path_is_taken_over() {
+        let d = scratch("takeover");
+        let mut first = start(&d);
+        let mut second = start(&d);
+        let st = request(second.socket(), "status").unwrap();
+        assert!(st.contains(r#""kind":"status""#), "{st}");
+        first.stop();
+        second.stop();
+        let _ = fs::remove_dir_all(&d);
+    }
+
+    /// Pins the cure reply's function counters: every cure of the
+    /// three-function unit, the first one and the one after an edit to
+    /// `f`, runs the whole pipeline, so both reply `fn_hits` 0 and
+    /// `fn_misses` 3.
     #[test]
     fn function_level_warm_path_recures_only_the_edit() {
-        let d = scratch("incr");
+        let d = scratch("fn-counts");
         let unit = d.join("u.c");
         let v = |k: u32| {
             format!(
@@ -837,15 +799,14 @@ mod tests {
                  int main(void) {{ int x; x = 1; return f(&x) + g(&x); }}\n"
             )
         };
-        fs::write(&unit, v(0)).unwrap();
         let mut srv = start(&d);
         let sock = srv.socket().to_path_buf();
-        let r = request(&sock, &format!("cure {}", unit.display())).unwrap();
-        assert!(r.contains(r#""fn_misses":3"#), "{r}");
-        fs::write(&unit, v(1)).unwrap();
-        let r = request(&sock, &format!("cure {}", unit.display())).unwrap();
-        assert!(r.contains(r#""fn_hits":2"#), "{r}");
-        assert!(r.contains(r#""fn_misses":1"#), "{r}");
+        for k in [0, 1] {
+            fs::write(&unit, v(k)).unwrap();
+            let r = request(&sock, &format!("cure {}", unit.display())).unwrap();
+            assert!(r.contains(r#""from_cache":false"#), "{r}");
+            assert!(r.contains(r#""fn_hits":0,"fn_misses":3"#), "{r}");
+        }
         srv.stop();
         let _ = fs::remove_dir_all(&d);
     }

@@ -242,25 +242,21 @@ fn fig_serve_table(smoke: bool) {
     };
     let ms = |d: std::time::Duration| format!("{:.1} ms", d.as_secs_f64() * 1e3);
     let rows = vec![
-        vec!["cold (empty caches)".to_string(), ms(f.cold), ratio(1.0)],
+        vec!["cold (empty cache)".to_string(), ms(f.cold), ratio(1.0)],
         vec![
             "warm, unchanged sources (unit cache)".to_string(),
             ms(f.warm_identical),
             ratio(f.identical_speedup()),
         ],
         vec![
-            "warm, one function appended (fn cache)".to_string(),
+            "warm, one function appended (full cure)".to_string(),
             ms(f.warm_touched),
             ratio(f.touched_speedup()),
         ],
     ];
     println!(
-        "{} units over the socket; touched-pass function reuse {:.0}% ({} hits / {} misses); digests match cold batch: {}",
-        f.units,
-        f.fn_hit_rate() * 100.0,
-        f.fn_hits,
-        f.fn_misses,
-        f.digests_match
+        "{} units over the socket; touched-pass digests match cold batch: {}",
+        f.units, f.digests_match
     );
     println!(
         "reply latency: p50 {} / p99 {}\n",

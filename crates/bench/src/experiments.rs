@@ -1098,15 +1098,12 @@ pub struct ProfileFig {
 impl ProfileFig {
     /// `BENCH_profile.json` — machine-readable record for CI artifacts.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut s = String::from("{\n  \"experiment\": \"fig-profile\",\n  \"rows\": [\n");
         for (i, r) in self.rows.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"sites\": {}, \"hot_sites\": {}, \"total_hits\": {}, \
+                "    {{\"name\": {}, \"sites\": {}, \"hot_sites\": {}, \"total_hits\": {}, \
                  \"total_cost\": {:.1}, \"top_share\": {:.3}, \"unelided_hot\": {}, \"top\": [",
-                esc(&r.name),
+                ccured::json_str(&r.name),
                 r.sites,
                 r.hot_sites,
                 r.total_hits,
@@ -1119,12 +1116,12 @@ impl ProfileFig {
                     s.push_str(", ");
                 }
                 let why = match &t.kept_because {
-                    Some(w) => format!("\"{}\"", esc(w)),
+                    Some(w) => ccured::json_str(w),
                     None => "null".to_string(),
                 };
                 s.push_str(&format!(
-                    "{{\"func\": \"{}\", \"check\": \"{}\", \"hits\": {}, \"cost\": {:.1}, \"kept_because\": {}}}",
-                    esc(&t.func),
+                    "{{\"func\": {}, \"check\": \"{}\", \"hits\": {}, \"cost\": {:.1}, \"kept_because\": {}}}",
+                    ccured::json_str(&t.func),
                     t.check,
                     t.hits,
                     t.cost,
@@ -1422,18 +1419,14 @@ pub fn fig_opt2(smoke: bool) -> Opt2Fig {
 pub struct ServeFig {
     /// Units in the corpus.
     pub units: usize,
-    /// Wall-clock of the cold pass (empty unit and function caches).
+    /// Wall-clock of the cold pass (empty unit cache).
     pub cold: std::time::Duration,
     /// Wall-clock of re-requesting identical sources (whole-unit cache
     /// hits — the CI/rebuild shape).
     pub warm_identical: std::time::Duration,
-    /// Wall-clock after appending one function to every unit
-    /// (function-level incremental recure — the editor save-loop shape).
+    /// Wall-clock after appending one function to every unit (unit-cache
+    /// misses, each a full cure — the editor save-loop shape).
     pub warm_touched: std::time::Duration,
-    /// Function-cache hits across the touched pass.
-    pub fn_hits: u64,
-    /// Function-cache misses across the touched pass (the new functions).
-    pub fn_misses: u64,
     /// Whether every touched-pass report digest matched a cold full batch
     /// over the same (modified) tree — the byte-identity guarantee.
     pub digests_match: bool,
@@ -1449,15 +1442,9 @@ impl ServeFig {
         self.cold.as_secs_f64() / self.warm_identical.as_secs_f64().max(1e-9)
     }
 
-    /// `cold / warm_touched` — what function-level incrementality buys on
-    /// a real edit.
+    /// `cold / warm_touched` — what a resident server buys on a real edit.
     pub fn touched_speedup(&self) -> f64 {
         self.cold.as_secs_f64() / self.warm_touched.as_secs_f64().max(1e-9)
-    }
-
-    /// Share of function cures the touched pass skipped.
-    pub fn fn_hit_rate(&self) -> f64 {
-        self.fn_hits as f64 / ((self.fn_hits + self.fn_misses) as f64).max(1.0)
     }
 
     /// `BENCH_serve.json` — machine-readable record for CI artifacts.
@@ -1466,7 +1453,6 @@ impl ServeFig {
             "{{\n  \"experiment\": \"fig-serve\",\n  \"units\": {},\n  \
              \"cold_us\": {},\n  \"warm_identical_us\": {},\n  \"warm_touched_us\": {},\n  \
              \"identical_speedup\": {:.3},\n  \"touched_speedup\": {:.3},\n  \
-             \"fn_hits\": {},\n  \"fn_misses\": {},\n  \"fn_hit_rate\": {:.3},\n  \
              \"reply_p50_us\": {},\n  \"reply_p99_us\": {},\n  \
              \"digests_match\": {}\n}}\n",
             self.units,
@@ -1475,24 +1461,11 @@ impl ServeFig {
             self.warm_touched.as_micros(),
             self.identical_speedup(),
             self.touched_speedup(),
-            self.fn_hits,
-            self.fn_misses,
-            self.fn_hit_rate(),
             self.reply_p50.as_micros(),
             self.reply_p99.as_micros(),
             self.digests_match
         )
     }
-}
-
-#[cfg(unix)]
-fn serve_field(json: &str, name: &str) -> Option<u64> {
-    json.split(&format!("\"{name}\":"))
-        .nth(1)?
-        .split(|c: char| !c.is_ascii_digit())
-        .next()?
-        .parse()
-        .ok()
 }
 
 /// E16 (`fig-serve`): measure the daemon over [`batch_corpus`] via real
@@ -1506,7 +1479,11 @@ pub fn fig_serve(smoke: bool) -> std::io::Result<ServeFig> {
     use ccured_batch::{request, run_batch, BatchConfig, ServeConfig, Server};
     use std::time::Instant;
 
-    let dir = std::env::temp_dir().join(format!("ccured-fig-serve-{}", std::process::id()));
+    // One directory (and socket) per call: concurrent calls in one process
+    // must not share a corpus or steal each other's socket path.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ccured-fig-serve-{}-{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let result = (|| {
         let mut corpus = batch_corpus();
@@ -1545,7 +1522,7 @@ pub fn fig_serve(smoke: bool) -> std::io::Result<ServeFig> {
         let warm_identical = t.elapsed();
 
         // The editor save-loop: one appended function per unit, everything
-        // else unchanged — the daemon re-cures only the new functions.
+        // else unchanged — every request misses the unit cache.
         for u in &units {
             let src = std::fs::read_to_string(u)?;
             std::fs::write(
@@ -1553,14 +1530,11 @@ pub fn fig_serve(smoke: bool) -> std::io::Result<ServeFig> {
                 format!("{src}\nint ccured_fig_serve_extra(int v) {{ return v + 1; }}\n"),
             )?;
         }
-        let (mut fn_hits, mut fn_misses) = (0u64, 0u64);
         let mut warm_digests = Vec::new();
         let t = Instant::now();
         for u in &units {
             let r = cure(u)?;
             assert!(r.contains("\"status\":\"ok\""), "{}: {r}", u.display());
-            fn_hits += serve_field(&r, "fn_hits").unwrap_or(0);
-            fn_misses += serve_field(&r, "fn_misses").unwrap_or(0);
             warm_digests.push(
                 r.split("\"digest\":\"")
                     .nth(1)
@@ -1592,8 +1566,6 @@ pub fn fig_serve(smoke: bool) -> std::io::Result<ServeFig> {
             cold,
             warm_identical,
             warm_touched,
-            fn_hits,
-            fn_misses,
             digests_match,
             reply_p50: pct(50),
             reply_p99: pct(99),
@@ -1919,19 +1891,14 @@ mod tests {
         );
     }
 
-    /// E16 shape: both warm paths work, functions are reused, and the
-    /// incremental recure is digest-identical to a cold batch.
+    /// E16 shape: both warm paths work, and the recure of the edited
+    /// units is digest-identical to a cold batch.
     #[cfg(unix)]
     #[test]
     fn fig_serve_shape_smoke() {
         let f = fig_serve(true).expect("fig-serve runs");
         assert!(f.units >= 2);
         assert!(f.digests_match, "warm recure diverged from cold batch");
-        assert!(f.fn_hits > 0, "no function reuse on the touched pass");
-        assert_eq!(
-            f.fn_misses, f.units as u64,
-            "exactly the appended function re-cures per unit"
-        );
     }
 
     /// E17 shape: a smoke-size campaign must be sound (no escapes, no
@@ -1955,9 +1922,8 @@ mod tests {
     }
 
     /// E16 floor: the resident unit cache must make an unchanged re-request
-    /// ≥3× faster than the cold cure, and function-level incrementality
-    /// must beat the cold pass outright on a one-function edit. Wall-clock
-    /// ratios are only meaningful in release.
+    /// ≥3× faster than the cold cure. Wall-clock ratios are only meaningful
+    /// in release.
     #[cfg(unix)]
     #[test]
     #[cfg_attr(
@@ -1971,11 +1937,6 @@ mod tests {
             f.identical_speedup() >= 3.0,
             "unit-cache warm path must be ≥3× faster, got {:.2}×",
             f.identical_speedup()
-        );
-        assert!(
-            f.touched_speedup() >= 1.05,
-            "incremental recure must beat the cold pass, got {:.2}×",
-            f.touched_speedup()
         );
     }
 

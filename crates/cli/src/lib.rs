@@ -92,9 +92,9 @@
 //! one-flag CI gate.
 //!
 //! `ccured serve` starts the long-lived cure daemon (`ccured-batch`'s
-//! `serve` module) on a unix socket: a resident worker pool, the
-//! content-addressed whole-unit cache, and a shared function-level cache
-//! so a warm server re-cures only the functions an edit touched. `ccured
+//! `serve` module) on a unix socket: a resident worker pool and the
+//! content-addressed whole-unit cache, so an unchanged unit is answered
+//! without curing and an edited one is cured in full. `ccured
 //! client <socket> <request...>` sends one request line and prints the
 //! one-line JSON reply; its exit code is 0 for `ok`, 1 for `error`, 6 for
 //! `busy`, and 4 when the daemon cannot be reached.
@@ -102,7 +102,7 @@
 //! The library half exists so the argument parser and driver can be unit
 //! tested; `main.rs` is a thin wrapper.
 
-use ccured::{CureError, Cured, Curer};
+use ccured::{json_str, CureError, Cured, Curer};
 use ccured_rt::{Engine, ExecMode, Interp};
 use std::fmt;
 
@@ -1306,10 +1306,6 @@ fn render_profile(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Machine-readable profile export (consumed by the `tables` bench binary).
 fn profile_json(
     o: &Options,
@@ -1318,9 +1314,9 @@ fn profile_json(
 ) -> String {
     let top = o.top.unwrap_or(usize::MAX);
     let mut s = format!(
-        "{{\"schema\":\"{}\",\"file\":\"{}\",\"engine\":\"{}\",\"sites\":{},\"total_hits\":{},\"rows\":[",
+        "{{\"schema\":\"{}\",\"file\":{},\"engine\":\"{}\",\"sites\":{},\"total_hits\":{},\"rows\":[",
         ccured_rt::PGO_SCHEMA,
-        json_escape(&o.file),
+        json_str(&o.file),
         o.engine.name(),
         rows.len(),
         profile.total_hits()
@@ -1330,7 +1326,7 @@ fn profile_json(
             s.push(',');
         }
         let reason = match &r.site.keep_reason {
-            Some(why) => format!("\"{}\"", json_escape(why)),
+            Some(why) => json_str(why),
             None => "null".into(),
         };
         let action = match r.site.opt_action {
@@ -1342,12 +1338,12 @@ fn profile_json(
             None => "null".into(),
         };
         s.push_str(&format!(
-            "{{\"rank\":{},\"site\":{},\"func\":\"{}\",\"span_lo\":{},\"check\":\"{}\",\"ptr_kind\":\"{}\",\
+            "{{\"rank\":{},\"site\":{},\"func\":{},\"span_lo\":{},\"check\":\"{}\",\"ptr_kind\":\"{}\",\
              \"static_count\":{},\"elided\":{},\"hits\":{},\"fails\":{},\"walk_steps\":{},\
              \"cost\":{:.1},\"keep_reason\":{},\"opt_action\":{}}}",
             rank + 1,
             site_id,
-            json_escape(&r.site.func),
+            json_str(&r.site.func),
             r.site.span.lo,
             r.site.check,
             r.site.ptr_kind,
@@ -2118,6 +2114,32 @@ mod tests {
             stale.stdout.contains("falling back to online heat"),
             "{}",
             stale.stdout
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn emit_pgo_escapes_control_characters_in_the_unit_name() {
+        let dir = std::env::temp_dir().join(format!("ccured-cli-pgo-tab-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let pgo = dir.join("p.json");
+        let argv = [
+            "profile",
+            "quick\tstart.c",
+            "--emit-pgo",
+            pgo.to_str().unwrap(),
+        ];
+        let o = parse_args(argv.iter().map(|a| a.to_string())).unwrap();
+        let src = "int main(void) { int a[2]; a[0] = 1; return a[0]; }";
+        let prof = drive(&o, src, b"").unwrap();
+        assert!(prof.stdout.contains("profile written"), "{}", prof.stdout);
+        let text = std::fs::read_to_string(&pgo).unwrap();
+        assert!(text.contains(r#""file":"quick\tstart.c""#), "{text}");
+        // The trailing newline is the only control byte: none inside a string.
+        assert!(
+            !text.trim_end().bytes().any(|b| b < 0x20),
+            "raw control byte in {text:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

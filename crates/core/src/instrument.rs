@@ -179,48 +179,6 @@ pub fn instrument(
     (counts, sites)
 }
 
-/// Instruments a single function body in place; returns the static check
-/// counts for that function alone.
-///
-/// Site ids assigned here are function-local (they restart from zero), so
-/// they differ from the globally-numbered ids [`instrument`] assigns — but
-/// site ids never appear in the rendered program text or the check counts,
-/// which is what the incremental recure path caches. The spliced output is
-/// byte-identical to whole-program instrumentation.
-pub fn instrument_function(
-    prog: &mut Program,
-    fi: usize,
-    sol: &Solution,
-    hier: &Hierarchy,
-    temporal: bool,
-) -> CheckCounts {
-    let fname = prog.functions[fi].name.clone();
-    let trusted = prog
-        .pragmas
-        .iter()
-        .any(|p| matches!(p, ccured_cil::ir::CcuredPragma::TrustedFn(n) if n == &fname));
-    if trusted {
-        return CheckCounts::default();
-    }
-    let (body, counts) = {
-        let mut ctx = Ctx {
-            prog,
-            sol,
-            hier,
-            phys: PhysCtx::new(&prog.types),
-            counts: CheckCounts::default(),
-            span: ccured_ast::Span::DUMMY,
-            sites: Vec::new(),
-            site_ids: std::collections::HashMap::new(),
-            temporal,
-        };
-        let f = &prog.functions[fi];
-        (ctx.rewrite_stmts(f, &f.body), ctx.counts)
-    };
-    prog.functions[fi].body = body;
-    counts
-}
-
 struct Ctx<'a> {
     prog: &'a Program,
     sol: &'a Solution,

@@ -31,14 +31,14 @@
 //! ```
 
 pub mod hierarchy;
-pub mod incr;
 pub mod instrument;
+mod json;
 pub mod pipeline;
 pub mod split;
 pub mod wrappers;
 
 pub use hierarchy::Hierarchy;
-pub use incr::{cure_source_incremental_isolated, FnCache, IncrementalCured};
+pub use json::json_str;
 pub use pipeline::{isolated, CureError, CureReport, Cured, Curer, Engine, StageTimings};
 // Re-exported so downstream users of the report types need not name the
 // analysis crate directly.

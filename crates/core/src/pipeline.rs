@@ -273,14 +273,14 @@ pub struct Cured {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Curer {
-    pub(crate) options: InferOptions,
-    pub(crate) strict_link: bool,
-    pub(crate) optimize: bool,
-    pub(crate) loop_opt: bool,
-    pub(crate) temporal: bool,
-    pub(crate) prelude: Option<String>,
-    pub(crate) engine: Engine,
-    pub(crate) deadline: Option<Duration>,
+    options: InferOptions,
+    strict_link: bool,
+    optimize: bool,
+    loop_opt: bool,
+    temporal: bool,
+    prelude: Option<String>,
+    engine: Engine,
+    deadline: Option<Duration>,
 }
 
 impl Default for Curer {
@@ -385,8 +385,7 @@ impl Curer {
     }
 
     /// Sets a wall-clock budget for each cure entry point. When the budget
-    /// is spent, the pipeline stops at the next stage boundary (or, on the
-    /// incremental path, the next function boundary) with
+    /// is spent, the pipeline stops at the next stage boundary with
     /// [`CureError::Timeout`] — a pathological unit becomes a structured
     /// error instead of a wedged worker.
     ///
@@ -403,11 +402,7 @@ impl Curer {
 
     /// Fails with [`CureError::Timeout`] when the budget set by
     /// [`Curer::deadline`] is already spent at a stage boundary.
-    pub(crate) fn check_deadline(
-        &self,
-        start: Instant,
-        stage: &'static str,
-    ) -> Result<(), CureError> {
+    fn check_deadline(&self, start: Instant, stage: &'static str) -> Result<(), CureError> {
         match self.deadline {
             Some(budget) if start.elapsed() >= budget => Err(CureError::Timeout { stage, budget }),
             _ => Ok(()),
@@ -636,7 +631,7 @@ impl Cured {
     }
 }
 
-pub(crate) fn key_of_failure(f: &StaticFailure) -> (u32, u32, String, &'static str, String) {
+fn key_of_failure(f: &StaticFailure) -> (u32, u32, String, &'static str, String) {
     (
         f.span.lo,
         f.span.hi,
@@ -646,7 +641,7 @@ pub(crate) fn key_of_failure(f: &StaticFailure) -> (u32, u32, String, &'static s
     )
 }
 
-pub(crate) fn sort_link_issues(issues: &mut [LinkIssue]) {
+fn sort_link_issues(issues: &mut [LinkIssue]) {
     issues.sort_by(|a, b| {
         (&a.caller, &a.external, &a.detail).cmp(&(&b.caller, &b.external, &b.detail))
     });
@@ -656,7 +651,7 @@ pub(crate) fn sort_link_issues(issues: &mut [LinkIssue]) {
 /// and struct fields — matching the paper's "% of static pointer
 /// declarations" metric (compiler temporaries are excluded; they would
 /// dilute the percentages).
-pub(crate) fn declared_kind_counts(prog: &Program, sol: &Solution) -> KindCounts {
+fn declared_kind_counts(prog: &Program, sol: &Solution) -> KindCounts {
     use ccured_cil::types::{Type, TypeId};
     let mut counts = KindCounts::default();
     let mut bump = |sol: &Solution, q: ccured_cil::types::QualId| match sol.effective(q) {

@@ -2,6 +2,7 @@
 //! and JSON rendering (hand-rolled; the repo builds offline, no serde).
 
 use crate::mutate::FaultClass;
+use ccured::json_str;
 
 /// How one mutant fared under the cured interpreter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -220,25 +221,6 @@ impl CrashTestReport {
         s.push_str("]}");
         s
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

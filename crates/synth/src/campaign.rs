@@ -21,7 +21,7 @@
 
 use crate::gen::{self, GOLDEN};
 use crate::profiles::Profile;
-use ccured::{isolated, Curer};
+use ccured::{isolated, json_str, Curer};
 use ccured_batch::{run_batch, BatchConfig};
 use ccured_faultinject::{crash_test, CrashTest, CrashTestReport, FaultClass, Outcome};
 use ccured_rt::{Engine, ExecMode, Interp, Limits};
@@ -700,25 +700,6 @@ fn effective_jobs(jobs: usize, n_units: usize) -> usize {
 fn unit_of_path(path: &str) -> &str {
     let file = path.rsplit(['/', '\\']).next().unwrap_or(path);
     file.strip_suffix(".c").unwrap_or(file)
-}
-
-/// JSON string literal with the escapes the report can actually produce.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
