@@ -6,9 +6,13 @@
 //! in a syntactic depth-first walk of the body. The walk order is a public
 //! contract — [`for_each_instr_mut`] replays the same numbering over a
 //! mutable body so a rewrite pass can act on decisions made against the CFG.
+//!
+//! A [`Cfg`] borrows the function it was built from: blocks hold references
+//! to the body's instructions and branch conditions, so building one copies
+//! no IR.
 
 use ccured_cil::ir::{Exp, Function, Instr, Stmt};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Index of a basic block in [`Cfg::blocks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -31,9 +35,9 @@ pub struct InstrId(pub u32);
 /// Recorded so edge-sensitive analyses (the value-range domain) can refine
 /// facts differently along the taken and fall-through edges.
 #[derive(Debug, Clone)]
-pub struct Branch {
+pub struct Branch<'f> {
     /// The branch condition, as written.
-    pub cond: Exp,
+    pub cond: &'f Exp,
     /// Successor taken when `cond` is non-zero.
     pub on_true: BlockId,
     /// Successor taken when `cond` is zero.
@@ -42,27 +46,27 @@ pub struct Branch {
 
 /// A basic block: straight-line instructions plus successor edges.
 #[derive(Debug, Clone, Default)]
-pub struct BasicBlock {
+pub struct BasicBlock<'f> {
     /// The block's instructions, tagged with their syntactic identity.
-    pub instrs: Vec<(InstrId, Instr)>,
+    pub instrs: Vec<(InstrId, &'f Instr)>,
     /// Successor blocks.
     pub succs: Vec<BlockId>,
     /// The conditional terminator, when the block ends in an `if`.
-    pub branch: Option<Branch>,
+    pub branch: Option<Branch<'f>>,
 }
 
 /// A function body flattened into basic blocks.
 #[derive(Debug, Clone)]
-pub struct Cfg {
+pub struct Cfg<'f> {
     /// All blocks; [`Cfg::entry`] is the function entry.
-    pub blocks: Vec<BasicBlock>,
+    pub blocks: Vec<BasicBlock<'f>>,
     /// The entry block (always `BlockId(0)`).
     pub entry: BlockId,
 }
 
-impl Cfg {
+impl<'f> Cfg<'f> {
     /// Builds the CFG of `f`'s body.
-    pub fn build(f: &Function) -> Cfg {
+    pub fn build(f: &'f Function) -> Cfg<'f> {
         let mut b = Builder {
             blocks: vec![BasicBlock::default()],
             cur: Some(BlockId(0)),
@@ -80,135 +84,6 @@ impl Cfg {
             entry: BlockId(0),
         }
     }
-
-    /// Predecessor lists, derived from the successor edges.
-    pub fn preds(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for (i, blk) in self.blocks.iter().enumerate() {
-            for s in &blk.succs {
-                preds[s.idx()].push(BlockId(i as u32));
-            }
-        }
-        preds
-    }
-
-    /// Total number of instructions across all blocks.
-    pub fn instr_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.instrs.len()).sum()
-    }
-
-    /// Blocks reachable from the entry.
-    fn reachable(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.blocks.len()];
-        let mut work = vec![self.entry];
-        while let Some(b) = work.pop() {
-            if std::mem::replace(&mut seen[b.idx()], true) {
-                continue;
-            }
-            work.extend(self.blocks[b.idx()].succs.iter().copied());
-        }
-        seen
-    }
-
-    /// Dominator sets over the reachable subgraph, by iterative dataflow
-    /// (`dom(b) = {b} ∪ ⋂ dom(preds)`). Unreachable blocks get an empty
-    /// set — they dominate nothing and produce no back edges.
-    pub fn dominators(&self) -> Vec<BTreeSet<BlockId>> {
-        let n = self.blocks.len();
-        let reach = self.reachable();
-        let preds = self.preds();
-        let all: BTreeSet<BlockId> = (0..n as u32)
-            .map(BlockId)
-            .filter(|b| reach[b.idx()])
-            .collect();
-        let mut dom: Vec<BTreeSet<BlockId>> = (0..n)
-            .map(|i| {
-                if !reach[i] {
-                    BTreeSet::new()
-                } else if BlockId(i as u32) == self.entry {
-                    std::iter::once(self.entry).collect()
-                } else {
-                    all.clone()
-                }
-            })
-            .collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..n {
-                let b = BlockId(i as u32);
-                if !reach[i] || b == self.entry {
-                    continue;
-                }
-                let mut next: Option<BTreeSet<BlockId>> = None;
-                for p in preds[i].iter().filter(|p| reach[p.idx()]) {
-                    next = Some(match next {
-                        None => dom[p.idx()].clone(),
-                        Some(acc) => acc.intersection(&dom[p.idx()]).copied().collect(),
-                    });
-                }
-                let mut next = next.unwrap_or_default();
-                next.insert(b);
-                if next != dom[i] {
-                    dom[i] = next;
-                    changed = true;
-                }
-            }
-        }
-        dom
-    }
-
-    /// Natural loops: one per back edge `tail → head` (where `head`
-    /// dominates `tail`), with loops sharing a head merged. The body is the
-    /// head plus every block that reaches a tail without passing through
-    /// the head. Sorted by head id, so the numbering is deterministic.
-    pub fn natural_loops(&self) -> Vec<NaturalLoop> {
-        let dom = self.dominators();
-        let preds = self.preds();
-        let mut by_head: HashMap<BlockId, BTreeSet<BlockId>> = HashMap::new();
-        for (i, blk) in self.blocks.iter().enumerate() {
-            let tail = BlockId(i as u32);
-            for &head in &blk.succs {
-                if !dom[i].contains(&head) {
-                    continue;
-                }
-                let body = by_head.entry(head).or_default();
-                body.insert(head);
-                // Walk predecessors backwards from the tail, stopping at
-                // the head.
-                let mut work = vec![tail];
-                while let Some(b) = work.pop() {
-                    if b == head || !body.insert(b) {
-                        continue;
-                    }
-                    work.extend(preds[b.idx()].iter().copied());
-                }
-            }
-        }
-        let mut loops: Vec<NaturalLoop> = by_head
-            .into_iter()
-            .map(|(head, body)| NaturalLoop { head, body })
-            .collect();
-        loops.sort_by_key(|l| l.head);
-        loops
-    }
-}
-
-/// A natural loop: the target of one or more back edges plus every block
-/// on a path from the loop body back to it.
-#[derive(Debug, Clone)]
-pub struct NaturalLoop {
-    /// The unique entry (dominating) block of the loop.
-    pub head: BlockId,
-    /// All blocks in the loop, including the head.
-    pub body: BTreeSet<BlockId>,
-}
-
-impl NaturalLoop {
-    /// Whether `b` is inside the loop.
-    pub fn contains(&self, b: BlockId) -> bool {
-        self.body.contains(&b)
-    }
 }
 
 /// A loop or switch context while building.
@@ -219,17 +94,17 @@ struct Frame {
     continue_to: Option<BlockId>,
 }
 
-struct Builder {
-    blocks: Vec<BasicBlock>,
+struct Builder<'f> {
+    blocks: Vec<BasicBlock<'f>>,
     /// The block under construction; `None` right after a terminator (the
     /// following code is unreachable unless it carries a label).
     cur: Option<BlockId>,
-    labels: HashMap<String, BlockId>,
+    labels: HashMap<&'f str, BlockId>,
     next_instr: u32,
     frames: Vec<Frame>,
 }
 
-impl Builder {
+impl<'f> Builder<'f> {
     fn new_block(&mut self) -> BlockId {
         let id = BlockId(self.blocks.len() as u32);
         self.blocks.push(BasicBlock::default());
@@ -254,29 +129,29 @@ impl Builder {
         }
     }
 
-    fn label_block(&mut self, name: &str) -> BlockId {
+    fn label_block(&mut self, name: &'f str) -> BlockId {
         if let Some(&b) = self.labels.get(name) {
             return b;
         }
         let b = self.new_block();
-        self.labels.insert(name.to_string(), b);
+        self.labels.insert(name, b);
         b
     }
 
-    fn stmts(&mut self, body: &[Stmt]) {
+    fn stmts(&mut self, body: &'f [Stmt]) {
         for s in body {
             self.stmt(s);
         }
     }
 
-    fn stmt(&mut self, s: &Stmt) {
+    fn stmt(&mut self, s: &'f Stmt) {
         match s {
             Stmt::Instr(is) => {
                 let b = self.cur_block();
                 for i in is {
                     let id = InstrId(self.next_instr);
                     self.next_instr += 1;
-                    self.blocks[b.idx()].instrs.push((id, i.clone()));
+                    self.blocks[b.idx()].instrs.push((id, i));
                 }
             }
             Stmt::If(cond, t, e) => {
@@ -286,7 +161,7 @@ impl Builder {
                 self.edge(from, then_b);
                 self.edge(from, else_b);
                 self.blocks[from.idx()].branch = Some(Branch {
-                    cond: cond.clone(),
+                    cond,
                     on_true: then_b,
                     on_false: else_b,
                 });
@@ -436,12 +311,6 @@ mod tests {
         prog.functions[0].clone()
     }
 
-    fn build(src: &str) -> (Function, Cfg) {
-        let f = func(src);
-        let cfg = Cfg::build(&f);
-        (f, cfg)
-    }
-
     /// All instruction ids must be 0..n in depth-first order, and the
     /// mutable replay must see the exact same numbering.
     fn assert_numbering_roundtrip(f: &Function, cfg: &Cfg) {
@@ -465,15 +334,17 @@ mod tests {
 
     #[test]
     fn straight_line_is_one_block() {
-        let (f, cfg) = build("int main(void) { int x; x = 1; x = 2; return x; }");
+        let f = func("int main(void) { int x; x = 1; x = 2; return x; }");
+        let cfg = Cfg::build(&f);
         assert_numbering_roundtrip(&f, &cfg);
         assert!(cfg.blocks[cfg.entry.idx()].instrs.len() >= 2);
     }
 
     #[test]
     fn if_produces_diamond() {
-        let (f, cfg) =
-            build("int main(void) { int x; x = 1; if (x) { x = 2; } else { x = 3; } return x; }");
+        let f =
+            func("int main(void) { int x; x = 1; if (x) { x = 2; } else { x = 3; } return x; }");
+        let cfg = Cfg::build(&f);
         assert_numbering_roundtrip(&f, &cfg);
         let entry = &cfg.blocks[cfg.entry.idx()];
         assert_eq!(entry.succs.len(), 2, "if forks the entry block");
@@ -488,8 +359,8 @@ mod tests {
 
     #[test]
     fn loop_back_edge_exists() {
-        let (f, cfg) =
-            build("int main(void) { int i; i = 0; while (i < 4) { i = i + 1; } return i; }");
+        let f = func("int main(void) { int i; i = 0; while (i < 4) { i = i + 1; } return i; }");
+        let cfg = Cfg::build(&f);
         assert_numbering_roundtrip(&f, &cfg);
         // Some block must have a successor with a smaller or equal id that is
         // not the entry: the loop back edge.
@@ -503,11 +374,12 @@ mod tests {
 
     #[test]
     fn switch_fans_out_to_arms() {
-        let (f, cfg) = build(
+        let f = func(
             "int main(void) { int x; int r; x = 2; r = 0;\n\
              switch (x) { case 1: r = 1; break; case 2: r = 2; break; default: r = 9; }\n\
              return r; }",
         );
+        let cfg = Cfg::build(&f);
         assert_numbering_roundtrip(&f, &cfg);
         let fan = cfg.blocks.iter().map(|b| b.succs.len()).max().unwrap();
         assert!(fan >= 3, "switch block fans out to all arms, got {fan}");
@@ -515,10 +387,16 @@ mod tests {
 
     #[test]
     fn goto_targets_label_block() {
-        let (f, cfg) = build("int main(void) { int x; x = 0; goto done; x = 1; done: return x; }");
+        let f = func("int main(void) { int x; x = 0; goto done; x = 1; done: return x; }");
+        let cfg = Cfg::build(&f);
         assert_numbering_roundtrip(&f, &cfg);
         // The dead `x = 1` lands in a predecessor-less block.
-        let preds = cfg.preds();
+        let mut preds = vec![Vec::new(); cfg.blocks.len()];
+        for (i, blk) in cfg.blocks.iter().enumerate() {
+            for s in &blk.succs {
+                preds[s.idx()].push(BlockId(i as u32));
+            }
+        }
         let dead = cfg
             .blocks
             .iter()
@@ -529,58 +407,16 @@ mod tests {
 
     #[test]
     fn if_block_records_its_branch() {
-        let (_, cfg) = build(
+        let f = func(
             "int main(void) { int x; x = 1; if (x < 2) { x = 2; } else { x = 3; } return x; }",
         );
+        let cfg = Cfg::build(&f);
         let entry = &cfg.blocks[cfg.entry.idx()];
         let br = entry.branch.as_ref().expect("entry ends in a branch");
         assert_eq!(entry.succs.len(), 2);
         assert!(entry.succs.contains(&br.on_true));
         assert!(entry.succs.contains(&br.on_false));
         assert_ne!(br.on_true, br.on_false);
-    }
-
-    #[test]
-    fn while_loop_is_one_natural_loop() {
-        let (_, cfg) =
-            build("int main(void) { int i; i = 0; while (i < 4) { i = i + 1; } return i; }");
-        let loops = cfg.natural_loops();
-        assert_eq!(loops.len(), 1, "one while loop");
-        let l = &loops[0];
-        assert!(l.contains(l.head));
-        assert!(l.body.len() >= 2, "head plus at least the body block");
-        // The head must dominate every block in the loop body.
-        let dom = cfg.dominators();
-        for b in &l.body {
-            assert!(dom[b.idx()].contains(&l.head), "head dominates {b:?}");
-        }
-    }
-
-    #[test]
-    fn nested_loops_are_distinguished() {
-        let (_, cfg) = build(
-            "int main(void) { int i; int j; int s; s = 0;\n\
-             for (i = 0; i < 3; i++) for (j = 0; j < 3; j++) s = s + 1;\n\
-             return s; }",
-        );
-        let loops = cfg.natural_loops();
-        assert_eq!(loops.len(), 2, "outer and inner loop");
-        let (a, b) = (&loops[0], &loops[1]);
-        let (outer, inner) = if a.body.len() > b.body.len() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        for blk in &inner.body {
-            assert!(outer.contains(*blk), "inner loop nests inside outer");
-        }
-        assert!(!inner.contains(outer.head), "outer head outside inner loop");
-    }
-
-    #[test]
-    fn straight_line_has_no_loops() {
-        let (_, cfg) = build("int main(void) { int x; x = 1; return x; }");
-        assert!(cfg.natural_loops().is_empty());
     }
 
     #[test]

@@ -55,6 +55,10 @@ pub trait Analysis {
 /// unreachable from the function entry. To obtain the state at a particular
 /// instruction, re-apply the transfer function from the block entry (see
 /// [`crate::elim`] for the pattern).
+///
+/// Blocks are visited in FIFO worklist order. The order is part of the
+/// result, not just of the cost: a widening meet depends on which fact
+/// arrives first, so another order can reach a different fixpoint.
 pub fn forward<A: Analysis>(cfg: &Cfg, analysis: &mut A) -> Vec<Option<A::Fact>> {
     let n = cfg.blocks.len();
     let mut entry: Vec<Option<A::Fact>> = vec![None; n];
@@ -67,36 +71,50 @@ pub fn forward<A: Analysis>(cfg: &Cfg, analysis: &mut A) -> Vec<Option<A::Fact>>
 
     while let Some(b) = queue.pop_front() {
         queued[b.idx()] = false;
+        let block = &cfg.blocks[b.idx()];
         let Some(mut fact) = entry[b.idx()].clone() else {
             continue;
         };
-        for (id, instr) in &cfg.blocks[b.idx()].instrs {
-            analysis.transfer(*id, instr, &mut fact);
+        for &(id, instr) in &block.instrs {
+            analysis.transfer(id, instr, &mut fact);
         }
-        let branch = &cfg.blocks[b.idx()].branch;
-        for &s in &cfg.blocks[b.idx()].succs {
-            let mut fact = fact.clone();
-            if let Some(br) = branch {
+        let Some((&last, rest)) = block.succs.split_last() else {
+            continue;
+        };
+        // Every successor but the last gets a copy; the last takes `fact`.
+        let mut flow = |s: BlockId, mut fact: A::Fact| {
+            if let Some(br) = &block.branch {
                 if br.on_true != br.on_false {
                     if s == br.on_true {
-                        analysis.refine_edge(&br.cond, true, &mut fact);
+                        analysis.refine_edge(br.cond, true, &mut fact);
                     } else if s == br.on_false {
-                        analysis.refine_edge(&br.cond, false, &mut fact);
+                        analysis.refine_edge(br.cond, false, &mut fact);
                     }
                 }
             }
-            let merged = match &entry[s.idx()] {
-                None => fact.clone(),
-                Some(old) => old.meet(&fact),
-            };
-            if entry[s.idx()].as_ref() != Some(&merged) {
-                entry[s.idx()] = Some(merged);
-                if !queued[s.idx()] {
-                    queue.push_back(s);
-                    queued[s.idx()] = true;
+            let changed = match &mut entry[s.idx()] {
+                slot @ None => {
+                    *slot = Some(fact);
+                    true
                 }
+                Some(old) => {
+                    let merged = old.meet(&fact);
+                    let changed = merged != *old;
+                    if changed {
+                        *old = merged;
+                    }
+                    changed
+                }
+            };
+            if changed && !queued[s.idx()] {
+                queue.push_back(s);
+                queued[s.idx()] = true;
             }
+        };
+        for &s in rest {
+            flow(s, fact.clone());
         }
+        flow(last, fact);
     }
     entry
 }
@@ -105,7 +123,7 @@ pub fn forward<A: Analysis>(cfg: &Cfg, analysis: &mut A) -> Vec<Option<A::Fact>>
 mod tests {
     use super::*;
     use crate::cfg::Cfg;
-    use ccured_cil::ir::{Instr, LvBase};
+    use ccured_cil::ir::{Instr, LvBase, Program};
     use std::collections::BTreeSet;
 
     /// A toy must-analysis: the set of locals assigned on *every* path.
@@ -139,15 +157,15 @@ mod tests {
         }
     }
 
-    fn cfg_of(src: &str) -> Cfg {
+    fn prog_of(src: &str) -> Program {
         let tu = ccured_ast::parse_translation_unit(src).expect("parse");
-        let prog = ccured_cil::lower_translation_unit(&tu).expect("lower");
-        Cfg::build(&prog.functions[0])
+        ccured_cil::lower_translation_unit(&tu).expect("lower")
     }
 
     /// Collects the fixpoint fact at every reachable block exit.
     fn exits(src: &str) -> Vec<Assigned> {
-        let cfg = cfg_of(src);
+        let prog = prog_of(src);
+        let cfg = Cfg::build(&prog.functions[0]);
         let mut a = MustAssigned;
         let entries = forward(&cfg, &mut a);
         cfg.blocks
@@ -155,8 +173,8 @@ mod tests {
             .enumerate()
             .filter_map(|(i, b)| {
                 let mut f = entries[i].clone()?;
-                for (id, instr) in &b.instrs {
-                    a.transfer(*id, instr, &mut f);
+                for &(id, instr) in &b.instrs {
+                    a.transfer(id, instr, &mut f);
                 }
                 Some(f)
             })
@@ -195,7 +213,8 @@ mod tests {
 
     #[test]
     fn unreachable_blocks_stay_none() {
-        let cfg = cfg_of("int main(void) { int x; x = 0; goto done; x = 1; done: return x; }");
+        let prog = prog_of("int main(void) { int x; x = 0; goto done; x = 1; done: return x; }");
+        let cfg = Cfg::build(&prog.functions[0]);
         let mut a = MustAssigned;
         let entries = forward(&cfg, &mut a);
         let unreachable = entries.iter().filter(|e| e.is_none()).count();

@@ -17,9 +17,11 @@
 
 use crate::cfg::{for_each_instr_mut, Cfg, InstrId};
 use crate::dataflow::{forward, Analysis, Lattice};
+use crate::loops::int_bounds;
 use ccured_ast::Span;
 use ccured_cil::ir::*;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashSet};
 
 /// How many checks of each kind the optimizer deleted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -214,76 +216,147 @@ impl Range {
     }
 }
 
+/// A map from places to values, kept as a vector sorted by place. Keys
+/// stay in `Place` order, so equality and every operation below give
+/// exactly what a `BTreeMap<Place, V>` would, while a clone is one
+/// allocation and a meet one linear merge.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PlaceMap<V>(Vec<(Place, V)>);
+
+/// A set of places: a [`PlaceMap`] with no values.
+type PlaceSet = PlaceMap<()>;
+
+impl<V> Default for PlaceMap<V> {
+    fn default() -> Self {
+        PlaceMap(Vec::new())
+    }
+}
+
+impl<V: Copy> PlaceMap<V> {
+    fn find(&self, p: Place) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| k.cmp(&p))
+    }
+
+    fn get(&self, p: Place) -> Option<V> {
+        self.find(p).ok().map(|i| self.0[i].1)
+    }
+
+    fn contains(&self, p: Place) -> bool {
+        self.find(p).is_ok()
+    }
+
+    fn insert(&mut self, p: Place, v: V) {
+        match self.find(p) {
+            Ok(i) => self.0[i].1 = v,
+            Err(i) => self.0.insert(i, (p, v)),
+        }
+    }
+
+    fn remove(&mut self, p: Place) {
+        if let Ok(i) = self.find(p) {
+            self.0.remove(i);
+        }
+    }
+
+    fn retain(&mut self, keep: impl Fn(&Place) -> bool) {
+        self.0.retain(|(p, _)| keep(p));
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Gives `dst` the value `src` has, if any.
+    fn copy(&mut self, src: Place, dst: Place) {
+        if let Some(v) = self.get(src) {
+            self.insert(dst, v);
+        }
+    }
+
+    /// The places in both maps, each with `join(self's value, other's
+    /// value)`; places where `join` returns `None` are dropped. One linear
+    /// merge of the two sorted vectors.
+    fn meet_with(&self, other: &Self, join: impl Fn(V, V) -> Option<V>) -> Self {
+        let (a, b) = (&self.0, &other.0);
+        let mut out = Vec::with_capacity(a.len().min(b.len()));
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    if let Some(v) = join(a[i].1, b[j].1) {
+                        out.push((a[i].0, v));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        PlaceMap(out)
+    }
+}
+
 /// The must-facts holding at a program point.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct Facts {
     /// Places verified non-null.
-    nonnull: BTreeSet<Place>,
+    nonnull: PlaceSet,
     /// Places that are null on every path (for the failure detector).
-    null: BTreeSet<Place>,
+    null: PlaceSet,
     /// Largest verified SEQ access size per unmoved place.
-    bounds: BTreeMap<Place, u64>,
+    bounds: PlaceMap<u64>,
     /// Largest verified WILD access size per unmoved place.
-    wild_bounds: BTreeMap<Place, u64>,
+    wild_bounds: PlaceMap<u64>,
     /// Places whose pointed-to word has a verified pointer tag.
-    wild_tag: BTreeSet<Place>,
+    wild_tag: PlaceSet,
     /// Verified RTTI downcast target node per place.
-    rtti: BTreeMap<Place, u32>,
+    rtti: PlaceMap<u32>,
     /// Known value intervals of integer places (absent = unknown).
-    ranges: BTreeMap<Place, Range>,
+    ranges: PlaceMap<Range>,
     /// Places whose temporal capability key is verified valid. Unlike every
     /// other fact, a *call* is what invalidates these (the callee may
     /// `free`), so [`Facts::kill_call`] clears the whole set.
-    temporal: BTreeSet<Place>,
+    temporal: PlaceSet,
 }
 
-fn meet_sets(a: &BTreeSet<Place>, b: &BTreeSet<Place>) -> BTreeSet<Place> {
-    a.intersection(b).cloned().collect()
-}
-
-fn meet_min(a: &BTreeMap<Place, u64>, b: &BTreeMap<Place, u64>) -> BTreeMap<Place, u64> {
-    a.iter()
-        .filter_map(|(k, va)| b.get(k).map(|vb| (*k, (*va).min(*vb))))
-        .collect()
+/// The set meet: a place survives when both sides hold it.
+fn in_both(_: (), _: ()) -> Option<()> {
+    Some(())
 }
 
 impl Lattice for Facts {
     fn meet(&self, other: &Self) -> Self {
         Facts {
-            nonnull: meet_sets(&self.nonnull, &other.nonnull),
-            null: meet_sets(&self.null, &other.null),
-            bounds: meet_min(&self.bounds, &other.bounds),
-            wild_bounds: meet_min(&self.wild_bounds, &other.wild_bounds),
-            wild_tag: meet_sets(&self.wild_tag, &other.wild_tag),
+            nonnull: self.nonnull.meet_with(&other.nonnull, in_both),
+            null: self.null.meet_with(&other.null, in_both),
+            bounds: self.bounds.meet_with(&other.bounds, |a, b| Some(a.min(b))),
+            wild_bounds: self
+                .wild_bounds
+                .meet_with(&other.wild_bounds, |a, b| Some(a.min(b))),
+            wild_tag: self.wild_tag.meet_with(&other.wild_tag, in_both),
             rtti: self
                 .rtti
-                .iter()
-                .filter(|(k, v)| other.rtti.get(k) == Some(v))
-                .map(|(k, v)| (*k, *v))
-                .collect(),
-            ranges: self
-                .ranges
-                .iter()
-                .filter_map(|(k, old)| {
-                    let r = old.widen_join(other.ranges.get(k)?);
-                    (!r.is_full()).then_some((*k, r))
-                })
-                .collect(),
-            temporal: meet_sets(&self.temporal, &other.temporal),
+                .meet_with(&other.rtti, |a, b| (a == b).then_some(a)),
+            ranges: self.ranges.meet_with(&other.ranges, |old, new| {
+                let r = old.widen_join(&new);
+                (!r.is_full()).then_some(r)
+            }),
+            temporal: self.temporal.meet_with(&other.temporal, in_both),
         }
     }
 }
 
 impl Facts {
     fn kill(&mut self, p: Place) {
-        self.nonnull.remove(&p);
-        self.null.remove(&p);
-        self.bounds.remove(&p);
-        self.wild_bounds.remove(&p);
-        self.wild_tag.remove(&p);
-        self.rtti.remove(&p);
-        self.ranges.remove(&p);
-        self.temporal.remove(&p);
+        self.nonnull.remove(p);
+        self.null.remove(p);
+        self.bounds.remove(p);
+        self.wild_bounds.remove(p);
+        self.wild_tag.remove(p);
+        self.rtti.remove(p);
+        self.ranges.remove(p);
+        self.temporal.remove(p);
     }
 
     /// A store through a pointer or into an aggregate/untracked variable:
@@ -295,9 +368,9 @@ impl Facts {
         let keep = |p: &Place| matches!(p, Place::Local(l) if !aliased.contains(l));
         self.nonnull.retain(keep);
         self.null.retain(keep);
-        self.bounds.retain(|p, _| keep(p));
-        self.rtti.retain(|p, _| keep(p));
-        self.ranges.retain(|p, _| keep(p));
+        self.bounds.retain(keep);
+        self.rtti.retain(keep);
+        self.ranges.retain(keep);
         // A store cannot free, so a temporal key verified for an unaliased
         // local stays valid; an aliased place may have been overwritten
         // with a different (possibly dead) pointer.
@@ -316,47 +389,25 @@ impl Facts {
     }
 
     fn copy_all(&mut self, src: Place, dst: Place) {
-        if self.nonnull.contains(&src) {
-            self.nonnull.insert(dst);
-        }
-        if self.null.contains(&src) {
-            self.null.insert(dst);
-        }
-        if let Some(v) = self.bounds.get(&src).copied() {
-            self.bounds.insert(dst, v);
-        }
-        if let Some(v) = self.wild_bounds.get(&src).copied() {
-            self.wild_bounds.insert(dst, v);
-        }
-        if self.wild_tag.contains(&src) {
-            self.wild_tag.insert(dst);
-        }
-        if let Some(v) = self.rtti.get(&src).copied() {
-            self.rtti.insert(dst, v);
-        }
-        if let Some(v) = self.ranges.get(&src).copied() {
-            self.ranges.insert(dst, v);
-        }
-        if self.temporal.contains(&src) {
-            self.temporal.insert(dst);
-        }
+        self.nonnull.copy(src, dst);
+        self.null.copy(src, dst);
+        self.bounds.copy(src, dst);
+        self.wild_bounds.copy(src, dst);
+        self.wild_tag.copy(src, dst);
+        self.rtti.copy(src, dst);
+        self.ranges.copy(src, dst);
+        self.temporal.copy(src, dst);
     }
 
     /// Copy across a pointer cast: only value facts survive (the fat
     /// representation may differ, but the address — hence nullness — is
     /// preserved).
     fn copy_nullness(&mut self, src: Place, dst: Place) {
-        if self.nonnull.contains(&src) {
-            self.nonnull.insert(dst);
-        }
-        if self.null.contains(&src) {
-            self.null.insert(dst);
-        }
+        self.nonnull.copy(src, dst);
+        self.null.copy(src, dst);
         // A cast preserves the address, hence the allocation the pointer
         // names — temporal validity travels with it.
-        if self.temporal.contains(&src) {
-            self.temporal.insert(dst);
-        }
+        self.temporal.copy(src, dst);
     }
 }
 
@@ -407,22 +458,6 @@ impl ElimAnalysis<'_> {
         self.prog.types.ptr_parts(t).is_some()
     }
 
-    /// The representable interval of an integer type, or `None` for
-    /// non-integer types.
-    fn int_bounds(&self, t: ccured_cil::types::TypeId) -> Option<(i128, i128)> {
-        match self.prog.types.get(t) {
-            ccured_cil::types::Type::Int(k) => {
-                let bits = self.prog.types.machine.int_size(*k) * 8;
-                Some(if k.is_signed() {
-                    (-(1i128 << (bits - 1)), (1i128 << (bits - 1)) - 1)
-                } else {
-                    (0, (1i128 << bits) - 1)
-                })
-            }
-            _ => None,
-        }
-    }
-
     /// The conservative value interval of `e` under `fact`. Arithmetic whose
     /// interval escapes the expression's own type is widened to the full
     /// range (the evaluator wraps; a wrapped value is anywhere), so the
@@ -433,12 +468,12 @@ impl ElimAnalysis<'_> {
             Exp::Load(lv, _) => {
                 return self
                     .place_of_lval(lv)
-                    .and_then(|p| fact.ranges.get(&p).copied())
+                    .and_then(|p| fact.ranges.get(p))
                     .unwrap_or(Range::FULL)
             }
             Exp::Cast(_, inner, t) => {
                 let r = self.exp_range(inner, fact);
-                return match self.int_bounds(*t) {
+                return match int_bounds(&self.prog.types, *t) {
                     Some((lo, hi)) if r.within(lo, hi) => r,
                     _ => Range::FULL,
                 };
@@ -457,7 +492,7 @@ impl ElimAnalysis<'_> {
         };
         // Wrap safety: trust the interval only when it fits the type the
         // expression evaluates at.
-        match self.int_bounds(e.ty()) {
+        match int_bounds(&self.prog.types, e.ty()) {
             Some((lo, hi)) if r.within(lo, hi) => r,
             _ => Range::FULL,
         }
@@ -470,29 +505,29 @@ impl ElimAnalysis<'_> {
         match c {
             Check::Null { ptr } => {
                 if let Some(p) = self.stripped_place(ptr) {
-                    fact.nonnull.insert(p);
-                    fact.null.remove(&p);
+                    fact.nonnull.insert(p, ());
+                    fact.null.remove(p);
                 }
             }
             Check::SeqBounds { ptr, access_size } | Check::SeqToSafe { ptr, access_size } => {
                 if let Some(p) = self.direct_place(ptr) {
-                    let e = fact.bounds.entry(p).or_insert(0);
-                    *e = (*e).max(*access_size);
-                    fact.nonnull.insert(p);
-                    fact.null.remove(&p);
+                    let v = fact.bounds.get(p).unwrap_or(0).max(*access_size);
+                    fact.bounds.insert(p, v);
+                    fact.nonnull.insert(p, ());
+                    fact.null.remove(p);
                 }
             }
             Check::WildBounds { ptr, access_size } => {
                 if let Some(p) = self.direct_place(ptr) {
-                    let e = fact.wild_bounds.entry(p).or_insert(0);
-                    *e = (*e).max(*access_size);
-                    fact.nonnull.insert(p);
-                    fact.null.remove(&p);
+                    let v = fact.wild_bounds.get(p).unwrap_or(0).max(*access_size);
+                    fact.wild_bounds.insert(p, v);
+                    fact.nonnull.insert(p, ());
+                    fact.null.remove(p);
                 }
             }
             Check::WildTag { ptr } => {
                 if let Some(p) = self.direct_place(ptr) {
-                    fact.wild_tag.insert(p);
+                    fact.wild_tag.insert(p, ());
                 }
             }
             Check::Rtti { ptr, target_node } => {
@@ -503,7 +538,7 @@ impl ElimAnalysis<'_> {
             Check::IndexBound { index, len } => {
                 // A passing index check proves `0 ≤ index < len`.
                 if let Some(p) = self.direct_place(index) {
-                    let cur = fact.ranges.get(&p).copied().unwrap_or(Range::FULL);
+                    let cur = fact.ranges.get(p).unwrap_or(Range::FULL);
                     let proved = Range {
                         lo: 0,
                         hi: *len as i128 - 1,
@@ -513,7 +548,7 @@ impl ElimAnalysis<'_> {
             }
             Check::Temporal { ptr } => {
                 if let Some(p) = self.stripped_place(ptr) {
-                    fact.temporal.insert(p);
+                    fact.temporal.insert(p, ());
                 }
             }
             Check::NoStackEscape { .. } => {}
@@ -535,17 +570,17 @@ impl ElimAnalysis<'_> {
         // Evaluate the range before the kill: `i = i + 1` reads the old i.
         let range = self.exp_range(e, fact);
         fact.kill(dst);
-        if !range.is_full() && self.int_bounds(e.ty()).is_some() {
+        if !range.is_full() && int_bounds(&self.prog.types, e.ty()).is_some() {
             fact.ranges.insert(dst, range);
         }
         let stripped = strip_casts(e);
         if stripped.is_zero() {
-            fact.null.insert(dst);
+            fact.null.insert(dst, ());
             return;
         }
         match stripped {
             Exp::AddrOf(..) | Exp::StartOf(..) | Exp::FnAddr(..) => {
-                fact.nonnull.insert(dst);
+                fact.nonnull.insert(dst, ());
             }
             Exp::Load(..) => {
                 if let Some(src) = self.direct_place(e) {
@@ -576,7 +611,7 @@ impl ElimAnalysis<'_> {
 
     /// Narrows `p`'s interval with `[lo, hi]`.
     fn narrow(&self, fact: &mut Facts, p: Place, lo: i128, hi: i128) {
-        let cur = fact.ranges.get(&p).copied().unwrap_or(Range::FULL);
+        let cur = fact.ranges.get(p).unwrap_or(Range::FULL);
         let n = cur.intersect(&Range { lo, hi });
         if !n.is_full() {
             fact.ranges.insert(p, n);
@@ -664,21 +699,12 @@ impl ElisionResult {
     }
 }
 
-/// Deletes provably redundant checks from every function body of `prog` and
-/// reports checks that provably always fail.
-pub fn eliminate_checks(prog: &mut Program) -> ElisionResult {
-    let tracked_globals = tracked_globals(prog);
-    let mut result = ElisionResult::default();
-    for fi in 0..prog.functions.len() {
-        result.merge(eliminate_checks_in_function(prog, fi, &tracked_globals));
-    }
-    result
-}
-
-/// Deletes provably redundant checks from one function body. The analysis
-/// is intraprocedural, so per-function results compose: running this over
-/// every function (with the shared `tracked_globals` set from
-/// [`tracked_globals`]) is exactly [`eliminate_checks`].
+/// Deletes provably redundant checks from one function body and reports
+/// checks that provably always fail. The analysis is intraprocedural, so
+/// per-function results compose:
+/// [`optimize_program`](crate::loops::optimize_program) runs this over
+/// every function with the shared `tracked_globals` set from
+/// [`tracked_globals`].
 pub(crate) fn eliminate_checks_in_function(
     prog: &mut Program,
     fi: usize,
@@ -728,7 +754,7 @@ fn plan_function(prog: &Program, fi: usize, tracked_globals: &HashSet<u32>) -> P
         let Some(mut fact) = entries[bi].clone() else {
             continue;
         };
-        for (id, instr) in &block.instrs {
+        for &(id, instr) in &block.instrs {
             if let Instr::Check(c, span, site) = instr {
                 match decide(&analysis, func, c, &fact) {
                     Decision::Keep => {
@@ -738,7 +764,7 @@ fn plan_function(prog: &Program, fi: usize, tracked_globals: &HashSet<u32>) -> P
                         }
                     }
                     Decision::Elide => {
-                        plan.delete.insert(*id);
+                        plan.delete.insert(id);
                         plan.stats.bump(c);
                         if let Some(s) = site.index() {
                             *plan.site_elides.entry(s as u32).or_insert(0) += 1;
@@ -758,7 +784,7 @@ fn plan_function(prog: &Program, fi: usize, tracked_globals: &HashSet<u32>) -> P
                     }
                 }
             }
-            analysis.transfer(*id, instr, &mut fact);
+            analysis.transfer(id, instr, &mut fact);
         }
     }
     plan
@@ -782,10 +808,10 @@ fn decide(a: &ElimAnalysis<'_>, func: &Function, c: &Check, fact: &Facts) -> Dec
                 return Decision::Elide;
             }
             if let Some(p) = a.stripped_place(ptr) {
-                if fact.nonnull.contains(&p) {
+                if fact.nonnull.contains(p) {
                     return Decision::Elide;
                 }
-                if fact.null.contains(&p) {
+                if fact.null.contains(p) {
                     return Decision::AlwaysFails(format!(
                         "dereference of `{}`, which is null on every path here",
                         place_name(a, func, p)
@@ -796,22 +822,22 @@ fn decide(a: &ElimAnalysis<'_>, func: &Function, c: &Check, fact: &Facts) -> Dec
         }
         Check::SeqBounds { ptr, access_size } | Check::SeqToSafe { ptr, access_size } => {
             match a.direct_place(ptr) {
-                Some(p) if fact.bounds.get(&p).is_some_and(|v| v >= access_size) => Decision::Elide,
+                Some(p) if fact.bounds.get(p).is_some_and(|v| v >= *access_size) => Decision::Elide,
                 _ => Decision::Keep,
             }
         }
         Check::WildBounds { ptr, access_size } => match a.direct_place(ptr) {
-            Some(p) if fact.wild_bounds.get(&p).is_some_and(|v| v >= access_size) => {
+            Some(p) if fact.wild_bounds.get(p).is_some_and(|v| v >= *access_size) => {
                 Decision::Elide
             }
             _ => Decision::Keep,
         },
         Check::WildTag { ptr } => match a.direct_place(ptr) {
-            Some(p) if fact.wild_tag.contains(&p) => Decision::Elide,
+            Some(p) if fact.wild_tag.contains(p) => Decision::Elide,
             _ => Decision::Keep,
         },
         Check::Rtti { ptr, target_node } => match a.stripped_place(ptr) {
-            Some(p) if fact.rtti.get(&p) == Some(target_node) => Decision::Elide,
+            Some(p) if fact.rtti.get(p) == Some(*target_node) => Decision::Elide,
             _ => Decision::Keep,
         },
         Check::IndexBound { index, len } => {
@@ -825,7 +851,7 @@ fn decide(a: &ElimAnalysis<'_>, func: &Function, c: &Check, fact: &Facts) -> Dec
                 return Decision::Elide;
             }
             if let Some(p) = a.direct_place(index) {
-                if let Some(r) = fact.ranges.get(&p) {
+                if let Some(r) = fact.ranges.get(p) {
                     let len = *len as i128;
                     if r.within(0, len - 1) {
                         // The interval proves every value in bounds.
@@ -842,7 +868,7 @@ fn decide(a: &ElimAnalysis<'_>, func: &Function, c: &Check, fact: &Facts) -> Dec
             Decision::Keep
         }
         Check::Temporal { ptr } => match a.stripped_place(ptr) {
-            Some(p) if fact.temporal.contains(&p) => Decision::Elide,
+            Some(p) if fact.temporal.contains(p) => Decision::Elide,
             _ => Decision::Keep,
         },
         Check::NoStackEscape { .. } => Decision::Keep,
@@ -866,7 +892,7 @@ fn keep_reason(a: &ElimAnalysis<'_>, c: &Check, fact: &Facts) -> String {
         Check::SeqBounds { ptr, access_size } | Check::SeqToSafe { ptr, access_size } => {
             match a.direct_place(ptr) {
                 None => UNTRACKED.into(),
-                Some(p) => match fact.bounds.get(&p) {
+                Some(p) => match fact.bounds.get(p) {
                     Some(v) => format!(
                         "an earlier bounds check only verified a {v}-byte access; this one needs {access_size} bytes"
                     ),
@@ -876,7 +902,7 @@ fn keep_reason(a: &ElimAnalysis<'_>, c: &Check, fact: &Facts) -> String {
         }
         Check::WildBounds { ptr, access_size } => match a.direct_place(ptr) {
             None => UNTRACKED.into(),
-            Some(p) => match fact.wild_bounds.get(&p) {
+            Some(p) => match fact.wild_bounds.get(p) {
                 Some(v) => format!(
                     "an earlier wild-bounds check only verified a {v}-byte access; this one needs {access_size} bytes"
                 ),
@@ -893,7 +919,7 @@ fn keep_reason(a: &ElimAnalysis<'_>, c: &Check, fact: &Facts) -> String {
         },
         Check::IndexBound { index, len } => match a.direct_place(index) {
             None => "index is not a compile-time constant".into(),
-            Some(p) => match fact.ranges.get(&p) {
+            Some(p) => match fact.ranges.get(p) {
                 Some(r) => format!(
                     "index is not a compile-time constant and its value range [{}, {}] is not contained in [0, {}]",
                     r.lo,
@@ -1082,7 +1108,9 @@ fn visit_init(init: &Init, f: &mut impl FnMut(&Exp)) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loops::optimize_program;
     use ccured_cil::ir::{Check, Instr, Stmt};
+    use std::collections::BTreeSet;
 
     fn lower(src: &str) -> Program {
         let tu = ccured_ast::parse_translation_unit(src).expect("parse");
@@ -1140,13 +1168,255 @@ mod tests {
         }
     }
 
+    /// The eliminator's facts as `BTreeSet`s and `BTreeMap`s, with the
+    /// operations [`Facts`] had before it became flat: the reference the
+    /// flat representation is checked against.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    struct RefFacts {
+        nonnull: BTreeSet<Place>,
+        null: BTreeSet<Place>,
+        bounds: BTreeMap<Place, u64>,
+        wild_bounds: BTreeMap<Place, u64>,
+        wild_tag: BTreeSet<Place>,
+        rtti: BTreeMap<Place, u32>,
+        ranges: BTreeMap<Place, Range>,
+        temporal: BTreeSet<Place>,
+    }
+
+    fn meet_sets(a: &BTreeSet<Place>, b: &BTreeSet<Place>) -> BTreeSet<Place> {
+        a.intersection(b).cloned().collect()
+    }
+
+    fn meet_min(a: &BTreeMap<Place, u64>, b: &BTreeMap<Place, u64>) -> BTreeMap<Place, u64> {
+        a.iter()
+            .filter_map(|(k, va)| b.get(k).map(|vb| (*k, (*va).min(*vb))))
+            .collect()
+    }
+
+    impl RefFacts {
+        fn meet(&self, other: &Self) -> Self {
+            RefFacts {
+                nonnull: meet_sets(&self.nonnull, &other.nonnull),
+                null: meet_sets(&self.null, &other.null),
+                bounds: meet_min(&self.bounds, &other.bounds),
+                wild_bounds: meet_min(&self.wild_bounds, &other.wild_bounds),
+                wild_tag: meet_sets(&self.wild_tag, &other.wild_tag),
+                rtti: self
+                    .rtti
+                    .iter()
+                    .filter(|(k, v)| other.rtti.get(k) == Some(v))
+                    .map(|(k, v)| (*k, *v))
+                    .collect(),
+                ranges: self
+                    .ranges
+                    .iter()
+                    .filter_map(|(k, old)| {
+                        let r = old.widen_join(other.ranges.get(k)?);
+                        (!r.is_full()).then_some((*k, r))
+                    })
+                    .collect(),
+                temporal: meet_sets(&self.temporal, &other.temporal),
+            }
+        }
+
+        fn kill(&mut self, p: Place) {
+            self.nonnull.remove(&p);
+            self.null.remove(&p);
+            self.bounds.remove(&p);
+            self.wild_bounds.remove(&p);
+            self.wild_tag.remove(&p);
+            self.rtti.remove(&p);
+            self.ranges.remove(&p);
+            self.temporal.remove(&p);
+        }
+
+        fn kill_memory_write(&mut self, aliased: &HashSet<u32>) {
+            let keep = |p: &Place| matches!(p, Place::Local(l) if !aliased.contains(l));
+            self.nonnull.retain(keep);
+            self.null.retain(keep);
+            self.bounds.retain(|p, _| keep(p));
+            self.rtti.retain(|p, _| keep(p));
+            self.ranges.retain(|p, _| keep(p));
+            self.temporal.retain(keep);
+            self.wild_tag.clear();
+            self.wild_bounds.clear();
+        }
+
+        fn kill_call(&mut self, aliased: &HashSet<u32>) {
+            self.kill_memory_write(aliased);
+            self.temporal.clear();
+        }
+
+        fn copy_all(&mut self, src: Place, dst: Place) {
+            if self.nonnull.contains(&src) {
+                self.nonnull.insert(dst);
+            }
+            if self.null.contains(&src) {
+                self.null.insert(dst);
+            }
+            if let Some(v) = self.bounds.get(&src).copied() {
+                self.bounds.insert(dst, v);
+            }
+            if let Some(v) = self.wild_bounds.get(&src).copied() {
+                self.wild_bounds.insert(dst, v);
+            }
+            if self.wild_tag.contains(&src) {
+                self.wild_tag.insert(dst);
+            }
+            if let Some(v) = self.rtti.get(&src).copied() {
+                self.rtti.insert(dst, v);
+            }
+            if let Some(v) = self.ranges.get(&src).copied() {
+                self.ranges.insert(dst, v);
+            }
+            if self.temporal.contains(&src) {
+                self.temporal.insert(dst);
+            }
+        }
+
+        fn copy_nullness(&mut self, src: Place, dst: Place) {
+            if self.nonnull.contains(&src) {
+                self.nonnull.insert(dst);
+            }
+            if self.null.contains(&src) {
+                self.null.insert(dst);
+            }
+            if self.temporal.contains(&src) {
+                self.temporal.insert(dst);
+            }
+        }
+
+        /// The same facts as flat [`PlaceMap`]s.
+        fn flat(&self) -> Facts {
+            fn set(s: &BTreeSet<Place>) -> PlaceSet {
+                PlaceMap(s.iter().map(|&p| (p, ())).collect())
+            }
+            fn map<V: Copy>(m: &BTreeMap<Place, V>) -> PlaceMap<V> {
+                PlaceMap(m.iter().map(|(&p, &v)| (p, v)).collect())
+            }
+            Facts {
+                nonnull: set(&self.nonnull),
+                null: set(&self.null),
+                bounds: map(&self.bounds),
+                wild_bounds: map(&self.wild_bounds),
+                wild_tag: set(&self.wild_tag),
+                rtti: map(&self.rtti),
+                ranges: map(&self.ranges),
+                temporal: set(&self.temporal),
+            }
+        }
+    }
+
+    /// splitmix64: a seeded generator for the differential test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len() as u64) as usize]
+        }
+    }
+
+    /// Random reference facts over `universe`. Values come from small
+    /// pools, so equal-value `rtti` meets and both widening directions of
+    /// the `ranges` meet happen often.
+    fn random_facts(rng: &mut Rng, universe: &[Place]) -> RefFacts {
+        const ENDS: [i128; 6] = [i128::MIN, -2, 0, 3, 7, i128::MAX];
+        let mut f = RefFacts::default();
+        for &p in universe {
+            let bits: [bool; 8] = std::array::from_fn(|_| rng.below(2) == 0);
+            if bits[0] {
+                f.nonnull.insert(p);
+            }
+            if bits[1] {
+                f.null.insert(p);
+            }
+            if bits[2] {
+                f.bounds.insert(p, rng.pick(&[1, 2, 4, 8]));
+            }
+            if bits[3] {
+                f.wild_bounds.insert(p, rng.pick(&[1, 2, 4, 8]));
+            }
+            if bits[4] {
+                f.wild_tag.insert(p);
+            }
+            if bits[5] {
+                f.rtti.insert(p, rng.pick(&[0, 1, 2]));
+            }
+            if bits[6] {
+                let (a, b) = (rng.pick(&ENDS), rng.pick(&ENDS));
+                let r = Range {
+                    lo: a.min(b),
+                    hi: a.max(b),
+                };
+                if !r.is_full() {
+                    f.ranges.insert(p, r);
+                }
+            }
+            if bits[7] {
+                f.temporal.insert(p);
+            }
+        }
+        f
+    }
+
+    #[test]
+    fn flat_facts_agree_with_the_btree_reference() {
+        let universe: Vec<Place> = (0..5)
+            .flat_map(|i| [Place::Local(i), Place::Global(i)])
+            .collect();
+        let mut rng = Rng(0x00c0_ffee);
+        for _ in 0..2000 {
+            let a = random_facts(&mut rng, &universe);
+            let b = random_facts(&mut rng, &universe);
+            let (fa, fb) = (a.flat(), b.flat());
+            assert_eq!(fa.meet(&fb), a.meet(&b).flat(), "meet of {a:?} and {b:?}");
+            assert_eq!(fb.meet(&fa), b.meet(&a).flat(), "meet of {b:?} and {a:?}");
+            assert_eq!(fa.meet(&fa), a.meet(&a).flat());
+            assert_eq!(fa == fb, a == b);
+
+            let aliased: HashSet<u32> = (0..5).filter(|_| rng.below(2) == 0).collect();
+            let (p, q) = (rng.pick(&universe), rng.pick(&universe));
+            let agree = |name: &str, f: Facts, r: RefFacts| {
+                assert_eq!(f, r.flat(), "{name}({p:?}, {q:?}) on {a:?}");
+            };
+            let (mut f, mut r) = (fa.clone(), a.clone());
+            f.kill(p);
+            r.kill(p);
+            agree("kill", f, r);
+            let (mut f, mut r) = (fa.clone(), a.clone());
+            f.kill_memory_write(&aliased);
+            r.kill_memory_write(&aliased);
+            agree("kill_memory_write", f, r);
+            let (mut f, mut r) = (fa.clone(), a.clone());
+            f.kill_call(&aliased);
+            r.kill_call(&aliased);
+            agree("kill_call", f, r);
+            let (mut f, mut r) = (fa.clone(), a.clone());
+            f.copy_all(p, q);
+            r.copy_all(p, q);
+            agree("copy_all", f, r);
+            let (mut f, mut r) = (fa.clone(), a.clone());
+            f.copy_nullness(p, q);
+            r.copy_nullness(p, q);
+            agree("copy_nullness", f, r);
+        }
+    }
+
     #[test]
     fn dominated_null_check_is_elided() {
         let mut prog = lower("int f(int *p) { return 0; }");
         let c1 = null_check(&prog, "p");
         let c2 = null_check(&prog, "p");
         prog.functions[0].body.insert(0, Stmt::Instr(vec![c1, c2]));
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.stats.null, 1, "the second identical check is redundant");
         assert_eq!(count_checks(&prog), 1);
         assert!(r.failures.is_empty());
@@ -1168,7 +1438,7 @@ mod tests {
         let c1 = temporal_check(&prog, "p");
         let c2 = temporal_check(&prog, "p");
         prog.functions[0].body.insert(0, Stmt::Instr(vec![c1, c2]));
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.stats.temporal, 1, "back-to-back key checks are redundant");
         assert_eq!(count_checks(&prog), 1);
     }
@@ -1191,7 +1461,7 @@ mod tests {
         let after = Stmt::Instr(vec![temporal_check(&prog, "p"), null_check(&prog, "p")]);
         prog.functions[0].body.insert(call + 1, after);
         prog.functions[0].body.insert(call, before);
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.stats.temporal, 0, "the callee may free p's allocation");
         assert_eq!(r.stats.null, 1, "nullness of an unaliased local survives");
         assert_eq!(count_checks(&prog), 3);
@@ -1214,7 +1484,7 @@ mod tests {
         let after = Stmt::Instr(vec![temporal_check(&prog, "p")]);
         prog.functions[0].body.insert(store + 1, after);
         prog.functions[0].body.insert(store, before);
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.stats.temporal, 1, "a plain store frees nothing");
         assert_eq!(count_checks(&prog), 1);
     }
@@ -1230,7 +1500,7 @@ mod tests {
         );
         let after = Stmt::Instr(vec![null_check(&prog, "p")]);
         prog.functions[0].body.splice(0..0, [both, after]);
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.stats.null, 1, "only the join check is dominated");
         assert_eq!(count_checks(&prog), 2);
     }
@@ -1246,7 +1516,7 @@ mod tests {
         );
         let after = Stmt::Instr(vec![null_check(&prog, "p")]);
         prog.functions[0].body.splice(0..0, [one, after]);
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.stats.null, 0, "the fact does not hold on the else path");
         assert_eq!(count_checks(&prog), 2);
     }
@@ -1266,7 +1536,7 @@ mod tests {
         let c2 = Stmt::Instr(vec![null_check(&prog, "p")]);
         prog.functions[0].body.insert(assign + 1, c2);
         prog.functions[0].body.insert(assign, c1);
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.stats.null, 0);
         assert_eq!(count_checks(&prog), 2);
     }
@@ -1286,7 +1556,7 @@ mod tests {
         let c2 = Stmt::Instr(vec![null_check(&prog, "q")]);
         prog.functions[0].body.insert(assign + 1, c2);
         prog.functions[0].body.insert(assign, c1);
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.stats.null, 1, "q = p transfers p's nonnull fact");
         assert_eq!(count_checks(&prog), 1);
     }
@@ -1310,7 +1580,7 @@ mod tests {
         prog.functions[0]
             .body
             .insert(0, Stmt::Instr(vec![c8, c4, c16]));
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(
             r.stats.seq_bounds, 1,
             "only the smaller re-check is covered"
@@ -1330,7 +1600,7 @@ mod tests {
             .expect("assignment stmt");
         let c = Stmt::Instr(vec![null_check(&prog, "p")]);
         prog.functions[0].body.insert(assign + 1, c);
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.failures.len(), 1);
         assert!(r.failures[0].message.contains("null on every path"));
         assert_eq!(count_checks(&prog), 1, "the failing check is kept");
@@ -1350,7 +1620,7 @@ mod tests {
             SiteId::NONE,
         );
         prog.functions[0].body.insert(0, Stmt::Instr(vec![c]));
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.failures.len(), 1);
         assert!(r.failures[0].message.contains("out of bounds"));
     }
@@ -1388,7 +1658,7 @@ mod tests {
         prog.functions[fidx]
             .body
             .insert(call, Stmt::Instr(vec![chk(&pload), chk(&gload)]));
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.stats.null, 1, "p's fact survives the call, gp's does not");
     }
 
@@ -1411,7 +1681,7 @@ mod tests {
             SiteId::NONE,
         );
         prog.functions[0].body.insert(0, Stmt::Instr(vec![c]));
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.stats.null, 1);
         assert_eq!(count_checks(&prog), 0);
     }
@@ -1425,7 +1695,7 @@ mod tests {
         let c1 = Stmt::Instr(vec![null_check(&prog, "p")]);
         let c2 = Stmt::Instr(vec![null_check(&prog, "p")]);
         prog.functions[0].body.splice(0..0, [c1, c2]);
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.stats.null, 1, "no write can intervene: still redundant");
         assert_eq!(count_checks(&prog), 1);
     }
@@ -1460,7 +1730,7 @@ mod tests {
         let c1 = Stmt::Instr(vec![null_check(&prog, "p")]);
         prog.functions[0].body.insert(store + 1, c2);
         prog.functions[0].body.insert(store, c1);
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.stats.null, 0, "the aliasing store kills the nonnull fact");
         assert_eq!(count_checks(&prog), 2);
     }
@@ -1491,7 +1761,7 @@ mod tests {
             )
             .expect("assignment");
         prog.functions[0].body.insert(last_set + 1, c);
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.stats.index_bound, 1, "interval [3,3] is within [0,3]");
         assert!(r.failures.is_empty());
     }
@@ -1525,7 +1795,7 @@ mod tests {
             false
         }
         assert!(push_into_innermost_if(&mut prog.functions[0].body, &chk));
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(
             r.stats.index_bound, 1,
             "both guarding branches prove 0 <= i < 4"
@@ -1544,7 +1814,7 @@ mod tests {
             )
             .expect("assignment");
         prog.functions[0].body.insert(set + 1, c);
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.failures.len(), 1);
         assert!(r.failures[0].message.contains("out of bounds"));
         assert_eq!(count_checks(&prog), 1, "the failing check is kept");
@@ -1582,7 +1852,7 @@ mod tests {
         }
         assert!(push_into_loop(&mut prog.functions[0].body, &inner));
         prog.functions[0].body.insert(0, pre);
-        let r = eliminate_checks(&mut prog);
+        let r = optimize_program(&mut prog, false).elision;
         assert_eq!(
             r.stats.null, 1,
             "the in-loop check is dominated by the pre-loop check"

@@ -27,7 +27,7 @@ pub mod loops;
 pub mod widen;
 
 pub use blame::{blame_path, qual_names, render_blame, Blame, BlameStep};
-pub use cfg::{BasicBlock, BlockId, Branch, Cfg, InstrId, NaturalLoop};
+pub use cfg::{BasicBlock, BlockId, Branch, Cfg, InstrId};
 pub use dataflow::{forward, Analysis, Lattice};
-pub use elim::{eliminate_checks, ElisionResult, ElisionStats, StaticFailure};
+pub use elim::{ElisionResult, ElisionStats, StaticFailure};
 pub use loops::{optimize_program, OptAction, OptResult};

@@ -23,7 +23,6 @@
 //! most as many check events, and strictly fewer on loops the passes fire
 //! on.
 
-use crate::cfg::Cfg;
 use crate::elim::{self, ElisionResult};
 use ccured_cil::ir::{Check, Exp, Instr, LvBase, Lval, Offset, Program, SiteId, Stmt, SwitchArm};
 use ccured_cil::types::{Type, TypeId, TypeTable};
@@ -61,8 +60,6 @@ pub struct OptResult {
     pub hoisted: u64,
     /// Check instructions rewritten by the widening pass.
     pub widened: u64,
-    /// Natural loops found in the program's CFGs.
-    pub loops_seen: u64,
 }
 
 impl OptResult {
@@ -74,13 +71,12 @@ impl OptResult {
         self.actions.extend(other.actions);
         self.hoisted += other.hoisted;
         self.widened += other.widened;
-        self.loops_seen += other.loops_seen;
     }
 }
 
 /// Runs the full static optimization pipeline over `prog` in place:
 /// check elimination, then (when `loop_opt`) loop-invariant hoisting and
-/// SEQ bounds widening over every natural loop.
+/// SEQ bounds widening over every loop.
 pub fn optimize_program(prog: &mut Program, loop_opt: bool) -> OptResult {
     let tracked = elim::tracked_globals(prog);
     let mut result = OptResult::default();
@@ -114,7 +110,6 @@ fn optimize_function(
         ..
     } = *prog;
     let func = &mut functions[fi];
-    result.loops_seen += Cfg::build(func).natural_loops().len() as u64;
     let mut cx = FnCx {
         types,
         aliased: elim::aliased_locals(func),

@@ -104,7 +104,7 @@ proptest! {
         prop_assert!(uaf_r);
         let uaf_w = matches!(m.write_int(p, 1, 2), Err(RtError::UseAfterFree));
         prop_assert!(uaf_w);
-        let dbl = matches!(m.free(a), Err(RtError::UseAfterFree));
+        let dbl = matches!(m.free(a), Err(RtError::DoubleFree));
         prop_assert!(dbl);
     }
 
