@@ -3,8 +3,8 @@
 
 Starts a daemon with fault injection enabled, fires 200 mixed requests at
 it (cure / status / explain, including 3 poisoned units that panic the
-serving worker and 1 deadline-exceeding cure against a second daemon),
-and asserts that
+serving worker, 1 unit nested past the parser's limit, and 1
+deadline-exceeding cure against a second daemon), and asserts that
 
   * every single request gets a terminal one-line JSON reply (no hangs,
     no dropped connections, exit codes only ever ok/error/busy),
@@ -12,6 +12,9 @@ and asserts that
     succeeding afterwards and the supervisor reports respawns),
   * the deadline-exceeding cure comes back `resource-exhausted` while
     the daemon stays up,
+  * a unit nested 100 000 braces deep comes back as an `error` that names
+    the parser's nesting limit, and the next healthy cure is still `ok`
+    (a stack overflow would abort the whole daemon),
   * the warm unit-cache hit rate over the run is high (the mix re-cures
     the same units, so almost everything after the first pass must be
     served from the content-addressed cache).
@@ -31,6 +34,8 @@ CCURED = sys.argv[1] if len(sys.argv) > 1 else "target/release/ccured"
 POISON = "ci_poison_token"
 TOTAL_REQUESTS = 200
 POISONED = 3
+NESTING_LIMIT = 256
+DEEP_BRACES = 100_000
 
 GOOD_TEMPLATE = """\
 int work_{i}(int n) {{
@@ -98,6 +103,10 @@ def run(tmp):
             f.write(GOOD_TEMPLATE.format(i=i))
         good.append(path)
 
+    deep = os.path.join(tmp, "deep.c")
+    with open(deep, "w") as f:
+        f.write("int main(void) " + "{" * DEEP_BRACES + "}" * DEEP_BRACES + "\n")
+
     poisoned = []
     for i in range(POISONED):
         path = os.path.join(tmp, f"poisoned_{i}.c")
@@ -147,6 +156,19 @@ def run(tmp):
         sent += 1
         outcomes[status] += 1
 
+    # 1 unit nested far past the parser's limit: a frontend error naming
+    # the limit, after which the same daemon still cures a healthy unit.
+    code, reply = client(sock, "cure", deep)
+    status = assert_terminal(code, reply, "deep cure")
+    assert status == "error", f"deep cure was not an error: {reply!r}"
+    assert "nesting too deep" in reply and str(NESTING_LIMIT) in reply, reply
+    outcomes[status] += 1
+    sent += 1
+    code, reply = client(sock, "cure", good[0])
+    assert assert_terminal(code, reply, "cure after deep") == "ok", reply
+    outcomes["ok"] += 1
+    sent += 1
+
     # The remaining mixed traffic: cures over a small rotating unit set
     # (so the warm unit cache dominates), with status and explain
     # requests interleaved.
@@ -167,9 +189,11 @@ def run(tmp):
     assert sent == TOTAL_REQUESTS, sent
 
     # The daemon must have survived the panics: healthy cures after the
-    # poison must vastly outnumber the 3 injected failures.
-    assert outcomes["ok"] >= TOTAL_REQUESTS - POISONED - 10, outcomes
-    assert outcomes["error"] >= POISONED, outcomes
+    # poison must vastly outnumber the expected failures (the 3 injected
+    # panics and the deep unit).
+    expected_errors = POISONED + 1
+    assert outcomes["ok"] >= TOTAL_REQUESTS - expected_errors - 10, outcomes
+    assert outcomes["error"] >= expected_errors, outcomes
 
     # Pull the final stats. The supervisor poll runs every 20ms, so give
     # the respawn counter a moment to catch up.

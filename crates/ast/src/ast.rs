@@ -291,9 +291,6 @@ pub struct Stmt {
 }
 
 /// Statement payloads.
-// The size skew comes from `Decl`; statements are heap-boxed per block, so
-// boxing the declaration would add an indirection for no measured win.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum StmtKind {
     /// Expression statement; `None` for the empty statement `;`.
@@ -308,8 +305,9 @@ pub enum StmtKind {
     While(Expr, Box<Stmt>),
     /// `do body while (c);`
     DoWhile(Box<Stmt>, Expr),
-    /// `for (init; cond; step) body`
-    For(Option<ForInit>, Option<Expr>, Option<Expr>, Box<Stmt>),
+    /// `for (init; cond; step) body`; the init clause is boxed to keep
+    /// every [`Stmt`] small.
+    For(Option<Box<ForInit>>, Option<Expr>, Option<Expr>, Box<Stmt>),
     /// `switch (scrutinee) body`
     Switch(Expr, Box<Stmt>),
     /// `case e: stmt`
@@ -429,12 +427,12 @@ pub enum ExprKind {
     Assign(Option<BinOp>, Box<Expr>, Box<Expr>),
     /// Conditional `c ? t : e`.
     Cond(Box<Expr>, Box<Expr>, Box<Expr>),
-    /// Cast `(T)e`.
-    Cast(TypeName, Box<Expr>),
+    /// Cast `(T)e`; the type name is boxed to keep every [`Expr`] small.
+    Cast(Box<TypeName>, Box<Expr>),
     /// `sizeof e`
     SizeofExpr(Box<Expr>),
     /// `sizeof(T)`
-    SizeofType(TypeName),
+    SizeofType(Box<TypeName>),
     /// Function call.
     Call(Box<Expr>, Vec<Expr>),
     /// Array indexing `a[i]`.
@@ -481,6 +479,24 @@ mod tests {
         assert!(
             !fp.is_function(),
             "pointer-to-function is not a function declarator"
+        );
+    }
+
+    /// Parse time grows with node size: every expression result is moved
+    /// up the precedence levels and every block holds its statements
+    /// inline.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn node_sizes_stay_within_budget() {
+        assert!(
+            std::mem::size_of::<Expr>() <= 48,
+            "Expr is {} bytes",
+            std::mem::size_of::<Expr>()
+        );
+        assert!(
+            std::mem::size_of::<Stmt>() <= 128,
+            "Stmt is {} bytes",
+            std::mem::size_of::<Stmt>()
         );
     }
 

@@ -26,11 +26,30 @@ pub fn parse_translation_unit(src: &str) -> Result<TranslationUnit, Diag> {
     Parser::new(tokens).translation_unit()
 }
 
+/// Deepest nesting the parser accepts, Clang's default bracket depth.
+///
+/// Every recursive cycle of the grammar opens one level for what it
+/// contains: the statements of a block or under a compound statement (so
+/// each `else if` arm is one level), the operand of a prefix operator,
+/// cast or `sizeof`, a parenthesized or indexed expression, call
+/// arguments, an assignment's right side, a conditional's arms, nested
+/// declarators, parameter lists and array lengths, struct/union/enum
+/// bodies and initializer lists. Past the limit the parse fails with a
+/// [`Diag`], so every later recursive stage, from lowering to both
+/// execution engines, stays within a 2 MiB thread stack.
+pub const MAX_NESTING: u32 = 256;
+
 /// The parser state: a token cursor plus typedef scopes.
+///
+/// The cursor never moves backwards (`peek_nth` only looks ahead), so
+/// consuming a token moves its payload (identifier names, string bytes)
+/// out of the stream instead of cloning it.
 #[derive(Debug)]
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels open now (see [`MAX_NESTING`]).
+    depth: u32,
     /// Innermost scope last; `true` means the name is a typedef.
     scopes: Vec<HashMap<String, bool>>,
 }
@@ -41,6 +60,7 @@ impl Parser {
         Parser {
             tokens,
             pos: 0,
+            depth: 0,
             scopes: vec![HashMap::new()],
         }
     }
@@ -61,12 +81,47 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1).min(self.tokens.len() - 1)].span
     }
 
+    /// Consumes the current token and returns it. Its payload is moved
+    /// out, which is sound because no token is looked at once passed.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        let last = self.tokens.len() - 1;
+        if self.pos == last {
+            return self.tokens[last].clone();
         }
-        t
+        let t = &mut self.tokens[self.pos];
+        self.pos += 1;
+        Token {
+            kind: std::mem::replace(&mut t.kind, TokenKind::Eof),
+            span: t.span,
+        }
+    }
+
+    /// Consumes the current token, which the caller has seen to be an
+    /// identifier, and returns its name.
+    fn bump_ident(&mut self) -> String {
+        match self.bump().kind {
+            TokenKind::Ident(name) => name,
+            other => unreachable!("bump_ident at {other}"),
+        }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T, Diag>) -> Result<T, Diag> {
+        if self.depth == MAX_NESTING {
+            return Err(Diag::error(
+                self.span(),
+                format!("nesting too deep: more than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        let r = parse(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// A statement nested under another: one level deeper.
+    fn sub_statement(&mut self) -> Result<Box<Stmt>, Diag> {
+        self.nested(Self::statement).map(Box::new)
     }
 
     fn at_punct(&self, p: Punct) -> bool {
@@ -107,10 +162,10 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span), Diag> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                let span = self.bump().span;
-                Ok((name, span))
+        match self.peek() {
+            TokenKind::Ident(_) => {
+                let span = self.span();
+                Ok((self.bump_ident(), span))
             }
             other => Err(Diag::error(
                 self.span(),
@@ -220,9 +275,7 @@ impl Parser {
             if let Some(Derived::Function(params, _)) = declarator.derived.first() {
                 for p in params {
                     if let Some(name) = &p.declarator.name {
-                        let is_td = false;
-                        let name = name.clone();
-                        self.define_name(&name, is_td);
+                        self.define_name(name, false);
                     }
                 }
             }
@@ -309,7 +362,7 @@ impl Parser {
         let mut saw_int_kw = false;
 
         loop {
-            match self.peek().clone() {
+            match *self.peek() {
                 TokenKind::Kw(kw) => match kw {
                     Keyword::Typedef | Keyword::Extern | Keyword::Static => {
                         if storage.is_some() {
@@ -383,15 +436,14 @@ impl Parser {
                     }
                     _ => break,
                 },
-                TokenKind::Ident(name)
+                TokenKind::Ident(ref name)
                     if base.is_none()
                         && !saw_int_kw
                         && signedness.is_none()
                         && size.is_none()
-                        && self.is_typedef_name(&name) =>
+                        && self.is_typedef_name(name) =>
                 {
-                    self.bump();
-                    base = Some(TypeSpec::Name(name));
+                    base = Some(TypeSpec::Name(self.bump_ident()));
                 }
                 _ => break,
             }
@@ -444,34 +496,12 @@ impl Parser {
     fn comp_spec(&mut self, is_union: bool) -> Result<CompSpec, Diag> {
         let start = self.span();
         self.bump(); // struct / union
-        let tag = match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                self.bump();
-                Some(name)
-            }
+        let tag = match self.peek() {
+            TokenKind::Ident(_) => Some(self.bump_ident()),
             _ => None,
         };
         let fields = if self.eat_punct(Punct::LBrace) {
-            let mut groups = Vec::new();
-            while !self.at_punct(Punct::RBrace) {
-                let gstart = self.span();
-                let specs = self.decl_specs()?;
-                let mut declarators = Vec::new();
-                if !self.at_punct(Punct::Semi) {
-                    loop {
-                        declarators.push(self.declarator(false)?);
-                        if !self.eat_punct(Punct::Comma) {
-                            break;
-                        }
-                    }
-                }
-                self.expect_punct(Punct::Semi)?;
-                groups.push(FieldGroup {
-                    specs,
-                    declarators,
-                    span: gstart.to(self.prev_span()),
-                });
-            }
+            let groups = self.nested(Self::field_groups)?;
             self.expect_punct(Punct::RBrace)?;
             Some(groups)
         } else {
@@ -491,36 +521,40 @@ impl Parser {
         })
     }
 
+    /// The field declarations of a struct/union body, up to its `}`.
+    fn field_groups(&mut self) -> Result<Vec<FieldGroup>, Diag> {
+        let mut groups = Vec::new();
+        while !self.at_punct(Punct::RBrace) {
+            let gstart = self.span();
+            let specs = self.decl_specs()?;
+            let mut declarators = Vec::new();
+            if !self.at_punct(Punct::Semi) {
+                loop {
+                    declarators.push(self.declarator(false)?);
+                    if !self.eat_punct(Punct::Comma) {
+                        break;
+                    }
+                }
+            }
+            self.expect_punct(Punct::Semi)?;
+            groups.push(FieldGroup {
+                specs,
+                declarators,
+                span: gstart.to(self.prev_span()),
+            });
+        }
+        Ok(groups)
+    }
+
     fn enum_spec(&mut self) -> Result<EnumSpec, Diag> {
         let start = self.span();
         self.bump(); // enum
-        let tag = match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                self.bump();
-                Some(name)
-            }
+        let tag = match self.peek() {
+            TokenKind::Ident(_) => Some(self.bump_ident()),
             _ => None,
         };
         let items = if self.eat_punct(Punct::LBrace) {
-            let mut items = Vec::new();
-            while !self.at_punct(Punct::RBrace) {
-                let (name, ispan) = self.expect_ident()?;
-                let value = if self.eat_punct(Punct::Eq) {
-                    Some(self.conditional_expr()?)
-                } else {
-                    None
-                };
-                // Enumerators are ordinary (non-typedef) names afterwards.
-                self.define_name(&name, false);
-                items.push(Enumerator {
-                    name,
-                    value,
-                    span: ispan.to(self.prev_span()),
-                });
-                if !self.eat_punct(Punct::Comma) {
-                    break;
-                }
-            }
+            let items = self.nested(Self::enumerators)?;
             self.expect_punct(Punct::RBrace)?;
             Some(items)
         } else {
@@ -534,6 +568,30 @@ impl Parser {
             items,
             span: start.to(self.prev_span()),
         })
+    }
+
+    /// The enumerators of an enum body, up to its `}`.
+    fn enumerators(&mut self) -> Result<Vec<Enumerator>, Diag> {
+        let mut items = Vec::new();
+        while !self.at_punct(Punct::RBrace) {
+            let (name, ispan) = self.expect_ident()?;
+            let value = if self.eat_punct(Punct::Eq) {
+                Some(self.conditional_expr()?)
+            } else {
+                None
+            };
+            // Enumerators are ordinary (non-typedef) names afterwards.
+            self.define_name(&name, false);
+            items.push(Enumerator {
+                name,
+                value,
+                span: ispan.to(self.prev_span()),
+            });
+            if !self.eat_punct(Punct::Comma) {
+                break;
+            }
+        }
+        Ok(items)
     }
 
     // ----------------------------------------------------------- declarators
@@ -608,14 +666,11 @@ impl Parser {
         let mut name = None;
         let mut inner: Vec<Derived> = Vec::new();
 
-        match self.peek().clone() {
-            TokenKind::Ident(id) => {
-                self.bump();
-                name = Some(id);
-            }
+        match self.peek() {
+            TokenKind::Ident(_) => name = Some(self.bump_ident()),
             TokenKind::P(Punct::LParen) if self.lparen_is_nested_declarator(abstract_ok) => {
                 self.bump();
-                let d = self.declarator(abstract_ok)?;
+                let d = self.nested(|p| p.declarator(abstract_ok))?;
                 self.expect_punct(Punct::RParen)?;
                 name = d.name;
                 inner = d.derived;
@@ -635,13 +690,13 @@ impl Parser {
                 let len = if self.at_punct(Punct::RBracket) {
                     None
                 } else {
-                    Some(Box::new(self.conditional_expr()?))
+                    Some(Box::new(self.nested(Self::conditional_expr)?))
                 };
                 self.expect_punct(Punct::RBracket)?;
                 postfix.push(Derived::Array(len));
             } else if self.at_punct(Punct::LParen) {
                 self.bump();
-                let (params, varargs) = self.param_list()?;
+                let (params, varargs) = self.nested(Self::param_list)?;
                 postfix.push(Derived::Function(params, varargs));
             } else {
                 break;
@@ -754,15 +809,14 @@ impl Parser {
     fn statement(&mut self) -> Result<Stmt, Diag> {
         let start = self.span();
         // Label: `ident :` (but not `default:`/`case`).
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            if matches!(self.peek_nth(1), TokenKind::P(Punct::Colon))
-                && !self.is_typedef_name(&name)
+        if let TokenKind::Ident(name) = self.peek() {
+            if matches!(self.peek_nth(1), TokenKind::P(Punct::Colon)) && !self.is_typedef_name(name)
             {
+                let name = self.bump_ident();
                 self.bump();
-                self.bump();
-                let inner = self.statement()?;
+                let inner = self.sub_statement()?;
                 return Ok(Stmt {
-                    kind: StmtKind::Label(name, Box::new(inner)),
+                    kind: StmtKind::Label(name, inner),
                     span: start.to(self.prev_span()),
                 });
             }
@@ -777,27 +831,28 @@ impl Parser {
         // `size_t n = 0;` — an undeclared name in type position would
         // otherwise fall through to the expression parser and produce a
         // misleading `expected \`;\`` at the second identifier.
-        if let (TokenKind::Ident(name), TokenKind::Ident(_)) =
-            (self.peek().clone(), self.peek_nth(1).clone())
-        {
-            if !self.is_typedef_name(&name) {
+        if let (TokenKind::Ident(name), TokenKind::Ident(_)) = (self.peek(), self.peek_nth(1)) {
+            if !self.is_typedef_name(name) {
                 return Err(Diag::error(
                     self.span(),
                     format!("unknown type name `{name}`"),
                 ));
             }
         }
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::P(Punct::LBrace) => {
                 self.bump();
                 self.push_scope();
-                let mut stmts = Vec::new();
-                while !self.at_punct(Punct::RBrace) {
-                    if matches!(self.peek(), TokenKind::Eof) {
-                        return Err(Diag::error(start, "unterminated block"));
+                let stmts = self.nested(|p| {
+                    let mut stmts = Vec::new();
+                    while !p.at_punct(Punct::RBrace) {
+                        if matches!(p.peek(), TokenKind::Eof) {
+                            return Err(Diag::error(start, "unterminated block"));
+                        }
+                        stmts.push(p.statement()?);
                     }
-                    stmts.push(self.statement()?);
-                }
+                    Ok(stmts)
+                })?;
                 self.expect_punct(Punct::RBrace)?;
                 self.pop_scope();
                 Ok(Stmt {
@@ -817,9 +872,9 @@ impl Parser {
                 self.expect_punct(Punct::LParen)?;
                 let cond = self.expr()?;
                 self.expect_punct(Punct::RParen)?;
-                let then = Box::new(self.statement()?);
+                let then = self.sub_statement()?;
                 let els = if self.eat_kw(Keyword::Else) {
-                    Some(Box::new(self.statement()?))
+                    Some(self.sub_statement()?)
                 } else {
                     None
                 };
@@ -833,7 +888,7 @@ impl Parser {
                 self.expect_punct(Punct::LParen)?;
                 let cond = self.expr()?;
                 self.expect_punct(Punct::RParen)?;
-                let body = Box::new(self.statement()?);
+                let body = self.sub_statement()?;
                 Ok(Stmt {
                     kind: StmtKind::While(cond, body),
                     span: start.to(self.prev_span()),
@@ -841,7 +896,7 @@ impl Parser {
             }
             TokenKind::Kw(Keyword::Do) => {
                 self.bump();
-                let body = Box::new(self.statement()?);
+                let body = self.sub_statement()?;
                 if !self.eat_kw(Keyword::While) {
                     return Err(Diag::error(self.span(), "expected `while` after do-body"));
                 }
@@ -862,11 +917,11 @@ impl Parser {
                     self.bump();
                     None
                 } else if self.starts_decl_specs() {
-                    Some(ForInit::Decl(self.declaration()?))
+                    Some(Box::new(ForInit::Decl(self.declaration()?)))
                 } else {
                     let e = self.expr()?;
                     self.expect_punct(Punct::Semi)?;
-                    Some(ForInit::Expr(e))
+                    Some(Box::new(ForInit::Expr(e)))
                 };
                 let cond = if self.at_punct(Punct::Semi) {
                     None
@@ -880,7 +935,7 @@ impl Parser {
                     Some(self.expr()?)
                 };
                 self.expect_punct(Punct::RParen)?;
-                let body = Box::new(self.statement()?);
+                let body = self.sub_statement()?;
                 self.pop_scope();
                 Ok(Stmt {
                     kind: StmtKind::For(init, cond, step, body),
@@ -892,7 +947,7 @@ impl Parser {
                 self.expect_punct(Punct::LParen)?;
                 let scrut = self.expr()?;
                 self.expect_punct(Punct::RParen)?;
-                let body = Box::new(self.statement()?);
+                let body = self.sub_statement()?;
                 Ok(Stmt {
                     kind: StmtKind::Switch(scrut, body),
                     span: start.to(self.prev_span()),
@@ -902,7 +957,7 @@ impl Parser {
                 self.bump();
                 let value = self.conditional_expr()?;
                 self.expect_punct(Punct::Colon)?;
-                let inner = Box::new(self.statement()?);
+                let inner = self.sub_statement()?;
                 Ok(Stmt {
                     kind: StmtKind::Case(value, inner),
                     span: start.to(self.prev_span()),
@@ -911,7 +966,7 @@ impl Parser {
             TokenKind::Kw(Keyword::Default) => {
                 self.bump();
                 self.expect_punct(Punct::Colon)?;
-                let inner = Box::new(self.statement()?);
+                let inner = self.sub_statement()?;
                 Ok(Stmt {
                     kind: StmtKind::Default(inner),
                     span: start.to(self.prev_span()),
@@ -972,7 +1027,7 @@ impl Parser {
             self.bump();
             let mut items = Vec::new();
             while !self.at_punct(Punct::RBrace) {
-                items.push(self.initializer()?);
+                items.push(self.nested(Self::initializer)?);
                 if !self.eat_punct(Punct::Comma) {
                     break;
                 }
@@ -1019,7 +1074,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let rhs = self.assignment_expr()?;
+            let rhs = self.nested(Self::assignment_expr)?;
             let span = lhs.span.to(rhs.span);
             return Ok(Expr {
                 kind: ExprKind::Assign(op, Box::new(lhs), Box::new(rhs)),
@@ -1032,9 +1087,9 @@ impl Parser {
     fn conditional_expr(&mut self) -> Result<Expr, Diag> {
         let cond = self.binary_expr(0)?;
         if self.eat_punct(Punct::Question) {
-            let then = self.expr()?;
+            let then = self.nested(Self::expr)?;
             self.expect_punct(Punct::Colon)?;
-            let els = self.conditional_expr()?;
+            let els = self.nested(Self::conditional_expr)?;
             let span = cond.span.to(els.span);
             return Ok(Expr {
                 kind: ExprKind::Cond(Box::new(cond), Box::new(then), Box::new(els)),
@@ -1119,9 +1174,9 @@ impl Parser {
         if self.at_punct(Punct::LParen) && self.lparen_starts_type() {
             let start = self.span();
             self.bump();
-            let ty = self.type_name()?;
+            let ty = Box::new(self.type_name()?);
             self.expect_punct(Punct::RParen)?;
-            let inner = self.cast_expr()?;
+            let inner = self.nested(Self::cast_expr)?;
             let span = start.to(inner.span);
             return Ok(Expr {
                 kind: ExprKind::Cast(ty, Box::new(inner)),
@@ -1146,7 +1201,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let inner = self.cast_expr()?;
+            let inner = self.nested(Self::cast_expr)?;
             let span = start.to(inner.span);
             return Ok(Expr {
                 kind: ExprKind::Unary(op, Box::new(inner)),
@@ -1157,14 +1212,14 @@ impl Parser {
             self.bump();
             if self.at_punct(Punct::LParen) && self.lparen_starts_type() {
                 self.bump();
-                let ty = self.type_name()?;
+                let ty = Box::new(self.type_name()?);
                 self.expect_punct(Punct::RParen)?;
                 return Ok(Expr {
                     kind: ExprKind::SizeofType(ty),
                     span: start.to(self.prev_span()),
                 });
             }
-            let inner = self.unary_expr()?;
+            let inner = self.nested(Self::unary_expr)?;
             let span = start.to(inner.span);
             return Ok(Expr {
                 kind: ExprKind::SizeofExpr(Box::new(inner)),
@@ -1177,13 +1232,13 @@ impl Parser {
     fn postfix_expr(&mut self) -> Result<Expr, Diag> {
         let mut e = self.primary_expr()?;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 TokenKind::P(Punct::LParen) => {
                     self.bump();
                     let mut args = Vec::new();
                     if !self.at_punct(Punct::RParen) {
                         loop {
-                            args.push(self.assignment_expr()?);
+                            args.push(self.nested(Self::assignment_expr)?);
                             if !self.eat_punct(Punct::Comma) {
                                 break;
                             }
@@ -1198,7 +1253,7 @@ impl Parser {
                 }
                 TokenKind::P(Punct::LBracket) => {
                     self.bump();
-                    let idx = self.expr()?;
+                    let idx = self.nested(Self::expr)?;
                     self.expect_punct(Punct::RBracket)?;
                     let span = e.span.to(self.prev_span());
                     e = Expr {
@@ -1247,53 +1302,34 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr, Diag> {
         let span = self.span();
-        match self.peek().clone() {
-            TokenKind::IntLit(v, suffix) => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::IntLit(v, suffix),
-                    span,
-                })
-            }
-            TokenKind::FloatLit(v) => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::FloatLit(v),
-                    span,
-                })
-            }
-            TokenKind::CharLit(c) => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::CharLit(c),
-                    span,
-                })
-            }
-            TokenKind::StrLit(bytes) => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::StrLit(bytes),
-                    span,
-                })
-            }
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::Ident(name),
-                    span,
-                })
-            }
+        match self.peek() {
             TokenKind::P(Punct::LParen) => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect_punct(Punct::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            other => Err(Diag::error(
-                span,
-                format!("expected expression, found {other}"),
-            )),
+            TokenKind::IntLit(..)
+            | TokenKind::FloatLit(_)
+            | TokenKind::CharLit(_)
+            | TokenKind::StrLit(_)
+            | TokenKind::Ident(_) => {}
+            other => {
+                return Err(Diag::error(
+                    span,
+                    format!("expected expression, found {other}"),
+                ))
+            }
         }
+        let kind = match self.bump().kind {
+            TokenKind::IntLit(v, suffix) => ExprKind::IntLit(v, suffix),
+            TokenKind::FloatLit(v) => ExprKind::FloatLit(v),
+            TokenKind::CharLit(c) => ExprKind::CharLit(c),
+            TokenKind::StrLit(bytes) => ExprKind::StrLit(bytes),
+            TokenKind::Ident(name) => ExprKind::Ident(name),
+            other => unreachable!("primary_expr at {other}"),
+        };
+        Ok(Expr { kind, span })
     }
 }
 
@@ -1648,5 +1684,51 @@ mod tests {
     #[test]
     fn parses_address_of_and_deref() {
         parse_ok("int f(void) { int x = 5; int *p = &x; *p = 7; return *p; }");
+    }
+
+    /// The grammar cycles that `ccured-integration`'s nesting shapes do not
+    /// reach, each nested 100 000 deep. Parsed on an 8 MiB thread: an
+    /// unoptimized build needs several MiB to reach the limit.
+    #[test]
+    fn every_recursive_construct_counts_toward_the_nesting_limit() {
+        let n = 100_000;
+        let nest = move |open: &str, core: &str, close: &str| {
+            format!("{}{core}{}", open.repeat(n), close.repeat(n))
+        };
+        let shapes = [
+            ("declarators", format!("int {};", nest("(", "x", ")"))),
+            ("parameter lists", nest("int f(", "int", ")") + ";"),
+            (
+                "function pointer parameters",
+                format!("int f({});", nest("int (*g)(", "int", ")")),
+            ),
+            ("struct bodies", nest("struct { ", "int x;", " } f;")),
+            (
+                "initializer lists",
+                format!("int a = {};", nest("{", "1", "}")),
+            ),
+            ("casts", format!("int x = {};", nest("(int)", "0", ""))),
+            ("sizeof", format!("int x = {};", nest("sizeof ", "0", ""))),
+            (
+                "conditionals",
+                format!("int x = {};", nest("1 ? 1 : ", "0", "")),
+            ),
+            ("calls", format!("int x = {};", nest("f(", "1", ")"))),
+            (
+                "prefix operators",
+                format!("int x = {};", nest("!", "1", "")),
+            ),
+        ];
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(move || {
+                for (what, src) in shapes {
+                    let err = parse_translation_unit(&src).expect_err(what);
+                    assert!(err.msg.contains("nesting too deep"), "{what}: {}", err.msg);
+                }
+            })
+            .expect("spawn")
+            .join()
+            .expect("nesting check panicked");
     }
 }

@@ -324,7 +324,7 @@ impl Printer {
             }
             StmtKind::For(init, cond, step, body) => {
                 self.out.push_str("for (");
-                match init {
+                match init.as_deref() {
                     Some(ForInit::Expr(e)) => {
                         self.expr(e);
                         self.out.push(';');

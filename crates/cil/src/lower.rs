@@ -695,7 +695,7 @@ impl Lowerer {
             }
             K::For(init, cond, step, body) => {
                 self.push_scope();
-                match init {
+                match init.as_deref() {
                     Some(ast::ForInit::Expr(e)) => {
                         self.lower_expr_discard(e)?;
                     }

@@ -1,4 +1,9 @@
-//! Human-readable dumps of the CIL-like IR, for debugging and golden tests.
+//! The cured-text format: the IR rendered as text.
+//!
+//! [`dump_program`]'s output is what the cure cache stores, what serve
+//! replies carry and what determinism digests hash, so it must stay
+//! byte-stable. Every line, instruction, lvalue, expression and type is
+//! written straight into the one output buffer.
 
 use crate::ir::*;
 use std::fmt::Write as _;
@@ -8,17 +13,18 @@ use std::fmt::Write as _;
 pub fn dump_program(p: &Program) -> String {
     let mut out = String::new();
     for g in &p.globals {
-        let _ = writeln!(
-            out,
-            "global {}: {}{}",
-            g.name,
-            p.types.display(g.ty),
-            if g.init.is_some() { " = <init>" } else { "" }
-        );
+        let _ = write!(out, "global {}: ", g.name);
+        p.types.write_type(g.ty, &mut out);
+        if g.init.is_some() {
+            out.push_str(" = <init>");
+        }
+        out.push('\n');
     }
     for e in &p.externals {
         if !e.name.is_empty() {
-            let _ = writeln!(out, "extern {}: {}", e.name, p.types.display(e.ty));
+            let _ = write!(out, "extern {}: ", e.name);
+            p.types.write_type(e.ty, &mut out);
+            out.push('\n');
         }
     }
     for f in &p.functions {
@@ -28,7 +34,9 @@ pub fn dump_program(p: &Program) -> String {
 }
 
 fn dump_function(p: &Program, f: &Function, out: &mut String) {
-    let _ = writeln!(out, "fn {}: {} {{", f.name, p.types.display(f.ty));
+    let _ = write!(out, "fn {}: ", f.name);
+    p.types.write_type(f.ty, out);
+    out.push_str(" {\n");
     for (i, l) in f.locals.iter().enumerate() {
         let kind = if l.is_param {
             "param"
@@ -37,7 +45,9 @@ fn dump_function(p: &Program, f: &Function, out: &mut String) {
         } else {
             "local"
         };
-        let _ = writeln!(out, "  {kind} %{i} {}: {}", l.name, p.types.display(l.ty));
+        let _ = write!(out, "  {kind} %{i} {}: ", l.name);
+        p.types.write_type(l.ty, out);
+        out.push('\n');
     }
     for s in &f.body {
         dump_stmt(p, s, 1, out);
@@ -56,12 +66,15 @@ fn dump_stmt(p: &Program, s: &Stmt, depth: usize, out: &mut String) {
         Stmt::Instr(is) => {
             for i in is {
                 indent(depth, out);
-                let _ = writeln!(out, "{}", dump_instr(p, i));
+                dump_instr(p, i, out);
+                out.push('\n');
             }
         }
         Stmt::If(c, t, e) => {
             indent(depth, out);
-            let _ = writeln!(out, "if {} {{", dump_exp(p, c));
+            out.push_str("if ");
+            dump_exp(p, c, out);
+            out.push_str(" {\n");
             for s in t {
                 dump_stmt(p, s, depth + 1, out);
             }
@@ -107,7 +120,9 @@ fn dump_stmt(p: &Program, s: &Stmt, depth: usize, out: &mut String) {
         }
         Stmt::Return(Some(e)) => {
             indent(depth, out);
-            let _ = writeln!(out, "return {}", dump_exp(p, e));
+            out.push_str("return ");
+            dump_exp(p, e, out);
+            out.push('\n');
         }
         Stmt::Goto(l) => {
             indent(depth, out);
@@ -119,14 +134,22 @@ fn dump_stmt(p: &Program, s: &Stmt, depth: usize, out: &mut String) {
         }
         Stmt::Switch(e, arms) => {
             indent(depth, out);
-            let _ = writeln!(out, "switch {} {{", dump_exp(p, e));
+            out.push_str("switch ");
+            dump_exp(p, e, out);
+            out.push_str(" {\n");
             for arm in arms {
                 indent(depth + 1, out);
                 if arm.values.is_empty() {
                     out.push_str("default:\n");
                 } else {
-                    let vals: Vec<String> = arm.values.iter().map(|v| v.to_string()).collect();
-                    let _ = writeln!(out, "case {}:", vals.join(", "));
+                    out.push_str("case ");
+                    for (i, v) in arm.values.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str(", ");
+                        }
+                        let _ = write!(out, "{v}");
+                    }
+                    out.push_str(":\n");
                 }
                 for s in &arm.body {
                     dump_stmt(p, s, depth + 2, out);
@@ -138,69 +161,129 @@ fn dump_stmt(p: &Program, s: &Stmt, depth: usize, out: &mut String) {
     }
 }
 
-/// Renders one instruction.
-pub fn dump_instr(p: &Program, i: &Instr) -> String {
+fn dump_instr(p: &Program, i: &Instr, out: &mut String) {
     match i {
-        Instr::Set(lv, e, _) => format!("{} = {}", dump_lval(p, lv), dump_exp(p, e)),
-        Instr::Check(c, _, _) => format!("CHECK_{}", c.name().to_uppercase()),
+        Instr::Set(lv, e, _) => {
+            dump_lval(p, lv, out);
+            out.push_str(" = ");
+            dump_exp(p, e, out);
+        }
+        Instr::Check(c, _, _) => {
+            out.push_str("CHECK_");
+            out.extend(c.name().chars().map(|ch| ch.to_ascii_uppercase()));
+        }
         Instr::Call(ret, callee, args, _) => {
-            let args: Vec<String> = args.iter().map(|a| dump_exp(p, a)).collect();
-            let callee = match callee {
-                Callee::Func(f) => p.functions[f.idx()].name.clone(),
-                Callee::Extern(x) => format!("extern:{}", p.externals[x.idx()].name),
-                Callee::Ptr(e) => format!("(*{})", dump_exp(p, e)),
-            };
-            match ret {
-                Some(lv) => format!("{} = {}({})", dump_lval(p, lv), callee, args.join(", ")),
-                None => format!("{}({})", callee, args.join(", ")),
+            if let Some(lv) = ret {
+                dump_lval(p, lv, out);
+                out.push_str(" = ");
             }
+            match callee {
+                Callee::Func(f) => out.push_str(&p.functions[f.idx()].name),
+                Callee::Extern(x) => {
+                    out.push_str("extern:");
+                    out.push_str(&p.externals[x.idx()].name);
+                }
+                Callee::Ptr(e) => {
+                    out.push_str("(*");
+                    dump_exp(p, e, out);
+                    out.push(')');
+                }
+            }
+            out.push('(');
+            for (i, a) in args.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                dump_exp(p, a, out);
+            }
+            out.push(')');
         }
     }
 }
 
-/// Renders one lvalue.
-pub fn dump_lval(p: &Program, lv: &Lval) -> String {
-    let mut s = match &lv.base {
-        LvBase::Local(l) => format!("%{}", l.0),
-        LvBase::Global(g) => p.globals[g.idx()].name.clone(),
-        LvBase::Deref(e) => format!("*({})", dump_exp(p, e)),
-    };
+fn dump_lval(p: &Program, lv: &Lval, out: &mut String) {
+    match &lv.base {
+        LvBase::Local(l) => {
+            let _ = write!(out, "%{}", l.0);
+        }
+        LvBase::Global(g) => out.push_str(&p.globals[g.idx()].name),
+        LvBase::Deref(e) => {
+            out.push_str("*(");
+            dump_exp(p, e, out);
+            out.push(')');
+        }
+    }
     for off in &lv.offsets {
         match off {
             Offset::Field(c, i) => {
-                let _ = write!(s, ".{}", p.types.comp(*c).fields[*i].name);
+                out.push('.');
+                out.push_str(&p.types.comp(*c).fields[*i].name);
             }
             Offset::Index(e) => {
-                let _ = write!(s, "[{}]", dump_exp(p, e));
+                out.push('[');
+                dump_exp(p, e, out);
+                out.push(']');
             }
         }
     }
-    s
 }
 
-/// Renders one expression.
-pub fn dump_exp(p: &Program, e: &Exp) -> String {
+fn dump_exp(p: &Program, e: &Exp, out: &mut String) {
     match e {
-        Exp::Const(Const::Int(v, _), _) => v.to_string(),
-        Exp::Const(Const::Float(v, _), _) => format!("{v}"),
-        Exp::Load(lv, _) => dump_lval(p, lv),
-        Exp::AddrOf(lv, _) => format!("&{}", dump_lval(p, lv)),
-        Exp::StartOf(lv, _) => format!("startof({})", dump_lval(p, lv)),
-        Exp::FnAddr(FnRef::Def(f), _) => format!("&{}", p.functions[f.idx()].name),
-        Exp::FnAddr(FnRef::Ext(x), _) => format!("&extern:{}", p.externals[x.idx()].name),
-        Exp::Unop(op, x, _) => format!("{}({})", unop_str(*op), dump_exp(p, x)),
+        Exp::Const(Const::Int(v, _), _) => {
+            let _ = write!(out, "{v}");
+        }
+        Exp::Const(Const::Float(v, _), _) => {
+            let _ = write!(out, "{v}");
+        }
+        Exp::Load(lv, _) => dump_lval(p, lv, out),
+        Exp::AddrOf(lv, _) => {
+            out.push('&');
+            dump_lval(p, lv, out);
+        }
+        Exp::StartOf(lv, _) => {
+            out.push_str("startof(");
+            dump_lval(p, lv, out);
+            out.push(')');
+        }
+        Exp::FnAddr(FnRef::Def(f), _) => {
+            out.push('&');
+            out.push_str(&p.functions[f.idx()].name);
+        }
+        Exp::FnAddr(FnRef::Ext(x), _) => {
+            out.push_str("&extern:");
+            out.push_str(&p.externals[x.idx()].name);
+        }
+        Exp::Unop(op, x, _) => {
+            out.push_str(unop_str(*op));
+            out.push('(');
+            dump_exp(p, x, out);
+            out.push(')');
+        }
         Exp::Binop(op, a, b, _) => {
-            format!("({} {} {})", dump_exp(p, a), binop_str(*op), dump_exp(p, b))
+            out.push('(');
+            dump_exp(p, a, out);
+            out.push(' ');
+            out.push_str(binop_str(*op));
+            out.push(' ');
+            dump_exp(p, b, out);
+            out.push(')');
         }
         Exp::Cast(id, x, t) => {
-            let trusted = if p.casts[id.idx()].trusted {
-                " trusted"
-            } else {
-                ""
-            };
-            format!("({}{})({})", p.types.display(*t), trusted, dump_exp(p, x))
+            out.push('(');
+            p.types.write_type(*t, out);
+            if p.casts[id.idx()].trusted {
+                out.push_str(" trusted");
+            }
+            out.push_str(")(");
+            dump_exp(p, x, out);
+            out.push(')');
         }
-        Exp::SizeOf(t, n, _) => format!("sizeof({} /* {n} */)", p.types.display(*t)),
+        Exp::SizeOf(t, n, _) => {
+            out.push_str("sizeof(");
+            p.types.write_type(*t, out);
+            let _ = write!(out, " /* {n} */)");
+        }
     }
 }
 

@@ -7,6 +7,7 @@
 //! variable address, and per field address — Section 2.1 of the paper).
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Index of a type in a [`TypeTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,6 +40,23 @@ pub enum IntKind {
 }
 
 impl IntKind {
+    /// The kind's spelling in the cured text and in diagnostics.
+    pub fn name(self) -> &'static str {
+        match self {
+            IntKind::Char => "char",
+            IntKind::SChar => "schar",
+            IntKind::UChar => "uchar",
+            IntKind::Short => "short",
+            IntKind::UShort => "ushort",
+            IntKind::Int => "int",
+            IntKind::UInt => "uint",
+            IntKind::Long => "long",
+            IntKind::ULong => "ulong",
+            IntKind::LongLong => "longlong",
+            IntKind::ULongLong => "ulonglong",
+        }
+    }
+
     /// Whether values of this kind are signed.
     pub fn is_signed(self) -> bool {
         matches!(
@@ -466,30 +484,50 @@ impl TypeTable {
 
     /// Renders a type for diagnostics (structural, with qualifier ids).
     pub fn display(&self, ty: TypeId) -> String {
+        let mut out = String::new();
+        self.write_type(ty, &mut out);
+        out
+    }
+
+    /// Appends [`TypeTable::display`]'s rendering of `ty` to `out`; the
+    /// cured-text printer writes every type through this.
+    pub(crate) fn write_type(&self, ty: TypeId, out: &mut String) {
         match self.get(ty) {
-            Type::Void => "void".into(),
-            Type::Int(k) => format!("{k:?}").to_lowercase(),
-            Type::Float(FloatKind::Float) => "float".into(),
-            Type::Float(FloatKind::Double) => "double".into(),
-            Type::Ptr(base, q) => format!("{} *q{}", self.display(*base), q.0),
-            Type::Array(elem, Some(n)) => format!("{}[{n}]", self.display(*elem)),
-            Type::Array(elem, None) => format!("{}[]", self.display(*elem)),
+            Type::Void => out.push_str("void"),
+            Type::Int(k) => out.push_str(k.name()),
+            Type::Float(FloatKind::Float) => out.push_str("float"),
+            Type::Float(FloatKind::Double) => out.push_str("double"),
+            Type::Ptr(base, q) => {
+                self.write_type(*base, out);
+                let _ = write!(out, " *q{}", q.0);
+            }
+            Type::Array(elem, n) => {
+                self.write_type(*elem, out);
+                match n {
+                    Some(n) => {
+                        let _ = write!(out, "[{n}]");
+                    }
+                    None => out.push_str("[]"),
+                }
+            }
             Type::Comp(c) => {
                 let info = self.comp(*c);
-                format!(
-                    "{} {}",
-                    if info.is_union { "union" } else { "struct" },
-                    info.name
-                )
+                out.push_str(if info.is_union { "union " } else { "struct " });
+                out.push_str(&info.name);
             }
             Type::Func(sig) => {
-                let params: Vec<String> = sig.params.iter().map(|p| self.display(*p)).collect();
-                format!(
-                    "{} ({}{})",
-                    self.display(sig.ret),
-                    params.join(", "),
-                    if sig.varargs { ", ..." } else { "" }
-                )
+                self.write_type(sig.ret, out);
+                out.push_str(" (");
+                for (i, p) in sig.params.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    self.write_type(*p, out);
+                }
+                if sig.varargs {
+                    out.push_str(", ...");
+                }
+                out.push(')');
             }
         }
     }
@@ -690,6 +728,16 @@ mod tests {
         let i = t.mk_int(IntKind::Int);
         let p = t.mk_ptr(i);
         assert!(t.display(p).starts_with("int *"));
+    }
+
+    #[test]
+    fn int_kind_names_keep_the_debug_spelling() {
+        use IntKind::*;
+        for k in [
+            Char, SChar, UChar, Short, UShort, Int, UInt, Long, ULong, LongLong, ULongLong,
+        ] {
+            assert_eq!(k.name(), format!("{k:?}").to_lowercase());
+        }
     }
 
     #[test]

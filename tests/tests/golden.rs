@@ -3,12 +3,18 @@
 //! printer's output must match the checked-in `tests/golden/<name>.golden`
 //! byte for byte (after trailing-whitespace normalization).
 //!
+//! `tests/golden/cured_digests.txt` pins the cured text of the workload
+//! corpora byte for byte: one FNV-1a digest of `dump_program` per program,
+//! the same text the cure cache stores and the benchmark digests hash.
+//!
 //! To regenerate intentionally after a printer change:
 //!
 //! ```text
 //! make bless            # = BLESS=1 cargo test -p ccured-integration --test golden
 //! ```
 
+use ccured_workloads::{apache, daemons, Workload};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 fn examples_dir() -> PathBuf {
@@ -100,6 +106,77 @@ fn golden_snapshots_match() {
          If the change is intentional, regenerate with `make bless` and review the diff.",
         stale.join(", ")
     );
+}
+
+/// The programs `cured_digests.txt` covers, as `(corpus, workload)`.
+fn digest_corpus() -> Vec<(&'static str, Workload)> {
+    let mut corpus: Vec<(&'static str, Workload)> = Vec::new();
+    corpus.extend(
+        ccured_workloads::suite_corpus()
+            .into_iter()
+            .map(|w| ("suite", w)),
+    );
+    corpus.extend(
+        ccured_workloads::batch_corpus()
+            .into_iter()
+            .map(|w| ("batch", w)),
+    );
+    corpus.extend(apache::all_modules(1).into_iter().map(|w| ("apache", w)));
+    corpus.extend(daemons::figure9_corpus().into_iter().map(|w| ("fig9", w)));
+    for p in ccured_synth::profiles::all() {
+        corpus.extend(
+            ccured_synth::gen::generate(&p, 2, 1)
+                .into_iter()
+                .map(|w| ("synth", w)),
+        );
+    }
+    corpus
+}
+
+/// One line per program: corpus, index, name, and the FNV-1a digest of
+/// its cured text under the wrapper configuration it declares.
+fn cured_digests() -> String {
+    let mut out = String::new();
+    for (i, (corpus, w)) in digest_corpus().iter().enumerate() {
+        let mut curer = ccured::Curer::new();
+        if w.with_wrappers {
+            curer.with_stdlib_wrappers();
+        }
+        let cured = curer
+            .cure_source(&w.source)
+            .unwrap_or_else(|e| panic!("{corpus}/{}: cure failed: {e}", w.name));
+        let text = ccured_cil::pretty::dump_program(&cured.program);
+        let digest = ccured_batch::hash::fnv1a(text.as_bytes());
+        let _ = writeln!(out, "{corpus} {i:02} {} {digest:016x}", w.name);
+    }
+    out
+}
+
+#[test]
+fn cured_text_digests_match() {
+    let got = cured_digests();
+    let path = golden_dir().join("cured_digests.txt");
+    if blessing() {
+        std::fs::write(&path, &got).expect("write cured digests");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing {} ({e}); run `make bless`", path.display()));
+    if want != got {
+        let diverge = want
+            .lines()
+            .zip(got.lines())
+            .find(|(a, b)| a != b)
+            .map_or_else(
+                || "line counts differ".to_string(),
+                |(a, b)| format!("want `{a}`, got `{b}`"),
+            );
+        panic!(
+            "cured text drifted from {}: {diverge}.\n\
+             If the change is intentional, regenerate with `make bless` and review the diff.",
+            path.display()
+        );
+    }
 }
 
 #[test]

@@ -512,3 +512,151 @@ fn postincrement_in_index_expression() {
         62,
     );
 }
+
+/// A nesting shape: a whole program whose deepest construct sits `reps`
+/// repetitions down, the levels one repetition opens, and the exit code.
+struct Shape {
+    name: &'static str,
+    levels_per_rep: usize,
+    program: fn(usize) -> String,
+    exit: fn(usize) -> i64,
+}
+
+const SHAPES: [Shape; 6] = [
+    Shape {
+        name: "blocks",
+        levels_per_rep: 1,
+        program: |n| {
+            format!(
+                "int main(void) {{ int x = 0; {}x++;{} return x; }}",
+                "{".repeat(n),
+                "}".repeat(n)
+            )
+        },
+        exit: |_| 1,
+    },
+    Shape {
+        name: "else-if arms",
+        levels_per_rep: 1,
+        program: |n| {
+            let arms: Vec<String> = (1..=n)
+                .map(|k| format!("if (x == {k}) return {k};"))
+                .collect();
+            format!(
+                "int main(void) {{ int x = {n}; {} return 0; }}",
+                arms.join(" else ")
+            )
+        },
+        exit: |n| n as i64,
+    },
+    Shape {
+        name: "-( chains",
+        levels_per_rep: 2,
+        program: |n| {
+            format!(
+                "int main(void) {{ int x = 3; return {}x{}; }}",
+                "-(".repeat(n),
+                ")".repeat(n)
+            )
+        },
+        exit: |n| if n % 2 == 0 { 3 } else { -3 },
+    },
+    Shape {
+        name: "parentheses",
+        levels_per_rep: 1,
+        program: |n| {
+            format!(
+                "int main(void) {{ int x = 4; return {}x{}; }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        },
+        exit: |_| 4,
+    },
+    Shape {
+        name: "a[ chains",
+        levels_per_rep: 1,
+        program: |n| {
+            format!(
+                "int a[1]; int main(void) {{ return {}0{}; }}",
+                "a[".repeat(n),
+                "]".repeat(n)
+            )
+        },
+        exit: |_| 0,
+    },
+    Shape {
+        name: "x = chains",
+        levels_per_rep: 1,
+        program: |n| {
+            format!(
+                "int main(void) {{ int x; {}5; return x; }}",
+                "x = ".repeat(n)
+            )
+        },
+        exit: |_| 5,
+    },
+];
+
+/// The stack the nesting checks run on. Optimized builds get the 2 MiB
+/// default of spawned threads, a quarter of the 8 MiB or more that
+/// `ccured batch` and `ccured serve` give each worker. Unoptimized builds
+/// give every temporary its own stack slot: 256 nested blocks take about
+/// 4.2 MiB there against 0.2 MiB optimized, so they get the workers' 8 MiB.
+const NESTING_STACK: usize = if cfg!(debug_assertions) {
+    8 << 20
+} else {
+    2 << 20
+};
+
+/// Runs `f` on a thread with [`NESTING_STACK`] bytes of stack.
+fn on_nesting_stack(f: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new()
+        .stack_size(NESTING_STACK)
+        .spawn(f)
+        .expect("spawn")
+        .join()
+        .expect("nesting check panicked");
+}
+
+fn assert_too_deep(what: &str, src: &str) {
+    let err =
+        ccured_ast::parse_translation_unit(src).expect_err(&format!("{what} must be rejected"));
+    assert!(err.msg.contains("nesting too deep"), "{what}: {}", err.msg);
+    assert!(
+        err.msg
+            .contains(&ccured_ast::parse::MAX_NESTING.to_string()),
+        "{what}: the message names the limit: {}",
+        err.msg
+    );
+}
+
+#[test]
+fn nesting_past_the_limit_is_a_diagnostic() {
+    on_nesting_stack(|| {
+        for s in &SHAPES {
+            let limit = ccured_ast::parse::MAX_NESTING as usize / s.levels_per_rep;
+            assert_too_deep(s.name, &(s.program)(limit + 1));
+            assert_too_deep(s.name, &(s.program)(100_000));
+        }
+    });
+}
+
+#[test]
+fn nesting_at_the_limit_cures_prints_and_runs_on_both_engines() {
+    on_nesting_stack(|| {
+        for s in &SHAPES {
+            let n = ccured_ast::parse::MAX_NESTING as usize / s.levels_per_rep;
+            let src = (s.program)(n);
+            let cured = Curer::new()
+                .cure_source(&src)
+                .unwrap_or_else(|e| panic!("{}: cure failed: {e}", s.name));
+            assert!(!ccured_cil::pretty::dump_program(&cured.program).is_empty());
+            for engine in [ccured_rt::Engine::Tree, ccured_rt::Engine::Vm] {
+                let mut i = Interp::new(&cured.program, ExecMode::cured(&cured));
+                i.set_engine(engine);
+                assert_eq!(i.run(), Ok((s.exit)(n)), "{} on {engine:?}", s.name);
+            }
+        }
+    });
+}

@@ -8,6 +8,7 @@
 
 use ccured_ast::parse_translation_unit;
 use ccured_ast::pretty::print_unit;
+use ccured_workloads::prng::SplitMix64;
 
 /// Asserts the round trip for one source, returning the printed form.
 fn roundtrip(name: &str, source: &str) -> String {
@@ -81,4 +82,44 @@ fn printing_is_idempotent_on_wrapper_prelude() {
     let w = ccured_workloads::micro::safe_deref(4);
     let printed = roundtrip("micro_safe", &w.source);
     assert!(!printed.is_empty());
+}
+
+/// Frontend robustness under byte mutation: 40 seeded single-byte ASCII
+/// edits (delete, insert or replace) of every batch-corpus source. Parsing
+/// each mutant, and lowering it when it parses, must return, never panic.
+#[test]
+fn byte_mutants_never_panic_the_frontend() {
+    let mut rng = SplitMix64::new(0x6d75_7461_6e74);
+    for w in ccured_workloads::batch_corpus() {
+        for _ in 0..40 {
+            let mut bytes = w.source.clone().into_bytes();
+            let at = rng.below(bytes.len() as u64) as usize;
+            let byte = rng.below(128) as u8;
+            let edit = match rng.below(3) {
+                0 => {
+                    bytes.remove(at);
+                    "delete"
+                }
+                1 => {
+                    bytes.insert(at, byte);
+                    "insert"
+                }
+                _ => {
+                    bytes[at] = byte;
+                    "replace"
+                }
+            };
+            let src = String::from_utf8(bytes).expect("an ASCII edit of an ASCII source");
+            let outcome = std::panic::catch_unwind(|| {
+                if let Ok(tu) = parse_translation_unit(&src) {
+                    let _ = ccured_cil::lower_translation_unit(&tu);
+                }
+            });
+            assert!(
+                outcome.is_ok(),
+                "{}: the frontend panicked after {edit} of byte {byte:#04x} at offset {at}",
+                w.name
+            );
+        }
+    }
 }
