@@ -1,6 +1,6 @@
 # Convenience targets for ccured-rs.
 
-.PHONY: all test lint tables bench bench-interp bench-profile bench-opt2 bench-serve bench-synth bench-hot bench-temporal bless doc examples smoke profile-smoke serve-smoke synth-smoke stress clean
+.PHONY: all test lint tables bench bench-interp bench-profile bench-opt2 bench-serve bench-synth bench-temporal bless doc examples smoke profile-smoke serve-smoke synth-smoke stress clean
 
 all: test
 
@@ -22,9 +22,6 @@ smoke:
 	cargo run -q -p ccured-cli --bin ccured -- batch examples/c --jobs 4
 	cargo run -q -p ccured-cli --bin ccured -- examples/c/seq_walk.c --report --run --counters
 	cargo run -q -p ccured-cli --bin ccured -- examples/c/seq_walk.c --no-loop-opt --run --counters
-	cargo run -q -p ccured-cli --bin ccured -- profile examples/c/seq_walk.c --json > target/seq_walk.profile.json
-	cargo run -q -p ccured-cli --bin ccured -- examples/c/seq_walk.c --run --counters --pgo target/seq_walk.profile.json
-	cargo run -q -p ccured-cli --bin ccured -- examples/c/seq_walk.c --run --counters --no-tier
 	cargo run -q -p ccured-cli --bin ccured -- examples/c/quickstart.c --run --counters --temporal
 	cargo run -q -p ccured-cli --bin ccured -- crash-test examples/c/quickstart.c --mutants 25 --temporal
 	cargo test -q -p ccured-integration --test opt2
@@ -70,11 +67,6 @@ bench-serve:
 # E17: generative differential soundness campaign; writes BENCH_synth.json.
 bench-synth:
 	cargo run --release -p ccured-bench --bin tables -- fig-synth
-
-# E18: profile-guided tiered VM, tree vs untiered vs tiered; writes
-# BENCH_hot.json.
-bench-hot:
-	cargo run --release -p ccured-bench --bin tables -- fig-hot
 
 # E19: temporal lock-and-key check overhead; writes BENCH_temporal.json.
 bench-temporal:

@@ -32,11 +32,12 @@ pub fn parse_translation_unit(src: &str) -> Result<TranslationUnit, Diag> {
 /// contains: the statements of a block or under a compound statement (so
 /// each `else if` arm is one level), the operand of a prefix operator,
 /// cast or `sizeof`, a parenthesized or indexed expression, call
-/// arguments, an assignment's right side, a conditional's arms, nested
-/// declarators, parameter lists and array lengths, struct/union/enum
-/// bodies and initializer lists. Past the limit the parse fails with a
-/// [`Diag`], so every later recursive stage, from lowering to both
-/// execution engines, stays within a 2 MiB thread stack.
+/// arguments, each postfix operator after a chain's first, an
+/// assignment's right side, a conditional's arms, nested declarators,
+/// parameter lists and array lengths, struct/union/enum bodies and
+/// initializer lists. Past the limit the parse fails with a [`Diag`], so
+/// every later recursive stage, from lowering to both execution engines,
+/// stays within a 2 MiB thread stack.
 pub const MAX_NESTING: u32 = 256;
 
 /// The parser state: a token cursor plus typedef scopes.
@@ -105,8 +106,9 @@ impl Parser {
         }
     }
 
-    /// Runs `parse` one nesting level deeper, failing past [`MAX_NESTING`].
-    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T, Diag>) -> Result<T, Diag> {
+    /// Opens one nesting level, failing past [`MAX_NESTING`]. The caller
+    /// closes it.
+    fn open_level(&mut self) -> Result<(), Diag> {
         if self.depth == MAX_NESTING {
             return Err(Diag::error(
                 self.span(),
@@ -114,6 +116,12 @@ impl Parser {
             ));
         }
         self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T, Diag>) -> Result<T, Diag> {
+        self.open_level()?;
         let r = parse(self);
         self.depth -= 1;
         r
@@ -1229,12 +1237,41 @@ impl Parser {
         self.postfix_expr()
     }
 
+    /// A primary expression and its postfix operators. The first operator
+    /// stays at the primary's level, like `x++` as a statement; each later
+    /// one wraps a postfix expression and opens one nesting level. All of
+    /// them close when the postfix expression returns.
     fn postfix_expr(&mut self) -> Result<Expr, Diag> {
+        let outer = self.depth;
+        let r = self.postfix_chain();
+        self.depth = outer;
+        r
+    }
+
+    fn postfix_chain(&mut self) -> Result<Expr, Diag> {
         let mut e = self.primary_expr()?;
+        let mut first = true;
         loop {
-            match self.peek() {
-                TokenKind::P(Punct::LParen) => {
-                    self.bump();
+            let op = match self.peek() {
+                TokenKind::P(
+                    op @ (Punct::LParen
+                    | Punct::LBracket
+                    | Punct::Dot
+                    | Punct::Arrow
+                    | Punct::Inc
+                    | Punct::Dec),
+                ) => *op,
+                _ => return Ok(e),
+            };
+            if !first {
+                self.open_level()?;
+            }
+            first = false;
+            self.bump();
+            let lo = e.span;
+            let base = Box::new(e);
+            let kind = match op {
+                Punct::LParen => {
                     let mut args = Vec::new();
                     if !self.at_punct(Punct::RParen) {
                         loop {
@@ -1245,58 +1282,22 @@ impl Parser {
                         }
                     }
                     self.expect_punct(Punct::RParen)?;
-                    let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        kind: ExprKind::Call(Box::new(e), args),
-                        span,
-                    };
+                    ExprKind::Call(base, args)
                 }
-                TokenKind::P(Punct::LBracket) => {
-                    self.bump();
+                Punct::LBracket => {
                     let idx = self.nested(Self::expr)?;
                     self.expect_punct(Punct::RBracket)?;
-                    let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        kind: ExprKind::Index(Box::new(e), Box::new(idx)),
-                        span,
-                    };
+                    ExprKind::Index(base, Box::new(idx))
                 }
-                TokenKind::P(Punct::Dot) => {
-                    self.bump();
-                    let (field, _) = self.expect_ident()?;
-                    let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        kind: ExprKind::Member(Box::new(e), field),
-                        span,
-                    };
-                }
-                TokenKind::P(Punct::Arrow) => {
-                    self.bump();
-                    let (field, _) = self.expect_ident()?;
-                    let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        kind: ExprKind::Arrow(Box::new(e), field),
-                        span,
-                    };
-                }
-                TokenKind::P(Punct::Inc) => {
-                    self.bump();
-                    let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        kind: ExprKind::PostIncDec(true, Box::new(e)),
-                        span,
-                    };
-                }
-                TokenKind::P(Punct::Dec) => {
-                    self.bump();
-                    let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        kind: ExprKind::PostIncDec(false, Box::new(e)),
-                        span,
-                    };
-                }
-                _ => return Ok(e),
-            }
+                Punct::Dot => ExprKind::Member(base, self.expect_ident()?.0),
+                Punct::Arrow => ExprKind::Arrow(base, self.expect_ident()?.0),
+                Punct::Inc => ExprKind::PostIncDec(true, base),
+                _ => ExprKind::PostIncDec(false, base),
+            };
+            e = Expr {
+                kind,
+                span: lo.to(self.prev_span()),
+            };
         }
     }
 

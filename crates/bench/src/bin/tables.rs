@@ -1,11 +1,11 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
-//! Usage: `tables [fig8|fig9|casts|ijpeg|bind|suites|split|security|ablation|fig-batch|fig-interp|fig-profile|fig-opt2|fig-serve|fig-synth|fig-hot|fig-temporal|all] [--smoke]`
+//! Usage: `tables [fig8|fig9|casts|ijpeg|bind|suites|split|security|ablation|fig-batch|fig-interp|fig-profile|fig-opt2|fig-serve|fig-synth|fig-temporal|all] [--smoke]`
 //!
-//! `fig-interp`, `fig-profile`, `fig-opt2`, `fig-hot` and `fig-temporal`
-//! write `BENCH_interp.json` / `BENCH_profile.json` / `BENCH_opt2.json` /
-//! `BENCH_hot.json` / `BENCH_temporal.json` to the working directory;
-//! `--smoke` shrinks their workloads for CI.
+//! `fig-interp`, `fig-profile`, `fig-opt2` and `fig-temporal` write
+//! `BENCH_interp.json` / `BENCH_profile.json` / `BENCH_opt2.json` /
+//! `BENCH_temporal.json` to the working directory; `--smoke` shrinks their
+//! workloads for CI. `fig-interp` is the one tree-vs-VM throughput table.
 //!
 //! Each table prints our measurement next to the paper's reported value
 //! (absolute numbers are not comparable — the substrate is an interpreter —
@@ -30,7 +30,6 @@ const TABLES: &[&str] = &[
     "fig-opt2",
     "fig-serve",
     "fig-synth",
-    "fig-hot",
     "fig-temporal",
     "all",
 ];
@@ -93,9 +92,6 @@ fn main() {
     if all || which == "fig-synth" {
         fig_synth_table(smoke);
     }
-    if all || which == "fig-hot" {
-        fig_hot_table(smoke);
-    }
     if all || which == "fig-temporal" {
         fig_temporal_table(smoke);
     }
@@ -151,55 +147,6 @@ fn fig_temporal_table(smoke: bool) {
     match std::fs::write("BENCH_temporal.json", f.to_json()) {
         Ok(()) => println!("wrote BENCH_temporal.json"),
         Err(e) => eprintln!("could not write BENCH_temporal.json: {e}"),
-    }
-}
-
-fn fig_hot_table(smoke: bool) {
-    println!(
-        "== E18: profile-guided tiered VM, tree vs untiered vs tiered{} ==\n",
-        if smoke { " (smoke)" } else { "" }
-    );
-    let f = fig_hot(smoke);
-    let us = |d: std::time::Duration| format!("{:.0} us", d.as_secs_f64() * 1e6);
-    let rows: Vec<Vec<String>> = f
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                r.steps.to_string(),
-                us(r.tree),
-                us(r.vm_untiered),
-                us(r.vm_tiered),
-                format!("{:.1}x", r.speedup_untiered()),
-                format!("{:.1}x", r.speedup_tiered()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &[
-                "workload",
-                "steps",
-                "tree",
-                "vm untiered",
-                "vm tiered",
-                "untiered",
-                "tiered"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "geomean speedup: untiered {:.2}x, tiered {:.2}x (best of {} runs)",
-        f.geomean_untiered(),
-        f.geomean_tiered(),
-        f.reps
-    );
-    match std::fs::write("BENCH_hot.json", f.to_json()) {
-        Ok(()) => println!("wrote BENCH_hot.json"),
-        Err(e) => eprintln!("could not write BENCH_hot.json: {e}"),
     }
 }
 

@@ -10,6 +10,7 @@
 use crate::ir::*;
 use crate::types::*;
 use ccured_ast::ast::{self, PtrKindAnnot};
+use ccured_ast::parse::MAX_NESTING;
 use ccured_ast::{Diag, Span};
 use std::collections::HashMap;
 
@@ -106,6 +107,8 @@ struct Lowerer {
     const_ctx: bool,
     /// String literal interning: bytes -> global id.
     str_globals: HashMap<Vec<u8>, GlobalId>,
+    /// Memoized [`Lowerer::type_depth`] by `TypeId` (`u32::MAX`: not yet).
+    type_depths: Vec<u32>,
 }
 
 impl Lowerer {
@@ -133,6 +136,7 @@ impl Lowerer {
             fn_names: HashMap::new(),
             const_ctx: false,
             str_globals: HashMap::new(),
+            type_depths: Vec::new(),
         }
     }
 
@@ -334,8 +338,43 @@ impl Lowerer {
                     })
                 }
             };
+            if self.type_depth(ty) > MAX_NESTING {
+                return self.err(
+                    d.span,
+                    format!("type nested too deep: more than {MAX_NESTING} levels"),
+                );
+            }
         }
         Ok((d.name.clone(), ty))
+    }
+
+    /// The derived-type layers of `ty`: one per pointer, array and
+    /// function layer, a function adding one to the deepest of its return
+    /// and parameter types. Typedefs name their type directly, so a
+    /// typedef chain counts in full. Memoized, so checking each step a
+    /// declarator builds costs O(1).
+    fn type_depth(&mut self, ty: TypeId) -> u32 {
+        let i = ty.0 as usize;
+        if let Some(&d) = self.type_depths.get(i).filter(|d| **d != u32::MAX) {
+            return d;
+        }
+        let inner: Vec<TypeId> = match self.types.get(ty) {
+            Type::Ptr(t, _) | Type::Array(t, _) => vec![*t],
+            Type::Func(sig) => std::iter::once(sig.ret)
+                .chain(sig.params.iter().copied())
+                .collect(),
+            _ => Vec::new(),
+        };
+        let d = inner
+            .into_iter()
+            .map(|t| 1 + self.type_depth(t))
+            .max()
+            .unwrap_or(0);
+        if self.type_depths.len() <= i {
+            self.type_depths.resize(i + 1, u32::MAX);
+        }
+        self.type_depths[i] = d;
+        d
     }
 
     /// Array and function parameter types decay to pointers.

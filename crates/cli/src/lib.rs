@@ -36,10 +36,6 @@
 //!   --split-everything    force the SPLIT representation everywhere
 //!   --split-at-boundaries seed SPLIT at external-call boundaries
 //!   --fuel <n>            instruction budget for --run
-//!   --pgo <file>          seed VM tiering from a saved `ccured profile
-//!                         --json` report (hot functions compile optimized
-//!                         from their first call)
-//!   --no-tier             disable profile-guided tiering in the VM
 //!   --top <n>             `profile`: rows in the hot-site table (default 10)
 //!   --mutants <n>         `crash-test`: number of mutants (default 60)
 //!   --seed <s>            `crash-test`/`synth`/`campaign`: batch seed (default 1)
@@ -214,21 +210,10 @@ pub struct Options {
     /// Execution engine (`vm` is the default; `tree` is the reference
     /// tree-walking oracle).
     pub engine: Engine,
-    /// `--pgo FILE`: seed the VM's tiering decisions from a saved
-    /// `ccured profile --json` report, so functions and check sites that
-    /// were hot in the recorded run compile straight to the optimized
-    /// tier on their first call.
-    pub pgo: Option<String>,
-    /// `--no-tier`: disable profile-guided tiering in the bytecode VM
-    /// (every function gets the single-tier fused compile).
-    pub no_tier: bool,
     /// `--temporal`: emit lock-and-key temporal checks (use-after-free and
     /// double-free become ordinary check failures with blame, instead of
     /// being silently neutralized by the GC-backed `free`).
     pub temporal: bool,
-    /// `--emit-pgo FILE` (profile subcommand): also write the machine-
-    /// readable profile to FILE, ready to feed back via `--pgo`.
-    pub emit_pgo: Option<String>,
 }
 
 /// A usage/parse error.
@@ -411,10 +396,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Us
                 o.engine = v.parse().map_err(|e: String| UsageError(e))?;
             }
             "--input" => o.input = Some(need(&mut it, "--input")?),
-            "--pgo" => o.pgo = Some(need(&mut it, "--pgo")?),
-            "--no-tier" => o.no_tier = true,
             "--temporal" => o.temporal = true,
-            "--emit-pgo" => o.emit_pgo = Some(need(&mut it, "--emit-pgo")?),
             "--fuel" => {
                 let v = need(&mut it, "--fuel")?;
                 o.fuel = Some(
@@ -514,24 +496,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Us
             "--workers/--queue-cap/--fault-poison only apply to the `serve` subcommand".into(),
         ));
     }
-    if (o.pgo.is_some() || o.no_tier) && !(o.run || o.profile) {
-        return Err(UsageError(
-            "--pgo/--no-tier only apply when executing (--run or the `profile` subcommand)".into(),
-        ));
-    }
-    if o.pgo.is_some() && o.mode != Mode::Cured {
-        return Err(UsageError(
-            "--pgo only applies to cured mode (the tier plan names check sites)".into(),
-        ));
-    }
     if o.temporal && o.mode != Mode::Cured {
         return Err(UsageError(
             "--temporal only applies to cured mode (the temporal checks are cure-inserted)".into(),
-        ));
-    }
-    if o.emit_pgo.is_some() && !o.profile {
-        return Err(UsageError(
-            "--emit-pgo only applies to the `profile` subcommand".into(),
         ));
     }
     if o.client && o.request.is_none() {
@@ -548,13 +515,12 @@ pub const USAGE: &str =
               [--input FILE] [--report] [--review] [--counters] [--emit-ir] [--wrappers]
               [--strict-link] [--original-ccured] [--no-rtti] [--no-opt]
               [--split-everything] [--split-at-boundaries] [--fuel N] [--engine vm|tree]
-              [--pgo FILE] [--no-tier] [--temporal]
+              [--temporal]
        ccured explain <file.c> [--sym NAME] [other options]
        ccured crash-test <file.c> [--mutants N] [--seed S] [--json] [--temporal]
        ccured batch <dir|manifest> [--jobs N] [--cache-dir D] [--no-cache] [--profile] [--json]
                    [--deadline-ms N]
-       ccured profile <file.c> [--top N] [--json] [--engine vm|tree] [--pgo FILE] [--no-tier]
-                   [--emit-pgo FILE] [--temporal]
+       ccured profile <file.c> [--top N] [--json] [--engine vm|tree] [--temporal]
        ccured serve <socket> [--workers N] [--cache-dir D] [--no-cache] [--deadline-ms N]
                    [--queue-cap N] [--fault-poison SUBSTR]
        ccured client <socket> <request...>   (cure|profile|explain <path> | status|reset|shutdown)
@@ -618,7 +584,7 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
             Mode::JonesKelly => ExecMode::JonesKelly,
             Mode::Cured => unreachable!(),
         };
-        return Ok(execute(&prog, mode, o, None, input, out));
+        return Ok(execute(&prog, mode, o, input, out));
     }
 
     let cured = curer(o).cure_source(source)?;
@@ -671,16 +637,14 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
     if o.emit_ir {
         out.push_str(&ccured_cil::pretty::dump_program(&cured.program));
     }
-    if o.profile || o.run {
-        let plan = load_tier_plan(o, &cured, &mut out)?;
-        if o.profile {
-            return Ok(run_profile(&cured, o, plan, source, input, out));
-        }
+    if o.profile {
+        return Ok(run_profile(&cured, o, source, input, out));
+    }
+    if o.run {
         return Ok(execute(
             &cured.program,
             ExecMode::cured(&cured),
             o,
-            plan,
             input,
             out,
         ));
@@ -1051,63 +1015,16 @@ fn render_opt_actions(cured: &Cured, o: &Options, map: &ccured_ast::SourceMap, o
     }
 }
 
-/// Loads `--pgo FILE` and distills it into a [`ccured_rt::TierPlan`]:
-/// functions and check sites that were hot in the saved run compile
-/// straight to the VM's optimized tier on their first call.
-///
-/// A profile that parses but no longer matches this unit's site table
-/// (the source was edited since it was recorded) is *stale*: a warning is
-/// appended to `out` and the run falls back to online heat detection, as
-/// if `--pgo` had not been given.
-///
-/// # Errors
-///
-/// [`CureError::Internal`] when the file is unreadable or is not a
-/// profile this build can read (missing or mismatched `schema` tag).
-fn load_tier_plan(
-    o: &Options,
-    cured: &Cured,
-    out: &mut String,
-) -> Result<Option<ccured_rt::TierPlan>, CureError> {
-    let Some(path) = &o.pgo else { return Ok(None) };
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CureError::Internal(format!("--pgo: cannot read `{path}`: {e}")))?;
-    let prof = ccured_rt::Profile::from_pgo_json(&text)
-        .map_err(|e| CureError::Internal(format!("--pgo `{path}`: {e}")))?;
-    if let Err(why) = ccured_rt::profile::validate_pgo_against_sites(&text, &cured.sites) {
-        out.push_str(&format!(
-            "ccured: warning: --pgo `{path}` is stale and was ignored ({why}); \
-             falling back to online heat detection\n"
-        ));
-        return Ok(None);
-    }
-    Ok(Some(ccured_rt::tier_plan(&cured.sites, &prof)))
-}
-
-/// Applies the tiering flags to a fresh interpreter. Observation-only
-/// with respect to program semantics: output, exit code, counters and
-/// verdicts are byte-identical whatever the tier schedule.
-fn apply_tiering(interp: &mut Interp<'_>, o: &Options, plan: Option<ccured_rt::TierPlan>) {
-    if o.no_tier {
-        interp.set_tiering(ccured_rt::TierMode::Off);
-    }
-    if let Some(p) = plan {
-        interp.set_tier_plan(p);
-    }
-}
-
 fn execute(
     prog: &ccured_cil::Program,
     mode: ExecMode<'_>,
     o: &Options,
-    plan: Option<ccured_rt::TierPlan>,
     input: &[u8],
     mut out: String,
 ) -> Outcome {
     let mut interp = Interp::new(prog, mode);
     interp.set_engine(o.engine);
     interp.set_temporal(o.temporal);
-    apply_tiering(&mut interp, o, plan);
     interp.set_input(input.to_vec());
     if let Some(f) = o.fuel {
         interp.set_fuel(f);
@@ -1149,18 +1066,10 @@ fn execute(
 /// hot-site report (or its `--json` form) to the program's own output.
 /// Profiling is observation-only, so exit code and program output are
 /// identical to a plain `--run`.
-fn run_profile(
-    cured: &Cured,
-    o: &Options,
-    plan: Option<ccured_rt::TierPlan>,
-    source: &str,
-    input: &[u8],
-    mut out: String,
-) -> Outcome {
+fn run_profile(cured: &Cured, o: &Options, source: &str, input: &[u8], mut out: String) -> Outcome {
     let mut interp = Interp::new(&cured.program, ExecMode::cured(cured));
     interp.set_engine(o.engine);
     interp.set_temporal(o.temporal);
-    apply_tiering(&mut interp, o, plan);
     interp.set_input(input.to_vec());
     if let Some(f) = o.fuel {
         interp.set_fuel(f);
@@ -1186,26 +1095,6 @@ fn run_profile(
         out.push_str(&profile_json(o, &rows, &profile));
     } else {
         render_profile(o, source, &rows, &profile, &mut out);
-    }
-    if let Some(path) = &o.emit_pgo {
-        // The emitted file is the full `--json` export (`ccured-profile/v1`):
-        // all rows, so `--pgo` round-trips losslessly.
-        let all = Options {
-            top: None,
-            ..o.clone()
-        };
-        match std::fs::write(path, profile_json(&all, &rows, &profile)) {
-            Ok(()) => out.push_str(&format!(
-                "profile written to `{path}` (feed back with --pgo)\n"
-            )),
-            Err(e) => {
-                out.push_str(&format!("ccured: error: --emit-pgo `{path}`: {e}\n"));
-                return Outcome {
-                    exit: 4,
-                    stdout: out,
-                };
-            }
-        }
     }
     Outcome { exit, stdout: out }
 }
@@ -1315,7 +1204,7 @@ fn profile_json(
     let top = o.top.unwrap_or(usize::MAX);
     let mut s = format!(
         "{{\"schema\":\"{}\",\"file\":{},\"engine\":\"{}\",\"sites\":{},\"total_hits\":{},\"rows\":[",
-        ccured_rt::PGO_SCHEMA,
+        ccured_rt::PROFILE_SCHEMA,
         json_str(&o.file),
         o.engine.name(),
         rows.len(),
@@ -1998,7 +1887,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_temporal_and_emit_pgo_flags() {
+    fn parses_temporal_flag() {
         let o = args("prog.c --run --temporal").unwrap();
         assert!(o.temporal);
         assert!(args("crash-test prog.c --temporal").unwrap().temporal);
@@ -2007,13 +1896,6 @@ mod tests {
             args("prog.c --run --mode original --temporal").is_err(),
             "--temporal is cured-mode only"
         );
-        let p = args("profile prog.c --emit-pgo /tmp/p.json").unwrap();
-        assert_eq!(p.emit_pgo.as_deref(), Some("/tmp/p.json"));
-        assert!(
-            args("prog.c --run --emit-pgo /tmp/p.json").is_err(),
-            "--emit-pgo needs the profile subcommand"
-        );
-        assert!(args("profile prog.c --emit-pgo").is_err(), "missing value");
     }
 
     #[test]
@@ -2081,67 +1963,19 @@ mod tests {
     }
 
     #[test]
-    fn emit_pgo_round_trips_and_stale_plans_fall_back() {
-        let dir = std::env::temp_dir().join(format!("ccured-cli-pgo-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let pgo = dir.join("p.json");
-        let src = "int sum(int *p, int n) { int s; int i; s = 0;\n\
-                   for (i = 0; i < n; i++) s = s + p[i];\n\
-                   return s; }\n\
-                   int main(void) { int a[6]; int i;\n\
-                   for (i = 0; i < 6; i++) a[i] = i;\n\
-                   return sum(a, 6); }";
-        let argv = format!("profile t.c --emit-pgo {}", pgo.display());
-        let prof = drive(&args(&argv).unwrap(), src, b"").unwrap();
-        assert_eq!(prof.exit, 15, "{}", prof.stdout);
-        assert!(prof.stdout.contains("profile written"), "{}", prof.stdout);
-        let text = std::fs::read_to_string(&pgo).unwrap();
-        assert!(text.contains(ccured_rt::PGO_SCHEMA), "{text}");
-        // Same source: the plan matches the site table and is accepted.
-        let run = format!("t.c --run --pgo {}", pgo.display());
-        let fresh = drive(&args(&run).unwrap(), src, b"").unwrap();
-        assert_eq!(fresh.exit, 15);
-        assert!(!fresh.stdout.contains("stale"), "{}", fresh.stdout);
-        // Edited source (renamed function): the saved plan attributes sites
-        // to functions that no longer exist — warn and fall back to online
-        // heat instead of silently mis-tiering (or hard-failing) the run.
-        let edited = src.replace("sum", "total");
-        let stale = drive(&args(&run).unwrap(), &edited, b"").unwrap();
-        assert_eq!(stale.exit, 15, "{}", stale.stdout);
-        assert!(stale.stdout.contains("stale"), "{}", stale.stdout);
-        assert!(
-            stale.stdout.contains("falling back to online heat"),
-            "{}",
-            stale.stdout
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn emit_pgo_escapes_control_characters_in_the_unit_name() {
-        let dir = std::env::temp_dir().join(format!("ccured-cli-pgo-tab-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let pgo = dir.join("p.json");
-        let argv = [
-            "profile",
-            "quick\tstart.c",
-            "--emit-pgo",
-            pgo.to_str().unwrap(),
-        ];
+    fn profile_json_escapes_control_characters_in_the_unit_name() {
+        let argv = ["profile", "quick\tstart.c", "--json"];
         let o = parse_args(argv.iter().map(|a| a.to_string())).unwrap();
         let src = "int main(void) { int a[2]; a[0] = 1; return a[0]; }";
         let prof = drive(&o, src, b"").unwrap();
-        assert!(prof.stdout.contains("profile written"), "{}", prof.stdout);
-        let text = std::fs::read_to_string(&pgo).unwrap();
+        let text = prof.stdout;
+        assert!(text.contains(ccured_rt::PROFILE_SCHEMA), "{text}");
         assert!(text.contains(r#""file":"quick\tstart.c""#), "{text}");
         // The trailing newline is the only control byte: none inside a string.
         assert!(
             !text.trim_end().bytes().any(|b| b < 0x20),
             "raw control byte in {text:?}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

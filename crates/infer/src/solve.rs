@@ -457,13 +457,6 @@ fn validate(
             continue; // WILD-to-WILD casts are always permitted
         }
         if kf == PtrKind::Wild || kt == PtrKind::Wild {
-            if std::env::var("CCURED_DEBUG_WIDEN").is_ok() {
-                eprintln!(
-                    "widen mixed-wild: {} -> {}",
-                    prog.types.display(site.from),
-                    prog.types.display(site.to)
-                );
-            }
             // wild_eq should have caught this; widen the other side.
             widen.push((fq, Origin::Validation("mixed-wild cast", site.span)));
             widen.push((tq, Origin::Validation("mixed-wild cast", site.span)));
@@ -476,13 +469,6 @@ fn validate(
             CastClass::Upcast
                 if (kf == PtrKind::Seq || kt == PtrKind::Seq) && !phys.seq_cast_ok(fb, tb) =>
             {
-                if std::env::var("CCURED_DEBUG_WIDEN").is_ok() {
-                    eprintln!(
-                        "widen upcast: {} -> {} (kf={kf:?} kt={kt:?})",
-                        prog.types.display(site.from),
-                        prog.types.display(site.to)
-                    );
-                }
                 widen.push((fq, Origin::Validation("SEQ upcast tiling", site.span)));
                 widen.push((tq, Origin::Validation("SEQ upcast tiling", site.span)));
             }

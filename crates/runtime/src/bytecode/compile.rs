@@ -22,44 +22,20 @@
 //! outward through lexically enclosing slices (which is exactly the chain
 //! of `run_block` activations the tree `Flow::Goto` would unwind).
 
-use super::ops::{CompiledFn, Op, OpKind, RegNorm, SwitchTable, Tier, ZeroKind};
+use super::ops::{CompiledFn, Op, OpKind, RegNorm, SwitchTable, ZeroKind};
 use crate::err::RtError;
 use crate::interp::{check_operand, ExecMode, Interp};
 use crate::value::{PtrVal, Value};
 use ccured_cil::ir::*;
 use ccured_cil::types::{Type, TypeId};
 use ccured_infer::PtrKind;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-/// How aggressively to peephole-fuse the op stream.
-///
-/// The Cc walk itself is deterministic — all three levels compile the same
-/// raw stream — so the levels differ only in which adjacent runs collapse
-/// into superinstructions, never in observable behavior. `None` is the
-/// baseline tier: raw indices survive as instruction indices, which is
-/// what makes on-stack replacement into a fused stream a pure
-/// `osr_map[pc]` lookup.
-#[derive(Clone, Copy)]
-pub(crate) enum FuseLevel<'s> {
-    /// No fusion; backward jumps become [`OpKind::JumpBack`] heat probes.
-    None,
-    /// The static pair/triple set (the single-tier default).
-    Base,
-    /// The hot-tier set: deeper quads, check fusion for the sites in
-    /// `hot_sites` (every site when `None`), and a second pass fusing
-    /// guard hooks into their neighbors.
-    Extended { hot_sites: Option<&'s HashSet<u32>> },
-}
-
-/// Compiles `f` into bytecode. `mem_locals` is the function's
-/// register/memory slot assignment (from `FnInfo`), which fixes at compile
-/// time whether a local access becomes a register op or a memory op.
-pub(crate) fn compile<'p>(
-    it: &Interp<'p>,
-    f: FuncId,
-    mem_locals: &[bool],
-    level: FuseLevel<'_>,
-) -> CompiledFn<'p> {
+/// Compiles `f` into bytecode, fused with the full superinstruction set.
+/// `mem_locals` is the function's register/memory slot assignment (from
+/// `FnInfo`), which fixes at compile time whether a local access becomes a
+/// register op or a memory op.
+pub(crate) fn compile<'p>(it: &Interp<'p>, f: FuncId, mem_locals: &[bool]) -> CompiledFn<'p> {
     let prog: &'p Program = it.prog;
     let func: &'p Function = &prog.functions[f.idx()];
     let mut cc = Cc {
@@ -90,40 +66,21 @@ pub(crate) fn compile<'p>(
     };
     cc.emit(OpKind::RetDefault(default));
     // Peephole-fuse adjacent ops into superinstructions (jump operands are
-    // still label slots, so fusing only moves instruction indices), remap
-    // the labels, then patch label slots to instruction indices. The
-    // raw-index -> stream-index map doubles as the OSR translation table.
-    let n = cc.ops.len();
-    let (mut ops, osr_map, tier) = match level {
-        FuseLevel::None => {
-            let map: Vec<u32> = (0..=n as u32).collect();
-            (cc.ops, map, Tier::Baseline)
-        }
-        FuseLevel::Base => {
-            let (ops, map) = fuse(cc.ops, &cc.labels, None, false);
-            (ops, map, Tier::Opt)
-        }
-        FuseLevel::Extended { hot_sites } => {
-            let (ops1, map1) = fuse(cc.ops, &cc.labels, hot_sites, true);
-            // The second pass needs the label table in pass-1 indices to
-            // keep its own jump-target guard exact.
-            let mut labels1 = cc.labels.clone();
-            for l in &mut labels1 {
-                if *l != u32::MAX {
-                    *l = map1[*l as usize];
-                }
-            }
-            let (ops2, map2) = fuse_hooks(ops1, &labels1);
-            let map: Vec<u32> = map1.iter().map(|&m| map2[m as usize]).collect();
-            (ops2, map, Tier::Opt)
+    // still label slots, so fusing only moves instruction indices), then
+    // fuse guard hooks. Each pass returns a raw-index -> stream-index map;
+    // the labels follow both, and the second pass reads them in pass-1
+    // indices to keep its own jump-target guard exact. Finally label slots
+    // are patched to instruction indices.
+    let remap = |labels: &mut [u32], map: &[u32]| {
+        for l in labels.iter_mut().filter(|l| **l != u32::MAX) {
+            *l = map[*l as usize];
         }
     };
     let mut labels = cc.labels;
-    for l in &mut labels {
-        if *l != u32::MAX {
-            *l = osr_map[*l as usize];
-        }
-    }
+    let (ops, map) = fuse(cc.ops, &labels);
+    remap(&mut labels, &map);
+    let (mut ops, map) = fuse_hooks(ops, &labels);
+    remap(&mut labels, &map);
     let exit_pc = labels[exit as usize];
     let resolve = |slot: u32| -> u32 {
         let pc = labels[slot as usize];
@@ -153,29 +110,7 @@ pub(crate) fn compile<'p>(
             _ => {}
         }
     }
-    if matches!(tier, Tier::Baseline) {
-        // Backward jumps (loop back edges, backward gotos) become heat
-        // probes. In an unfused stream pc == raw index, so "backward" is
-        // decidable only now, after targets resolved to indices.
-        for (i, op) in ops.iter_mut().enumerate() {
-            if let OpKind::Jump(t) = op.kind {
-                if (t as usize) <= i {
-                    op.kind = OpKind::JumpBack(t);
-                }
-            }
-        }
-    }
-    CompiledFn { ops, tier, osr_map }
-}
-
-/// Whether a check site is eligible for check fusion under the hot-site
-/// selection. No selection (`None`) admits everything; synthetic sites
-/// (`SiteId::NONE`) can never appear in a profile, so they stay eligible.
-fn site_hot(hot: Option<&HashSet<u32>>, site: SiteId) -> bool {
-    match (hot, site.index()) {
-        (None, _) | (Some(_), None) => true,
-        (Some(set), Some(i)) => set.contains(&(i as u32)),
-    }
+    CompiledFn { ops }
 }
 
 /// The peephole pass: fuses adjacent pairs/triples into the
@@ -187,15 +122,9 @@ fn site_hot(hot: Option<&HashSet<u32>>, site: SiteId) -> bool {
 /// fuel-exhaustion point. Returns the fused stream and an old-index ->
 /// new-index map for label remapping.
 ///
-/// With `extended` set (the hot tier), the deeper quad/quint patterns and
-/// the profile-gated check fusions are tried before the base set; longest
-/// match wins.
-fn fuse<'p>(
-    ops: Vec<Op<'p>>,
-    labels: &[u32],
-    hot_sites: Option<&HashSet<u32>>,
-    extended: bool,
-) -> (Vec<Op<'p>>, Vec<u32>) {
+/// The deeper quad/quint patterns and the whole-check fusions are tried
+/// before the base set; longest match wins.
+fn fuse<'p>(ops: Vec<Op<'p>>, labels: &[u32]) -> (Vec<Op<'p>>, Vec<u32>) {
     let n = ops.len();
     let mut is_target = vec![false; n + 1];
     for &l in labels {
@@ -239,269 +168,265 @@ fn fuse<'p>(
             let c3 = o2.map_or(0, |o| o.cost);
             let c4 = o3.map_or(0, |o| o.cost);
             let c5 = o4.map_or(0, |o| o.cost);
-            let ext: (Option<OpKind<'p>>, usize) = if extended {
-                match (
-                    &op.kind,
-                    o1.map(|o| &o.kind),
-                    o2.map(|o| &o.kind),
-                    o3.map(|o| &o.kind),
-                    o4.map(|o| &o.kind),
-                ) {
-                    // A whole CHECK_SEQ(p + i): the single hottest shape
-                    // in the fig9 corpus, gated on the site being hot.
-                    (
-                        OpKind::CheckBegin(c, site),
-                        Some(OpKind::LoadReg(p, zp)),
-                        Some(OpKind::LoadReg(ix, zi)),
-                        Some(OpKind::PtrAdd { elem, neg }),
-                        Some(OpKind::CheckEnd(..)),
-                    ) if site_hot(hot_sites, *site) => (
-                        Some(OpKind::CheckSeqIdx {
-                            c,
-                            site: *site,
-                            p: *p,
-                            zp: *zp,
-                            i: *ix,
-                            zi: *zi,
-                            elem: *elem,
-                            neg: *neg,
-                            c2,
-                            c3,
-                            c4,
-                            c5,
-                        }),
-                        4,
-                    ),
-                    // A register-register loop/if guard.
-                    (
-                        OpKind::LoadReg(a, za),
-                        Some(OpKind::LoadReg(b, zb)),
-                        Some(OpKind::BinCmp(cop)),
-                        Some(OpKind::BranchIfZero(t)),
-                        _,
-                    ) => (
-                        Some(OpKind::RegRegCmpBranch {
-                            a: *a,
-                            za: *za,
-                            b: *b,
-                            zb: *zb,
-                            op: *cop,
-                            target: *t,
-                            c2,
-                            c3,
-                            c4,
-                        }),
-                        3,
-                    ),
-                    // The canonical `i = i + 1` quad.
-                    (
-                        OpKind::LoadReg(l, zk),
-                        Some(OpKind::Push(Value::Int(v))),
-                        Some(OpKind::BinArith { op: aop, trunc }),
-                        Some(OpKind::StoreReg(dst, norm)),
-                        _,
-                    ) => (
-                        Some(OpKind::RegImmArithStore {
-                            l: *l,
-                            zk: *zk,
-                            v: *v,
-                            op: *aop,
-                            trunc: *trunc,
-                            dst: *dst,
-                            norm: *norm,
-                            c2,
-                            c3,
-                            c4,
-                        }),
-                        3,
-                    ),
-                    // A whole check of a register operand, site-gated.
-                    (
-                        OpKind::CheckBegin(c, site),
-                        Some(OpKind::LoadReg(l, zk)),
-                        Some(OpKind::CheckEnd(..)),
-                        _,
-                        _,
-                    ) if site_hot(hot_sites, *site) => (
-                        Some(OpKind::CheckReg {
-                            c,
-                            site: *site,
-                            l: *l,
-                            zk: *zk,
-                            c2,
-                            c3,
-                        }),
-                        2,
-                    ),
-                    (
-                        OpKind::LoadReg(a, za),
-                        Some(OpKind::LoadReg(b, zb)),
-                        Some(OpKind::BinArith { op: aop, trunc }),
-                        _,
-                        _,
-                    ) => (
-                        Some(OpKind::RegRegArith {
-                            a: *a,
-                            za: *za,
-                            b: *b,
-                            zb: *zb,
-                            op: *aop,
-                            trunc: *trunc,
-                            c2,
-                            c3,
-                        }),
-                        2,
-                    ),
-                    // The `p + i` of an indexed access.
-                    (
-                        OpKind::LoadReg(p, zp),
-                        Some(OpKind::LoadReg(ix, zi)),
-                        Some(OpKind::PtrAdd { elem, neg }),
-                        _,
-                        _,
-                    ) => (
-                        Some(OpKind::RegRegPtrAdd {
-                            p: *p,
-                            zp: *zp,
-                            i: *ix,
-                            zi: *zi,
-                            elem: *elem,
-                            neg: *neg,
-                            c2,
-                            c3,
-                        }),
-                        2,
-                    ),
-                    (
-                        OpKind::LoadReg(l, zk),
-                        Some(OpKind::Push(Value::Int(v))),
-                        Some(OpKind::BinArith { op: aop, trunc }),
-                        _,
-                        _,
-                    ) => (
-                        Some(OpKind::RegImmArith {
-                            l: *l,
-                            zk: *zk,
-                            v: *v,
-                            op: *aop,
-                            trunc: *trunc,
-                            c2,
-                            c3,
-                        }),
-                        2,
-                    ),
-                    // `s = s + a[i]`'s tail: load, accumulate, store.
-                    (
-                        OpKind::LoadInt { size, signed },
-                        Some(OpKind::BinArith { op: aop, trunc }),
-                        Some(OpKind::StoreReg(l, norm)),
-                        _,
-                        _,
-                    ) => (
-                        Some(OpKind::LoadIntArithStore {
-                            size: *size,
-                            signed: *signed,
-                            op: *aop,
-                            trunc: *trunc,
-                            l: *l,
-                            norm: *norm,
-                            c2,
-                            c3,
-                        }),
-                        2,
-                    ),
-                    // A register-vs-immediate guard: the list-walk
-                    // `p != 0` / `t == 0` shape.
-                    (
-                        OpKind::LoadReg(l, zk),
-                        Some(OpKind::Push(Value::Int(v))),
-                        Some(OpKind::BinCmp(cop)),
-                        Some(OpKind::BranchIfZero(t)),
-                        _,
-                    ) => (
-                        Some(OpKind::RegImmCmpBranch {
-                            l: *l,
-                            zk: *zk,
-                            v: *v,
-                            op: *cop,
-                            target: *t,
-                            c2,
-                            c3,
-                            c4,
-                        }),
-                        3,
-                    ),
-                    // A memory-bound loop guard: `i < n->degree`.
-                    (
-                        OpKind::LoadInt { size, signed },
-                        Some(OpKind::BinCmp(cop)),
-                        Some(OpKind::BranchIfZero(t)),
-                        _,
-                        _,
-                    ) => (
-                        Some(OpKind::LoadIntCmpBranch {
-                            size: *size,
-                            signed: *signed,
-                            op: *cop,
-                            target: *t,
-                            c2,
-                            c3,
-                        }),
-                        2,
-                    ),
-                    // A tag-dispatch guard: `s->kind == K`.
-                    (
-                        OpKind::LoadInt { size, signed },
-                        Some(OpKind::Push(Value::Int(v))),
-                        Some(OpKind::BinCmp(cop)),
-                        Some(OpKind::BranchIfZero(t)),
-                        _,
-                    ) => (
-                        Some(OpKind::LoadIntImmCmpBranch {
-                            size: *size,
-                            signed: *signed,
-                            v: *v,
-                            op: *cop,
-                            target: *t,
-                            c2,
-                            c3,
-                            c4,
-                        }),
-                        3,
-                    ),
-                    // A register pointer stored straight to memory:
-                    // `slots[i] = cell`.
-                    (OpKind::LoadReg(l, zk), Some(OpKind::StorePtr { q, wild_tag }), _, _, _) => (
-                        Some(OpKind::RegStorePtr {
-                            l: *l,
-                            zk: *zk,
-                            q: *q,
-                            wild_tag: *wild_tag,
-                            c2,
-                        }),
-                        1,
-                    ),
-                    // A float load feeding its operator:
-                    // `acc - coeffs[i] * from[i]->value`'s inner loads.
-                    (
-                        OpKind::LoadFloat { size },
-                        Some(OpKind::BinArith { op: aop, trunc }),
-                        _,
-                        _,
-                        _,
-                    ) => (
-                        Some(OpKind::LoadFloatArith {
-                            size: *size,
-                            op: *aop,
-                            trunc: *trunc,
-                            c2,
-                        }),
-                        1,
-                    ),
-                    _ => (None, 0),
-                }
-            } else {
-                (None, 0)
+            let ext: (Option<OpKind<'p>>, usize) = match (
+                &op.kind,
+                o1.map(|o| &o.kind),
+                o2.map(|o| &o.kind),
+                o3.map(|o| &o.kind),
+                o4.map(|o| &o.kind),
+            ) {
+                // A whole CHECK_SEQ(p + i): the single hottest shape
+                // in the fig9 corpus.
+                (
+                    OpKind::CheckBegin(c, site),
+                    Some(OpKind::LoadReg(p, zp)),
+                    Some(OpKind::LoadReg(ix, zi)),
+                    Some(OpKind::PtrAdd { elem, neg }),
+                    Some(OpKind::CheckEnd(..)),
+                ) => (
+                    Some(OpKind::CheckSeqIdx {
+                        c,
+                        site: *site,
+                        p: *p,
+                        zp: *zp,
+                        i: *ix,
+                        zi: *zi,
+                        elem: *elem,
+                        neg: *neg,
+                        c2,
+                        c3,
+                        c4,
+                        c5,
+                    }),
+                    4,
+                ),
+                // A register-register loop/if guard.
+                (
+                    OpKind::LoadReg(a, za),
+                    Some(OpKind::LoadReg(b, zb)),
+                    Some(OpKind::BinCmp(cop)),
+                    Some(OpKind::BranchIfZero(t)),
+                    _,
+                ) => (
+                    Some(OpKind::RegRegCmpBranch {
+                        a: *a,
+                        za: *za,
+                        b: *b,
+                        zb: *zb,
+                        op: *cop,
+                        target: *t,
+                        c2,
+                        c3,
+                        c4,
+                    }),
+                    3,
+                ),
+                // The canonical `i = i + 1` quad.
+                (
+                    OpKind::LoadReg(l, zk),
+                    Some(OpKind::Push(Value::Int(v))),
+                    Some(OpKind::BinArith { op: aop, trunc }),
+                    Some(OpKind::StoreReg(dst, norm)),
+                    _,
+                ) => (
+                    Some(OpKind::RegImmArithStore {
+                        l: *l,
+                        zk: *zk,
+                        v: *v,
+                        op: *aop,
+                        trunc: *trunc,
+                        dst: *dst,
+                        norm: *norm,
+                        c2,
+                        c3,
+                        c4,
+                    }),
+                    3,
+                ),
+                // A whole check of a register operand.
+                (
+                    OpKind::CheckBegin(c, site),
+                    Some(OpKind::LoadReg(l, zk)),
+                    Some(OpKind::CheckEnd(..)),
+                    _,
+                    _,
+                ) => (
+                    Some(OpKind::CheckReg {
+                        c,
+                        site: *site,
+                        l: *l,
+                        zk: *zk,
+                        c2,
+                        c3,
+                    }),
+                    2,
+                ),
+                (
+                    OpKind::LoadReg(a, za),
+                    Some(OpKind::LoadReg(b, zb)),
+                    Some(OpKind::BinArith { op: aop, trunc }),
+                    _,
+                    _,
+                ) => (
+                    Some(OpKind::RegRegArith {
+                        a: *a,
+                        za: *za,
+                        b: *b,
+                        zb: *zb,
+                        op: *aop,
+                        trunc: *trunc,
+                        c2,
+                        c3,
+                    }),
+                    2,
+                ),
+                // The `p + i` of an indexed access.
+                (
+                    OpKind::LoadReg(p, zp),
+                    Some(OpKind::LoadReg(ix, zi)),
+                    Some(OpKind::PtrAdd { elem, neg }),
+                    _,
+                    _,
+                ) => (
+                    Some(OpKind::RegRegPtrAdd {
+                        p: *p,
+                        zp: *zp,
+                        i: *ix,
+                        zi: *zi,
+                        elem: *elem,
+                        neg: *neg,
+                        c2,
+                        c3,
+                    }),
+                    2,
+                ),
+                (
+                    OpKind::LoadReg(l, zk),
+                    Some(OpKind::Push(Value::Int(v))),
+                    Some(OpKind::BinArith { op: aop, trunc }),
+                    _,
+                    _,
+                ) => (
+                    Some(OpKind::RegImmArith {
+                        l: *l,
+                        zk: *zk,
+                        v: *v,
+                        op: *aop,
+                        trunc: *trunc,
+                        c2,
+                        c3,
+                    }),
+                    2,
+                ),
+                // `s = s + a[i]`'s tail: load, accumulate, store.
+                (
+                    OpKind::LoadInt { size, signed },
+                    Some(OpKind::BinArith { op: aop, trunc }),
+                    Some(OpKind::StoreReg(l, norm)),
+                    _,
+                    _,
+                ) => (
+                    Some(OpKind::LoadIntArithStore {
+                        size: *size,
+                        signed: *signed,
+                        op: *aop,
+                        trunc: *trunc,
+                        l: *l,
+                        norm: *norm,
+                        c2,
+                        c3,
+                    }),
+                    2,
+                ),
+                // A register-vs-immediate guard: the list-walk
+                // `p != 0` / `t == 0` shape.
+                (
+                    OpKind::LoadReg(l, zk),
+                    Some(OpKind::Push(Value::Int(v))),
+                    Some(OpKind::BinCmp(cop)),
+                    Some(OpKind::BranchIfZero(t)),
+                    _,
+                ) => (
+                    Some(OpKind::RegImmCmpBranch {
+                        l: *l,
+                        zk: *zk,
+                        v: *v,
+                        op: *cop,
+                        target: *t,
+                        c2,
+                        c3,
+                        c4,
+                    }),
+                    3,
+                ),
+                // A memory-bound loop guard: `i < n->degree`.
+                (
+                    OpKind::LoadInt { size, signed },
+                    Some(OpKind::BinCmp(cop)),
+                    Some(OpKind::BranchIfZero(t)),
+                    _,
+                    _,
+                ) => (
+                    Some(OpKind::LoadIntCmpBranch {
+                        size: *size,
+                        signed: *signed,
+                        op: *cop,
+                        target: *t,
+                        c2,
+                        c3,
+                    }),
+                    2,
+                ),
+                // A tag-dispatch guard: `s->kind == K`.
+                (
+                    OpKind::LoadInt { size, signed },
+                    Some(OpKind::Push(Value::Int(v))),
+                    Some(OpKind::BinCmp(cop)),
+                    Some(OpKind::BranchIfZero(t)),
+                    _,
+                ) => (
+                    Some(OpKind::LoadIntImmCmpBranch {
+                        size: *size,
+                        signed: *signed,
+                        v: *v,
+                        op: *cop,
+                        target: *t,
+                        c2,
+                        c3,
+                        c4,
+                    }),
+                    3,
+                ),
+                // A register pointer stored straight to memory:
+                // `slots[i] = cell`.
+                (OpKind::LoadReg(l, zk), Some(OpKind::StorePtr { q, wild_tag }), _, _, _) => (
+                    Some(OpKind::RegStorePtr {
+                        l: *l,
+                        zk: *zk,
+                        q: *q,
+                        wild_tag: *wild_tag,
+                        c2,
+                    }),
+                    1,
+                ),
+                // A float load feeding its operator:
+                // `acc - coeffs[i] * from[i]->value`'s inner loads.
+                (
+                    OpKind::LoadFloat { size },
+                    Some(OpKind::BinArith { op: aop, trunc }),
+                    _,
+                    _,
+                    _,
+                ) => (
+                    Some(OpKind::LoadFloatArith {
+                        size: *size,
+                        op: *aop,
+                        trunc: *trunc,
+                        c2,
+                    }),
+                    1,
+                ),
+                _ => (None, 0),
             };
             if ext.0.is_some() {
                 ext
@@ -652,13 +577,10 @@ fn fuse<'p>(
         }
     }
     map[n] = out.len() as u32;
-    if std::env::var_os("CCURED_FUSE_DEBUG").is_some() {
-        eprintln!("fuse: {} ops -> {}", n, out.len());
-    }
     (out, map)
 }
 
-/// The hot tier's second pass: fuses guard-machinery `Hook`s into their
+/// The second fusion pass: fuses guard-machinery `Hook`s into their
 /// neighbors. The widener always inserts a `Probe` immediately before the
 /// `Guarded` residual it covers, so (Hook, Hook) adjacency is the common
 /// win; (RegCmpBranch, Hook) catches a hook on a branch's fall-through.

@@ -75,17 +75,6 @@ pub(crate) struct Op<'p> {
     pub(crate) kind: OpKind<'p>,
 }
 
-/// Which compilation tier produced a [`CompiledFn`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Tier {
-    /// Cheap cold-function compile: no fusion, backward jumps are
-    /// [`OpKind::JumpBack`] heat probes, op indices equal raw emit indices.
-    Baseline,
-    /// Peephole-optimized (the legacy single-tier stream, or the extended
-    /// hot-tier stream). Terminal: never recompiled again.
-    Opt,
-}
-
 /// A compiled function: a linear instruction stream with all jump targets
 /// resolved to instruction indices and all type/layout decisions (register
 /// vs memory locals, field offsets, element sizes, check kinds, WILD-store
@@ -93,14 +82,6 @@ pub(crate) enum Tier {
 pub(crate) struct CompiledFn<'p> {
     /// The instruction stream; execution starts at index 0.
     pub(crate) ops: Vec<Op<'p>>,
-    /// Which tier compiled this stream.
-    pub(crate) tier: Tier,
-    /// Raw (unfused) op index -> index in this stream. Baseline code is
-    /// unfused, so its pc values *are* raw indices; a hot recompile's map
-    /// translates them for on-stack replacement at a back edge. Jump
-    /// targets are always label positions, which fusion never spans, so
-    /// the mapped index is always an op start.
-    pub(crate) osr_map: Vec<u32>,
 }
 
 /// Pre-resolved `switch` dispatch: sorted case values and a default target.
@@ -447,20 +428,11 @@ pub(crate) enum OpKind<'p> {
         c2: u32,
     },
 
-    // ---- tiering ------------------------------------------------------
-    /// A backward `Jump` in baseline-tier code: identical control flow,
-    /// plus a per-function heat bump that can trigger hot recompilation
-    /// with on-stack replacement (the target is a raw index, translated
-    /// through the hot stream's `osr_map`). Only the baseline compile
-    /// emits this op.
-    JumpBack(u32),
-
-    // ---- extended (hot-tier) superinstructions ------------------------
+    // ---- extended superinstructions -----------------------------------
     //
-    // Compiled only by the hot tier (and by `--pgo`-planned functions).
-    // Same cost protocol as the base set: the carrier keeps the first
-    // constituent's cost, later constituents' costs are charged between
-    // the sub-steps.
+    // Deeper quads and whole-check forms, tried before the base set. Same
+    // cost protocol: the carrier keeps the first constituent's cost, later
+    // constituents' costs are charged between the sub-steps.
     /// `LoadReg` + `LoadReg` + `BinCmp` + `BranchIfZero`: a whole
     /// register-register loop/if condition in one dispatch.
     RegRegCmpBranch {
@@ -667,8 +639,7 @@ pub(crate) enum OpKind<'p> {
         c2: u32,
     },
     /// `CheckBegin` + `LoadReg` + `CheckEnd`: a whole check of a register
-    /// operand (profile-selected: only sites the tier plan or the live
-    /// site heat rank hot compile to this form).
+    /// operand.
     CheckReg {
         /// The check.
         c: &'p Check,
@@ -684,7 +655,7 @@ pub(crate) enum OpKind<'p> {
         c3: u32,
     },
     /// `CheckBegin` + `LoadReg` + `LoadReg` + `PtrAdd` + `CheckEnd`: a
-    /// whole `CHECK_SEQ(p + i)` in one dispatch (profile-selected).
+    /// whole `CHECK_SEQ(p + i)` in one dispatch.
     CheckSeqIdx {
         /// The check.
         c: &'p Check,

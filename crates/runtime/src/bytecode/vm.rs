@@ -10,11 +10,10 @@
 //! diverge if compilation placed an op or a cost wrong, which is what the
 //! differential suite pins down.
 
-use super::compile::FuseLevel;
-use super::ops::{CompiledFn, OpKind, RegNorm, Tier, ZeroKind};
+use super::ops::{CompiledFn, OpKind, RegNorm, ZeroKind};
 use crate::err::RtError;
 use crate::interp::{
-    compare_f, compare_i, no_frame, trunc_int, ExecMode, Frame, Interp, LocalSlot, Place, TierMode,
+    compare_f, compare_i, no_frame, trunc_int, ExecMode, Frame, Interp, LocalSlot, Place,
 };
 use crate::mem::{AllocKind, Pointer};
 use crate::value::{PtrVal, Value};
@@ -39,13 +38,9 @@ pub(crate) struct FramePlan {
     info: Rc<crate::interp::FnInfo>,
 }
 
-/// A suspended caller: where to resume when the callee returns. Holding
-/// the `Rc` (not an index into the cache) is what makes mid-run hot
-/// recompilation safe: a suspended activation resumes in the exact code
-/// object it was compiled against, at its own pc.
+/// A suspended caller: where to resume when the callee returns.
 struct VmFrame<'p> {
     code: Rc<CompiledFn<'p>>,
-    func: FuncId,
     pc: u32,
     val_base: usize,
     addr_base: usize,
@@ -56,57 +51,20 @@ fn underflow() -> RtError {
 }
 
 impl<'p> Interp<'p> {
-    /// The compiled bytecode for `f`: the tier-selection point, called on
-    /// every guest entry to `f`. Untiered, it compiles once with the base
-    /// fusion set. Tiered, each entry bumps the function's heat; cold
-    /// functions get the cheap unfused baseline, and a function crossing
-    /// the threshold (or named hot by the `--pgo` plan) is (re)compiled
-    /// with the extended superinstruction set. Already-running activations
-    /// keep their old code object; only new entries see the hot one.
+    /// The compiled bytecode for `f`, called on every guest entry to `f`:
+    /// compiled once with the full superinstruction set, then cached.
     pub(crate) fn compiled_fn(&mut self, f: FuncId) -> Rc<CompiledFn<'p>> {
         let idx = f.0 as usize;
-        let threshold = match self.tier_mode {
-            TierMode::Off => {
-                if let Some(Some(code)) = self.compiled.get(idx) {
-                    return Rc::clone(code);
-                }
-                let info = self.fn_info(f);
-                let code = Rc::new(super::compile(self, f, &info.mem_locals, FuseLevel::Base));
-                self.cache_compiled(idx, &code);
-                return code;
-            }
-            TierMode::On { threshold } => u64::from(threshold),
-        };
-        // Promoted functions are on the fast path: no heat bookkeeping, a
-        // steady-state tiered call costs the same as an untiered one.
         if let Some(Some(code)) = self.compiled.get(idx) {
-            if code.tier == Tier::Opt {
-                return Rc::clone(code);
-            }
+            return Rc::clone(code);
         }
-        let heat = self.bump_heat(idx);
-        match self.compiled.get(idx).and_then(|c| c.as_ref()) {
-            Some(code) if heat < threshold => Rc::clone(code),
-            Some(_) => self.hot_fn(f),
-            None if heat >= threshold || self.plan_hot(f) => self.hot_fn(f),
-            None => {
-                let info = self.fn_info(f);
-                let code = Rc::new(super::compile(self, f, &info.mem_locals, FuseLevel::None));
-                self.cache_compiled(idx, &code);
-                code
-            }
+        let info = self.fn_info(f);
+        let code = Rc::new(super::compile(self, f, &info.mem_locals));
+        if self.compiled.len() <= idx {
+            self.compiled.resize(idx + 1, None);
         }
-    }
-
-    /// Refreshes the per-check hot-site tracking flag for the code object
-    /// the dispatch loop is about to execute. Site heat only matters while
-    /// baseline code warms up (it feeds the hot recompiler's check-fusion
-    /// selection); once a function is promoted its fusion choices are
-    /// final, so hot code runs with tracking off — the same per-check cost
-    /// as the untiered VM.
-    #[inline]
-    fn note_code_tier(&mut self, code: &CompiledFn<'p>) {
-        self.tier_track = matches!(self.tier_mode, TierMode::On { .. }) && code.tier != Tier::Opt;
+        self.compiled[idx] = Some(Rc::clone(&code));
+        code
     }
 
     /// The frame plan for `f`, built on first use. `None` means the
@@ -251,68 +209,6 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// The hot-tier code for `f`, recompiling with the extended
-    /// superinstruction set unless already promoted (recursion through a
-    /// promoted function must not recompile, or invalidate, anything).
-    fn hot_fn(&mut self, f: FuncId) -> Rc<CompiledFn<'p>> {
-        let idx = f.0 as usize;
-        if let Some(Some(code)) = self.compiled.get(idx) {
-            if code.tier == Tier::Opt {
-                return Rc::clone(code);
-            }
-        }
-        let info = self.fn_info(f);
-        // `hot_site_set` is the sites observed executing this run plus the
-        // `--pgo` plan's, maintained incrementally as heat accrues.
-        let code = Rc::new(super::compile(
-            self,
-            f,
-            &info.mem_locals,
-            FuseLevel::Extended {
-                hot_sites: Some(&self.hot_site_set),
-            },
-        ));
-        self.cache_compiled(idx, &code);
-        self.tier_stats.promotions += 1;
-        code
-    }
-
-    /// Whether the `--pgo` plan promotes `f` on first touch.
-    fn plan_hot(&self, f: FuncId) -> bool {
-        self.tier_plan
-            .as_ref()
-            .is_some_and(|p| p.hot_funcs.contains(&self.prog.functions[f.idx()].name))
-    }
-
-    /// A baseline back edge fired: bump heat and hand back the hot code
-    /// when `f` just crossed the threshold (the caller OSRs into it).
-    fn vm_back_edge(&mut self, f: FuncId) -> Option<Rc<CompiledFn<'p>>> {
-        let TierMode::On { threshold } = self.tier_mode else {
-            return None;
-        };
-        let heat = self.bump_heat(f.0 as usize);
-        if heat >= u64::from(threshold) {
-            Some(self.hot_fn(f))
-        } else {
-            None
-        }
-    }
-
-    fn bump_heat(&mut self, idx: usize) -> u64 {
-        if self.heat.len() <= idx {
-            self.heat.resize(idx + 1, 0);
-        }
-        self.heat[idx] += 1;
-        self.heat[idx]
-    }
-
-    fn cache_compiled(&mut self, idx: usize, code: &Rc<CompiledFn<'p>>) {
-        if self.compiled.len() <= idx {
-            self.compiled.resize(idx + 1, None);
-        }
-        self.compiled[idx] = Some(Rc::clone(code));
-    }
-
     /// Runs `f` on the bytecode engine — the VM counterpart of
     /// `run_function`, including its error-path frame cleanup: the tree
     /// engine pops one guest frame per unwound host-stack level, the VM
@@ -455,8 +351,6 @@ impl<'p> Interp<'p> {
         vals.extend(args);
         self.vm_push_frame(f, &mut vals, argc)?;
         let mut code = self.compiled_fn(f);
-        self.note_code_tier(&code);
-        let mut cur_f = f;
         let mut pc = 0usize;
         loop {
             let op = &code.ops[pc];
@@ -677,23 +571,6 @@ impl<'p> Interp<'p> {
                     pc = *t as usize;
                     continue;
                 }
-                OpKind::JumpBack(t) => {
-                    // A baseline back edge. In an unfused stream pc == raw
-                    // index, and back edges only target label positions, so
-                    // when the function just went hot the raw target maps
-                    // through `osr_map` to an op start in the fused stream
-                    // — on-stack replacement is a plain jump.
-                    let t = *t as usize;
-                    if let Some(hot) = self.vm_back_edge(cur_f) {
-                        self.tier_stats.osr += 1;
-                        pc = hot.osr_map[t] as usize;
-                        self.note_code_tier(&hot);
-                        code = hot;
-                        continue;
-                    }
-                    pc = t;
-                    continue;
-                }
                 OpKind::BranchIfZero(t) => {
                     let t = *t as usize;
                     let v = vals.pop().ok_or_else(underflow)?;
@@ -763,16 +640,13 @@ impl<'p> Interp<'p> {
                     let callee = self.compiled_fn(f);
                     stack.push(VmFrame {
                         code,
-                        func: cur_f,
                         pc: (pc + 1) as u32,
                         val_base,
                         addr_base,
                     });
                     val_base = vals.len();
                     addr_base = addrs.len();
-                    self.note_code_tier(&callee);
                     code = callee;
-                    cur_f = f;
                     pc = 0;
                     continue;
                 }
@@ -800,16 +674,13 @@ impl<'p> Interp<'p> {
                             let callee = self.compiled_fn(f);
                             stack.push(VmFrame {
                                 code,
-                                func: cur_f,
                                 pc: (pc + 1) as u32,
                                 val_base,
                                 addr_base,
                             });
                             val_base = vals.len();
                             addr_base = addrs.len();
-                            self.note_code_tier(&callee);
                             code = callee;
-                            cur_f = f;
                             pc = 0;
                             continue;
                         }
@@ -841,9 +712,7 @@ impl<'p> Interp<'p> {
                     last = v;
                     match stack.pop() {
                         Some(fr) => {
-                            self.note_code_tier(&fr.code);
                             code = fr.code;
-                            cur_f = fr.func;
                             pc = fr.pc as usize;
                             val_base = fr.val_base;
                             addr_base = fr.addr_base;
@@ -864,9 +733,7 @@ impl<'p> Interp<'p> {
                     last = v;
                     match stack.pop() {
                         Some(fr) => {
-                            self.note_code_tier(&fr.code);
                             code = fr.code;
-                            cur_f = fr.func;
                             pc = fr.pc as usize;
                             val_base = fr.val_base;
                             addr_base = fr.addr_base;
@@ -1050,7 +917,7 @@ impl<'p> Interp<'p> {
                     self.vm_store_reg(*l, v)?;
                 }
 
-                // ---- extended (hot-tier) superinstructions --------------
+                // ---- extended superinstructions -------------------------
                 //
                 // Same protocol as above, two constituents deeper.
                 OpKind::RegRegCmpBranch {

@@ -23,7 +23,7 @@ use ccured_cil::ir::*;
 use ccured_cil::phys::CastClass;
 use ccured_cil::types::{IntKind, Type, TypeId};
 use ccured_infer::{PtrKind, Solution};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -117,45 +117,21 @@ pub(crate) struct FnInfo {
     goto_ids: HashMap<usize, u32>,
 }
 
-/// Heat a function must accumulate (entries + loop back edges) before the
-/// VM recompiles it with the extended superinstruction set. Low on
-/// purpose: a baseline function is strictly slower to dispatch, so the
-/// break-even point is a handful of executions.
-pub const DEFAULT_TIER_THRESHOLD: u32 = 8;
-
-/// The bytecode engine's tiering policy. Tiering is an execution-speed
-/// knob only: both modes (and the tree engine) are byte-identical in
-/// output, counters and verdicts.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Stub of the retired VM tiering API, with `Interp::{set_tiering,
+/// tier_stats}`: the VM has one tier, so there is nothing to select and
+/// nothing to count. perfbench is its only caller; the benchmark
+/// follow-up deletes it.
+#[doc(hidden)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TierMode {
-    /// Single tier: every function compiles once with the base fusion set.
+    #[default]
     Off,
-    /// Two tiers: functions start on a cheap unfused baseline compile and
-    /// recompile with the extended superinstruction set once their heat
-    /// reaches `threshold` (`0` promotes immediately, `u32::MAX` never).
-    On {
-        /// Entries-plus-back-edges count that triggers promotion.
-        threshold: u32,
-    },
 }
 
-impl Default for TierMode {
-    fn default() -> Self {
-        TierMode::On {
-            threshold: DEFAULT_TIER_THRESHOLD,
-        }
-    }
-}
-
-/// Observability counters for the tiering machinery. Deliberately *not*
-/// part of [`Counters`]: those are observable program behaviour and must
-/// stay byte-identical across engines and tiers.
+#[doc(hidden)]
 #[derive(Clone, Copy, Default, Debug)]
 pub struct TierStats {
-    /// Hot recompilations performed.
     pub promotions: u64,
-    /// On-stack replacements: a running activation jumped into hot code
-    /// at a loop back edge.
     pub osr: u64,
 }
 
@@ -193,29 +169,6 @@ pub struct Interp<'p> {
     /// Recycled frame buffers (`regs`/`slots`/`guards`), so steady-state
     /// VM calls allocate nothing.
     pub(crate) frame_pool: Vec<FrameBuffers>,
-    /// The VM's tiering policy.
-    pub(crate) tier_mode: TierMode,
-    /// Whether checks should feed `site_heat`: seeded from
-    /// `engine == Vm && tier_mode == On`, then refreshed by the VM on every
-    /// code-object switch so tracking only runs while baseline (pre-Opt)
-    /// code warms up. One branch per check everywhere else.
-    pub(crate) tier_track: bool,
-    /// Per-function heat (entries + back edges), indexed by `FuncId`.
-    pub(crate) heat: Vec<u64>,
-    /// Per-site execution heat, indexed like [`Profile`] slots; feeds the
-    /// hot recompiler's check-fusion site selection.
-    pub(crate) site_heat: Vec<u64>,
-    /// The sites with nonzero heat plus the `--pgo` plan's sites,
-    /// maintained incrementally so a promotion borrows it instead of
-    /// rescanning `site_heat` (promotion-heavy flat profiles recompile
-    /// hundreds of functions; an O(sites) rebuild per promotion shows up
-    /// on the clock).
-    pub(crate) hot_site_set: HashSet<u32>,
-    /// Offline tiering plan from `--pgo`: functions and sites a saved
-    /// profile ranks hot, promoted on first touch.
-    pub(crate) tier_plan: Option<crate::profile::TierPlan>,
-    /// Tiering observability (not part of [`Counters`]).
-    pub(crate) tier_stats: TierStats,
     /// Snapshot of (instrs, loads) while a VM check operand re-evaluates,
     /// restored when the check completes or its evaluation aborts.
     pub(crate) vm_check_save: Option<(u64, u64)>,
@@ -266,13 +219,6 @@ impl<'p> Interp<'p> {
             compiled: Vec::new(),
             frame_plans: Vec::new(),
             frame_pool: Vec::new(),
-            tier_mode: TierMode::default(),
-            tier_track: false,
-            heat: Vec::new(),
-            site_heat: Vec::new(),
-            hot_site_set: HashSet::new(),
-            tier_plan: None,
-            tier_stats: TierStats::default(),
             vm_check_save: None,
             profile: None,
             shadow: HashMap::new(),
@@ -291,8 +237,6 @@ impl<'p> Interp<'p> {
     /// behaviour, including [`Counters`], but much faster dispatch).
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;
-        self.tier_track =
-            matches!(self.engine, Engine::Vm) && matches!(self.tier_mode, TierMode::On { .. });
     }
 
     /// The engine `run`/`call_by_name` will dispatch to.
@@ -300,42 +244,12 @@ impl<'p> Interp<'p> {
         self.engine
     }
 
-    /// Selects the VM's tiering policy (default: [`TierMode::On`] at
-    /// [`DEFAULT_TIER_THRESHOLD`]). Flushes compiled code and heat, so it
-    /// must be called before `run` — not mid-execution.
-    pub fn set_tiering(&mut self, mode: TierMode) {
-        self.tier_mode = mode;
-        self.tier_track =
-            matches!(self.engine, Engine::Vm) && matches!(self.tier_mode, TierMode::On { .. });
-        self.compiled.clear();
-        self.heat.clear();
-        self.site_heat.clear();
-        self.hot_site_set.clear();
-        if let Some(plan) = &self.tier_plan {
-            self.hot_site_set.extend(plan.hot_sites.iter().copied());
-        }
-        self.tier_stats = TierStats::default();
-    }
+    #[doc(hidden)]
+    pub fn set_tiering(&mut self, _: TierMode) {}
 
-    /// The tiering policy in force.
-    pub fn tiering(&self) -> TierMode {
-        self.tier_mode
-    }
-
-    /// Installs an offline `--pgo` tiering plan: the named functions are
-    /// promoted straight to the hot tier on first touch, and the listed
-    /// sites are eligible for check fusion from the start. Flushes
-    /// compiled code so the plan applies to every function.
-    pub fn set_tier_plan(&mut self, plan: crate::profile::TierPlan) {
-        self.hot_site_set.extend(plan.hot_sites.iter().copied());
-        self.tier_plan = Some(plan);
-        self.compiled.clear();
-        self.heat.clear();
-    }
-
-    /// Tiering observability: promotions and on-stack replacements so far.
+    #[doc(hidden)]
     pub fn tier_stats(&self) -> TierStats {
-        self.tier_stats
+        TierStats::default()
     }
 
     /// Enables per-site profiling (Profile mode) with `n_sites` slots —
@@ -1125,19 +1039,6 @@ impl<'p> Interp<'p> {
     pub(crate) fn bump_check_counter(&mut self, c: &Check, site: SiteId) {
         if let (Some(prof), Some(i)) = (self.profile.as_deref_mut(), site.index()) {
             prof.slot(i).hits += 1;
-        }
-        if self.tier_track {
-            // Online hot-site tracking for the tiered VM's check-fusion
-            // selection. Observation-only, like the profile above.
-            if let Some(i) = site.index() {
-                if self.site_heat.len() <= i {
-                    self.site_heat.resize(i + 1, 0);
-                }
-                self.site_heat[i] += 1;
-                if self.site_heat[i] == 1 {
-                    self.hot_site_set.insert(i as u32);
-                }
-            }
         }
         match c {
             Check::Null { .. } => self.counters.null_checks += 1,

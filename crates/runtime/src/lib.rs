@@ -42,8 +42,10 @@ pub mod value;
 
 pub use cost::{CostModel, Counters};
 pub use err::RtError;
-pub use interp::{Engine, ExecMode, Interp, TierMode, TierStats, DEFAULT_TIER_THRESHOLD};
+pub use interp::{Engine, ExecMode, Interp};
+#[doc(hidden)]
+pub use interp::{TierMode, TierStats};
 pub use limits::Limits;
 pub use mem::{AllocId, AllocKind, Memory, Pointer};
-pub use profile::{tier_plan, Profile, SiteCounters, SiteReport, TierPlan, PGO_SCHEMA};
+pub use profile::{Profile, SiteCounters, SiteReport, PROFILE_SCHEMA};
 pub use value::{PtrVal, Value};

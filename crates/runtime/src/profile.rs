@@ -18,12 +18,10 @@
 
 use crate::cost::CostModel;
 use ccured::instrument::CheckSite;
-use std::collections::HashSet;
 
-/// Schema tag stamped into `ccured profile --json` output and required by
-/// [`Profile::from_pgo_json`]. Bump the version when the JSON layout
-/// changes incompatibly.
-pub const PGO_SCHEMA: &str = "ccured-profile/v1";
+/// Schema tag stamped into `ccured profile --json` output. Bump the
+/// version when the JSON layout changes incompatibly.
+pub const PROFILE_SCHEMA: &str = "ccured-profile/v1";
 
 /// Dynamic counters for one check site.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,187 +65,6 @@ impl Profile {
         }
         &mut self.sites[i]
     }
-
-    /// Reconstructs a profile from `ccured profile --json` output, for
-    /// `--pgo`. Checks the [`PGO_SCHEMA`] tag first and reports a
-    /// mismatch in terms of what to do about it. Rows truncated away by
-    /// `--top` are simply absent — the plan is built from what survived.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message when the schema tag is missing or wrong,
-    /// or the `rows` array is malformed.
-    pub fn from_pgo_json(text: &str) -> Result<Profile, String> {
-        match json_str(text, "schema") {
-            Some(s) if s == PGO_SCHEMA => {}
-            Some(s) => {
-                return Err(format!(
-                    "profile schema mismatch: file says `{s}`, this build reads `{PGO_SCHEMA}` \
-                     — regenerate it with this binary's `ccured profile --json`"
-                ))
-            }
-            None => {
-                return Err(format!(
-                    "not a ccured profile: no `schema` field (expected `{PGO_SCHEMA}`; \
-                     produce one with `ccured profile --json`)"
-                ))
-            }
-        }
-        let mut prof = Profile::default();
-        for obj in row_objects(text)? {
-            let site = match json_u64(obj, "site") {
-                Some(s) => s,
-                // Synthetic sites never reach the table; a site-less row
-                // is from a foreign tool — skip rather than misattribute.
-                None => continue,
-            };
-            let slot = prof.slot(site as usize);
-            slot.hits = json_u64(obj, "hits").unwrap_or(0);
-            slot.fails = json_u64(obj, "fails").unwrap_or(0);
-            slot.walk_steps = json_u64(obj, "walk_steps").unwrap_or(0);
-        }
-        Ok(prof)
-    }
-}
-
-/// Finds the string value of `"key"` in `text` (first occurrence). Good
-/// for fixed tokens like the schema tag; does not unescape.
-fn json_str<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start().strip_prefix('"')?;
-    rest.find('"').map(|e| &rest[..e])
-}
-
-/// Finds the unsigned integer value of `"key"` in `obj`.
-fn json_u64(obj: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = obj[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Splits the `rows` array of a profile JSON into its top-level objects.
-/// String contents (function names, keep reasons) may contain braces, so
-/// the scan tracks string state and escapes.
-fn row_objects(text: &str) -> Result<Vec<&str>, String> {
-    let malformed = |why: &str| format!("malformed profile JSON: {why}");
-    let at = text
-        .find("\"rows\"")
-        .ok_or_else(|| malformed("no `rows` array"))?;
-    let rest = &text[at..];
-    let open = rest.find('[').ok_or_else(|| malformed("no `rows` array"))?;
-    let bytes = rest.as_bytes();
-    let mut objs = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    let mut in_str = false;
-    let mut esc = false;
-    for i in open + 1..bytes.len() {
-        let b = bytes[i];
-        if in_str {
-            if esc {
-                esc = false;
-            } else if b == b'\\' {
-                esc = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            b'}' => {
-                depth = depth
-                    .checked_sub(1)
-                    .ok_or_else(|| malformed("unbalanced braces in `rows`"))?;
-                if depth == 0 {
-                    objs.push(&rest[start..=i]);
-                }
-            }
-            b']' if depth == 0 => return Ok(objs),
-            _ => {}
-        }
-    }
-    Err(malformed("unterminated `rows` array"))
-}
-
-/// Checks that a saved `ccured-profile/v1` file still describes `sites` —
-/// the unit may have been edited since the profile was recorded, silently
-/// shifting site ids onto different functions. Every row naming a site must
-/// name one that exists, and its `func` field (when present and comparable)
-/// must match the function the site table attributes that id to.
-///
-/// # Errors
-///
-/// A human-readable description of the first mismatch, for the caller to
-/// warn with before falling back to online heat. Never errs on rows without
-/// a site id (foreign/synthetic rows are skipped, matching
-/// [`Profile::from_pgo_json`]).
-pub fn validate_pgo_against_sites(text: &str, sites: &[CheckSite]) -> Result<(), String> {
-    for obj in row_objects(text)? {
-        let Some(site) = json_u64(obj, "site") else {
-            continue;
-        };
-        let Some(s) = sites.get(site as usize) else {
-            return Err(format!(
-                "profile row names site {site}, but this unit has only {} check sites \
-                 — the source changed since the profile was recorded",
-                sites.len()
-            ));
-        };
-        if let Some(func) = json_str(obj, "func") {
-            // Escaped names can't be compared textually; skip those rows
-            // rather than false-positive on them.
-            if !func.contains('\\') && func != s.func {
-                return Err(format!(
-                    "profile row attributes site {site} to `{func}`, but this unit's site \
-                     table says `{}` — the source changed since the profile was recorded",
-                    s.func
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The offline tiering decisions distilled from a saved profile: which
-/// functions go straight to the hot tier and which sites are eligible for
-/// check fusion.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TierPlan {
-    /// Functions containing at least one executed check site.
-    pub hot_funcs: HashSet<String>,
-    /// Executed check sites, by raw site id.
-    pub hot_sites: HashSet<u32>,
-}
-
-/// Distills a tiering plan from a profile joined with the cure's static
-/// site table. Hot means "executed at all" (`hits >= 1`): a baseline
-/// compile already amortizes truly-cold code, so any observed execution
-/// is worth the extended compile. A pure function of its inputs — and the
-/// profile itself is engine-independent — so tree- and VM-recorded
-/// profiles produce identical plans.
-pub fn tier_plan(sites: &[CheckSite], profile: &Profile) -> TierPlan {
-    let mut plan = TierPlan::default();
-    for s in sites {
-        if let Some(i) = s.id.index() {
-            if profile.sites.get(i).is_some_and(|c| c.hits > 0) {
-                plan.hot_sites.insert(i as u32);
-                plan.hot_funcs.insert(s.func.clone());
-            }
-        }
-    }
-    plan
 }
 
 /// One row of a rendered profile: static site metadata joined with the
@@ -367,82 +184,5 @@ mod tests {
         p.slot(4).hits += 1;
         assert_eq!(p.sites.len(), 5);
         assert_eq!(p.total_hits(), 1);
-    }
-
-    #[test]
-    fn pgo_json_round_trips_site_counters() {
-        // Function names with braces and escapes must not derail the row
-        // scanner.
-        let text = format!(
-            "{{\"schema\":\"{PGO_SCHEMA}\",\"file\":\"x.c\",\"engine\":\"vm\",\"rows\":[\
-             {{\"rank\":1,\"site\":3,\"func\":\"f{{un}}c\",\"hits\":7,\"fails\":1,\
-             \"walk_steps\":2,\"cost\":9.5,\"keep_reason\":\"a \\\"b}}\\\" c\"}},\
-             {{\"rank\":2,\"site\":0,\"func\":\"g\",\"hits\":1,\"fails\":0,\
-             \"walk_steps\":0,\"cost\":1.0,\"keep_reason\":null}}]}}\n"
-        );
-        let p = Profile::from_pgo_json(&text).unwrap();
-        assert_eq!(p.sites.len(), 4);
-        assert_eq!(p.sites[3].hits, 7);
-        assert_eq!(p.sites[3].fails, 1);
-        assert_eq!(p.sites[3].walk_steps, 2);
-        assert_eq!(p.sites[0].hits, 1);
-        assert_eq!(p.sites[1].hits, 0);
-    }
-
-    #[test]
-    fn pgo_schema_mismatch_is_a_clear_error() {
-        let wrong = "{\"schema\":\"ccured-profile/v0\",\"rows\":[]}";
-        let e = Profile::from_pgo_json(wrong).unwrap_err();
-        assert!(
-            e.contains("ccured-profile/v0") && e.contains(PGO_SCHEMA),
-            "{e}"
-        );
-        let missing = "{\"rows\":[]}";
-        let e = Profile::from_pgo_json(missing).unwrap_err();
-        assert!(e.contains(PGO_SCHEMA), "{e}");
-    }
-
-    #[test]
-    fn stale_pgo_is_rejected_after_source_edit() {
-        // A profile recorded before an edit: site 1 used to live in `g`.
-        let text = format!(
-            "{{\"schema\":\"{PGO_SCHEMA}\",\"rows\":[\
-             {{\"rank\":1,\"site\":0,\"func\":\"f\",\"hits\":5,\"fails\":0,\"walk_steps\":0}},\
-             {{\"rank\":2,\"site\":1,\"func\":\"g\",\"hits\":2,\"fails\":0,\"walk_steps\":0}}]}}"
-        );
-        // Round trip against the matching table: fine.
-        let mut s1 = site(1, "seq_bounds");
-        s1.func = "g".into();
-        let good = vec![site(0, "null"), s1];
-        validate_pgo_against_sites(&text, &good).expect("matching table validates");
-        assert_eq!(Profile::from_pgo_json(&text).unwrap().sites[1].hits, 2);
-
-        // After an edit, site 1 now belongs to `h`: same ids, wrong owner.
-        let mut s1h = site(1, "seq_bounds");
-        s1h.func = "h".into();
-        let edited = vec![site(0, "null"), s1h];
-        let e = validate_pgo_against_sites(&text, &edited).unwrap_err();
-        assert!(
-            e.contains("site 1") && e.contains("`g`") && e.contains("`h`"),
-            "{e}"
-        );
-
-        // After a bigger edit the unit only has one site left.
-        let shrunk = vec![site(0, "null")];
-        let e = validate_pgo_against_sites(&text, &shrunk).unwrap_err();
-        assert!(e.contains("only 1 check sites"), "{e}");
-    }
-
-    #[test]
-    fn tier_plan_marks_executed_sites_and_their_functions() {
-        let mut cold = site(0, "null");
-        cold.func = "coldfn".into();
-        let mut hot = site(1, "seq_bounds");
-        hot.func = "hotfn".into();
-        let mut prof = Profile::new(2);
-        prof.sites[1].hits = 1;
-        let plan = tier_plan(&[cold, hot], &prof);
-        assert!(plan.hot_sites.contains(&1) && !plan.hot_sites.contains(&0));
-        assert!(plan.hot_funcs.contains("hotfn") && !plan.hot_funcs.contains("coldfn"));
     }
 }

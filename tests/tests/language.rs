@@ -522,7 +522,7 @@ struct Shape {
     exit: fn(usize) -> i64,
 }
 
-const SHAPES: [Shape; 6] = [
+const SHAPES: [Shape; 8] = [
     Shape {
         name: "blocks",
         levels_per_rep: 1,
@@ -596,7 +596,41 @@ const SHAPES: [Shape; 6] = [
         },
         exit: |_| 5,
     },
+    Shape {
+        name: "-> chains",
+        levels_per_rep: 1,
+        program: |n| {
+            format!(
+                "struct S {{ struct S *n; int v; }};\n\
+                 int main(void) {{ struct S s; struct S *p = &s; s.n = &s; s.v = 7;\n\
+                 return p{}->v; }}",
+                "->n".repeat(n)
+            )
+        },
+        exit: |_| 7,
+    },
+    Shape {
+        name: "[0] chains",
+        levels_per_rep: 1,
+        program: |n| {
+            format!(
+                "int a{}; int main(void) {{ return a{}; }}",
+                "[1]".repeat(n),
+                "[0]".repeat(n)
+            )
+        },
+        exit: |_| 0,
+    },
 ];
+
+/// `f()()…`, `n` levels deep: a postfix chain's first operator opens no
+/// level, so that is `n + 1` calls. No C type lets it run at the nesting
+/// limit: each call peels a pointer and a function layer off the callee's
+/// type, so 257 calls need a type 513 levels deep, past the type-depth
+/// limit. The parser still has to bound it.
+fn call_chain(n: usize) -> String {
+    format!("int main(void) {{ return f{}; }}", "()".repeat(n + 1))
+}
 
 /// The stack the nesting checks run on. Optimized builds get the 2 MiB
 /// default of spawned threads, a quarter of the 8 MiB or more that
@@ -639,13 +673,16 @@ fn nesting_past_the_limit_is_a_diagnostic() {
             assert_too_deep(s.name, &(s.program)(limit + 1));
             assert_too_deep(s.name, &(s.program)(100_000));
         }
+        let limit = ccured_ast::parse::MAX_NESTING as usize;
+        assert_too_deep("call chains", &call_chain(limit + 1));
+        assert_too_deep("call chains", &call_chain(100_000));
     });
 }
 
 #[test]
 fn nesting_at_the_limit_cures_prints_and_runs_on_both_engines() {
     on_nesting_stack(|| {
-        for s in &SHAPES {
+        for s in SHAPES.iter().chain(&TYPE_SHAPES) {
             let n = ccured_ast::parse::MAX_NESTING as usize / s.levels_per_rep;
             let src = (s.program)(n);
             let cured = Curer::new()
@@ -656,6 +693,66 @@ fn nesting_at_the_limit_cures_prints_and_runs_on_both_engines() {
                 let mut i = Interp::new(&cured.program, ExecMode::cured(&cured));
                 i.set_engine(engine);
                 assert_eq!(i.run(), Ok((s.exit)(n)), "{} on {engine:?}", s.name);
+            }
+        }
+        let limit = ccured_ast::parse::MAX_NESTING as usize;
+        ccured_ast::parse_translation_unit(&call_chain(limit)).expect("call chains parse");
+    });
+}
+
+/// Types nested by flat declarator parts or by typedef chains, which the
+/// parser's nesting limit cannot see; lowering bounds their depth at the
+/// same 256 levels. `levels_per_rep` counts type levels.
+const TYPE_SHAPES: [Shape; 3] = [
+    Shape {
+        name: "pointer stars",
+        levels_per_rep: 1,
+        program: |n| format!("int {}p; int main(void) {{ return 0; }}", "*".repeat(n)),
+        exit: |_| 0,
+    },
+    Shape {
+        name: "pointer typedef chains",
+        levels_per_rep: 1,
+        program: |n| {
+            let chain: String = (1..=n)
+                .map(|k| format!("typedef t{} *t{k};\n", k - 1))
+                .collect();
+            format!("typedef int t0;\n{chain}t{n} p;\nint main(void) {{ return 0; }}")
+        },
+        exit: |_| 0,
+    },
+    Shape {
+        name: "function-pointer typedef chains",
+        levels_per_rep: 2,
+        program: |n| {
+            let chain: String = (1..n)
+                .map(|k| format!("typedef void (*t{k})(t{});\n", k - 1))
+                .collect();
+            format!(
+                "typedef void (*t0)(void);\n{chain}t{} p;\nint main(void) {{ return 0; }}",
+                n - 1
+            )
+        },
+        exit: |_| 0,
+    },
+];
+
+#[test]
+fn types_past_the_depth_limit_are_a_diagnostic() {
+    on_nesting_stack(|| {
+        let max = ccured_ast::parse::MAX_NESTING as usize;
+        for s in &TYPE_SHAPES {
+            for levels in [max + 1, 3000] {
+                let reps = levels.div_ceil(s.levels_per_rep);
+                let err = Curer::new()
+                    .cure_source(&(s.program)(reps))
+                    .expect_err(&format!("{} at {levels} levels must be rejected", s.name));
+                assert!(
+                    err.to_string()
+                        .contains("type nested too deep: more than 256 levels"),
+                    "{}: {err}",
+                    s.name
+                );
             }
         }
     });

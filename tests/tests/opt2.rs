@@ -580,7 +580,7 @@ fn temporal_checks_hoist_only_out_of_call_free_loops() {
 }
 
 /// The acceptance bar on the engine axis: under `--temporal`, tree and
-/// tiered VM stay byte-identical in results, output, counters (including
+/// VM stay byte-identical in results, output, counters (including
 /// the new `temporal_checks`), and per-site profiles.
 #[test]
 fn engines_agree_on_temporal_programs() {

@@ -6,8 +6,8 @@
 //! model can see: exit code or error, every byte of program output, and
 //! every event counter (instruction steps, loads/stores, per-kind check
 //! counts, fuel accounting). The corpus is the full golden workload suite
-//! plus 120 seeded fault-injection mutants, so both the happy paths and
-//! the check-failure/error paths are pinned.
+//! plus 240 seeded fault-injection mutants (two seeds of 120), so both the
+//! happy paths and the check-failure/error paths are pinned.
 
 use ccured::{isolated, Curer};
 use ccured_cil::Program;
@@ -107,6 +107,19 @@ fn golden_workloads() -> Vec<Workload> {
 /// output and counters — and the expected exit code actually reached.
 #[test]
 fn golden_corpus_cured_is_identical_across_engines() {
+    assert_golden_cured_agrees(false);
+}
+
+/// The same under CCured's zeroing allocator (`set_zero_init`), the way the
+/// fault-injection harness runs cured programs: fresh allocations are
+/// marked initialized and unset locals read as zero, and the engines must
+/// still agree.
+#[test]
+fn golden_corpus_cured_zero_init_is_identical_across_engines() {
+    assert_golden_cured_agrees(true);
+}
+
+fn assert_golden_cured_agrees(zero_init: bool) {
     for w in golden_workloads() {
         let cured = cure(&w);
         let got = assert_engines_agree(
@@ -115,7 +128,7 @@ fn golden_corpus_cured_is_identical_across_engines() {
             ExecMode::cured(&cured),
             &w.input,
             Limits::default(),
-            false,
+            zero_init,
         );
         assert_eq!(
             got.result.as_ref().copied().expect("runs clean"),
@@ -181,29 +194,71 @@ fn fuel_exhaustion_is_step_exact_across_engines() {
     let w = micro::seq_index(16);
     let cured = cure(&w);
     for fuel in [1u64, 7, 50, 333, 1000, 4096, 20_000] {
-        let limits = Limits {
-            fuel,
-            ..Limits::default()
-        };
-        let got = assert_engines_agree(
-            &format!("{} fuel={fuel}", w.name),
-            &cured.program,
-            ExecMode::cured(&cured),
-            &w.input,
-            limits,
-            false,
-        );
-        if got.result == Err(RtError::OutOfFuel) {
-            // The failing step is counted (fuel + 1) — unless it fell inside
-            // a check operand, whose instruction snapshot is restored on the
-            // way out (then the count sits at or below the fuel line).
-            assert!(
-                got.counters.instrs <= fuel + 1,
-                "fuel={fuel}: counted past the failing step ({})",
-                got.counters.instrs
-            );
+        assert_fuel_cutoff_agrees(&w, &cured, fuel, false);
+    }
+}
+
+/// Fuel exhaustion must land on the exact constituent step even when the
+/// budget runs out inside a superinstruction. The VM runs fused code from
+/// every function's first call, so a fine sweep over the first 160 steps
+/// and a coarse one across the whole run of a SEQ-indexing loop cut off
+/// inside `CheckSeqIdx` and the quads, whose constituent costs are charged
+/// between their sub-steps. It runs under the zeroing allocator
+/// (`set_zero_init`), which the fixed-fuel test above leaves off.
+#[test]
+fn fuel_exhaustion_inside_superinstructions_is_step_exact() {
+    let w = micro::seq_index(16);
+    let cured = cure(&w);
+    let full = observe(
+        &cured.program,
+        ExecMode::cured(&cured),
+        Engine::Vm,
+        &w.input,
+        Limits::default(),
+        true,
+    );
+    let budget = full.counters.instrs;
+    let mut exhausted = 0usize;
+    for fuel in (1..=160).chain((1..=16).map(|k| k * budget / 16)) {
+        if assert_fuel_cutoff_agrees(&w, &cured, fuel, true) {
+            exhausted += 1;
         }
     }
+    assert!(exhausted > 0, "the sweep never ran out of fuel");
+}
+
+/// Runs `cured` under both engines with `fuel` steps, asserts they agree,
+/// and returns whether the run ran out of fuel.
+fn assert_fuel_cutoff_agrees(
+    w: &Workload,
+    cured: &ccured::Cured,
+    fuel: u64,
+    zero_init: bool,
+) -> bool {
+    let limits = Limits {
+        fuel,
+        ..Limits::default()
+    };
+    let got = assert_engines_agree(
+        &format!("{} fuel={fuel}", w.name),
+        &cured.program,
+        ExecMode::cured(cured),
+        &w.input,
+        limits,
+        zero_init,
+    );
+    if got.result != Err(RtError::OutOfFuel) {
+        return false;
+    }
+    // The failing step is counted (fuel + 1) — unless it fell inside a check
+    // operand, whose instruction snapshot is restored on the way out (then
+    // the count sits at or below the fuel line).
+    assert!(
+        got.counters.instrs <= fuel + 1,
+        "fuel={fuel}: counted past the failing step ({})",
+        got.counters.instrs
+    );
+    true
 }
 
 /// 120 seeded fault-injection mutants (same seeding discipline as the
@@ -212,6 +267,18 @@ fn fuel_exhaustion_is_step_exact_across_engines() {
 /// verdicts.
 #[test]
 fn faultinject_mutants_are_identical_across_engines() {
+    assert_mutants_agree(0xD1F);
+}
+
+/// 120 more mutants from a second seed: other mutation sites and classes
+/// per base program, so more of the fused check sequences run on faulty
+/// code. The safety verdict may never depend on the engine.
+#[test]
+fn reseeded_faultinject_mutants_are_identical_across_engines() {
+    assert_mutants_agree(0x5107);
+}
+
+fn assert_mutants_agree(seed: u64) {
     const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
     const MUTANTS: usize = 120;
     let ws = [
@@ -234,7 +301,7 @@ fn faultinject_mutants_are_identical_across_engines() {
     let mut compared = 0usize;
     let mut caught = 0usize;
     for id in 0..MUTANTS {
-        let mut rng = SplitMix64::new(0xD1F ^ (id as u64).wrapping_mul(GOLDEN));
+        let mut rng = SplitMix64::new(seed ^ (id as u64).wrapping_mul(GOLDEN));
         let (name, input, base) = &bases[(id / ncls) % bases.len()];
         let pref = id % ncls;
         let mut seeded = None;
@@ -339,4 +406,34 @@ fn goto_semantics_are_identical_across_engines() {
         false,
     );
     assert_eq!(got.result.expect("runs"), 25);
+}
+
+/// Cured, goto-heavy flow: backward jumps, jumps out of nested blocks and
+/// re-entered loop headers make many ops jump targets, which bounds what
+/// fusion may do. A jump may never land mid-superinstruction; such a bug
+/// shows up here as diverging counters or results.
+#[test]
+fn goto_heavy_cured_flow_is_identical_across_engines() {
+    let src = "int main(void) {\n\
+                 int a[8]; int i; int s; int k;\n\
+                 for (i = 0; i < 8; i++) a[i] = i + 1;\n\
+                 s = 0; k = 0; i = 0;\n\
+               top: s += a[i]; i++;\n\
+                 if (i < 8) goto top;\n\
+                 k++; i = 0;\n\
+                 if (k < 9) goto top;\n\
+                 while (s > 40) { s -= 7; if (s < 60) goto fin; }\n\
+               fin: return s;\n\
+               }";
+    let w = Workload::new("goto_hot", src).without_wrappers();
+    let cured = cure(&w);
+    let got = assert_engines_agree(
+        "goto_hot",
+        &cured.program,
+        ExecMode::cured(&cured),
+        &[],
+        Limits::default(),
+        false,
+    );
+    assert!(got.result.is_ok(), "goto workload must run clean");
 }
