@@ -383,6 +383,7 @@ pub(crate) fn record_cure(cured: &Cured, key: u64, cache: Option<&Cache>) -> Cac
 /// profile simply records whatever executed before the run stopped.
 pub(crate) fn profile_unit(cured: &Cured, limits: Limits) -> Vec<ccured_rt::SiteReport> {
     let mut interp = ccured_rt::Interp::new(&cured.program, ccured_rt::ExecMode::cured(cured));
+    interp.set_engine(ccured_rt::Engine::Vm);
     interp.set_limits(limits);
     interp.enable_profile(cured.sites.len());
     let _ = interp.run();
@@ -533,6 +534,40 @@ mod tests {
         let plain = run_path(&cfg, &d).unwrap();
         assert!(!plain.profiled());
         assert_eq!(plain.units[1].report, cold.units[1].report);
+        let _ = fs::remove_dir_all(&d);
+    }
+
+    /// A `--temporal` cure is profiled with temporal semantics on: the read
+    /// after `free` fails its key check, and its site counts the failure.
+    #[test]
+    fn profiled_temporal_batch_counts_the_use_after_free() {
+        let d = scratch("temporal");
+        write(
+            &d,
+            "uaf.c",
+            "extern void *malloc(unsigned long n);\n\
+             extern void free(void *p);\n\
+             int main(void) { int *p; p = (int *)malloc(sizeof(int)); \
+             p[0] = 7; free(p); return p[0]; }",
+        );
+        let mut curer = Curer::new();
+        curer.temporal(true);
+        let mut cfg = BatchConfig::new(curer);
+        cfg.use_cache = false;
+        cfg.profile = true;
+        let rep = run_path(&cfg, &d).unwrap();
+        assert_eq!(rep.cured(), 1);
+        let temporal_fails: Vec<u64> = rep.units[0]
+            .site_profile
+            .iter()
+            .filter(|r| r.site.check == "temporal")
+            .map(|r| r.fails)
+            .collect();
+        assert_eq!(
+            temporal_fails.iter().sum::<u64>(),
+            1,
+            "one temporal site fails: {temporal_fails:?}"
+        );
         let _ = fs::remove_dir_all(&d);
     }
 

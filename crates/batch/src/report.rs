@@ -1,7 +1,7 @@
 //! Per-unit outcomes and the aggregate [`BatchReport`].
 
 use crate::cache::NSTAGES;
-use ccured::{json_str, CureReport, StageTimings};
+use ccured::{json, CureReport, StageTimings};
 use ccured_rt::SiteReport;
 use std::time::Duration;
 
@@ -479,102 +479,59 @@ impl BatchReport {
     /// Machine-readable report (the `--json` CLI flag and the CI
     /// `batch-smoke` assertion).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"units\":[");
-        for (i, u) in self.units.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"path\":{},\"verdict\":\"{}\",\"detail\":{},\"from_cache\":{},\"elapsed_ns\":{},\"cure_ns\":{},\"report\":",
-                json_str(&u.path),
-                u.verdict.label(),
-                json_str(&u.verdict.detail()),
-                u.from_cache,
-                u.elapsed.as_nanos(),
-                u.cure_timings.total().as_nanos()
-            ));
-            match &u.report {
-                Some(r) => {
-                    s.push('{');
-                    for (j, (name, v)) in r.as_pairs().iter().enumerate() {
-                        if j > 0 {
-                            s.push(',');
-                        }
-                        s.push_str(&format!("\"{name}\":{v}"));
-                    }
-                    s.push('}');
-                }
-                None => s.push_str("null"),
-            }
-            s.push('}');
-        }
         let t = self.totals();
-        s.push_str(&format!(
-            "],\"jobs\":{},\"cured\":{},\"failed\":{},\"kinds\":{{\"safe\":{},\"seq\":{},\"wild\":{},\"rtti\":{}}}",
-            self.jobs,
-            self.cured(),
-            self.failed(),
-            t.safe,
-            t.seq,
-            t.wild,
-            t.rtti
-        ));
-        s.push_str(",\"hot_sites\":[");
-        for (i, (path, r)) in self.hot_sites(50).iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let reason = match &r.site.keep_reason {
-                Some(why) => json_str(why),
-                None => "null".to_string(),
-            };
-            s.push_str(&format!(
-                "{{\"path\":{},\"func\":{},\"span_lo\":{},\"check\":\"{}\",\"ptr_kind\":\"{}\",\
-                 \"static_count\":{},\"elided\":{},\"hits\":{},\"fails\":{},\"walk_steps\":{},\
-                 \"cost\":{:.1},\"keep_reason\":{}}}",
-                json_str(path),
-                json_str(&r.site.func),
-                r.site.span.lo,
-                r.site.check,
-                r.site.ptr_kind,
-                r.site.static_count,
-                r.site.elided,
-                r.hits,
-                r.fails,
-                r.walk_steps,
-                r.cost,
-                reason
-            ));
-        }
-        s.push(']');
-        s.push_str(&format!(
-            ",\"cache\":{{\"enabled\":{},\"lookups\":{},\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\"entries_written\":{},\"stages\":{{",
-            self.cache.enabled,
-            self.cache.lookups,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.hit_rate(),
-            self.cache.entries_written
-        ));
-        for (i, name) in STAGE_NAMES.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let st = &self.cache.stages[i];
-            s.push_str(&format!(
-                "\"{name}\":{{\"hits\":{},\"misses\":{},\"live_ns\":{},\"saved_ns\":{}}}",
-                st.hits,
-                st.misses,
-                st.live.as_nanos(),
-                st.saved.as_nanos()
-            ));
-        }
-        s.push_str(&format!(
-            "}}}},\"wall_ns\":{},\"cpu_ns\":{}}}",
-            self.wall.as_nanos(),
-            self.cpu.as_nanos()
-        ));
-        s
+        json::object(|o| {
+            o.list("units", &self.units, |o, u| {
+                o.str("path", &u.path)
+                    .str("verdict", u.verdict.label())
+                    .str("detail", &u.verdict.detail())
+                    .num("from_cache", u.from_cache)
+                    .num("elapsed_ns", u.elapsed.as_nanos())
+                    .num("cure_ns", u.cure_timings.total().as_nanos());
+                match &u.report {
+                    Some(r) => o.obj("report", |o| {
+                        for (name, v) in r.as_pairs() {
+                            o.num(name, v);
+                        }
+                    }),
+                    None => o.num("report", None::<u64>),
+                };
+            });
+            o.num("jobs", self.jobs)
+                .num("cured", self.cured())
+                .num("failed", self.failed())
+                .obj("kinds", |o| {
+                    o.num("safe", t.safe)
+                        .num("seq", t.seq)
+                        .num("wild", t.wild)
+                        .num("rtti", t.rtti);
+                });
+            o.list("hot_sites", self.hot_sites(50), |o, (path, r)| {
+                o.str("path", path);
+                r.write_json(o);
+            });
+            let c = &self.cache;
+            o.obj("cache", |o| {
+                o.num("enabled", c.enabled)
+                    .num("lookups", c.lookups)
+                    .num("hits", c.hits)
+                    .num("misses", c.misses)
+                    .fixed("hit_rate", c.hit_rate(), 6)
+                    .num("entries_written", c.entries_written)
+                    .obj("stages", |o| {
+                        for (name, st) in STAGE_NAMES.iter().zip(&c.stages) {
+                            o.obj(name, |o| {
+                                o.num("hits", st.hits)
+                                    .num("misses", st.misses)
+                                    .num("live_ns", st.live.as_nanos())
+                                    .num("saved_ns", st.saved.as_nanos());
+                            });
+                        }
+                    });
+            });
+            o.num("wall_ns", self.wall.as_nanos())
+                .num("cpu_ns", self.cpu.as_nanos());
+        })
     }
 }
 

@@ -50,10 +50,10 @@
 
 #![cfg(unix)]
 
-use crate::cache::Cache;
+use crate::cache::{Cache, CachedUnit};
 use crate::engine::{profile_unit, record_cure};
 use crate::hash::hex;
-use ccured::{isolated, json_str, CureError, Curer};
+use ccured::{isolated, json, CureError, Curer};
 use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::io::{self, BufRead, BufReader, Write};
@@ -464,12 +464,14 @@ fn serve_request(shared: &Arc<Shared>, line: &str) -> String {
         ("explain", false) => explain_request(shared, arg),
         _ => {
             shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            format!(
-                r#"{{"status":"error","error":{}}}"#,
-                json_str(&format!(
-                    "unknown request `{line}` (expected cure|profile|explain|status|reset|shutdown <path>)"
-                ))
-            )
+            json::object(|o| {
+                o.str("status", "error").str(
+                    "error",
+                    &format!(
+                        "unknown request `{line}` (expected cure|profile|explain|status|reset|shutdown <path>)"
+                    ),
+                );
+            })
         }
     }
 }
@@ -479,22 +481,17 @@ fn read_unit(shared: &Arc<Shared>, path: &str) -> Result<String, String> {
     if let Some(n) = shared.lock(&shared.quarantine).get(path) {
         if *n >= shared.cfg.quarantine_threshold {
             shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return Err(format!(
-                r#"{{"status":"error","kind":"quarantined","path":{},"error":{}}}"#,
-                json_str(path),
-                json_str(&format!(
-                    "unit quarantined after {n} consecutive failures; `reset` to retry"
-                ))
+            return Err(error_reply(
+                "quarantined",
+                path,
+                None,
+                &format!("unit quarantined after {n} consecutive failures; `reset` to retry"),
             ));
         }
     }
     let source = fs::read_to_string(path).map_err(|e| {
         shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-        format!(
-            r#"{{"status":"error","kind":"unreadable","path":{},"error":{}}}"#,
-            json_str(path),
-            json_str(&e.to_string())
-        )
+        error_reply("unreadable", path, None, &e.to_string())
     })?;
     if let Some(poison) = &shared.cfg.fault_poison {
         if source.contains(poison.as_str()) {
@@ -536,13 +533,7 @@ fn cure_request(shared: &Arc<Shared>, path: &str) -> String {
             shared.stats.unit_hits.fetch_add(1, Ordering::Relaxed);
             shared.stats.cured.fetch_add(1, Ordering::Relaxed);
             shared.lock(&shared.quarantine).remove(path);
-            return format!(
-                r#"{{"status":"ok","kind":"cure","path":{},"from_cache":true,"digest":{},"checks_inserted":{},"fn_hits":0,"fn_misses":0,"elapsed_ns":{}}}"#,
-                json_str(path),
-                json_str(&hex(hit.report_digest)),
-                hit.report.checks_inserted,
-                started.elapsed().as_nanos()
-            );
+            return cure_reply(path, &hit, None, started);
         }
     }
     shared.stats.unit_misses.fetch_add(1, Ordering::Relaxed);
@@ -567,14 +558,8 @@ fn cure_request(shared: &Arc<Shared>, path: &str) -> String {
             let unit = record_cure(&cured, key, shared.cache.as_ref());
             shared.stats.cured.fetch_add(1, Ordering::Relaxed);
             shared.lock(&shared.quarantine).remove(path);
-            format!(
-                r#"{{"status":"ok","kind":"cure","path":{},"from_cache":false,"digest":{},"checks_inserted":{},"fn_hits":0,"fn_misses":{},"retries":{attempt},"elapsed_ns":{}}}"#,
-                json_str(path),
-                json_str(&hex(unit.report_digest)),
-                unit.report.checks_inserted,
-                cured.program.functions.len(),
-                started.elapsed().as_nanos()
-            )
+            let live = (cured.program.functions.len(), attempt);
+            cure_reply(path, &unit, Some(live), started)
         }
         Err(e) => {
             shared.stats.errors.fetch_add(1, Ordering::Relaxed);
@@ -585,11 +570,7 @@ fn cure_request(shared: &Arc<Shared>, path: &str) -> String {
                 CureError::Internal(_) => "internal-error",
                 CureError::Timeout { .. } => "resource-exhausted",
             };
-            format!(
-                r#"{{"status":"error","kind":"{kind}","path":{},"retries":{attempt},"error":{}}}"#,
-                json_str(path),
-                json_str(&e.to_string())
-            )
+            error_reply(kind, path, Some(attempt), &e.to_string())
         }
     }
 }
@@ -607,33 +588,17 @@ fn profile_request(shared: &Arc<Shared>, path: &str) -> String {
             let rows = isolated(|| Ok(profile_unit(&cured, shared.cfg.limits))).unwrap_or_default();
             shared.stats.cured.fetch_add(1, Ordering::Relaxed);
             shared.lock(&shared.quarantine).remove(path);
-            let mut s = format!(
-                r#"{{"status":"ok","kind":"profile","path":{},"sites":["#,
-                json_str(path)
-            );
-            for (i, r) in rows.iter().take(10).enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    r#"{{"func":{},"check":"{}","hits":{},"cost":{:.1}}}"#,
-                    json_str(&r.site.func),
-                    r.site.check,
-                    r.hits,
-                    r.cost
-                ));
-            }
-            s.push_str("]}");
-            s
+            json::object(|o| {
+                o.str("status", "ok")
+                    .str("kind", "profile")
+                    .str("path", path);
+                o.list("sites", rows.iter().take(10), |o, r| r.write_json(o));
+            })
         }
         Err(e) => {
             shared.stats.errors.fetch_add(1, Ordering::Relaxed);
             note_failure(shared, path);
-            format!(
-                r#"{{"status":"error","kind":"cure-failed","path":{},"error":{}}}"#,
-                json_str(path),
-                json_str(&e.to_string())
-            )
+            error_reply("cure-failed", path, None, &e.to_string())
         }
     }
 }
@@ -648,37 +613,30 @@ fn explain_request(shared: &Arc<Shared>, path: &str) -> String {
             shared.stats.cured.fetch_add(1, Ordering::Relaxed);
             shared.lock(&shared.quarantine).remove(path);
             let r = &cured.report;
-            let mut s = format!(
-                r#"{{"status":"ok","kind":"explain","path":{},"wild":{},"checks_inserted":{},"checks_elided":{},"hoisted":{},"widened":{},"static_failures":["#,
-                json_str(path),
-                r.kind_counts.wild,
-                r.checks_inserted.total(),
-                r.checks_elided.total(),
-                r.checks_hoisted,
-                r.checks_widened
-            );
-            for (i, f) in r.static_failures.iter().take(20).enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    r#"{{"func":{},"check":"{}","message":{}}}"#,
-                    json_str(&f.func),
-                    f.check,
-                    json_str(&f.message)
-                ));
-            }
-            s.push_str("]}");
-            s
+            json::object(|o| {
+                o.str("status", "ok")
+                    .str("kind", "explain")
+                    .str("path", path)
+                    .num("wild", r.kind_counts.wild)
+                    .num("checks_inserted", r.checks_inserted.total())
+                    .num("checks_elided", r.checks_elided.total())
+                    .num("hoisted", r.checks_hoisted)
+                    .num("widened", r.checks_widened);
+                o.list(
+                    "static_failures",
+                    r.static_failures.iter().take(20),
+                    |o, f| {
+                        o.str("func", &f.func)
+                            .str("check", f.check)
+                            .str("message", &f.message);
+                    },
+                );
+            })
         }
         Err(e) => {
             shared.stats.errors.fetch_add(1, Ordering::Relaxed);
             note_failure(shared, path);
-            format!(
-                r#"{{"status":"error","kind":"cure-failed","path":{},"error":{}}}"#,
-                json_str(path),
-                json_str(&e.to_string())
-            )
+            error_reply("cure-failed", path, None, &e.to_string())
         }
     }
 }
@@ -690,20 +648,61 @@ fn status_json(shared: &Arc<Shared>) -> String {
         .filter(|n| **n >= shared.cfg.quarantine_threshold)
         .count();
     let s = &shared.stats;
-    format!(
-        r#"{{"status":"ok","kind":"status","requests":{},"cured":{},"errors":{},"busy":{},"retries":{},"respawns":{},"quarantined":{quarantined},"queue_depth":{},"workers":{},"unit_cache":{{"hits":{},"misses":{}}},"uptime_ms":{}}}"#,
-        s.requests.load(Ordering::Relaxed),
-        s.cured.load(Ordering::Relaxed),
-        s.errors.load(Ordering::Relaxed),
-        s.busy.load(Ordering::Relaxed),
-        s.retries.load(Ordering::Relaxed),
-        s.respawns.load(Ordering::Relaxed),
-        shared.lock(&shared.queue).len(),
-        shared.cfg.effective_workers(),
-        s.unit_hits.load(Ordering::Relaxed),
-        s.unit_misses.load(Ordering::Relaxed),
-        shared.started.elapsed().as_millis()
-    )
+    let n = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    json::object(|o| {
+        o.str("status", "ok")
+            .str("kind", "status")
+            .num("requests", n(&s.requests))
+            .num("cured", n(&s.cured))
+            .num("errors", n(&s.errors))
+            .num("busy", n(&s.busy))
+            .num("retries", n(&s.retries))
+            .num("respawns", n(&s.respawns))
+            .num("quarantined", quarantined)
+            .num("queue_depth", shared.lock(&shared.queue).len())
+            .num("workers", shared.cfg.effective_workers())
+            .obj("unit_cache", |o| {
+                o.num("hits", n(&s.unit_hits))
+                    .num("misses", n(&s.unit_misses));
+            })
+            .num("uptime_ms", shared.started.elapsed().as_millis());
+    })
+}
+
+/// The `ok` reply to `cure`. `live` is `None` for a unit-cache hit, else
+/// the cured program's function count and the retries the cure took.
+fn cure_reply(
+    path: &str,
+    unit: &CachedUnit,
+    live: Option<(usize, u32)>,
+    started: Instant,
+) -> String {
+    json::object(|o| {
+        o.str("status", "ok")
+            .str("kind", "cure")
+            .str("path", path)
+            .num("from_cache", live.is_none())
+            .str("digest", &hex(unit.report_digest))
+            .num("checks_inserted", unit.report.checks_inserted)
+            .num("fn_hits", 0u32)
+            .num("fn_misses", live.map_or(0, |(fns, _)| fns));
+        if let Some((_, retries)) = live {
+            o.num("retries", retries);
+        }
+        o.num("elapsed_ns", started.elapsed().as_nanos());
+    })
+}
+
+/// The terminal error reply to a request about `path`; `retries` is
+/// reported by `cure` only.
+fn error_reply(kind: &str, path: &str, retries: Option<u32>, error: &str) -> String {
+    json::object(|o| {
+        o.str("status", "error").str("kind", kind).str("path", path);
+        if let Some(n) = retries {
+            o.num("retries", n);
+        }
+        o.str("error", error);
+    })
 }
 
 #[cfg(test)]
@@ -724,42 +723,50 @@ mod tests {
         Server::start(cfg).unwrap()
     }
 
+    /// Also pins the bytes of the `cure` miss and hit replies and of an
+    /// error reply, `elapsed_ns` masked: perfbench's reply scanner and
+    /// `ci/serve_smoke.py` read them.
     #[test]
     fn serves_cure_status_and_shuts_down() {
         let d = scratch("basic");
         let unit = d.join("u.c");
-        fs::write(
-            &unit,
-            "int main(void) { int x; int *p; p = &x; *p = 3; return *p; }",
-        )
-        .unwrap();
+        let src = "int main(void) { int x; int *p; p = &x; *p = 3; return *p; }";
+        fs::write(&unit, src).unwrap();
+        let cured = Curer::new().cure_source(src).unwrap();
+        let digest = hex(crate::hash::fnv1a(cured.report.canonical().as_bytes()));
         let mut srv = start(&d);
         let sock = srv.socket().to_path_buf();
-
-        let r1 = request(&sock, &format!("cure {}", unit.display())).unwrap();
-        assert!(r1.contains(r#""status":"ok""#), "{r1}");
-        assert!(r1.contains(r#""from_cache":false"#), "{r1}");
-        // Same bytes: whole-unit cache hit.
-        let r2 = request(&sock, &format!("cure {}", unit.display())).unwrap();
-        assert!(r2.contains(r#""from_cache":true"#), "{r2}");
-        // Same digest both ways.
-        let digest = |r: &str| {
-            r.split(r#""digest":""#)
-                .nth(1)
-                .unwrap()
-                .split('"')
-                .next()
-                .unwrap()
-                .to_string()
+        let path = unit.display().to_string();
+        let masked = |line: &str| {
+            let r = request(&sock, line).unwrap();
+            let (head, ns) = r.split_once(r#""elapsed_ns":"#).expect("elapsed_ns");
+            let ns = ns.strip_suffix('}').expect("last field");
+            assert!(ns.bytes().all(|b| b.is_ascii_digit()), "{r}");
+            format!(r#"{head}"elapsed_ns":N}}"#)
         };
-        assert_eq!(digest(&r1), digest(&r2));
+
+        assert_eq!(
+            masked(&format!("cure {path}")),
+            format!(
+                r#"{{"status":"ok","kind":"cure","path":"{path}","from_cache":false,"digest":"{digest}","checks_inserted":2,"fn_hits":0,"fn_misses":1,"retries":0,"elapsed_ns":N}}"#
+            )
+        );
+        // Same bytes: whole-unit cache hit, same digest.
+        assert_eq!(
+            masked(&format!("cure {path}")),
+            format!(
+                r#"{{"status":"ok","kind":"cure","path":"{path}","from_cache":true,"digest":"{digest}","checks_inserted":2,"fn_hits":0,"fn_misses":0,"elapsed_ns":N}}"#
+            )
+        );
 
         let st = request(&sock, "status").unwrap();
         assert!(st.contains(r#""kind":"status""#), "{st}");
         assert!(st.contains(r#""unit_cache":{"hits":1,"misses":1}"#), "{st}");
 
-        let bad = request(&sock, "cure /nonexistent.c").unwrap();
-        assert!(bad.contains(r#""kind":"unreadable""#), "{bad}");
+        assert_eq!(
+            request(&sock, "cure /nonexistent.c").unwrap(),
+            r#"{"status":"error","kind":"unreadable","path":"/nonexistent.c","error":"No such file or directory (os error 2)"}"#
+        );
         let unknown = request(&sock, "frobnicate x").unwrap();
         assert!(unknown.contains(r#""status":"error""#), "{unknown}");
 

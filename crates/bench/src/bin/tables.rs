@@ -2,10 +2,12 @@
 //!
 //! Usage: `tables [fig8|fig9|casts|ijpeg|bind|suites|split|security|ablation|fig-batch|fig-interp|fig-profile|fig-opt2|fig-serve|fig-synth|fig-temporal|all] [--smoke]`
 //!
-//! `fig-interp`, `fig-profile`, `fig-opt2` and `fig-temporal` write
-//! `BENCH_interp.json` / `BENCH_profile.json` / `BENCH_opt2.json` /
-//! `BENCH_temporal.json` to the working directory; `--smoke` shrinks their
-//! workloads for CI. `fig-interp` is the one tree-vs-VM throughput table.
+//! `fig-interp`, `fig-profile`, `fig-opt2`, `fig-serve`, `fig-synth` and
+//! `fig-temporal` write `BENCH_interp.json` / `BENCH_profile.json` /
+//! `BENCH_opt2.json` / `BENCH_serve.json` / `BENCH_synth.json` /
+//! `BENCH_temporal.json`, one compact JSON line each, to the working
+//! directory; `--smoke` shrinks their workloads for CI. `fig-interp` is the
+//! one tree-vs-VM throughput table.
 //!
 //! Each table prints our measurement next to the paper's reported value
 //! (absolute numbers are not comparable — the substrate is an interpreter —
@@ -144,10 +146,7 @@ fn fig_temporal_table(smoke: bool) {
         f.geomean_overhead_vm(),
         f.reps
     );
-    match std::fs::write("BENCH_temporal.json", f.to_json()) {
-        Ok(()) => println!("wrote BENCH_temporal.json"),
-        Err(e) => eprintln!("could not write BENCH_temporal.json: {e}"),
-    }
+    write_record("BENCH_temporal.json", &f.to_json());
 }
 
 fn fig_synth_table(smoke: bool) {
@@ -168,10 +167,7 @@ fn fig_synth_table(smoke: bool) {
         f.max_deviation(),
         ccured_synth::KIND_TOLERANCE_PCT
     );
-    match std::fs::write("BENCH_synth.json", f.to_json()) {
-        Ok(()) => println!("wrote BENCH_synth.json"),
-        Err(e) => eprintln!("could not write BENCH_synth.json: {e}"),
-    }
+    write_record("BENCH_synth.json", &f.to_json());
 }
 
 #[cfg(unix)]
@@ -211,15 +207,21 @@ fn fig_serve_table(smoke: bool) {
         ms(f.reply_p99)
     );
     println!("{}", render(&["configuration", "wall", "speedup"], &rows));
-    match std::fs::write("BENCH_serve.json", f.to_json()) {
-        Ok(()) => println!("wrote BENCH_serve.json"),
-        Err(e) => eprintln!("could not write BENCH_serve.json: {e}"),
-    }
+    write_record("BENCH_serve.json", &f.to_json());
 }
 
 #[cfg(not(unix))]
 fn fig_serve_table(_smoke: bool) {
     eprintln!("fig-serve requires unix domain sockets; skipped on this platform");
+}
+
+/// Writes a figure's JSON record, one compact line, to the working
+/// directory.
+fn write_record(name: &str, json: &str) {
+    match std::fs::write(name, format!("{json}\n")) {
+        Ok(()) => println!("wrote {name}"),
+        Err(e) => eprintln!("could not write {name}: {e}"),
+    }
 }
 
 fn pct_str(p: (u32, u32, u32, u32)) -> String {
@@ -565,10 +567,7 @@ fn fig_interp_table(smoke: bool) {
         f.geomean_speedup(),
         f.reps
     );
-    match std::fs::write("BENCH_interp.json", f.to_json()) {
-        Ok(()) => println!("wrote BENCH_interp.json"),
-        Err(e) => eprintln!("could not write BENCH_interp.json: {e}"),
-    }
+    write_record("BENCH_interp.json", &f.to_json());
 }
 
 fn fig_profile_table(smoke: bool) {
@@ -584,7 +583,7 @@ fn fig_profile_table(smoke: bool) {
             let hottest = r
                 .top
                 .first()
-                .map(|t| format!("{} in {} ({} hits)", t.check, t.func, t.hits))
+                .map(|t| format!("{} in {} ({} hits)", t.site.check, t.site.func, t.hits))
                 .unwrap_or_else(|| "-".to_string());
             vec![
                 r.name.clone(),
@@ -610,10 +609,7 @@ fn fig_profile_table(smoke: bool) {
             &rows
         )
     );
-    match std::fs::write("BENCH_profile.json", f.to_json()) {
-        Ok(()) => println!("wrote BENCH_profile.json"),
-        Err(e) => eprintln!("could not write BENCH_profile.json: {e}"),
-    }
+    write_record("BENCH_profile.json", &f.to_json());
 }
 
 fn fig_opt2_table(smoke: bool) {
@@ -656,8 +652,5 @@ fn fig_opt2_table(smoke: bool) {
         "geomean executed-check-cost reduction, strided subset: {:.1}% (target ≥15%)",
         f.geomean_reduction_strided() * 100.0
     );
-    match std::fs::write("BENCH_opt2.json", f.to_json()) {
-        Ok(()) => println!("wrote BENCH_opt2.json"),
-        Err(e) => eprintln!("could not write BENCH_opt2.json: {e}"),
-    }
+    write_record("BENCH_opt2.json", &f.to_json());
 }

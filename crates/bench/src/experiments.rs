@@ -1,6 +1,7 @@
 //! One function per reproduced table/figure (experiment ids E1–E10 in
 //! DESIGN.md). All ratios come from the shared deterministic cost model.
 
+use ccured::json;
 use ccured_infer::InferOptions;
 use ccured_rt::{CostModel, ExecMode};
 use ccured_workloads::runner::{self, measure, Ratios};
@@ -84,8 +85,14 @@ pub fn fig9() -> Vec<Fig9Row> {
                 curer.with_stdlib_wrappers();
             }
             let cured = curer.cure_source(&w.source).expect("fig9 cure");
-            let (tree, _) = time_cured(&cured, ccured_rt::Engine::Tree, &w.input, 2);
-            let (vm, _) = time_cured(&cured, ccured_rt::Engine::Vm, &w.input, 2);
+            let [(tree, _), (vm, _)] = time_round_robin(
+                [
+                    Timing::on(&cured, ccured_rt::Engine::Tree),
+                    Timing::on(&cured, ccured_rt::Engine::Vm),
+                ],
+                &w.input,
+                2,
+            );
             Fig9Row {
                 name: w.name.clone(),
                 lines: r.lines,
@@ -591,63 +598,65 @@ impl InterpFig {
 
     /// `BENCH_interp.json` — machine-readable record for CI artifacts.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"experiment\": \"fig-interp\",\n  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"steps\": {}, \"tree_us\": {}, \"vm_us\": {}, \"speedup\": {:.3}}}{}\n",
-                r.name,
-                r.steps,
-                r.tree.as_micros(),
-                r.vm.as_micros(),
-                r.speedup(),
-                if i + 1 < self.rows.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "  ],\n  \"reps\": {},\n  \"geomean_speedup\": {:.3}\n}}\n",
-            self.reps,
-            self.geomean_speedup()
-        ));
-        s
+        json::object(|o| {
+            o.str("experiment", "fig-interp");
+            o.list("rows", &self.rows, |o, r| {
+                o.str("name", &r.name)
+                    .num("steps", r.steps)
+                    .num("tree_us", r.tree.as_micros())
+                    .num("vm_us", r.vm.as_micros())
+                    .fixed("speedup", r.speedup(), 3);
+            });
+            o.num("reps", self.reps)
+                .fixed("geomean_speedup", self.geomean_speedup(), 3);
+        })
     }
 }
 
-/// Times one cured run on `engine`, returning the best wall-clock of
-/// `reps` runs and the (engine-independent) counters.
-fn time_cured(
-    cured: &ccured::Cured,
+/// One configuration a figure times: a cure, the engine it runs on, and
+/// whether per-site profiling is on. Temporal semantics follow the cure.
+#[derive(Clone, Copy)]
+struct Timing<'c> {
+    cured: &'c ccured::Cured,
     engine: ccured_rt::Engine,
-    input: &[u8],
-    reps: u32,
-) -> (std::time::Duration, u64) {
-    time_cured_with(cured, engine, input, reps, false)
-}
-
-/// As [`time_cured`], optionally with per-site profiling enabled (the
-/// E14 overhead measurement compares the two).
-fn time_cured_with(
-    cured: &ccured::Cured,
-    engine: ccured_rt::Engine,
-    input: &[u8],
-    reps: u32,
     profile: bool,
-) -> (std::time::Duration, u64) {
-    use ccured_rt::Interp;
-    let mut best = std::time::Duration::MAX;
-    let mut steps = 0;
-    for _ in 0..reps.max(1) {
-        let mut interp = Interp::new(&cured.program, ExecMode::cured(cured));
-        interp.set_engine(engine);
-        interp.set_input(input.to_vec());
-        if profile {
-            interp.enable_profile(cured.sites.len());
+}
+
+impl<'c> Timing<'c> {
+    fn on(cured: &'c ccured::Cured, engine: ccured_rt::Engine) -> Self {
+        Timing {
+            cured,
+            engine,
+            profile: false,
         }
-        let t0 = std::time::Instant::now();
-        interp.run().expect("bench workload runs clean");
-        best = best.min(t0.elapsed());
-        steps = interp.counters.instrs;
     }
-    (best, steps)
+}
+
+/// Times `configs` round-robin, one run of each per round for `reps`
+/// rounds, so a slow phase of a shared host lands on every configuration
+/// alike instead of on one side of a ratio. Returns each configuration's
+/// best wall-clock and the (deterministic) counters of its runs.
+fn time_round_robin<const N: usize>(
+    configs: [Timing<'_>; N],
+    input: &[u8],
+    reps: u32,
+) -> [(std::time::Duration, ccured_rt::Counters); N] {
+    let mut out = std::array::from_fn(|_| (std::time::Duration::MAX, Default::default()));
+    for _ in 0..reps.max(1) {
+        for (c, (best, counters)) in configs.iter().zip(&mut out) {
+            let mut interp = ccured_rt::Interp::new(&c.cured.program, ExecMode::cured(c.cured));
+            interp.set_engine(c.engine);
+            interp.set_input(input.to_vec());
+            if c.profile {
+                interp.enable_profile(c.cured.sites.len());
+            }
+            let t0 = std::time::Instant::now();
+            interp.run().expect("bench workload runs clean");
+            *best = (*best).min(t0.elapsed());
+            *counters = interp.counters;
+        }
+    }
+    out
 }
 
 /// The Figure-9-shaped corpus of the engine-throughput figure (E13
@@ -704,16 +713,22 @@ pub fn fig_interp(smoke: bool) -> InterpFig {
                 curer.with_stdlib_wrappers();
             }
             let cured = curer.cure_source(&w.source).expect("fig-interp cure");
-            let (tree, tree_steps) = time_cured(&cured, ccured_rt::Engine::Tree, &w.input, reps);
-            let (vm, vm_steps) = time_cured(&cured, ccured_rt::Engine::Vm, &w.input, reps);
+            let [(tree, tree_c), (vm, vm_c)] = time_round_robin(
+                [
+                    Timing::on(&cured, ccured_rt::Engine::Tree),
+                    Timing::on(&cured, ccured_rt::Engine::Vm),
+                ],
+                &w.input,
+                reps,
+            );
             assert_eq!(
-                tree_steps, vm_steps,
+                tree_c.instrs, vm_c.instrs,
                 "{}: engines disagree on instruction steps",
                 w.name
             );
             InterpRow {
                 name: w.name.clone(),
-                steps: vm_steps,
+                steps: vm_c.instrs,
                 tree,
                 vm,
             }
@@ -787,58 +802,25 @@ impl TemporalFig {
 
     /// `BENCH_temporal.json` — machine-readable record for CI artifacts.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"experiment\": \"fig-temporal\",\n  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"steps_plain\": {}, \"steps_temporal\": {}, \"temporal_checks\": {}, \"tree_plain_us\": {}, \"tree_temporal_us\": {}, \"vm_plain_us\": {}, \"vm_temporal_us\": {}, \"overhead_tree\": {:.3}, \"overhead_vm\": {:.3}}}{}\n",
-                r.name,
-                r.steps_plain,
-                r.steps_temporal,
-                r.temporal_checks,
-                r.tree_plain.as_micros(),
-                r.tree_temporal.as_micros(),
-                r.vm_plain.as_micros(),
-                r.vm_temporal.as_micros(),
-                r.overhead_tree(),
-                r.overhead_vm(),
-                if i + 1 < self.rows.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "  ],\n  \"reps\": {},\n  \"geomean_overhead_tree\": {:.3},\n  \"geomean_overhead_vm\": {:.3}\n}}\n",
-            self.reps,
-            self.geomean_overhead_tree(),
-            self.geomean_overhead_vm()
-        ));
-        s
+        json::object(|o| {
+            o.str("experiment", "fig-temporal");
+            o.list("rows", &self.rows, |o, r| {
+                o.str("name", &r.name)
+                    .num("steps_plain", r.steps_plain)
+                    .num("steps_temporal", r.steps_temporal)
+                    .num("temporal_checks", r.temporal_checks)
+                    .num("tree_plain_us", r.tree_plain.as_micros())
+                    .num("tree_temporal_us", r.tree_temporal.as_micros())
+                    .num("vm_plain_us", r.vm_plain.as_micros())
+                    .num("vm_temporal_us", r.vm_temporal.as_micros())
+                    .fixed("overhead_tree", r.overhead_tree(), 3)
+                    .fixed("overhead_vm", r.overhead_vm(), 3);
+            });
+            o.num("reps", self.reps)
+                .fixed("geomean_overhead_tree", self.geomean_overhead_tree(), 3)
+                .fixed("geomean_overhead_vm", self.geomean_overhead_vm(), 3);
+        })
     }
-}
-
-/// Times one cured run on `engine`, honouring the cure's temporal flag
-/// (unlike [`time_cured`], which benches spatial-only cures). Returns the
-/// best wall-clock of `reps` runs plus the engine-independent guest-step
-/// and executed-temporal-check counters.
-fn time_cured_temporal(
-    cured: &ccured::Cured,
-    engine: ccured_rt::Engine,
-    input: &[u8],
-    reps: u32,
-) -> (std::time::Duration, u64, u64) {
-    use ccured_rt::Interp;
-    let mut best = std::time::Duration::MAX;
-    let (mut steps, mut checks) = (0, 0);
-    for _ in 0..reps.max(1) {
-        let mut interp = Interp::new(&cured.program, ExecMode::cured(cured));
-        interp.set_engine(engine);
-        interp.set_temporal(cured.temporal);
-        interp.set_input(input.to_vec());
-        let t0 = std::time::Instant::now();
-        interp.run().expect("bench workload runs clean");
-        best = best.min(t0.elapsed());
-        steps = interp.counters.instrs;
-        checks = interp.counters.temporal_checks;
-    }
-    (best, steps, checks)
 }
 
 /// E19 (`fig-temporal`): temporal-check overhead over the Figure-9 corpus.
@@ -860,30 +842,33 @@ pub fn fig_temporal(smoke: bool) -> TemporalFig {
             };
             let plain = cure(false);
             let temporal = cure(true);
-            let (tree_plain, tp_steps, _) =
-                time_cured_temporal(&plain, ccured_rt::Engine::Tree, &w.input, reps);
-            let (vm_plain, vp_steps, _) =
-                time_cured_temporal(&plain, ccured_rt::Engine::Vm, &w.input, reps);
-            let (tree_temporal, tt_steps, tt_checks) =
-                time_cured_temporal(&temporal, ccured_rt::Engine::Tree, &w.input, reps);
-            let (vm_temporal, vt_steps, vt_checks) =
-                time_cured_temporal(&temporal, ccured_rt::Engine::Vm, &w.input, reps);
+            let [(tree_plain, tp), (vm_plain, vp), (tree_temporal, tt), (vm_temporal, vt)] =
+                time_round_robin(
+                    [
+                        Timing::on(&plain, ccured_rt::Engine::Tree),
+                        Timing::on(&plain, ccured_rt::Engine::Vm),
+                        Timing::on(&temporal, ccured_rt::Engine::Tree),
+                        Timing::on(&temporal, ccured_rt::Engine::Vm),
+                    ],
+                    &w.input,
+                    reps,
+                );
             assert_eq!(
-                tp_steps, vp_steps,
+                tp.instrs, vp.instrs,
                 "{}: engines disagree on spatial-only steps",
                 w.name
             );
             assert_eq!(
-                (tt_steps, tt_checks),
-                (vt_steps, vt_checks),
+                (tt.instrs, tt.temporal_checks),
+                (vt.instrs, vt.temporal_checks),
                 "{}: engines disagree under --temporal",
                 w.name
             );
             TemporalRow {
                 name: w.name.clone(),
-                steps_plain: tp_steps,
-                steps_temporal: tt_steps,
-                temporal_checks: tt_checks,
+                steps_plain: tp.instrs,
+                steps_temporal: tt.instrs,
+                temporal_checks: tt.temporal_checks,
                 tree_plain,
                 tree_temporal,
                 vm_plain,
@@ -892,21 +877,6 @@ pub fn fig_temporal(smoke: bool) -> TemporalFig {
         })
         .collect();
     TemporalFig { rows, reps }
-}
-
-/// E14 (`fig-profile`): one hot site in a workload's profile summary.
-#[derive(Debug, Clone)]
-pub struct ProfileSiteRow {
-    /// Function containing the site.
-    pub func: String,
-    /// Check kind name (`seq_bounds`, `null`, …).
-    pub check: &'static str,
-    /// Dynamic executions.
-    pub hits: u64,
-    /// Abstract cost attributed to the site.
-    pub cost: f64,
-    /// Why the eliminator kept it (None: nothing was kept to explain).
-    pub kept_because: Option<String>,
 }
 
 /// E14 (`fig-profile`): one workload's check-site profile summary.
@@ -928,7 +898,7 @@ pub struct ProfileRow {
     /// Hot sites the eliminator could not remove.
     pub unelided_hot: usize,
     /// The top 3 hot sites.
-    pub top: Vec<ProfileSiteRow>,
+    pub top: Vec<ccured_rt::SiteReport>,
 }
 
 /// E14 (`fig-profile`): hot-site distribution over the corpus.
@@ -941,43 +911,19 @@ pub struct ProfileFig {
 impl ProfileFig {
     /// `BENCH_profile.json` — machine-readable record for CI artifacts.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"experiment\": \"fig-profile\",\n  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": {}, \"sites\": {}, \"hot_sites\": {}, \"total_hits\": {}, \
-                 \"total_cost\": {:.1}, \"top_share\": {:.3}, \"unelided_hot\": {}, \"top\": [",
-                ccured::json_str(&r.name),
-                r.sites,
-                r.hot_sites,
-                r.total_hits,
-                r.total_cost,
-                r.top_share,
-                r.unelided_hot
-            ));
-            for (j, t) in r.top.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let why = match &t.kept_because {
-                    Some(w) => ccured::json_str(w),
-                    None => "null".to_string(),
-                };
-                s.push_str(&format!(
-                    "{{\"func\": {}, \"check\": \"{}\", \"hits\": {}, \"cost\": {:.1}, \"kept_because\": {}}}",
-                    ccured::json_str(&t.func),
-                    t.check,
-                    t.hits,
-                    t.cost,
-                    why
-                ));
-            }
-            s.push_str(&format!(
-                "]}}{}\n",
-                if i + 1 < self.rows.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::object(|o| {
+            o.str("experiment", "fig-profile");
+            o.list("rows", &self.rows, |o, r| {
+                o.str("name", &r.name)
+                    .num("sites", r.sites)
+                    .num("hot_sites", r.hot_sites)
+                    .num("total_hits", r.total_hits)
+                    .fixed("total_cost", r.total_cost, 1)
+                    .fixed("top_share", r.top_share, 3)
+                    .num("unelided_hot", r.unelided_hot)
+                    .list("top", &r.top, |o, t| t.write_json(o));
+            });
+        })
     }
 }
 
@@ -1067,18 +1013,7 @@ pub fn fig_profile(smoke: bool) -> ProfileFig {
                     .iter()
                     .filter(|r| r.hits > 0 && r.site.keep_reason.is_some())
                     .count(),
-                top: vm
-                    .iter()
-                    .filter(|r| r.hits > 0)
-                    .take(3)
-                    .map(|r| ProfileSiteRow {
-                        func: r.site.func.clone(),
-                        check: r.site.check,
-                        hits: r.hits,
-                        cost: r.cost,
-                        kept_because: r.site.keep_reason.clone(),
-                    })
-                    .collect(),
+                top: vm.iter().filter(|r| r.hits > 0).take(3).cloned().collect(),
             }
         })
         .collect();
@@ -1097,8 +1032,12 @@ pub fn profile_overhead(reps: u32) -> f64 {
             curer.with_stdlib_wrappers();
         }
         let cured = curer.cure_source(&w.source).expect("profile-overhead cure");
-        let (plain, _) = time_cured_with(&cured, ccured_rt::Engine::Vm, &w.input, reps, false);
-        let (profiled, _) = time_cured_with(&cured, ccured_rt::Engine::Vm, &w.input, reps, true);
+        let plain = Timing::on(&cured, ccured_rt::Engine::Vm);
+        let profiled = Timing {
+            profile: true,
+            ..plain
+        };
+        let [(plain, _), (profiled, _)] = time_round_robin([plain, profiled], &w.input, reps);
         ln_sum += (profiled.as_secs_f64() / plain.as_secs_f64().max(1e-9)).ln();
     }
     (ln_sum / corpus.len().max(1) as f64).exp()
@@ -1162,28 +1101,24 @@ impl Opt2Fig {
 
     /// `BENCH_opt2.json` — machine-readable record for CI artifacts.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"experiment\": \"fig-opt2\",\n  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"strided\": {}, \"noopt_check_cycles\": {:.1}, \
-                 \"elim_check_cycles\": {:.1}, \"full_check_cycles\": {:.1}, \
-                 \"reduction\": {:.3}, \"hoisted\": {}, \"widened\": {}}}{}\n",
-                r.name,
-                r.strided,
-                r.noopt,
-                r.elim,
-                r.full,
-                r.reduction(),
-                r.hoisted,
-                r.widened,
-                if i + 1 < self.rows.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "  ],\n  \"geomean_reduction_strided\": {:.3}\n}}\n",
-            self.geomean_reduction_strided()
-        ));
-        s
+        json::object(|o| {
+            o.str("experiment", "fig-opt2");
+            o.list("rows", &self.rows, |o, r| {
+                o.str("name", &r.name)
+                    .num("strided", r.strided)
+                    .fixed("noopt_check_cycles", r.noopt, 1)
+                    .fixed("elim_check_cycles", r.elim, 1)
+                    .fixed("full_check_cycles", r.full, 1)
+                    .fixed("reduction", r.reduction(), 3)
+                    .num("hoisted", r.hoisted)
+                    .num("widened", r.widened);
+            });
+            o.fixed(
+                "geomean_reduction_strided",
+                self.geomean_reduction_strided(),
+                3,
+            );
+        })
     }
 }
 
@@ -1292,22 +1227,18 @@ impl ServeFig {
 
     /// `BENCH_serve.json` — machine-readable record for CI artifacts.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"experiment\": \"fig-serve\",\n  \"units\": {},\n  \
-             \"cold_us\": {},\n  \"warm_identical_us\": {},\n  \"warm_touched_us\": {},\n  \
-             \"identical_speedup\": {:.3},\n  \"touched_speedup\": {:.3},\n  \
-             \"reply_p50_us\": {},\n  \"reply_p99_us\": {},\n  \
-             \"digests_match\": {}\n}}\n",
-            self.units,
-            self.cold.as_micros(),
-            self.warm_identical.as_micros(),
-            self.warm_touched.as_micros(),
-            self.identical_speedup(),
-            self.touched_speedup(),
-            self.reply_p50.as_micros(),
-            self.reply_p99.as_micros(),
-            self.digests_match
-        )
+        json::object(|o| {
+            o.str("experiment", "fig-serve")
+                .num("units", self.units)
+                .num("cold_us", self.cold.as_micros())
+                .num("warm_identical_us", self.warm_identical.as_micros())
+                .num("warm_touched_us", self.warm_touched.as_micros())
+                .fixed("identical_speedup", self.identical_speedup(), 3)
+                .fixed("touched_speedup", self.touched_speedup(), 3)
+                .num("reply_p50_us", self.reply_p50.as_micros())
+                .num("reply_p99_us", self.reply_p99.as_micros())
+                .num("digests_match", self.digests_match);
+        })
     }
 }
 
@@ -1556,11 +1487,11 @@ mod tests {
             reps: 2,
         };
         let j = f.to_json();
-        assert!(j.contains("\"experiment\": \"fig-temporal\""), "{j}");
-        assert!(j.contains("\"geomean_overhead_tree\": 1.250"), "{j}");
-        assert!(j.contains("\"geomean_overhead_vm\": 1.100"), "{j}");
-        assert!(j.contains("\"temporal_checks\": 20"), "{j}");
-        assert!(j.contains("\"steps_temporal\": 120"), "{j}");
+        assert!(j.contains("\"experiment\":\"fig-temporal\""), "{j}");
+        assert!(j.contains("\"geomean_overhead_tree\":1.250"), "{j}");
+        assert!(j.contains("\"geomean_overhead_vm\":1.100"), "{j}");
+        assert!(j.contains("\"temporal_checks\":20"), "{j}");
+        assert!(j.contains("\"steps_temporal\":120"), "{j}");
     }
 
     /// E14: the profile figure's internal cross-engine assertion must hold
@@ -1583,8 +1514,8 @@ mod tests {
             assert!(!r.top.is_empty(), "{}: no top sites", r.name);
         }
         let j = f.to_json();
-        assert!(j.contains("\"experiment\": \"fig-profile\""), "{j}");
-        assert!(j.contains("\"kept_because\""), "{j}");
+        assert!(j.contains("\"experiment\":\"fig-profile\""), "{j}");
+        assert!(j.contains("\"keep_reason\""), "{j}");
     }
 
     /// E14: enabling per-site profiling must cost <5% wall-clock over the
@@ -1629,7 +1560,7 @@ mod tests {
             }
         }
         let j = f.to_json();
-        assert!(j.contains("\"experiment\": \"fig-opt2\""), "{j}");
+        assert!(j.contains("\"experiment\":\"fig-opt2\""), "{j}");
         assert!(j.contains("\"geomean_reduction_strided\""), "{j}");
     }
 

@@ -98,7 +98,7 @@
 //! The library half exists so the argument parser and driver can be unit
 //! tested; `main.rs` is a thin wrapper.
 
-use ccured::{json_str, CureError, Cured, Curer};
+use ccured::{json, CureError, Cured, Curer};
 use ccured_rt::{Engine, ExecMode, Interp};
 use std::fmt;
 
@@ -916,7 +916,6 @@ fn curer(o: &Options) -> Curer {
     c.split_everything(o.split_everything);
     c.split_at_boundaries(o.split_at_boundaries);
     c.strict_link(o.strict_link);
-    c.engine(o.engine);
     if o.wrappers {
         c.with_stdlib_wrappers();
     }
@@ -1024,7 +1023,6 @@ fn execute(
 ) -> Outcome {
     let mut interp = Interp::new(prog, mode);
     interp.set_engine(o.engine);
-    interp.set_temporal(o.temporal);
     interp.set_input(input.to_vec());
     if let Some(f) = o.fuel {
         interp.set_fuel(f);
@@ -1063,13 +1061,14 @@ fn execute(
 }
 
 /// Runs `cured` with per-site profiling enabled and appends the ranked
-/// hot-site report (or its `--json` form) to the program's own output.
+/// hot-site report to the program's own output. With `--json` the output
+/// so far (warnings, the guest's output, a runtime-error line) goes into
+/// the object's `output` field instead, so stdout is one JSON document.
 /// Profiling is observation-only, so exit code and program output are
 /// identical to a plain `--run`.
 fn run_profile(cured: &Cured, o: &Options, source: &str, input: &[u8], mut out: String) -> Outcome {
     let mut interp = Interp::new(&cured.program, ExecMode::cured(cured));
     interp.set_engine(o.engine);
-    interp.set_temporal(o.temporal);
     interp.set_input(input.to_vec());
     if let Some(f) = o.fuel {
         interp.set_fuel(f);
@@ -1092,7 +1091,7 @@ fn run_profile(cured: &Cured, o: &Options, source: &str, input: &[u8], mut out: 
     let rows =
         ccured_rt::profile::rank_sites(&cured.sites, &profile, &ccured_rt::CostModel::default());
     if o.json {
-        out.push_str(&profile_json(o, &rows, &profile));
+        out = profile_json(o, &rows, &profile, &out);
     } else {
         render_profile(o, source, &rows, &profile, &mut out);
     }
@@ -1195,58 +1194,29 @@ fn render_profile(
     }
 }
 
-/// Machine-readable profile export (consumed by the `tables` bench binary).
+/// `profile --json`: the ranked rows, then everything the run printed
+/// (`output`), as one JSON document on one line.
 fn profile_json(
     o: &Options,
     rows: &[ccured_rt::SiteReport],
     profile: &ccured_rt::Profile,
+    output: &str,
 ) -> String {
     let top = o.top.unwrap_or(usize::MAX);
-    let mut s = format!(
-        "{{\"schema\":\"{}\",\"file\":{},\"engine\":\"{}\",\"sites\":{},\"total_hits\":{},\"rows\":[",
-        ccured_rt::PROFILE_SCHEMA,
-        json_str(&o.file),
-        o.engine.name(),
-        rows.len(),
-        profile.total_hits()
-    );
-    for (rank, r) in rows.iter().take(top).enumerate() {
-        if rank > 0 {
-            s.push(',');
-        }
-        let reason = match &r.site.keep_reason {
-            Some(why) => json_str(why),
-            None => "null".into(),
-        };
-        let action = match r.site.opt_action {
-            Some(a) => format!("\"{a}\""),
-            None => "null".into(),
-        };
-        let site_id = match r.site.id.index() {
-            Some(i) => i.to_string(),
-            None => "null".into(),
-        };
-        s.push_str(&format!(
-            "{{\"rank\":{},\"site\":{},\"func\":{},\"span_lo\":{},\"check\":\"{}\",\"ptr_kind\":\"{}\",\
-             \"static_count\":{},\"elided\":{},\"hits\":{},\"fails\":{},\"walk_steps\":{},\
-             \"cost\":{:.1},\"keep_reason\":{},\"opt_action\":{}}}",
-            rank + 1,
-            site_id,
-            json_str(&r.site.func),
-            r.site.span.lo,
-            r.site.check,
-            r.site.ptr_kind,
-            r.site.static_count,
-            r.site.elided,
-            r.hits,
-            r.fails,
-            r.walk_steps,
-            r.cost,
-            reason,
-            action
-        ));
-    }
-    s.push_str("]}\n");
+    let mut s = json::object(|j| {
+        j.str("schema", ccured_rt::PROFILE_SCHEMA)
+            .str("file", &o.file)
+            .str("engine", o.engine.name())
+            .num("sites", rows.len())
+            .num("total_hits", profile.total_hits());
+        j.list("rows", rows.iter().take(top).enumerate(), |j, (rank, r)| {
+            j.num("rank", rank + 1).num("site", r.site.id.index());
+            r.write_json(j);
+            j.opt_str("opt_action", r.site.opt_action);
+        });
+        j.str("output", output);
+    });
+    s.push('\n');
     s
 }
 
@@ -1434,19 +1404,28 @@ mod tests {
         );
     }
 
+    /// Stdout is exactly one JSON object and its newline: what the guest
+    /// printed travels in the `output` field, not ahead of the object.
     #[test]
     fn drive_profile_json_is_machine_readable() {
-        let src = "int main(void) { int a[4]; int i;\n\
+        let src = "extern int printf(char *fmt, ...);\n\
+                   int main(void) { int a[4]; int i;\n\
                    for (i = 0; i < 4; i++) a[i] = i;\n\
+                   printf(\"last = %d\\n\", a[3]);\n\
                    return a[3]; }";
         let r = drive(&args("profile t.c --json --top 3").unwrap(), src, b"").unwrap();
         assert_eq!(r.exit, 3);
-        let json = r.stdout.lines().last().unwrap();
-        assert!(json.starts_with('{'), "{}", r.stdout);
+        let json = r.stdout.strip_suffix('\n').unwrap_or_default();
+        assert!(
+            json.starts_with('{') && json.ends_with('}') && !json.contains('\n'),
+            "not one JSON line: {:?}",
+            r.stdout
+        );
         assert!(json.contains("\"engine\":\"vm\""), "{json}");
         assert!(json.contains("\"rows\":["), "{json}");
         assert!(json.contains("\"hits\":"), "{json}");
         assert!(json.contains("\"keep_reason\":"), "{json}");
+        assert!(json.ends_with(r#","output":"last = 3\n"}"#), "{json}");
     }
 
     #[test]

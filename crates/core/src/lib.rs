@@ -32,14 +32,13 @@
 
 pub mod hierarchy;
 pub mod instrument;
-mod json;
+pub mod json;
 pub mod pipeline;
 pub mod split;
 pub mod wrappers;
 
 pub use hierarchy::Hierarchy;
-pub use json::json_str;
-pub use pipeline::{isolated, CureError, CureReport, Cured, Curer, Engine, StageTimings};
+pub use pipeline::{isolated, CureError, CureReport, Cured, Curer, StageTimings};
 // Re-exported so downstream users of the report types need not name the
 // analysis crate directly.
 pub use ccured_analysis::{ElisionStats, StaticFailure};

@@ -184,52 +184,6 @@ impl CureReport {
     }
 }
 
-/// Which execution engine `ccured_rt` should run the program on. The cure
-/// itself is engine-independent (the fingerprint and report ignore this);
-/// the selector merely travels with the [`Cured`] artifact so drivers pick
-/// the same engine everywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Engine {
-    /// The recursive tree-walking interpreter: the reference semantics and
-    /// the differential oracle for the bytecode engine.
-    Tree,
-    /// The bytecode register VM: identical observable behaviour (output,
-    /// exit codes, errors, counters), much faster dispatch.
-    #[default]
-    Vm,
-}
-
-impl Engine {
-    /// Both engines, oracle first.
-    pub const ALL: [Engine; 2] = [Engine::Tree, Engine::Vm];
-
-    /// The CLI flag spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Tree => "tree",
-            Engine::Vm => "vm",
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "tree" => Ok(Engine::Tree),
-            "vm" => Ok(Engine::Vm),
-            other => Err(format!("unknown engine `{other}` (expected tree|vm)")),
-        }
-    }
-}
-
 /// A cured program, ready for execution by `ccured-rt`.
 #[derive(Debug, Clone)]
 pub struct Cured {
@@ -251,10 +205,9 @@ pub struct Cured {
     /// Per-stage wall-clock attribution for this cure (zero for `parse`
     /// and `lower` when entering via [`Curer::cure_program`]).
     pub timings: StageTimings,
-    /// The execution engine drivers should run this program on.
-    pub engine: Engine,
-    /// Whether the cure emitted temporal lock-and-key checks — runners must
-    /// enable temporal semantics on the interpreter so `free` revokes keys.
+    /// Whether the cure emitted temporal lock-and-key checks;
+    /// `ccured_rt::ExecMode::cured` carries it to the interpreter, so `free`
+    /// revokes keys in every run of this program.
     pub temporal: bool,
 }
 
@@ -279,7 +232,6 @@ pub struct Curer {
     loop_opt: bool,
     temporal: bool,
     prelude: Option<String>,
-    engine: Engine,
     deadline: Option<Duration>,
 }
 
@@ -300,7 +252,6 @@ impl Curer {
             loop_opt: true,
             temporal: false,
             prelude: None,
-            engine: Engine::default(),
             deadline: None,
         }
     }
@@ -315,7 +266,6 @@ impl Curer {
             loop_opt: true,
             temporal: false,
             prelude: None,
-            engine: Engine::default(),
             deadline: None,
         }
     }
@@ -373,14 +323,6 @@ impl Curer {
     /// blame explainer, and both engines apply unchanged. Off by default.
     pub fn temporal(&mut self, on: bool) -> &mut Self {
         self.temporal = on;
-        self
-    }
-
-    /// Selects the execution engine recorded on the [`Cured`] artifact
-    /// (default [`Engine::Vm`]; `tree` is the reference oracle). Does not
-    /// affect the cure output or the cache fingerprint.
-    pub fn engine(&mut self, engine: Engine) -> &mut Self {
-        self.engine = engine;
         self
     }
 
@@ -576,7 +518,6 @@ impl Curer {
                 instrument: instrument_time,
                 optimize: optimize_time,
             },
-            engine: self.engine,
             temporal: self.temporal,
         })
     }

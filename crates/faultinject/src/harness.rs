@@ -164,7 +164,6 @@ pub fn crash_test(ws: &[Workload], cfg: &CrashTest) -> Result<CrashTestReport, C
             input,
             cfg.limits,
             false,
-            false,
         );
         let gt_memory_error = matches!(&gt, Ok(Err(e)) if e.is_memory_error());
 
@@ -182,7 +181,6 @@ pub fn crash_test(ws: &[Workload], cfg: &CrashTest) -> Result<CrashTestReport, C
                     input,
                     cfg.limits,
                     true,
-                    c.temporal,
                 );
                 (classify(&r), fmt_run(&r), traps)
             }
@@ -245,7 +243,6 @@ fn lower(w: &Workload) -> Result<Program, CureError> {
 /// would have trapped). The outer `Err` is a panic payload — the hardened
 /// interpreter should never produce one, and the harness records it as
 /// [`Outcome::Invalid`] rather than crashing the batch.
-#[allow(clippy::too_many_arguments)]
 fn run_prog(
     prog: &Program,
     mode: ExecMode<'_>,
@@ -253,14 +250,12 @@ fn run_prog(
     input: &[u8],
     limits: Limits,
     zero_init: bool,
-    temporal: bool,
 ) -> (Result<Result<i64, RtError>, String>, u64) {
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut interp = Interp::new(prog, mode);
         interp.set_engine(engine);
         interp.set_limits(limits);
         interp.set_zero_init(zero_init);
-        interp.set_temporal(temporal);
         interp.set_input(input.to_vec());
         let res = interp.run();
         (res, interp.uaf_traps())

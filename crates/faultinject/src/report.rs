@@ -1,8 +1,8 @@
 //! Crash-test results: per-mutant records, the per-class catch-rate matrix,
-//! and JSON rendering (hand-rolled; the repo builds offline, no serde).
+//! and JSON rendering (through [`ccured::json`]).
 
 use crate::mutate::FaultClass;
-use ccured::json_str;
+use ccured::json;
 
 /// How one mutant fared under the cured interpreter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,43 +183,26 @@ impl CrashTestReport {
     /// Machine-readable summary: seed, per-class outcome counts, and the
     /// details of any escaped mutants.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!(
-            "\"seed\":{},\"mutants\":{},\"classes\":{{",
-            self.seed,
-            self.runs.len()
-        ));
-        let classes = self.classes_present();
-        for (i, class) in classes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\":{{", class.name()));
-            for (j, o) in Outcome::ALL.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
+        json::object(|o| {
+            o.num("seed", self.seed).num("mutants", self.runs.len());
+            o.obj("classes", |o| {
+                for class in self.classes_present() {
+                    o.obj(class.name(), |o| {
+                        for outcome in Outcome::ALL {
+                            o.num(outcome.name(), self.count(class, outcome));
+                        }
+                    });
                 }
-                s.push_str(&format!("\"{}\":{}", o.name(), self.count(*class, *o)));
-            }
-            s.push('}');
-        }
-        s.push_str("},\"escaped\":[");
-        for (i, r) in self.escaped().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"id\":{},\"workload\":{},\"class\":\"{}\",\"description\":{},\"ground_truth\":{},\"cured\":{}}}",
-                r.id,
-                json_str(&r.workload),
-                r.class.name(),
-                json_str(&r.description),
-                json_str(&r.ground_truth),
-                json_str(&r.cured)
-            ));
-        }
-        s.push_str("]}");
-        s
+            });
+            o.list("escaped", self.escaped(), |o, r| {
+                o.num("id", r.id)
+                    .str("workload", &r.workload)
+                    .str("class", r.class.name())
+                    .str("description", &r.description)
+                    .str("ground_truth", &r.ground_truth)
+                    .str("cured", &r.cured);
+            });
+        })
     }
 }
 
@@ -262,16 +245,19 @@ mod tests {
         assert!(text.contains("ESCAPED mutant"), "{text}");
     }
 
+    /// Pins the `crash-test --json` bytes, escaped-mutant list included.
     #[test]
     fn json_is_wellformed_enough() {
+        let mut escaped = run(FaultClass::PtrSmuggle, Outcome::Escaped);
+        escaped.id = 7;
+        escaped.description = "a\"b\\c\nd".into();
         let rep = CrashTestReport {
-            seed: 1,
-            runs: vec![run(FaultClass::NullGuard, Outcome::Caught)],
+            seed: 3,
+            runs: vec![run(FaultClass::NullGuard, Outcome::Caught), escaped],
         };
-        let j = rep.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
-        assert!(j.contains("\"null_guard\""), "{j}");
-        assert!(j.contains("\"caught\":1"), "{j}");
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(
+            rep.to_json(),
+            r#"{"seed":3,"mutants":2,"classes":{"null_guard":{"caught":1,"escaped":0,"masked":0,"resource_exhausted":0,"invalid":0},"ptr_smuggle":{"caught":0,"escaped":1,"masked":0,"resource_exhausted":0,"invalid":0}},"escaped":[{"id":7,"workload":"w","class":"ptr_smuggle","description":"a\"b\\c\nd","ground_truth":"gt","cured":"c"}]}"#
+        );
     }
 }

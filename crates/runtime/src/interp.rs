@@ -27,7 +27,40 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::time::Instant;
 
-pub use ccured::Engine;
+/// Which execution engine an [`Interp`] runs the program on. Both give
+/// identical observable behaviour; the cure is engine-independent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Engine {
+    /// The recursive tree-walking interpreter: the reference semantics and
+    /// the differential oracle for the bytecode engine.
+    Tree,
+    /// The bytecode register VM: identical observable behaviour (output,
+    /// exit codes, errors, counters), much faster dispatch.
+    #[default]
+    Vm,
+}
+
+impl Engine {
+    /// The CLI flag spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Tree => "tree",
+            Engine::Vm => "vm",
+        }
+    }
+}
+
+impl std::str::FromStr for Engine {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "tree" => Ok(Engine::Tree),
+            "vm" => Ok(Engine::Vm),
+            other => Err(format!("unknown engine `{other}` (expected tree|vm)")),
+        }
+    }
+}
 
 /// How the program is executed.
 #[derive(Clone, Copy)]
@@ -40,6 +73,11 @@ pub enum ExecMode<'c> {
         sol: &'c Solution,
         /// The RTTI hierarchy.
         hier: &'c Hierarchy,
+        /// Temporal lock-and-key semantics (the cure ran with
+        /// `--temporal`): `free` revokes the freed allocation's capability
+        /// key, and every `CHECK_TEMPORAL` compares it. Without it a
+        /// temporal check passes vacuously.
+        temporal: bool,
     },
     /// Purify-style: 2 shadow bits/byte on every access of the original
     /// program, plus binary-translation dispatch.
@@ -52,11 +90,14 @@ pub enum ExecMode<'c> {
 }
 
 impl<'c> ExecMode<'c> {
-    /// Cured mode borrowing the solution and hierarchy from a [`Cured`].
+    /// Cured mode borrowing the solution and hierarchy from a [`Cured`],
+    /// with temporal semantics exactly when the cure emitted temporal
+    /// checks.
     pub fn cured(c: &'c Cured) -> Self {
         ExecMode::Cured {
             sol: &c.solution,
             hier: &c.hierarchy,
+            temporal: c.temporal,
         }
     }
 
@@ -156,7 +197,7 @@ pub struct Interp<'p> {
     pub(crate) zero_init: bool,
     pub(crate) word: u64,
     pub(crate) globals_ready: bool,
-    /// Which execution engine `run`/`call_by_name` dispatch to.
+    /// Which execution engine `run` dispatches to.
     engine: Engine,
     /// Per-function static facts (memory locals, goto/label tables).
     fn_info: HashMap<u32, Rc<FnInfo>>,
@@ -186,8 +227,9 @@ pub struct Interp<'p> {
     interval_rtti: bool,
     /// Overrides the default GC behaviour (None = cured implies GC).
     gc_override: Option<bool>,
-    /// `--temporal`: `free` revokes the allocation's capability key (the
-    /// bytes stay live under GC) and `CHECK_TEMPORAL` compares it.
+    /// `--temporal`, read from the mode: `free` revokes the allocation's
+    /// capability key (the bytes stay live under GC) and `CHECK_TEMPORAL`
+    /// compares it.
     temporal: bool,
     pub(crate) rng: u64,
 }
@@ -226,7 +268,7 @@ impl<'p> Interp<'p> {
             node_cache: HashMap::new(),
             interval_rtti: false,
             gc_override: None,
-            temporal: false,
+            temporal: matches!(mode, ExecMode::Cured { temporal: true, .. }),
             rng: 0x9E3779B97F4A7C15,
         }
     }
@@ -239,7 +281,7 @@ impl<'p> Interp<'p> {
         self.engine = engine;
     }
 
-    /// The engine `run`/`call_by_name` will dispatch to.
+    /// The engine `run` will dispatch to.
     pub fn engine(&self) -> Engine {
         self.engine
     }
@@ -310,15 +352,6 @@ impl<'p> Interp<'p> {
             .unwrap_or(matches!(self.mode, ExecMode::Cured { .. }))
     }
 
-    /// Enables temporal lock-and-key semantics (`--temporal`): `free`
-    /// revokes the freed allocation's capability key, and every
-    /// `CHECK_TEMPORAL` the cure emitted compares the key before the
-    /// dereference. Off by default — a temporal check on an interpreter
-    /// without this flag passes vacuously, so uncured callers are safe.
-    pub fn set_temporal(&mut self, on: bool) {
-        self.temporal = on;
-    }
-
     /// Whether temporal lock-and-key semantics are in force.
     pub fn temporal_enabled(&self) -> bool {
         self.temporal
@@ -373,22 +406,6 @@ impl<'p> Interp<'p> {
             Engine::Tree => self.run_function(f, args),
             Engine::Vm => self.vm_call(f, args),
         }
-    }
-
-    /// Calls a named function with arguments (initializing globals first).
-    ///
-    /// # Errors
-    ///
-    /// Any [`RtError`].
-    pub fn call_by_name(&mut self, name: &str, args: Vec<Value>) -> Result<Option<Value>, RtError> {
-        let f = self
-            .prog
-            .find_function(name)
-            .ok_or_else(|| RtError::Unsupported(format!("no function `{name}`")))?;
-        self.arm_deadline();
-        let r = self.dispatch(f, args);
-        self.sync_peaks();
-        r
     }
 
     /// Starts the wall-clock countdown, if a deadline is configured.
@@ -1455,7 +1472,7 @@ impl<'p> Interp<'p> {
             None => return Ok(PtrVal::Safe(p)),
         };
         Ok(match self.mode {
-            ExecMode::Cured { sol, hier } => {
+            ExecMode::Cured { sol, hier, .. } => {
                 let size = self.elem_size(pointee)?;
                 match sol.kind(q) {
                     PtrKind::Safe if sol.is_rtti(q) => {
@@ -1709,7 +1726,7 @@ impl<'p> Interp<'p> {
                     .as_ptr()
                     .ok_or_else(|| RtError::Unsupported("ptr cast of non-pointer".into()))?;
                 match self.mode {
-                    ExecMode::Cured { sol, hier } => {
+                    ExecMode::Cured { sol, hier, .. } => {
                         self.counters.fat_converts += 1;
                         let target_kind = sol.kind(tq);
                         let target_rtti = sol.is_rtti(tq);

@@ -18,6 +18,7 @@
 
 use crate::cost::CostModel;
 use ccured::instrument::CheckSite;
+use ccured::json;
 
 /// Schema tag stamped into `ccured profile --json` output. Bump the
 /// version when the JSON layout changes incompatibly.
@@ -81,6 +82,26 @@ pub struct SiteReport {
     pub walk_steps: u64,
     /// Abstract cycles attributed to this site under the [`CostModel`].
     pub cost: f64,
+}
+
+impl SiteReport {
+    /// Writes the row's fields from `func` to `keep_reason`: the one shape
+    /// of a profiled site in `profile --json`, batch `hot_sites`, serve's
+    /// `profile` reply and `BENCH_profile.json`.
+    pub fn write_json(&self, o: &mut json::Object<'_>) {
+        let s = &self.site;
+        o.str("func", &s.func)
+            .num("span_lo", s.span.lo)
+            .str("check", s.check)
+            .str("ptr_kind", s.ptr_kind)
+            .num("static_count", s.static_count)
+            .num("elided", s.elided)
+            .num("hits", self.hits)
+            .num("fails", self.fails)
+            .num("walk_steps", self.walk_steps)
+            .fixed("cost", self.cost, 1)
+            .opt_str("keep_reason", s.keep_reason.as_deref());
+    }
 }
 
 /// The abstract cost of executing one check of the named kind once,

@@ -21,7 +21,7 @@
 
 use crate::gen::{self, GOLDEN};
 use crate::profiles::Profile;
-use ccured::{isolated, json_str, Curer};
+use ccured::{isolated, json, Curer};
 use ccured_batch::{run_batch, BatchConfig};
 use ccured_faultinject::{crash_test, CrashTest, CrashTestReport, FaultClass, Outcome};
 use ccured_rt::{Engine, ExecMode, Interp, Limits};
@@ -297,99 +297,64 @@ impl CampaignReport {
     /// Deterministic from the seed except for the trailing `wall_ns`.
     pub fn to_json(&self) -> String {
         let (caught, escaped, masked, limit, invalid) = self.outcome_totals();
-        let mut s = format!(
-            "{{\"experiment\":\"campaign\",\"seed\":{},\"units\":{},\"mutants_per_unit\":{},\
-             \"jobs\":{},\"mutants\":{},\"sound\":{},\"outcomes\":{{\"caught\":{caught},\
-             \"escaped\":{escaped},\"masked\":{masked},\"resource_exhausted\":{limit},\
-             \"invalid\":{invalid}}}",
-            self.seed,
-            self.units,
-            self.mutants_per_unit,
-            self.jobs,
-            self.mutants,
-            self.ok(),
-        );
-        s.push_str(",\"classes\":[");
-        for (i, c) in self.classes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"class\":\"{}\",\"total\":{},\"caught\":{},\"escaped\":{},\"masked\":{},\
-                 \"resource_exhausted\":{},\"invalid\":{}}}",
-                FaultClass::ALL[i].name(),
-                c.total,
-                c.caught,
-                c.escaped,
-                c.masked,
-                c.resource_exhausted,
-                c.invalid
-            ));
-        }
-        s.push_str("],\"profiles\":[");
-        let kinds = |p: (f64, f64, f64, f64)| {
-            format!(
-                "{{\"safe\":{:.3},\"seq\":{:.3},\"wild\":{:.3},\"rtti\":{:.3}}}",
-                p.0, p.1, p.2, p.3
-            )
+        let kinds = |o: &mut json::Object<'_>, p: (f64, f64, f64, f64)| {
+            o.fixed("safe", p.0, 3)
+                .fixed("seq", p.1, 3)
+                .fixed("wild", p.2, 3)
+                .fixed("rtti", p.3, 3);
         };
-        for (i, p) in self.profiles.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":{},\"units\":{},\"pointers\":{},\"target\":{},\"measured\":{},\
-                 \"max_deviation_pct\":{:.3},\"within_tolerance\":{}}}",
-                json_str(&p.name),
-                p.units,
-                p.pointers,
-                kinds(p.target),
-                kinds(p.measured),
-                p.max_deviation(),
-                p.within(KIND_TOLERANCE_PCT)
-            ));
-        }
-        s.push_str("],\"escapes\":[");
-        for (i, e) in self.escapes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"unit\":{},\"mutant\":{},\"class\":\"{}\",\"description\":{}}}",
-                json_str(&e.unit),
-                e.mutant,
-                e.class,
-                json_str(&e.description)
-            ));
-        }
-        s.push_str("],\"divergences\":[");
-        for (i, d) in self.divergences.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"unit\":{},\"detail\":{}}}",
-                json_str(&d.unit),
-                json_str(&d.detail)
-            ));
-        }
-        s.push_str("],\"cure_failures\":[");
-        for (i, (u, why)) in self.cure_failures.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"unit\":{},\"detail\":{}}}",
-                json_str(u),
-                json_str(why)
-            ));
-        }
-        s.push_str(&format!(
-            "],\"cache_hit_rate\":{:.6},\"wall_ns\":{}}}",
-            self.cache_hit_rate,
-            self.wall.as_nanos()
-        ));
-        s
+        json::object(|o| {
+            o.str("experiment", "campaign")
+                .num("seed", self.seed)
+                .num("units", self.units)
+                .num("mutants_per_unit", self.mutants_per_unit)
+                .num("jobs", self.jobs)
+                .num("mutants", self.mutants)
+                .num("sound", self.ok())
+                .obj("outcomes", |o| {
+                    o.num("caught", caught)
+                        .num("escaped", escaped)
+                        .num("masked", masked)
+                        .num("resource_exhausted", limit)
+                        .num("invalid", invalid);
+                });
+            o.list(
+                "classes",
+                FaultClass::ALL.iter().zip(&self.classes),
+                |o, (class, c)| {
+                    o.str("class", class.name())
+                        .num("total", c.total)
+                        .num("caught", c.caught)
+                        .num("escaped", c.escaped)
+                        .num("masked", c.masked)
+                        .num("resource_exhausted", c.resource_exhausted)
+                        .num("invalid", c.invalid);
+                },
+            );
+            o.list("profiles", &self.profiles, |o, p| {
+                o.str("name", &p.name)
+                    .num("units", p.units)
+                    .num("pointers", p.pointers)
+                    .obj("target", |o| kinds(o, p.target))
+                    .obj("measured", |o| kinds(o, p.measured))
+                    .fixed("max_deviation_pct", p.max_deviation(), 3)
+                    .num("within_tolerance", p.within(KIND_TOLERANCE_PCT));
+            });
+            o.list("escapes", &self.escapes, |o, e| {
+                o.str("unit", &e.unit)
+                    .num("mutant", e.mutant)
+                    .str("class", &e.class)
+                    .str("description", &e.description);
+            });
+            o.list("divergences", &self.divergences, |o, d| {
+                o.str("unit", &d.unit).str("detail", &d.detail);
+            });
+            o.list("cure_failures", &self.cure_failures, |o, (u, why)| {
+                o.str("unit", u).str("detail", why);
+            });
+            o.fixed("cache_hit_rate", self.cache_hit_rate, 6)
+                .num("wall_ns", self.wall.as_nanos());
+        })
     }
 }
 

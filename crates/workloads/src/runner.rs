@@ -166,7 +166,7 @@ pub fn run_cured_loop_opt(
     let stats = execute(
         &cured.program,
         ExecMode::cured(&cured),
-        cured.engine,
+        Engine::default(),
         &w.input,
     );
     Ok(CuredRun { cured, stats })

@@ -493,27 +493,6 @@ fn cure_temporal(w: &Workload, optimize: bool, loop_opt: bool) -> ccured::Cured 
     curer.cure_source(&w.source).expect("cure")
 }
 
-/// Like [`run_profiled`], with the runtime's temporal key table enabled.
-fn run_temporal(
-    cured: &ccured::Cured,
-    engine: Engine,
-    input: &[u8],
-) -> (
-    Result<i64, ccured_rt::RtError>,
-    Vec<u8>,
-    ccured_rt::Counters,
-    Profile,
-) {
-    let mut interp = Interp::new(&cured.program, ExecMode::cured(cured));
-    interp.set_engine(engine);
-    interp.set_temporal(true);
-    interp.set_input(input.to_vec());
-    interp.enable_profile(cured.sites.len());
-    let result = interp.run();
-    let profile = interp.profile().cloned().expect("profile recorded");
-    (result, interp.output().to_vec(), interp.counters, profile)
-}
-
 /// A key check on a loop-invariant pointer is only a loop invariant when
 /// nothing in the loop can `free` — so temporal checks hoist out of
 /// call-free loops and stay per-iteration the moment the body calls.
@@ -530,8 +509,8 @@ fn temporal_checks_hoist_only_out_of_call_free_loops() {
         "call-free loop: the temporal check must hoist"
     );
     let noloop = cure_temporal(&callfree, true, false);
-    let (rf, _, cf, _) = run_temporal(&full, Engine::default(), &callfree.input);
-    let (rn, _, cn, _) = run_temporal(&noloop, Engine::default(), &callfree.input);
+    let (rf, _, cf, _) = run_profiled(&full, Engine::default(), &callfree.input);
+    let (rn, _, cn, _) = run_profiled(&noloop, Engine::default(), &callfree.input);
     assert_eq!(rf, rn, "hoisting changed the verdict");
     assert!(
         cf.temporal_checks < cn.temporal_checks,
@@ -575,7 +554,7 @@ fn temporal_checks_hoist_only_out_of_call_free_loops() {
             "keep-reason names the free hazard: {why:?}"
         );
     }
-    let (r, _, _, _) = run_temporal(&cured, Engine::default(), &calling.input);
+    let (r, _, _, _) = run_profiled(&cured, Engine::default(), &calling.input);
     assert_eq!(r, Ok(0), "self-check failed");
 }
 
@@ -598,8 +577,8 @@ fn engines_agree_on_temporal_programs() {
     .without_wrappers();
     for w in [micro::seq_index(16), hoist_workload(20), uaf] {
         let cured = cure_temporal(&w, true, true);
-        let (rt, outt, ct, pt) = run_temporal(&cured, Engine::Tree, &w.input);
-        let (rv, outv, cv, pv) = run_temporal(&cured, Engine::Vm, &w.input);
+        let (rt, outt, ct, pt) = run_profiled(&cured, Engine::Tree, &w.input);
+        let (rv, outv, cv, pv) = run_profiled(&cured, Engine::Vm, &w.input);
         assert_eq!(rt, rv, "{}: results differ across engines", w.name);
         assert_eq!(outt, outv, "{}: outputs differ across engines", w.name);
         assert_eq!(ct, cv, "{}: counters differ across engines", w.name);
