@@ -1,10 +1,7 @@
-//! The work-stealing parallel cure engine.
+//! The parallel cure engine.
 //!
-//! Units are distributed round-robin across per-worker deques; each worker
-//! pops from the front of its own deque and, when empty, steals from the
-//! *back* of its siblings' — the classic work-stealing shape, with plain
-//! `Mutex<VecDeque>`s instead of lock-free deques (unit granularity is a
-//! whole cure, so queue contention is negligible).
+//! Workers claim units from one shared cursor ([`run_units`]); the campaign
+//! in `ccured-synth` schedules its per-unit checks on the same loop.
 //!
 //! Every cure runs inside [`ccured::isolated`], so one poisoned input
 //! becomes a per-unit `internal-error` verdict instead of sinking the
@@ -16,11 +13,11 @@ use crate::cache::{Cache, CachedUnit};
 use crate::hash::fnv1a;
 use crate::report::{BatchReport, UnitOutcome, UnitReport, Verdict};
 use ccured::{isolated, CureError, Cured, Curer, StageTimings};
-use ccured_rt::Limits;
-use std::collections::VecDeque;
+use ccured_rt::{ExecMode, Interp, Limits};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -82,9 +79,9 @@ impl Default for BatchConfig {
 /// Expands a batch input path into the list of units to cure.
 ///
 /// A **directory** yields every `*.c` file directly inside it, sorted by
-/// name. A **file** is a manifest: one unit path per line (relative paths
-/// resolve against the manifest's directory), blank lines and `#` comments
-/// ignored.
+/// name. A **`.c` file** is one unit. Any other **file** is a manifest: one
+/// unit path per line (relative paths resolve against the manifest's
+/// directory), blank lines and `#` comments ignored.
 ///
 /// # Errors
 ///
@@ -100,6 +97,8 @@ pub fn discover_units(path: &Path) -> io::Result<Vec<PathBuf>> {
             }
         }
         units.sort();
+    } else if path.extension().is_some_and(|e| e == "c") {
+        units.push(path.to_path_buf());
     } else {
         let base = path.parent().unwrap_or(Path::new("."));
         for line in fs::read_to_string(path)?.lines() {
@@ -145,102 +144,101 @@ pub fn run_batch(cfg: &BatchConfig, units: &[PathBuf]) -> io::Result<BatchReport
         c
     };
 
-    // Round-robin seeding: unit i starts on worker i % jobs.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..jobs)
-        .map(|w| {
-            Mutex::new(
-                (0..units.len())
-                    .filter(|i| i % jobs == w)
-                    .collect::<VecDeque<_>>(),
-            )
-        })
-        .collect();
-    let slots: Vec<Mutex<Option<UnitOutcome>>> = units.iter().map(|_| Mutex::new(None)).collect();
-
     // Workers recurse while parsing/lowering deep inputs; give them the
     // same healthy margin per guest frame the interpreter sandbox assumes.
     let stack_bytes = (cfg.limits.max_stack_depth * 64 * 1024).max(8 << 20);
+    let profile = cfg.profile.then_some(cfg.limits);
 
     let wall_start = Instant::now();
-    std::thread::scope(|scope| -> io::Result<()> {
-        let mut handles = Vec::with_capacity(jobs);
-        for w in 0..jobs {
-            let queues = &queues;
-            let slots = &slots;
-            let cache = cache.as_ref();
-            let curer = &curer;
-            let config_fp = config_fp.as_str();
-            let profile = cfg.profile.then_some(cfg.limits);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("ccured-batch-{w}"))
-                    .stack_size(stack_bytes)
-                    .spawn_scoped(scope, move || {
-                        while let Some(i) = next_unit(queues, w) {
-                            let out = cure_unit(&units[i], curer, config_fp, cache, profile);
-                            // A sibling that panicked mid-store poisons the
-                            // slot mutex; the data is a plain Option, so
-                            // recover it rather than cascading the panic.
-                            *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
-                        }
-                    })?,
-            );
-        }
-        let mut worker_died = false;
-        for h in handles {
-            // Cures run inside `ccured::isolated`, so a panicking join means
-            // a worker died *outside* a cure (infrastructure bug or fault
-            // injection). The batch still completes: whatever the dead
-            // worker left queued is drained by a recovery pass below.
-            worker_died |= h.join().is_err();
-        }
-        if worker_died {
-            let queues = &queues;
-            let slots = &slots;
-            let cache = cache.as_ref();
-            let curer = &curer;
-            let config_fp = config_fp.as_str();
-            let profile = cfg.profile.then_some(cfg.limits);
-            let h = std::thread::Builder::new()
-                .name("ccured-batch-recover".to_string())
-                .stack_size(stack_bytes)
-                .spawn_scoped(scope, move || {
-                    while let Some(i) = next_unit(queues, 0) {
-                        let out = cure_unit(&units[i], curer, config_fp, cache, profile);
-                        *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
-                    }
-                })?;
-            let _ = h.join();
-        }
-        Ok(())
+    let results = run_units(units.len(), jobs, "ccured-batch", stack_bytes, |i| {
+        cure_unit(&units[i], &curer, &config_fp, cache.as_ref(), profile)
     })?;
     let wall = wall_start.elapsed();
 
-    let outcomes: Vec<UnitOutcome> = slots
+    let outcomes: Vec<UnitOutcome> = results
         .into_iter()
         .zip(units)
-        .map(|(s, path)| {
-            // Every queued unit normally records an outcome; if a worker
-            // died between claiming a unit and storing its result, report
-            // that unit as an internal error instead of aborting the batch.
-            s.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .unwrap_or_else(|| UnitOutcome {
-                    path: path.display().to_string(),
-                    verdict: Verdict::Internal(
-                        "batch worker died before recording an outcome".to_string(),
-                    ),
-                    from_cache: false,
-                    cured_text: String::new(),
-                    report: None,
-                    report_digest: 0,
-                    cure_timings: StageTimings::default(),
-                    elapsed: std::time::Duration::ZERO,
-                    site_profile: Vec::new(),
-                })
+        .map(|(out, path)| {
+            // Every unit normally records an outcome; if a worker died
+            // between claiming a unit and storing its result, report that
+            // unit as an internal error instead of aborting the batch.
+            out.unwrap_or_else(|| UnitOutcome {
+                path: path.display().to_string(),
+                verdict: Verdict::Internal(
+                    "batch worker died before recording an outcome".to_string(),
+                ),
+                from_cache: false,
+                cured_text: String::new(),
+                report: None,
+                report_digest: 0,
+                cure_timings: StageTimings::default(),
+                elapsed: std::time::Duration::ZERO,
+                site_profile: Vec::new(),
+            })
         })
         .collect();
     Ok(BatchReport::new(outcomes, jobs, wall, cfg.use_cache))
+}
+
+/// Runs `work(i)` once for every unit index `i` in `0..n` on `jobs` worker
+/// threads named `{name}-{w}`, each with a `stack_bytes` stack, and returns
+/// the results in index order.
+///
+/// Workers claim indices from one shared cursor: every unit is known before
+/// the run starts, so a single counter balances the load as well as
+/// per-worker deques would. A panic in `work` kills only its worker: after
+/// the others join, a recovery worker runs the same loop on the same
+/// cursor, so every unclaimed unit still runs, and the unit whose `work`
+/// panicked comes back `None`.
+///
+/// # Errors
+///
+/// A worker thread that cannot be spawned.
+pub fn run_units<T: Send>(
+    n: usize,
+    jobs: usize,
+    name: &str,
+    stack_bytes: usize,
+    work: impl Fn(usize) -> T + Sync,
+) -> io::Result<Vec<Option<T>>> {
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let worker = || loop {
+        // Relaxed: the cursor only hands out indices; results travel
+        // through the slot mutexes and the scope's joins.
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return;
+        }
+        let out = work(i);
+        // A sibling that panicked mid-store poisons the slot mutex; the
+        // data is a plain Option, so recover it rather than cascading the
+        // panic.
+        *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
+    };
+    std::thread::scope(|scope| -> io::Result<()> {
+        let spawn = |label: String| {
+            std::thread::Builder::new()
+                .name(label)
+                .stack_size(stack_bytes)
+                .spawn_scoped(scope, worker)
+        };
+        let handles = (0..jobs)
+            .map(|w| spawn(format!("{name}-{w}")))
+            .collect::<io::Result<Vec<_>>>()?;
+        let mut worker_died = false;
+        for h in handles {
+            worker_died |= h.join().is_err();
+        }
+        if worker_died {
+            let _ = spawn(format!("{name}-recover"))?.join();
+        }
+        Ok(())
+    })?;
+    Ok(slots
+        .into_iter()
+        .map(|s| s.into_inner().unwrap_or_else(|p| p.into_inner()))
+        .collect())
 }
 
 /// Convenience entry point: discover units under `path` and run the batch.
@@ -251,31 +249,6 @@ pub fn run_batch(cfg: &BatchConfig, units: &[PathBuf]) -> io::Result<BatchReport
 pub fn run_path(cfg: &BatchConfig, path: &Path) -> io::Result<BatchReport> {
     let units = discover_units(path)?;
     run_batch(cfg, &units)
-}
-
-/// Pop from our own deque's front, else steal from a sibling's back.
-/// Queue mutexes hold plain indices, so a poisoned lock (a sibling
-/// panicked while holding it) is recovered, not propagated.
-fn next_unit(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
-    if let Some(i) = queues[me]
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .pop_front()
-    {
-        return Some(i);
-    }
-    let n = queues.len();
-    for d in 1..n {
-        let victim = (me + d) % n;
-        if let Some(i) = queues[victim]
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .pop_back()
-        {
-            return Some(i);
-        }
-    }
-    None
 }
 
 /// Cures one unit: cache probe, then an isolated live cure on a miss.
@@ -382,12 +355,11 @@ pub(crate) fn record_cure(cured: &Cured, key: u64, cache: Option<&Cache>) -> Cac
 /// exhaustion, even a missing `main`) never alters the unit's verdict — the
 /// profile simply records whatever executed before the run stopped.
 pub(crate) fn profile_unit(cured: &Cured, limits: Limits) -> Vec<ccured_rt::SiteReport> {
-    let mut interp = ccured_rt::Interp::new(&cured.program, ccured_rt::ExecMode::cured(cured));
+    let mut interp = Interp::new(&cured.program, ExecMode::cured(cured));
     interp.set_engine(ccured_rt::Engine::Vm);
     interp.set_limits(limits);
     interp.enable_profile(cured.sites.len());
-    let _ = interp.run();
-    let profile = interp.profile().cloned().unwrap_or_default();
+    let profile = interp.observe().profile.unwrap_or_default();
     ccured_rt::profile::rank_sites(&cured.sites, &profile, &ccured_rt::CostModel::default())
 }
 
@@ -428,6 +400,14 @@ mod tests {
         assert!(discover_units(&empty).is_err(), "no units is an error");
         let _ = fs::remove_dir_all(&d);
         let _ = fs::remove_dir_all(&empty);
+    }
+
+    #[test]
+    fn c_file_is_one_unit_not_a_manifest() {
+        let d = scratch("discover-one");
+        let one = write(&d, "one.c", "int main(void) {\n  return 0;\n}\n");
+        assert_eq!(discover_units(&one).unwrap(), vec![one]);
+        let _ = fs::remove_dir_all(&d);
     }
 
     #[test]
@@ -588,20 +568,19 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_queue_drains_exactly_once() {
-        let queues: Vec<Mutex<VecDeque<usize>>> = vec![
-            Mutex::new((0..7).collect()),
-            Mutex::new(VecDeque::new()),
-            Mutex::new(VecDeque::new()),
-        ];
-        let mut seen = Vec::new();
-        // Worker 2 owns nothing and must steal everything from worker 0.
-        while let Some(i) = next_unit(&queues, 2) {
-            seen.push(i);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5, 6]);
-        assert!(next_unit(&queues, 0).is_none());
+    fn run_units_runs_every_unit_exactly_once() {
+        let runs: Vec<AtomicUsize> = (0..37).map(|_| AtomicUsize::new(0)).collect();
+        let out = run_units(runs.len(), 4, "test-units", 1 << 20, |i| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            i * 2
+        })
+        .unwrap();
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        let expect: Vec<Option<usize>> = (0..37).map(|i| Some(i * 2)).collect();
+        assert_eq!(out, expect, "results come back in unit order");
+        assert!(run_units(0, 2, "test-none", 1 << 20, |i| i)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The parallel batch cure engine: take a directory (or manifest) of `.c`
 //! translation units, fan each unit's `cure_source` pipeline out across a
-//! work-stealing thread pool, and layer a content-addressed on-disk cache
+//! thread pool, and layer a content-addressed on-disk cache
 //! over the expensive stages so unchanged units are served from cache.
 //!
 //! This is the scaling layer the ROADMAP's production north star asks for:
@@ -11,8 +11,8 @@
 //! unchanged inputs — exactly the shape that parallelism plus a
 //! whole-unit result cache accelerates.
 //!
-//! * **Parallel**: per-worker deques with work stealing
-//!   ([`engine::run_batch`]); one slow unit cannot serialize the tail.
+//! * **Parallel**: workers claim units from one shared cursor
+//!   ([`engine::run_units`]); one slow unit cannot serialize the tail.
 //! * **Isolated**: every cure runs under `ccured::isolated` with a bounded
 //!   worker stack, so a hostile unit yields a per-unit verdict, never a
 //!   sunk batch.
@@ -46,7 +46,7 @@ pub mod report;
 pub mod serve;
 
 pub use cache::{Cache, CachedUnit};
-pub use engine::{discover_units, run_batch, run_path, BatchConfig};
+pub use engine::{discover_units, run_batch, run_path, run_units, BatchConfig};
 pub use report::{BatchReport, CacheStats, StageStat, UnitOutcome, UnitReport, Verdict};
 #[cfg(unix)]
 pub use serve::{request, ServeConfig, Server};

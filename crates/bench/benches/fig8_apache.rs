@@ -12,13 +12,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig8_apache");
     g.sample_size(10);
     for w in [apache::asis(20), apache::gzip(20), apache::usertrack(20)] {
-        let full = format!(
-            "{}\n{}",
-            ccured::wrappers::stdlib_wrapper_source(),
-            w.source
-        );
-        let tu = ccured_ast::parse_translation_unit(&full).unwrap();
-        let orig = ccured_cil::lower_translation_unit(&tu).unwrap();
+        let orig = w.program().unwrap();
         let cured = runner::run_cured(&w, &InferOptions::default())
             .unwrap()
             .cured;

@@ -16,18 +16,7 @@ fn bench(c: &mut Criterion) {
         daemons::openssl_bn(8),
         daemons::bind_like(12, 10),
     ] {
-        let full = format!(
-            "{}\n{}",
-            ccured::wrappers::stdlib_wrapper_source(),
-            w.source
-        );
-        let src = if w.with_wrappers {
-            full
-        } else {
-            w.source.clone()
-        };
-        let tu = ccured_ast::parse_translation_unit(&src).unwrap();
-        let orig = ccured_cil::lower_translation_unit(&tu).unwrap();
+        let orig = w.program().unwrap();
         let cured = runner::run_cured(&w, &InferOptions::default())
             .unwrap()
             .cured;

@@ -80,11 +80,7 @@ pub fn fig9() -> Vec<Fig9Row> {
         .into_iter()
         .map(|w| {
             let r = measure(&w, &InferOptions::default()).expect("fig9 workload");
-            let mut curer = ccured::Curer::new();
-            if w.with_wrappers {
-                curer.with_stdlib_wrappers();
-            }
-            let cured = curer.cure_source(&w.source).expect("fig9 cure");
+            let cured = w.curer().cure_source(&w.source).expect("fig9 cure");
             let [(tree, _), (vm, _)] = time_round_robin(
                 [
                     Timing::on(&cured, ccured_rt::Engine::Tree),
@@ -708,11 +704,7 @@ pub fn fig_interp(smoke: bool) -> InterpFig {
     let rows = ws
         .iter()
         .map(|w| {
-            let mut curer = ccured::Curer::new();
-            if w.with_wrappers {
-                curer.with_stdlib_wrappers();
-            }
-            let cured = curer.cure_source(&w.source).expect("fig-interp cure");
+            let cured = w.curer().cure_source(&w.source).expect("fig-interp cure");
             let [(tree, tree_c), (vm, vm_c)] = time_round_robin(
                 [
                     Timing::on(&cured, ccured_rt::Engine::Tree),
@@ -833,12 +825,10 @@ pub fn fig_temporal(smoke: bool) -> TemporalFig {
         .iter()
         .map(|w| {
             let cure = |temporal: bool| {
-                let mut curer = ccured::Curer::new();
-                if w.with_wrappers {
-                    curer.with_stdlib_wrappers();
-                }
-                curer.temporal(temporal);
-                curer.cure_source(&w.source).expect("fig-temporal cure")
+                w.curer()
+                    .temporal(temporal)
+                    .cure_source(&w.source)
+                    .expect("fig-temporal cure")
             };
             let plain = cure(false);
             let temporal = cure(true);
@@ -939,8 +929,9 @@ fn profile_cured(
     interp.set_engine(engine);
     interp.set_input(input.to_vec());
     interp.enable_profile(cured.sites.len());
-    interp.run().expect("fig-profile workload runs clean");
-    let prof = interp.profile().cloned().unwrap_or_default();
+    let run = interp.observe();
+    assert!(run.ok(), "fig-profile workload runs clean: {:?}", run.error);
+    let prof = run.profile.unwrap_or_default();
     ccured_rt::profile::rank_sites(&cured.sites, &prof, &CostModel::default())
 }
 
@@ -978,11 +969,7 @@ pub fn fig_profile(smoke: bool) -> ProfileFig {
     let rows = ws
         .iter()
         .map(|w| {
-            let mut curer = ccured::Curer::new();
-            if w.with_wrappers {
-                curer.with_stdlib_wrappers();
-            }
-            let cured = curer.cure_source(&w.source).expect("fig-profile cure");
+            let cured = w.curer().cure_source(&w.source).expect("fig-profile cure");
             let vm = profile_cured(&cured, ccured_rt::Engine::Vm, &w.input);
             let tree = profile_cured(&cured, ccured_rt::Engine::Tree, &w.input);
             let key = |rows: &[ccured_rt::SiteReport]| {
@@ -1027,11 +1014,10 @@ pub fn profile_overhead(reps: u32) -> f64 {
     let corpus = daemons::figure9_corpus();
     let mut ln_sum = 0.0;
     for w in &corpus {
-        let mut curer = ccured::Curer::new();
-        if w.with_wrappers {
-            curer.with_stdlib_wrappers();
-        }
-        let cured = curer.cure_source(&w.source).expect("profile-overhead cure");
+        let cured = w
+            .curer()
+            .cure_source(&w.source)
+            .expect("profile-overhead cure");
         let plain = Timing::on(&cured, ccured_rt::Engine::Vm);
         let profiled = Timing {
             profile: true,

@@ -8,7 +8,7 @@
 //! ccured <file.c> [options]
 //! ccured explain <file.c> [--sym name] [options]
 //! ccured crash-test <file.c> [--mutants N] [--seed S] [--json]
-//! ccured batch <dir|manifest> [--jobs N] [--cache-dir D] [--no-cache] [--profile] [--json]
+//! ccured batch <dir|manifest|file.c> [--jobs N] [--cache-dir D] [--no-cache] [--profile] [--json]
 //!                             [--deadline-ms N]
 //! ccured profile <file.c> [--top N] [--json] [--engine vm|tree]
 //! ccured serve <socket> [--workers N] [--cache-dir D] [--no-cache] [--deadline-ms N]
@@ -71,8 +71,8 @@
 //! form consumed by the `tables` bench binary.
 //!
 //! `ccured batch` cures every `.c` file under a directory (or listed in a
-//! manifest file) on a work-stealing thread pool, serving unchanged units
-//! from the content-addressed cache (`ccured-batch`). Cure flags
+//! manifest file, or the one `.c` file given) on a thread pool, serving
+//! unchanged units from the content-addressed cache (`ccured-batch`). Cure flags
 //! (`--wrappers`, `--no-opt`, `--original-ccured`, …) apply to every unit
 //! and participate in the cache key. `--deadline-ms` bounds each unit's
 //! cure wall-clock; a unit that blows its budget gets the terminal
@@ -99,7 +99,7 @@
 //! tested; `main.rs` is a thin wrapper.
 
 use ccured::{json, CureError, Cured, Curer};
-use ccured_rt::{Engine, ExecMode, Interp};
+use ccured_rt::{Engine, ExecMode, Interp, Limits, RunStats};
 use std::fmt;
 
 /// Execution mode selected on the command line.
@@ -518,7 +518,7 @@ pub const USAGE: &str =
               [--temporal]
        ccured explain <file.c> [--sym NAME] [other options]
        ccured crash-test <file.c> [--mutants N] [--seed S] [--json] [--temporal]
-       ccured batch <dir|manifest> [--jobs N] [--cache-dir D] [--no-cache] [--profile] [--json]
+       ccured batch <dir|manifest|file.c> [--jobs N] [--cache-dir D] [--no-cache] [--profile] [--json]
                    [--deadline-ms N]
        ccured profile <file.c> [--top N] [--json] [--engine vm|tree] [--temporal]
        ccured serve <socket> [--workers N] [--cache-dir D] [--no-cache] [--deadline-ms N]
@@ -551,9 +551,7 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
             ccured_faultinject::CrashTest::new(o.mutants.unwrap_or(60), o.seed.unwrap_or(1))
                 .with_engine(o.engine)
                 .with_temporal(o.temporal);
-        if let Some(f) = o.fuel {
-            cfg.limits.fuel = f;
-        }
+        cfg.limits = limits(o, cfg.limits);
         let rep = ccured_faultinject::harness::crash_test_source(&o.file, source, input, &cfg)?;
         if o.json {
             out.push_str(&rep.to_json());
@@ -574,9 +572,7 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
 ",
             );
         }
-        let full = with_prelude(o, source);
-        let tu = ccured_ast::parse_translation_unit(&full)?;
-        let prog = ccured_cil::lower_translation_unit(&tu)?;
+        let prog = curer(o).lower_source(source)?;
         let mode = match o.mode {
             Mode::Original => ExecMode::Original,
             Mode::Purify => ExecMode::Purify,
@@ -587,15 +583,15 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
         return Ok(execute(&prog, mode, o, input, out));
     }
 
-    let cured = curer(o).cure_source(source)?;
+    let curer = curer(o);
+    let cured = curer.cure_source(source)?;
     // Static failure diagnostics are warnings: the check provably fails on
     // every execution that reaches it (the run still aborts safely).
     for sf in &cured.report.static_failures {
         let pos = if sf.span == ccured_ast::Span::DUMMY {
             String::new()
         } else {
-            let full = with_prelude(o, source);
-            let map = ccured_ast::SourceMap::new(&o.file, full);
+            let map = ccured_ast::SourceMap::new(&o.file, curer.parsed_text(source));
             let lc = map.lookup(sf.span.lo);
             format!("{}:{lc}: ", o.file)
         };
@@ -610,10 +606,8 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
     if o.review {
         // Build the map over the parsed text but attribute positions to the
         // user's file, shifting out the wrapper prelude's lines.
-        let full = with_prelude(o, source);
-        let shift = prelude_lines(o);
-        let map = ccured_ast::SourceMap::new(&o.file, full);
-        let surface = cured.review_surface_shifted(&map, shift);
+        let map = ccured_ast::SourceMap::new(&o.file, curer.parsed_text(source));
+        let surface = cured.review_surface_shifted(&map, curer.prelude_lines());
         if surface.is_empty() {
             out.push_str("review surface: empty (no trusted or bad casts)\n");
         } else {
@@ -627,18 +621,17 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
         }
     }
     if o.explain || o.review {
-        let full = with_prelude(o, source);
-        let map = ccured_ast::SourceMap::new(&o.file, full);
+        let map = ccured_ast::SourceMap::new(&o.file, curer.parsed_text(source));
         render_explanations(&cured, o, &map, &mut out);
         if o.explain && o.sym.is_none() {
-            render_opt_actions(&cured, o, &map, &mut out);
+            render_opt_actions(&cured, o, &map, curer.prelude_lines(), &mut out);
         }
     }
     if o.emit_ir {
         out.push_str(&ccured_cil::pretty::dump_program(&cured.program));
     }
     if o.profile {
-        return Ok(run_profile(&cured, o, source, input, out));
+        return Ok(run_profile(&cured, o, &curer, source, input, out));
     }
     if o.run {
         return Ok(execute(
@@ -674,12 +667,7 @@ pub fn drive_batch(o: &Options) -> Result<Outcome, CureError> {
     }
     cfg.use_cache = !o.no_cache;
     cfg.profile = o.profile;
-    if let Some(f) = o.fuel {
-        cfg.limits.fuel = f;
-    }
-    if let Some(ms) = o.deadline_ms {
-        cfg.limits = cfg.limits.with_deadline_ms(ms);
-    }
+    cfg.limits = limits(o, cfg.limits);
     let report = ccured_batch::run_path(&cfg, std::path::Path::new(&o.file))
         .map_err(|e| CureError::Internal(format!("batch: {e}")))?;
     let stdout = if o.json {
@@ -724,12 +712,7 @@ pub fn drive_serve(o: &Options) -> Result<Outcome, CureError> {
     if let Some(c) = o.queue_cap {
         cfg.queue_cap = c;
     }
-    if let Some(f) = o.fuel {
-        cfg.limits.fuel = f;
-    }
-    if let Some(ms) = o.deadline_ms {
-        cfg.limits = cfg.limits.with_deadline_ms(ms);
-    }
+    cfg.limits = limits(o, cfg.limits);
     cfg.cache_dir = if o.no_cache {
         None
     } else {
@@ -858,9 +841,7 @@ pub fn drive_campaign(o: &Options) -> Result<Outcome, CureError> {
         cfg.cache_dir = d.into();
     }
     cfg.use_cache = !o.no_cache;
-    if let Some(f) = o.fuel {
-        cfg.limits.fuel = f;
-    }
+    cfg.limits = limits(o, cfg.limits);
     let rep = ccured_synth::run_campaign(&cfg)
         .map_err(|e| CureError::Internal(format!("campaign: {e}")))?;
     let stdout = if o.json {
@@ -882,27 +863,10 @@ pub fn drive_campaign(o: &Options) -> Result<Outcome, CureError> {
     Ok(Outcome { exit, stdout })
 }
 
-/// The exact text the pipeline parses: the wrapper prelude (when enabled)
-/// followed by the user's source. Diagnostics and review positions are
-/// relative to this text; [`prelude_lines`] lets callers re-map them.
-pub fn with_prelude(o: &Options, source: &str) -> String {
-    if o.wrappers {
-        format!("{}\n{source}", ccured::wrappers::stdlib_wrapper_source())
-    } else {
-        source.to_string()
-    }
-}
-
-/// Number of lines the prelude contributes before the user's first line.
-pub fn prelude_lines(o: &Options) -> u32 {
-    if o.wrappers {
-        ccured::wrappers::stdlib_wrapper_source().lines().count() as u32 + 1
-    } else {
-        0
-    }
-}
-
-fn curer(o: &Options) -> Curer {
+/// The curer the options configure. Its [`Curer::parsed_text`] and
+/// [`Curer::prelude_lines`] map diagnostics and check-site positions back
+/// into the user's file.
+pub fn curer(o: &Options) -> Curer {
     let mut c = if o.original_ccured {
         Curer::original_ccured()
     } else {
@@ -921,6 +885,18 @@ fn curer(o: &Options) -> Curer {
     }
     c.temporal(o.temporal);
     c
+}
+
+/// The sandbox limits the options ask for: `base` with `--fuel` and
+/// `--deadline-ms` applied.
+fn limits(o: &Options, mut base: Limits) -> Limits {
+    if let Some(f) = o.fuel {
+        base.fuel = f;
+    }
+    match o.deadline_ms {
+        Some(ms) => base.with_deadline_ms(ms),
+        None => base,
+    }
 }
 
 /// Prints blame paths: every WILD pointer in `explain` mode (and appended
@@ -986,8 +962,13 @@ fn render_explanations(cured: &Cured, o: &Options, map: &ccured_ast::SourceMap, 
 /// Lists the check sites the loop optimizer rewrote (hoisted/widened),
 /// with their final keep-reasons — the `ccured explain` view of the
 /// second-generation optimizer's work.
-fn render_opt_actions(cured: &Cured, o: &Options, map: &ccured_ast::SourceMap, out: &mut String) {
-    let shift = prelude_lines(o);
+fn render_opt_actions(
+    cured: &Cured,
+    o: &Options,
+    map: &ccured_ast::SourceMap,
+    shift: u32,
+    out: &mut String,
+) {
     let acted: Vec<&ccured::instrument::CheckSite> = cured
         .sites
         .iter()
@@ -1014,24 +995,30 @@ fn render_opt_actions(cured: &Cured, o: &Options, map: &ccured_ast::SourceMap, o
     }
 }
 
-fn execute(
+/// Runs `prog` once on the options' engine, input and limits, profiling
+/// `sites` check sites when given. Appends the guest's output, and a
+/// runtime-error line when the run failed, to `out`. The exit code is the
+/// program's own, 3 when a check failed, or 4 for any other run-time error.
+fn run(
     prog: &ccured_cil::Program,
     mode: ExecMode<'_>,
     o: &Options,
     input: &[u8],
-    mut out: String,
-) -> Outcome {
+    sites: Option<usize>,
+    out: &mut String,
+) -> (RunStats, i32) {
     let mut interp = Interp::new(prog, mode);
     interp.set_engine(o.engine);
     interp.set_input(input.to_vec());
-    if let Some(f) = o.fuel {
-        interp.set_fuel(f);
+    interp.set_limits(limits(o, Limits::default()));
+    if let Some(n) = sites {
+        interp.enable_profile(n);
     }
-    let result = interp.run();
-    out.push_str(&String::from_utf8_lossy(interp.output()));
-    let exit = match result {
-        Ok(code) => code as i32,
-        Err(e) => {
+    let stats = interp.observe();
+    out.push_str(&String::from_utf8_lossy(&stats.output));
+    let exit = match &stats.error {
+        None => stats.exit as i32,
+        Some(e) => {
             out.push_str(&format!("ccured: runtime error: {e}\n"));
             if e.is_check_failure() {
                 3
@@ -1040,8 +1027,19 @@ fn execute(
             }
         }
     };
+    (stats, exit)
+}
+
+fn execute(
+    prog: &ccured_cil::Program,
+    mode: ExecMode<'_>,
+    o: &Options,
+    input: &[u8],
+    mut out: String,
+) -> Outcome {
+    let (stats, exit) = run(prog, mode, o, input, None, &mut out);
     if o.counters {
-        let c = &interp.counters;
+        let c = &stats.counters;
         out.push_str(&format!(
             "-- counters: instrs={} loads={} stores={} checks={} (null={} seq={} wild={} rtti={} index={} temporal={}) meta_ops={}\n",
             c.instrs,
@@ -1066,34 +1064,30 @@ fn execute(
 /// the object's `output` field instead, so stdout is one JSON document.
 /// Profiling is observation-only, so exit code and program output are
 /// identical to a plain `--run`.
-fn run_profile(cured: &Cured, o: &Options, source: &str, input: &[u8], mut out: String) -> Outcome {
-    let mut interp = Interp::new(&cured.program, ExecMode::cured(cured));
-    interp.set_engine(o.engine);
-    interp.set_input(input.to_vec());
-    if let Some(f) = o.fuel {
-        interp.set_fuel(f);
-    }
-    interp.enable_profile(cured.sites.len());
-    let result = interp.run();
-    out.push_str(&String::from_utf8_lossy(interp.output()));
-    let exit = match result {
-        Ok(code) => code as i32,
-        Err(e) => {
-            out.push_str(&format!("ccured: runtime error: {e}\n"));
-            if e.is_check_failure() {
-                3
-            } else {
-                4
-            }
-        }
-    };
-    let profile = interp.profile().cloned().unwrap_or_default();
+fn run_profile(
+    cured: &Cured,
+    o: &Options,
+    curer: &Curer,
+    source: &str,
+    input: &[u8],
+    mut out: String,
+) -> Outcome {
+    let sites = Some(cured.sites.len());
+    let (stats, exit) = run(
+        &cured.program,
+        ExecMode::cured(cured),
+        o,
+        input,
+        sites,
+        &mut out,
+    );
+    let profile = stats.profile.unwrap_or_default();
     let rows =
         ccured_rt::profile::rank_sites(&cured.sites, &profile, &ccured_rt::CostModel::default());
     if o.json {
         out = profile_json(o, &rows, &profile, &out);
     } else {
-        render_profile(o, source, &rows, &profile, &mut out);
+        render_profile(o, curer, source, &rows, &profile, &mut out);
     }
     Outcome { exit, stdout: out }
 }
@@ -1128,13 +1122,14 @@ fn site_location(
 
 fn render_profile(
     o: &Options,
+    curer: &Curer,
     source: &str,
     rows: &[ccured_rt::SiteReport],
     profile: &ccured_rt::Profile,
     out: &mut String,
 ) {
-    let full = with_prelude(o, source);
-    let shift = prelude_lines(o);
+    let full = curer.parsed_text(source);
+    let shift = curer.prelude_lines();
     let map = ccured_ast::SourceMap::new(&o.file, full.clone());
     let lines: Vec<&str> = full.lines().collect();
     let top = o.top.unwrap_or(10);
@@ -1793,6 +1788,22 @@ mod tests {
         .unwrap();
         assert_eq!(r.exit, 3);
         assert!(r.stdout.contains("ccured check"));
+    }
+
+    #[test]
+    fn drive_run_fuel_exhaustion_exits_4_on_both_engines() {
+        let spin = "int main(void) { int i; i = 0; while (1) { i = i + 1; } return i; }";
+        for engine in ["vm", "tree"] {
+            let o = args(&format!("spin.c --run --fuel 50 --engine {engine}")).unwrap();
+            let r = drive(&o, spin, b"").unwrap();
+            assert_eq!(r.exit, 4, "{engine}: {}", r.stdout);
+            assert!(
+                r.stdout
+                    .contains("ccured: runtime error: instruction budget exhausted"),
+                "{engine}: {}",
+                r.stdout
+            );
+        }
     }
 
     #[test]

@@ -80,9 +80,9 @@ fn main() -> ExitCode {
             // relative to the parsed text (prelude + source); shift the
             // line number back into the user's file.
             if let ccured::CureError::Frontend(d) = &e {
-                let full = ccured_cli::with_prelude(&opts, &source);
-                let shift = ccured_cli::prelude_lines(&opts);
-                let map = ccured_ast::SourceMap::new(&opts.file, full);
+                let curer = ccured_cli::curer(&opts);
+                let shift = curer.prelude_lines();
+                let map = ccured_ast::SourceMap::new(&opts.file, curer.parsed_text(&source));
                 let pos = map.lookup(d.span.lo);
                 if pos.line > shift {
                     eprintln!(

@@ -609,13 +609,7 @@ mod tests {
     /// A unit lowered the way the cure pipeline sees it when it builds the
     /// hierarchy (prelude prepended, wrappers applied).
     fn lowered(w: &ccured_workloads::Workload) -> Program {
-        let src = if w.with_wrappers {
-            format!("{}\n{}", crate::wrappers::stdlib_wrapper_source(), w.source)
-        } else {
-            w.source.clone()
-        };
-        let tu = ccured_ast::parse_translation_unit(&src).expect("parse");
-        let mut prog = ccured_cil::lower_translation_unit(&tu).expect("lower");
+        let mut prog = w.program().expect("lower");
         crate::wrappers::apply_wrappers(&mut prog);
         prog
     }

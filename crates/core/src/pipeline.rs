@@ -390,10 +390,52 @@ impl Curer {
     /// strict mode when the link audit fails.
     pub fn cure_source(&self, src: &str) -> Result<Cured, CureError> {
         let start = Instant::now();
-        let full = match &self.prelude {
+        let (prog, parse, lower) = self.parse_and_lower(src, start)?;
+        let mut cured = self.cure_program_with_deadline(prog, start)?;
+        cured.timings.parse = parse;
+        cured.timings.lower = lower;
+        Ok(cured)
+    }
+
+    /// Parses and lowers `src` after the prelude, without curing: the
+    /// program an uncured run (original or baseline mode) executes, and the
+    /// input of [`Curer::cure_program`].
+    ///
+    /// # Errors
+    ///
+    /// [`CureError::Frontend`] on parse/type errors; [`CureError::Timeout`]
+    /// when a [`Curer::deadline`] is spent.
+    pub fn lower_source(&self, src: &str) -> Result<Program, CureError> {
+        Ok(self.parse_and_lower(src, Instant::now())?.0)
+    }
+
+    /// The exact text [`Curer::cure_source`] parses for `src`: the prelude
+    /// (when set) followed by `src`. Spans in diagnostics and check sites
+    /// are offsets into this text.
+    pub fn parsed_text(&self, src: &str) -> String {
+        match &self.prelude {
             Some(p) => format!("{p}\n{src}"),
             None => src.to_string(),
-        };
+        }
+    }
+
+    /// Number of lines the prelude adds before `src`'s first line in
+    /// [`Curer::parsed_text`], so callers can map positions back into the
+    /// user's file.
+    pub fn prelude_lines(&self) -> u32 {
+        self.prelude
+            .as_deref()
+            .map_or(0, |p| p.lines().count() as u32 + 1)
+    }
+
+    /// Parses and lowers [`Curer::parsed_text`], timing both stages and
+    /// checking the deadline after each.
+    fn parse_and_lower(
+        &self,
+        src: &str,
+        start: Instant,
+    ) -> Result<(Program, Duration, Duration), CureError> {
+        let full = self.parsed_text(src);
         let t = Instant::now();
         let tu = ccured_ast::parse_translation_unit(&full)?;
         let parse = t.elapsed();
@@ -402,10 +444,7 @@ impl Curer {
         let prog = ccured_cil::lower_translation_unit(&tu)?;
         let lower = t.elapsed();
         self.check_deadline(start, "lower")?;
-        let mut cured = self.cure_program_with_deadline(prog, start)?;
-        cured.timings.parse = parse;
-        cured.timings.lower = lower;
-        Ok(cured)
+        Ok((prog, parse, lower))
     }
 
     /// Cures an already-lowered program.

@@ -21,7 +21,7 @@
 
 use ccured::{isolated, CureError, Curer};
 use ccured_cil::Program;
-use ccured_rt::{Engine, ExecMode, Interp, Limits, RtError};
+use ccured_rt::{Engine, ExecMode, Interp, Limits, RtError, RunStats};
 use ccured_workloads::prng::SplitMix64;
 use ccured_workloads::Workload;
 
@@ -117,7 +117,7 @@ pub fn crash_test(ws: &[Workload], cfg: &CrashTest) -> Result<CrashTestReport, C
     assert!(!ws.is_empty(), "crash_test needs at least one workload");
     let mut bases = Vec::with_capacity(ws.len());
     for w in ws {
-        bases.push((w.name.clone(), w.input.clone(), lower(w)?));
+        bases.push((w.name.clone(), w.input.clone(), w.program()?));
     }
 
     let ncls = FaultClass::ALL.len();
@@ -157,7 +157,7 @@ pub fn crash_test(ws: &[Workload], cfg: &CrashTest) -> Result<CrashTestReport, C
 
         // Ground truth: plain C semantics, no zeroing allocator, no
         // temporal keys.
-        let (gt, _) = run_prog(
+        let gt = run_prog(
             &prog,
             ExecMode::Original,
             cfg.engine,
@@ -165,7 +165,9 @@ pub fn crash_test(ws: &[Workload], cfg: &CrashTest) -> Result<CrashTestReport, C
             cfg.limits,
             false,
         );
-        let gt_memory_error = matches!(&gt, Ok(Err(e)) if e.is_memory_error());
+        let gt_memory_error = gt
+            .as_ref()
+            .is_ok_and(|s| s.error.as_ref().is_some_and(RtError::is_memory_error));
 
         // Cure (isolated: a curer panic becomes CureError::Internal), then
         // run the cured program with the zeroing allocator on.
@@ -174,7 +176,7 @@ pub fn crash_test(ws: &[Workload], cfg: &CrashTest) -> Result<CrashTestReport, C
         let (outcome, cured_str, uaf_traps) = match &cured {
             Err(e) => (Outcome::Invalid, format!("cure failed: {e}"), 0),
             Ok(c) => {
-                let (r, traps) = run_prog(
+                let r = run_prog(
                     &c.program,
                     ExecMode::cured(c),
                     cfg.engine,
@@ -182,6 +184,7 @@ pub fn crash_test(ws: &[Workload], cfg: &CrashTest) -> Result<CrashTestReport, C
                     cfg.limits,
                     true,
                 );
+                let traps = r.as_ref().map_or(0, |s| s.uaf_traps);
                 (classify(&r), fmt_run(&r), traps)
             }
         };
@@ -220,27 +223,7 @@ pub fn crash_test_source(
     crash_test(&[w], cfg)
 }
 
-/// Lowers a workload to pre-cure CIL, with the stdlib wrapper prelude when
-/// the workload asks for it (mirrors the runner in `ccured-workloads`, which
-/// keeps its version private).
-fn lower(w: &Workload) -> Result<Program, CureError> {
-    let full = if w.with_wrappers {
-        format!(
-            "{}\n{}",
-            ccured::wrappers::stdlib_wrapper_source(),
-            w.source
-        )
-    } else {
-        w.source.clone()
-    };
-    let tu = ccured_ast::parse_translation_unit(&full).map_err(CureError::Frontend)?;
-    ccured_cil::lower_translation_unit(&tu).map_err(CureError::Frontend)
-}
-
-/// One sandboxed interpreter run, returning the result and the machine's
-/// ground-truth dead-memory trap count (the temporal experiments assert it
-/// stays zero: a `CHECK_TEMPORAL` must fire *before* the abstract machine
-/// would have trapped). The outer `Err` is a panic payload — the hardened
+/// One sandboxed interpreter run. `Err` is a panic payload — the hardened
 /// interpreter should never produce one, and the harness records it as
 /// [`Outcome::Invalid`] rather than crashing the batch.
 fn run_prog(
@@ -250,44 +233,41 @@ fn run_prog(
     input: &[u8],
     limits: Limits,
     zero_init: bool,
-) -> (Result<Result<i64, RtError>, String>, u64) {
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+) -> Result<RunStats, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut interp = Interp::new(prog, mode);
         interp.set_engine(engine);
         interp.set_limits(limits);
         interp.set_zero_init(zero_init);
         interp.set_input(input.to_vec());
-        let res = interp.run();
-        (res, interp.uaf_traps())
-    }));
-    match r {
-        Ok((res, traps)) => (Ok(res), traps),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            (Err(msg), 0)
-        }
-    }
+        interp.observe()
+    }))
+    .map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string())
+    })
 }
 
 /// The verdict, from the cured run alone.
-fn classify(cured: &Result<Result<i64, RtError>, String>) -> Outcome {
-    match cured {
-        Err(_) => Outcome::Invalid,
-        Ok(Err(RtError::CheckFailed { .. })) => Outcome::Caught,
-        Ok(Err(e)) if e.is_memory_error() => Outcome::Escaped,
-        Ok(Err(e)) if e.is_resource_limit() => Outcome::ResourceExhausted,
-        Ok(Err(RtError::Internal(_) | RtError::Unsupported(_))) => Outcome::Invalid,
-        Ok(_) => Outcome::Masked,
+fn classify(cured: &Result<RunStats, String>) -> Outcome {
+    let Ok(stats) = cured else {
+        return Outcome::Invalid;
+    };
+    match &stats.error {
+        Some(RtError::CheckFailed { .. }) => Outcome::Caught,
+        Some(e) if e.is_memory_error() => Outcome::Escaped,
+        Some(e) if e.is_resource_limit() => Outcome::ResourceExhausted,
+        Some(RtError::Internal(_) | RtError::Unsupported(_)) => Outcome::Invalid,
+        _ => Outcome::Masked,
     }
 }
 
 /// Renders a run result for the report.
-fn fmt_run(r: &Result<Result<i64, RtError>, String>) -> String {
-    match r {
+fn fmt_run(r: &Result<RunStats, String>) -> String {
+    match r.as_ref().map(RunStats::result) {
         Ok(Ok(code)) => format!("exit {code}"),
         Ok(Err(e)) => e.to_string(),
         Err(p) => format!("panic: {p}"),

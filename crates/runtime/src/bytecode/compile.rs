@@ -94,13 +94,11 @@ pub(crate) fn compile<'p>(it: &Interp<'p>, f: FuncId, mem_locals: &[bool]) -> Co
         match &mut op.kind {
             OpKind::Jump(t) | OpKind::BranchIfZero(t) => *t = resolve(*t),
             OpKind::CmpBranch { target, .. }
-            | OpKind::RegCmpBranch { target, .. }
             | OpKind::PushCmpBranch { target, .. }
             | OpKind::RegRegCmpBranch { target, .. }
             | OpKind::RegImmCmpBranch { target, .. }
             | OpKind::LoadIntCmpBranch { target, .. }
-            | OpKind::LoadIntImmCmpBranch { target, .. }
-            | OpKind::RegCmpBranchHook { target, .. } => *target = resolve(*target),
+            | OpKind::LoadIntImmCmpBranch { target, .. } => *target = resolve(*target),
             OpKind::Switch(tbl) => {
                 for (_, t) in &mut tbl.cases {
                     *t = resolve(*t);
@@ -397,35 +395,6 @@ fn fuse<'p>(ops: Vec<Op<'p>>, labels: &[u32]) -> (Vec<Op<'p>>, Vec<u32>) {
                     }),
                     3,
                 ),
-                // A register pointer stored straight to memory:
-                // `slots[i] = cell`.
-                (OpKind::LoadReg(l, zk), Some(OpKind::StorePtr { q, wild_tag }), _, _, _) => (
-                    Some(OpKind::RegStorePtr {
-                        l: *l,
-                        zk: *zk,
-                        q: *q,
-                        wild_tag: *wild_tag,
-                        c2,
-                    }),
-                    1,
-                ),
-                // A float load feeding its operator:
-                // `acc - coeffs[i] * from[i]->value`'s inner loads.
-                (
-                    OpKind::LoadFloat { size },
-                    Some(OpKind::BinArith { op: aop, trunc }),
-                    _,
-                    _,
-                    _,
-                ) => (
-                    Some(OpKind::LoadFloatArith {
-                        size: *size,
-                        op: *aop,
-                        trunc: *trunc,
-                        c2,
-                    }),
-                    1,
-                ),
                 _ => (None, 0),
             };
             if ext.0.is_some() {
@@ -433,21 +402,6 @@ fn fuse<'p>(ops: Vec<Op<'p>>, labels: &[u32]) -> (Vec<Op<'p>>, Vec<u32>) {
             } else {
                 match (&op.kind, o1.map(|o| &o.kind), o2.map(|o| &o.kind)) {
                     // Triples first: a full comparison-and-branch condition.
-                    (
-                        OpKind::LoadReg(l, zk),
-                        Some(OpKind::BinCmp(c)),
-                        Some(OpKind::BranchIfZero(t)),
-                    ) => (
-                        Some(OpKind::RegCmpBranch {
-                            l: *l,
-                            zk: *zk,
-                            op: *c,
-                            target: *t,
-                            c2,
-                            c3,
-                        }),
-                        2,
-                    ),
                     (
                         OpKind::Push(Value::Int(v)),
                         Some(OpKind::BinCmp(c)),
@@ -469,15 +423,6 @@ fn fuse<'p>(ops: Vec<Op<'p>>, labels: &[u32]) -> (Vec<Op<'p>>, Vec<u32>) {
                             zk: *zk,
                             op: *op,
                             trunc: *trunc,
-                            c2,
-                        }),
-                        1,
-                    ),
-                    (OpKind::LoadReg(l, zk), Some(OpKind::BinCmp(c)), _) => (
-                        Some(OpKind::RegBinCmp {
-                            l: *l,
-                            zk: *zk,
-                            op: *c,
                             c2,
                         }),
                         1,
@@ -513,18 +458,6 @@ fn fuse<'p>(ops: Vec<Op<'p>>, labels: &[u32]) -> (Vec<Op<'p>>, Vec<u32>) {
                         }),
                         1,
                     ),
-                    (OpKind::LoadInt { size, signed }, Some(OpKind::BinArith { op, trunc }), _) => {
-                        (
-                            Some(OpKind::LoadIntArith {
-                                size: *size,
-                                signed: *signed,
-                                op: *op,
-                                trunc: *trunc,
-                                c2,
-                            }),
-                            1,
-                        )
-                    }
                     (OpKind::LoadInt { size, signed }, Some(OpKind::StoreReg(l, norm)), _) => (
                         Some(OpKind::LoadIntStoreReg {
                             size: *size,
@@ -580,11 +513,9 @@ fn fuse<'p>(ops: Vec<Op<'p>>, labels: &[u32]) -> (Vec<Op<'p>>, Vec<u32>) {
     (out, map)
 }
 
-/// The second fusion pass: fuses guard-machinery `Hook`s into their
-/// neighbors. The widener always inserts a `Probe` immediately before the
-/// `Guarded` residual it covers, so (Hook, Hook) adjacency is the common
-/// win; (RegCmpBranch, Hook) catches a hook on a branch's fall-through.
-/// Labels must already be in pass-1 indices; same target-spanning rule
+/// The second fusion pass: fuses adjacent guard-machinery `Hook`s. The
+/// widener always inserts a `Probe` immediately before the `Guarded`
+/// residual it covers, so (Hook, Hook) adjacency is common. Labels must already be in pass-1 indices; same target-spanning rule
 /// and cost protocol as [`fuse`].
 fn fuse_hooks<'p>(ops: Vec<Op<'p>>, labels: &[u32]) -> (Vec<Op<'p>>, Vec<u32>) {
     let n = ops.len();
@@ -616,27 +547,6 @@ fn fuse_hooks<'p>(ops: Vec<Op<'p>>, labels: &[u32]) -> (Vec<Op<'p>>, Vec<u32>) {
                     b,
                     sb: *sb,
                     c2: c,
-                }),
-                (
-                    OpKind::RegCmpBranch {
-                        l,
-                        zk,
-                        op: cop,
-                        target,
-                        c2,
-                        c3,
-                    },
-                    Some(OpKind::Hook(h, hs)),
-                ) => Some(OpKind::RegCmpBranchHook {
-                    l: *l,
-                    zk: *zk,
-                    op: *cop,
-                    target: *target,
-                    c2: *c2,
-                    c3: *c3,
-                    h,
-                    hs: *hs,
-                    c4: c,
                 }),
                 _ => None,
             }

@@ -296,32 +296,6 @@ pub(crate) enum OpKind<'p> {
         /// Cost of the fused `BinArith`.
         c2: u32,
     },
-    /// `LoadReg` + `BinCmp`.
-    RegBinCmp {
-        /// Right-operand register.
-        l: LocalId,
-        /// Zero served for an uninitialized covered read.
-        zk: ZeroKind,
-        /// The comparison.
-        op: BinOp,
-        /// Cost of the fused `BinCmp`.
-        c2: u32,
-    },
-    /// `LoadReg` + `BinCmp` + `BranchIfZero`: a full loop/if condition.
-    RegCmpBranch {
-        /// Right-operand register.
-        l: LocalId,
-        /// Zero served for an uninitialized covered read.
-        zk: ZeroKind,
-        /// The comparison.
-        op: BinOp,
-        /// Branch target when the comparison is false.
-        target: u32,
-        /// Cost of the fused `BinCmp`.
-        c2: u32,
-        /// Cost of the fused `BranchIfZero`.
-        c3: u32,
-    },
     /// `LoadReg` + `StoreReg`: register-to-register copy.
     RegStoreReg {
         /// Source register.
@@ -399,19 +373,6 @@ pub(crate) enum OpKind<'p> {
         /// Destination normalization.
         norm: RegNorm,
         /// Cost of the fused `StoreReg`.
-        c2: u32,
-    },
-    /// `LoadInt` + `BinArith`: memory load supplies the right operand.
-    LoadIntArith {
-        /// Byte width of the load.
-        size: u64,
-        /// Sign-extend on load.
-        signed: bool,
-        /// The operator.
-        op: BinOp,
-        /// Integer result truncation.
-        trunc: Option<IntKind>,
-        /// Cost of the fused `BinArith`.
         c2: u32,
     },
     /// `LoadInt` + `StoreReg`: load a memory integer into a register.
@@ -612,32 +573,6 @@ pub(crate) enum OpKind<'p> {
         /// Cost of the fused `BranchIfZero`.
         c4: u32,
     },
-    /// `LoadReg` + `StorePtr`: a register pointer stored straight to
-    /// memory (`slots[i] = cell`) in one dispatch.
-    RegStorePtr {
-        /// Value register.
-        l: LocalId,
-        /// Zero served for an uninitialized covered read.
-        zk: ZeroKind,
-        /// Declared qualifier (split-representation metadata accounting).
-        q: QualId,
-        /// Destination was reached through a WILD dereference.
-        wild_tag: bool,
-        /// Cost of the fused `StorePtr`.
-        c2: u32,
-    },
-    /// `LoadFloat` + `BinArith`: a float operand loaded from memory
-    /// straight into its operator (the float analog of `LoadIntArith`).
-    LoadFloatArith {
-        /// Byte width of the load.
-        size: u64,
-        /// The operator.
-        op: BinOp,
-        /// Integer result truncation.
-        trunc: Option<IntKind>,
-        /// Cost of the fused `BinArith`.
-        c2: u32,
-    },
     /// `CheckBegin` + `LoadReg` + `CheckEnd`: a whole check of a register
     /// operand.
     CheckReg {
@@ -695,29 +630,5 @@ pub(crate) enum OpKind<'p> {
         sb: SiteId,
         /// Cost of the fused second `Hook`.
         c2: u32,
-    },
-    /// Check+branch fusion: a fused compare-and-branch whose fall-through
-    /// lands directly on a guard-machinery `Hook` (the hook is skipped —
-    /// cost and all — when the branch is taken, exactly like unfused
-    /// execution jumping past it).
-    RegCmpBranchHook {
-        /// Right-operand register of the comparison.
-        l: LocalId,
-        /// Zero served for an uninitialized covered read.
-        zk: ZeroKind,
-        /// The comparison.
-        op: BinOp,
-        /// Branch target when the comparison is false.
-        target: u32,
-        /// Cost of the fused `BinCmp`.
-        c2: u32,
-        /// Cost of the fused `BranchIfZero`.
-        c3: u32,
-        /// The fall-through check.
-        h: &'p Check,
-        /// Its site.
-        hs: SiteId,
-        /// Cost of the fused `Hook`.
-        c4: u32,
     },
 }

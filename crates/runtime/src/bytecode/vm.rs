@@ -765,37 +765,6 @@ impl<'p> Interp<'p> {
                     let r = self.vm_arith(*op, a, b, *trunc)?;
                     vals.push(r);
                 }
-                OpKind::RegBinCmp { l, zk, op, c2 } => {
-                    let b = self.vm_read_reg(*l, *zk)?;
-                    if *c2 != 0 {
-                        self.add_instrs(*c2)?;
-                    }
-                    let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_cmp(*op, a, b)?;
-                    vals.push(Value::Int(r as i128));
-                }
-                OpKind::RegCmpBranch {
-                    l,
-                    zk,
-                    op,
-                    target,
-                    c2,
-                    c3,
-                } => {
-                    let b = self.vm_read_reg(*l, *zk)?;
-                    if *c2 != 0 {
-                        self.add_instrs(*c2)?;
-                    }
-                    let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_cmp(*op, a, b)?;
-                    if *c3 != 0 {
-                        self.add_instrs(*c3)?;
-                    }
-                    if !r {
-                        pc = *target as usize;
-                        continue;
-                    }
-                }
                 OpKind::RegStoreReg {
                     src,
                     zk,
@@ -880,24 +849,6 @@ impl<'p> Interp<'p> {
                     }
                     let r = norm.apply(r, &self.prog.types.machine);
                     self.vm_store_reg(*l, r)?;
-                }
-                OpKind::LoadIntArith {
-                    size,
-                    signed,
-                    op,
-                    trunc,
-                    c2,
-                } => {
-                    let p = addrs.pop().ok_or_else(underflow)?;
-                    self.access_hook(p, *size, false)?;
-                    self.counters.loads += 1;
-                    let b = self.mem.read_int(p, *size, *signed)?;
-                    if *c2 != 0 {
-                        self.add_instrs(*c2)?;
-                    }
-                    let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_arith(*op, a, Value::Int(b), *trunc)?;
-                    vals.push(r);
                 }
                 OpKind::LoadIntStoreReg {
                     size,
@@ -1154,53 +1105,6 @@ impl<'p> Interp<'p> {
                         continue;
                     }
                 }
-                OpKind::RegStorePtr {
-                    l,
-                    zk,
-                    q,
-                    wild_tag,
-                    c2,
-                } => {
-                    let v = self.vm_read_reg(*l, *zk)?;
-                    if *c2 != 0 {
-                        self.add_instrs(*c2)?;
-                    }
-                    let p = addrs.pop().ok_or_else(underflow)?;
-                    self.store_precheck(p, &v, *wild_tag)?;
-                    self.access_hook(p, self.word, true)?;
-                    self.counters.stores += 1;
-                    let pv = match v {
-                        Value::Ptr(pv) => pv,
-                        Value::Int(0) => PtrVal::Null,
-                        Value::Int(x) => PtrVal::IntVal(x as u64),
-                        Value::Float(_) => {
-                            return Err(RtError::Unsupported("float stored as pointer".into()))
-                        }
-                    };
-                    if let ExecMode::Cured { sol, .. } = self.mode {
-                        if sol.is_split(*q) {
-                            self.counters.meta_ops += 1;
-                        }
-                    }
-                    self.mem.write_ptr(p, pv, self.word)?;
-                }
-                OpKind::LoadFloatArith {
-                    size,
-                    op,
-                    trunc,
-                    c2,
-                } => {
-                    let p = addrs.pop().ok_or_else(underflow)?;
-                    self.access_hook(p, *size, false)?;
-                    self.counters.loads += 1;
-                    let b = self.mem.read_float(p, *size)?;
-                    if *c2 != 0 {
-                        self.add_instrs(*c2)?;
-                    }
-                    let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_arith(*op, a, Value::Float(b), *trunc)?;
-                    vals.push(r);
-                }
                 OpKind::HookHook { a, sa, b, sb, c2 } => {
                     self.exec_check(a, *sa)?;
                     if *c2 != 0 {
@@ -1278,37 +1182,6 @@ impl<'p> Interp<'p> {
                         self.counters.loads = loads;
                     }
                     self.check_verdict(c, v, site)?;
-                }
-                OpKind::RegCmpBranchHook {
-                    l,
-                    zk,
-                    op,
-                    target,
-                    c2,
-                    c3,
-                    h,
-                    hs,
-                    c4,
-                } => {
-                    let b = self.vm_read_reg(*l, *zk)?;
-                    if *c2 != 0 {
-                        self.add_instrs(*c2)?;
-                    }
-                    let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_cmp(*op, a, b)?;
-                    if *c3 != 0 {
-                        self.add_instrs(*c3)?;
-                    }
-                    if !r {
-                        // Taken branch jumps past the hook: neither its
-                        // step (`c4`) nor its body runs, like unfused code.
-                        pc = *target as usize;
-                        continue;
-                    }
-                    if *c4 != 0 {
-                        self.add_instrs(*c4)?;
-                    }
-                    self.exec_check(h, *hs)?;
                 }
             }
             pc += 1;

@@ -16,6 +16,7 @@ use crate::err::RtError;
 use crate::external;
 use crate::limits::Limits;
 use crate::mem::{AllocId, AllocKind, Memory, Pointer};
+use crate::run::RunStats;
 use crate::value::{PtrVal, Value};
 use ccured::hierarchy::Hierarchy;
 use ccured::Cured;
@@ -281,11 +282,6 @@ impl<'p> Interp<'p> {
         self.engine = engine;
     }
 
-    /// The engine `run` will dispatch to.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     #[doc(hidden)]
     pub fn set_tiering(&mut self, _: TierMode) {}
 
@@ -301,27 +297,12 @@ impl<'p> Interp<'p> {
         self.profile = Some(Box::new(crate::profile::Profile::new(n_sites)));
     }
 
-    /// The per-site profile accumulated so far, if profiling is enabled.
-    pub fn profile(&self) -> Option<&crate::profile::Profile> {
-        self.profile.as_deref()
-    }
-
-    /// Caps the number of evaluation steps.
-    pub fn set_fuel(&mut self, fuel: u64) {
-        self.limits.fuel = fuel;
-    }
-
     /// Installs a full set of sandbox [`Limits`] (fuel, stack depth, heap
     /// cap, deadline). [`Limits::default`] is already in force for every
     /// fresh interpreter; this tightens or relaxes it.
     pub fn set_limits(&mut self, limits: Limits) {
         self.limits = limits;
         self.mem.set_heap_limit(limits.max_heap_bytes);
-    }
-
-    /// The limits currently in force.
-    pub fn limits(&self) -> Limits {
-        self.limits
     }
 
     /// Models CCured's zeroing allocator (and the BDW collector backing it):
@@ -357,13 +338,6 @@ impl<'p> Interp<'p> {
         self.temporal
     }
 
-    /// Ground-truth machine traps on dead memory so far (use-after-free /
-    /// use-after-return). The temporal experiments assert this stays zero:
-    /// the emitted check must fire before the machine would have trapped.
-    pub fn uaf_traps(&self) -> u64 {
-        self.mem.uaf_traps()
-    }
-
     /// Provides bytes for the input builtins (`getchar`, `net_recv`, ...).
     pub fn set_input(&mut self, bytes: impl Into<Vec<u8>>) {
         self.input = bytes.into();
@@ -397,6 +371,24 @@ impl<'p> Interp<'p> {
             Ok(v) => Ok(v.and_then(|v| v.as_int()).unwrap_or(0) as i64),
             Err(RtError::Exit(code)) => Ok(code),
             Err(e) => Err(e),
+        }
+    }
+
+    /// Runs `main` (see [`Interp::run`]) and returns everything the run
+    /// observed: the result, the output, the counters, the dead-memory
+    /// traps and, when [`Interp::enable_profile`] was called, the profile.
+    pub fn observe(mut self) -> RunStats {
+        let (exit, error) = match self.run() {
+            Ok(code) => (code, None),
+            Err(e) => (0, Some(e)),
+        };
+        RunStats {
+            exit,
+            error,
+            counters: self.counters,
+            output: self.out,
+            uaf_traps: self.mem.uaf_traps(),
+            profile: self.profile.map(|p| *p),
         }
     }
 
@@ -2607,7 +2599,10 @@ mod tests {
         let tu = ccured_ast::parse_translation_unit(src).unwrap();
         let prog = ccured_cil::lower_translation_unit(&tu).unwrap();
         let mut i = Interp::new(&prog, ExecMode::Original);
-        i.set_fuel(10_000);
+        i.set_limits(Limits {
+            fuel: 10_000,
+            ..Limits::default()
+        });
         assert_eq!(i.run().unwrap_err(), RtError::OutOfFuel);
     }
 

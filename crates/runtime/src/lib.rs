@@ -38,6 +38,7 @@ pub mod interp;
 pub mod limits;
 pub mod mem;
 pub mod profile;
+pub mod run;
 pub mod value;
 
 pub use cost::{CostModel, Counters};
@@ -48,4 +49,5 @@ pub use interp::{TierMode, TierStats};
 pub use limits::Limits;
 pub use mem::{AllocId, AllocKind, Memory, Pointer};
 pub use profile::{Profile, SiteCounters, SiteReport, PROFILE_SCHEMA};
+pub use run::RunStats;
 pub use value::{PtrVal, Value};

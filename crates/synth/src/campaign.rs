@@ -8,9 +8,9 @@
 //!    content-addressed cache under concurrent writers and collecting the
 //!    per-unit pointer-kind histogram),
 //! 2. **differentially executed** on both engines — the tree-walking
-//!    reference and the bytecode VM must agree on exit code, output,
-//!    error, and every observable counter, and the unit's own checksum
-//!    must pass (generated units are self-checking), and
+//!    reference and the bytecode VM must agree on the result, the output
+//!    and every counter ([`RunStats::first_difference`]), and the unit's
+//!    own checksum must pass (generated units are self-checking), and
 //! 3. **crash-tested** with `mutants_per_unit` seeded faults, rotating the
 //!    fault-class preference per unit so even two-mutant campaigns cover
 //!    the full class matrix across units, alternating engines per unit.
@@ -22,15 +22,13 @@
 use crate::gen::{self, GOLDEN};
 use crate::profiles::Profile;
 use ccured::{isolated, json, Curer};
-use ccured_batch::{run_batch, BatchConfig};
+use ccured_batch::{run_batch, run_units, BatchConfig};
 use ccured_faultinject::{crash_test, CrashTest, CrashTestReport, FaultClass, Outcome};
-use ccured_rt::{Engine, ExecMode, Interp, Limits};
+use ccured_rt::{Engine, ExecMode, Interp, Limits, RunStats};
 use ccured_workloads::Workload;
-use std::collections::VecDeque;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Allowed |measured − target| gap, in percentage points, for each
@@ -437,39 +435,24 @@ pub fn run_campaign(cfg: &CampaignConfig) -> io::Result<CampaignReport> {
     }
 
     // Stage 3: differential + crash-test, sharded over the worker pool.
-    let jobs = effective_jobs(cfg.jobs, units.len());
-    let queue: Mutex<VecDeque<usize>> = Mutex::new((0..units.len()).collect());
-    let slots: Vec<Mutex<UnitResult>> = (0..units.len())
-        .map(|_| Mutex::new(UnitResult::default()))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let queue = &queue;
-            let slots = &slots;
-            let units = &units;
-            // The tree engine recurses on guest calls; size worker stacks
-            // like the batch engine does.
-            std::thread::Builder::new()
-                .stack_size(8 << 20)
-                .spawn_scoped(scope, move || loop {
-                    let Some(idx) = queue.lock().unwrap().pop_front() else {
-                        return;
-                    };
-                    let r = check_unit(&units[idx].1, idx, cfg);
-                    *slots[idx].lock().unwrap() = r;
-                })
-                .expect("spawn campaign worker");
-        }
-    });
+    // The tree engine recurses on guest calls; worker stacks get the
+    // batch engine's 8 MiB floor.
+    let jobs = bcfg.effective_jobs(units.len());
+    let results = run_units(units.len(), jobs, "ccured-campaign", 8 << 20, |idx| {
+        check_unit(&units[idx].1, idx, cfg)
+    })?;
 
     // Stage 4: aggregate, in unit order so the report is deterministic.
     let mut classes = [ClassStat::default(); 6];
     let mut escapes = Vec::new();
     let mut divergences = Vec::new();
     let mut mutants = 0u64;
-    for (idx, slot) in slots.into_iter().enumerate() {
-        let r = slot.into_inner().unwrap();
+    for (idx, r) in results.into_iter().enumerate() {
         let unit = &units[idx].1.name;
+        let r = r.unwrap_or_else(|| UnitResult {
+            cure_failure: Some("campaign worker died before recording a result".into()),
+            ..UnitResult::default()
+        });
         if let Some(d) = r.divergence {
             divergences.push(Divergence {
                 unit: unit.clone(),
@@ -553,14 +536,15 @@ fn check_unit(w: &Workload, idx: usize, cfg: &CampaignConfig) -> UnitResult {
         Ok(cured) => {
             let tree = observe(&cured, Engine::Tree, w, cfg.limits);
             let vm = observe(&cured, Engine::Vm, w, cfg.limits);
-            if let Some(detail) = diff(&tree, &vm) {
-                r.divergence = Some(detail);
-            } else if tree.exit != w.expect_exit || tree.error.is_some() {
+            if let Some(detail) = tree.first_difference(&vm) {
+                r.divergence = Some(format!("tree vs vm: {detail}"));
+            } else if tree.result() != Ok(w.expect_exit) {
                 // Engines agree but the unit's self-check failed: the
                 // cure changed observable behaviour.
                 r.divergence = Some(format!(
-                    "self-check failed: exit {} (expected {}), error {:?}",
-                    tree.exit, w.expect_exit, tree.error
+                    "self-check failed: {:?} (expected exit {})",
+                    tree.result(),
+                    w.expect_exit
                 ));
             }
         }
@@ -586,78 +570,13 @@ fn check_unit(w: &Workload, idx: usize, cfg: &CampaignConfig) -> UnitResult {
     r
 }
 
-/// Everything observable about one engine's run of a cured unit.
-struct Observation {
-    exit: i64,
-    error: Option<String>,
-    output: Vec<u8>,
-    counters: [u64; 14],
-}
-
-fn observe(cured: &ccured::Cured, engine: Engine, w: &Workload, limits: Limits) -> Observation {
+/// One engine's sandboxed run of a cured unit.
+fn observe(cured: &ccured::Cured, engine: Engine, w: &Workload, limits: Limits) -> RunStats {
     let mut interp = Interp::new(&cured.program, ExecMode::cured(cured));
     interp.set_engine(engine);
     interp.set_limits(limits);
     interp.set_input(w.input.clone());
-    let (exit, error) = match interp.run() {
-        Ok(code) => (code, None),
-        Err(e) => (0, Some(e.to_string())),
-    };
-    let c = &interp.counters;
-    Observation {
-        exit,
-        error,
-        output: interp.output().to_vec(),
-        counters: [
-            c.loads,
-            c.stores,
-            c.calls,
-            c.extern_calls,
-            c.io_ops,
-            c.null_checks,
-            c.seq_bounds_checks,
-            c.seq_to_safe_checks,
-            c.wild_bounds_checks,
-            c.wild_tag_checks,
-            c.rtti_checks,
-            c.escape_checks,
-            c.index_checks,
-            c.tag_updates,
-        ],
-    }
-}
-
-/// First observable tree-vs-VM difference, if any.
-fn diff(tree: &Observation, vm: &Observation) -> Option<String> {
-    if tree.exit != vm.exit {
-        return Some(format!("exit: tree {} vs vm {}", tree.exit, vm.exit));
-    }
-    if tree.error != vm.error {
-        return Some(format!("error: tree {:?} vs vm {:?}", tree.error, vm.error));
-    }
-    if tree.output != vm.output {
-        return Some(format!(
-            "output: tree {} bytes vs vm {} bytes",
-            tree.output.len(),
-            vm.output.len()
-        ));
-    }
-    if tree.counters != vm.counters {
-        return Some(format!(
-            "counters: tree {:?} vs vm {:?}",
-            tree.counters, vm.counters
-        ));
-    }
-    None
-}
-
-fn effective_jobs(jobs: usize, n_units: usize) -> usize {
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        jobs
-    };
-    jobs.clamp(1, n_units.max(1))
+    interp.observe()
 }
 
 /// The unit name of a batch path (`/dir/synth_mixed_0001.c` →

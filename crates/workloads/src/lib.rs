@@ -104,6 +104,26 @@ impl Workload {
         self
     }
 
+    /// The curer this workload declares: the default configuration, plus
+    /// the stdlib wrapper prelude when [`Workload::with_wrappers`] is set.
+    pub fn curer(&self) -> ccured::Curer {
+        let mut c = ccured::Curer::new();
+        if self.with_wrappers {
+            c.with_stdlib_wrappers();
+        }
+        c
+    }
+
+    /// The uncured program: the source lowered after [`Workload::curer`]'s
+    /// prelude.
+    ///
+    /// # Errors
+    ///
+    /// Frontend errors.
+    pub fn program(&self) -> Result<ccured_cil::Program, ccured::CureError> {
+        self.curer().lower_source(&self.source)
+    }
+
     /// Non-blank source lines (the LoC we report).
     pub fn lines(&self) -> usize {
         self.source.lines().filter(|l| !l.trim().is_empty()).count()

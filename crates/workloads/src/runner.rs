@@ -2,29 +2,11 @@
 //! cost-model overhead ratios for the benchmark tables.
 
 use crate::Workload;
-use ccured::{CureError, Cured, Curer};
+use ccured::{CureError, Cured};
 use ccured_infer::InferOptions;
-use ccured_rt::{CostModel, Counters, Engine, ExecMode, Interp, RtError};
+use ccured_rt::{CostModel, Counters, ExecMode, Interp};
 
-/// The observable result of one execution.
-#[derive(Debug, Clone)]
-pub struct RunStats {
-    /// Exit code (0 when the run errored).
-    pub exit: i64,
-    /// The error, if the run did not complete.
-    pub error: Option<RtError>,
-    /// Event counters.
-    pub counters: Counters,
-    /// Bytes of program output.
-    pub output: Vec<u8>,
-}
-
-impl RunStats {
-    /// Whether the run completed without error.
-    pub fn ok(&self) -> bool {
-        self.error.is_none()
-    }
-}
+pub use ccured_rt::RunStats;
 
 /// A cured workload together with its run.
 #[derive(Debug)]
@@ -35,40 +17,12 @@ pub struct CuredRun {
     pub stats: RunStats,
 }
 
-fn execute(
-    prog: &ccured_cil::Program,
-    mode: ExecMode<'_>,
-    engine: Engine,
-    input: &[u8],
-) -> RunStats {
+/// Runs `prog` once on the default engine with the workload's input.
+fn execute(prog: &ccured_cil::Program, mode: ExecMode<'_>, input: &[u8]) -> RunStats {
     let mut interp = Interp::new(prog, mode);
-    interp.set_engine(engine);
+    interp.set_engine(ccured_rt::Engine::default());
     interp.set_input(input.to_vec());
-    let r = interp.run();
-    let (exit, error) = match r {
-        Ok(code) => (code, None),
-        Err(e) => (0, Some(e)),
-    };
-    RunStats {
-        exit,
-        error,
-        counters: interp.counters,
-        output: interp.output().to_vec(),
-    }
-}
-
-fn lower(w: &Workload) -> Result<ccured_cil::Program, CureError> {
-    let full = if w.with_wrappers {
-        format!(
-            "{}\n{}",
-            ccured::wrappers::stdlib_wrapper_source(),
-            w.source
-        )
-    } else {
-        w.source.clone()
-    };
-    let tu = ccured_ast::parse_translation_unit(&full).map_err(CureError::Frontend)?;
-    ccured_cil::lower_translation_unit(&tu).map_err(CureError::Frontend)
+    interp.observe()
 }
 
 /// Runs the original (uncured) program. Wrapper functions are still present
@@ -78,17 +32,7 @@ fn lower(w: &Workload) -> Result<ccured_cil::Program, CureError> {
 ///
 /// Frontend errors only; run-time failures are reported in [`RunStats`].
 pub fn run_original(w: &Workload) -> Result<RunStats, CureError> {
-    run_original_on(w, Engine::default())
-}
-
-/// [`run_original`] on an explicit execution engine.
-///
-/// # Errors
-///
-/// Frontend errors only.
-pub fn run_original_on(w: &Workload, engine: Engine) -> Result<RunStats, CureError> {
-    let prog = lower(w)?;
-    Ok(execute(&prog, ExecMode::Original, engine, &w.input))
+    Ok(execute(&w.program()?, ExecMode::Original, &w.input))
 }
 
 /// Runs under a baseline instrumentation mode (Purify/Valgrind/JonesKelly).
@@ -97,21 +41,7 @@ pub fn run_original_on(w: &Workload, engine: Engine) -> Result<RunStats, CureErr
 ///
 /// Frontend errors only.
 pub fn run_baseline(w: &Workload, mode: ExecMode<'static>) -> Result<RunStats, CureError> {
-    run_baseline_on(w, mode, Engine::default())
-}
-
-/// [`run_baseline`] on an explicit execution engine.
-///
-/// # Errors
-///
-/// Frontend errors only.
-pub fn run_baseline_on(
-    w: &Workload,
-    mode: ExecMode<'static>,
-    engine: Engine,
-) -> Result<RunStats, CureError> {
-    let prog = lower(w)?;
-    Ok(execute(&prog, mode, engine, &w.input))
+    Ok(execute(&w.program()?, mode, &w.input))
 }
 
 /// Cures the workload and runs it (redundant-check elimination on).
@@ -151,7 +81,7 @@ pub fn run_cured_loop_opt(
     optimize: bool,
     loop_opt: bool,
 ) -> Result<CuredRun, CureError> {
-    let mut curer = Curer::new();
+    let mut curer = w.curer();
     curer
         .rtti(opts.rtti)
         .physical_subtyping(opts.physical_subtyping)
@@ -159,16 +89,8 @@ pub fn run_cured_loop_opt(
         .split_everything(opts.split_everything)
         .optimize(optimize)
         .loop_optimize(loop_opt);
-    if w.with_wrappers {
-        curer.with_stdlib_wrappers();
-    }
     let cured = curer.cure_source(&w.source)?;
-    let stats = execute(
-        &cured.program,
-        ExecMode::cured(&cured),
-        Engine::default(),
-        &w.input,
-    );
+    let stats = execute(&cured.program, ExecMode::cured(&cured), &w.input);
     Ok(CuredRun { cured, stats })
 }
 

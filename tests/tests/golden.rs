@@ -138,11 +138,8 @@ fn digest_corpus() -> Vec<(&'static str, Workload)> {
 fn cured_digests() -> String {
     let mut out = String::new();
     for (i, (corpus, w)) in digest_corpus().iter().enumerate() {
-        let mut curer = ccured::Curer::new();
-        if w.with_wrappers {
-            curer.with_stdlib_wrappers();
-        }
-        let cured = curer
+        let cured = w
+            .curer()
             .cure_source(&w.source)
             .unwrap_or_else(|e| panic!("{corpus}/{}: cure failed: {e}", w.name));
         let text = ccured_cil::pretty::dump_program(&cured.program);

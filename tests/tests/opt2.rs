@@ -17,9 +17,8 @@
 //! same site, at the exact same iteration, with the exact same error as the
 //! unoptimized program.
 
-use ccured::Curer;
 use ccured_infer::InferOptions;
-use ccured_rt::{Engine, ExecMode, Interp, Profile};
+use ccured_rt::{Engine, ExecMode, Interp, RunStats};
 use ccured_workloads::{batch_corpus, daemons, micro, runner, suite_corpus, Workload};
 
 /// The three optimizer configurations, as `(optimize, loop_opt)` pairs.
@@ -392,36 +391,26 @@ fn unsigned_extreme_bounds_stay_widening_negative() {
 /// Cures with explicit optimizer configuration (the runner helper hides
 /// the `Cured` needed for profiled execution).
 fn cure_cfg(w: &Workload, optimize: bool, loop_opt: bool) -> ccured::Cured {
-    let mut curer = Curer::new();
-    curer.optimize(optimize);
-    curer.loop_optimize(loop_opt);
-    if w.with_wrappers {
-        curer.with_stdlib_wrappers();
-    }
-    curer.cure_source(&w.source).expect("cure")
+    w.curer()
+        .optimize(optimize)
+        .loop_optimize(loop_opt)
+        .cure_source(&w.source)
+        .expect("cure")
 }
 
-fn run_profiled(
-    cured: &ccured::Cured,
-    engine: Engine,
-    input: &[u8],
-) -> (
-    Result<i64, ccured_rt::RtError>,
-    Vec<u8>,
-    ccured_rt::Counters,
-    Profile,
-) {
+fn run_profiled(cured: &ccured::Cured, engine: Engine, input: &[u8]) -> RunStats {
     let mut interp = Interp::new(&cured.program, ExecMode::cured(cured));
     interp.set_engine(engine);
     interp.set_input(input.to_vec());
     interp.enable_profile(cured.sites.len());
-    let result = interp.run();
-    let profile = interp.profile().cloned().expect("profile recorded");
-    (result, interp.output().to_vec(), interp.counters, profile)
+    let run = interp.observe();
+    assert!(run.profile.is_some(), "profile recorded");
+    run
 }
 
 /// The failing sites of a profiled run, as `(site_id, fails)` pairs.
-fn failing_sites(cured: &ccured::Cured, profile: &Profile) -> Vec<(u32, u64, &'static str)> {
+fn failing_sites(cured: &ccured::Cured, run: &RunStats) -> Vec<(u32, u64, &'static str)> {
+    let profile = run.profile.as_ref().expect("profile recorded");
     cured
         .sites
         .iter()
@@ -443,16 +432,23 @@ fn failed_widened_probe_blames_the_precise_iteration() {
     let noopt = cure_cfg(&w, false, false);
     assert!(full.report.checks_widened > 0, "the OOB loop must widen");
 
-    let (rf, outf, _, pf) = run_profiled(&full, Engine::default(), &w.input);
-    let (rn, outn, _, pn) = run_profiled(&noopt, Engine::default(), &w.input);
-    let ef = rf.expect_err("the cured run must stop the overrun");
-    let en = rn.expect_err("the unoptimized run must stop the overrun");
+    let rf = run_profiled(&full, Engine::default(), &w.input);
+    let rn = run_profiled(&noopt, Engine::default(), &w.input);
+    let ef = rf
+        .result()
+        .expect_err("the cured run must stop the overrun");
+    let en = rn
+        .result()
+        .expect_err("the unoptimized run must stop the overrun");
     assert!(ef.is_check_failure(), "stopped by a check: {ef}");
     assert_eq!(ef, en, "widening changed the failure verdict");
-    assert_eq!(outf, outn, "widening changed the output before the fault");
+    assert_eq!(
+        rf.output, rn.output,
+        "widening changed the output before the fault"
+    );
 
-    let ff = failing_sites(&full, &pf);
-    let fn_ = failing_sites(&noopt, &pn);
+    let ff = failing_sites(&full, &rf);
+    let fn_ = failing_sites(&noopt, &rn);
     assert_eq!(ff.len(), 1, "exactly one site fails: {ff:?}");
     assert_eq!(ff, fn_, "the blamed site must be identical to no-opt");
     let (_, fails, check) = ff[0];
@@ -472,25 +468,22 @@ fn engines_agree_on_optimized_programs() {
         oob_stride_workload(),
     ] {
         let cured = cure_cfg(&w, true, true);
-        let (rt, outt, ct, pt) = run_profiled(&cured, Engine::Tree, &w.input);
-        let (rv, outv, cv, pv) = run_profiled(&cured, Engine::Vm, &w.input);
-        assert_eq!(rt, rv, "{}: results differ across engines", w.name);
-        assert_eq!(outt, outv, "{}: outputs differ across engines", w.name);
-        assert_eq!(ct, cv, "{}: counters differ across engines", w.name);
-        assert_eq!(pt, pv, "{}: profiles differ across engines", w.name);
+        let t = run_profiled(&cured, Engine::Tree, &w.input);
+        let v = run_profiled(&cured, Engine::Vm, &w.input);
+        let what = &w.name;
+        assert_eq!(t.first_difference(&v), None, "{what}: engines differ");
+        assert_eq!(t.profile, v.profile, "{what}: profiles differ");
     }
 }
 
 /// Cures with the temporal pipeline flag on top of the full optimizer.
 fn cure_temporal(w: &Workload, optimize: bool, loop_opt: bool) -> ccured::Cured {
-    let mut curer = Curer::new();
-    curer.optimize(optimize);
-    curer.loop_optimize(loop_opt);
-    curer.temporal(true);
-    if w.with_wrappers {
-        curer.with_stdlib_wrappers();
-    }
-    curer.cure_source(&w.source).expect("cure")
+    w.curer()
+        .optimize(optimize)
+        .loop_optimize(loop_opt)
+        .temporal(true)
+        .cure_source(&w.source)
+        .expect("cure")
 }
 
 /// A key check on a loop-invariant pointer is only a loop invariant when
@@ -509,9 +502,10 @@ fn temporal_checks_hoist_only_out_of_call_free_loops() {
         "call-free loop: the temporal check must hoist"
     );
     let noloop = cure_temporal(&callfree, true, false);
-    let (rf, _, cf, _) = run_profiled(&full, Engine::default(), &callfree.input);
-    let (rn, _, cn, _) = run_profiled(&noloop, Engine::default(), &callfree.input);
-    assert_eq!(rf, rn, "hoisting changed the verdict");
+    let rf = run_profiled(&full, Engine::default(), &callfree.input);
+    let rn = run_profiled(&noloop, Engine::default(), &callfree.input);
+    assert_eq!(rf.result(), rn.result(), "hoisting changed the verdict");
+    let (cf, cn) = (rf.counters, rn.counters);
     assert!(
         cf.temporal_checks < cn.temporal_checks,
         "per-iteration key checks collapse to the entry probe: {} vs {}",
@@ -554,8 +548,8 @@ fn temporal_checks_hoist_only_out_of_call_free_loops() {
             "keep-reason names the free hazard: {why:?}"
         );
     }
-    let (r, _, _, _) = run_profiled(&cured, Engine::default(), &calling.input);
-    assert_eq!(r, Ok(0), "self-check failed");
+    let r = run_profiled(&cured, Engine::default(), &calling.input);
+    assert_eq!(r.result(), Ok(0), "self-check failed");
 }
 
 /// The acceptance bar on the engine axis: under `--temporal`, tree and
@@ -577,11 +571,10 @@ fn engines_agree_on_temporal_programs() {
     .without_wrappers();
     for w in [micro::seq_index(16), hoist_workload(20), uaf] {
         let cured = cure_temporal(&w, true, true);
-        let (rt, outt, ct, pt) = run_profiled(&cured, Engine::Tree, &w.input);
-        let (rv, outv, cv, pv) = run_profiled(&cured, Engine::Vm, &w.input);
-        assert_eq!(rt, rv, "{}: results differ across engines", w.name);
-        assert_eq!(outt, outv, "{}: outputs differ across engines", w.name);
-        assert_eq!(ct, cv, "{}: counters differ across engines", w.name);
-        assert_eq!(pt, pv, "{}: profiles differ across engines", w.name);
+        let t = run_profiled(&cured, Engine::Tree, &w.input);
+        let v = run_profiled(&cured, Engine::Vm, &w.input);
+        let what = &w.name;
+        assert_eq!(t.first_difference(&v), None, "{what}: engines differ");
+        assert_eq!(t.profile, v.profile, "{what}: profiles differ");
     }
 }

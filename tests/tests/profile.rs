@@ -8,16 +8,11 @@
 //! same site ranking, which is what lets `ccured profile` promise
 //! engine-independent output.
 
-use ccured::Curer;
-use ccured_rt::{profile::rank_sites, CostModel, Engine, ExecMode, Interp, Profile};
+use ccured_rt::{profile::rank_sites, CostModel, Engine, ExecMode, Interp, RunStats};
 use ccured_workloads::{batch_corpus, suite_corpus, Workload};
 
 fn cure(w: &Workload) -> ccured::Cured {
-    let mut curer = Curer::new();
-    if w.with_wrappers {
-        curer.with_stdlib_wrappers();
-    }
-    curer.cure_source(&w.source).expect("cure")
+    w.curer().cure_source(&w.source).expect("cure")
 }
 
 fn golden_workloads() -> Vec<Workload> {
@@ -31,26 +26,14 @@ fn golden_workloads() -> Vec<Workload> {
 }
 
 /// One cured run, optionally profiled.
-fn run(
-    cured: &ccured::Cured,
-    engine: Engine,
-    input: &[u8],
-    profiled: bool,
-) -> (
-    Result<i64, ccured_rt::RtError>,
-    Vec<u8>,
-    ccured_rt::Counters,
-    Option<Profile>,
-) {
+fn run(cured: &ccured::Cured, engine: Engine, input: &[u8], profiled: bool) -> RunStats {
     let mut interp = Interp::new(&cured.program, ExecMode::cured(cured));
     interp.set_engine(engine);
     interp.set_input(input.to_vec());
     if profiled {
         interp.enable_profile(cured.sites.len());
     }
-    let result = interp.run();
-    let profile = interp.profile().cloned();
-    (result, interp.output().to_vec(), interp.counters, profile)
+    interp.observe()
 }
 
 /// A profiled run must be indistinguishable from an unprofiled one on
@@ -61,16 +44,18 @@ fn profiling_is_observation_only_on_the_golden_corpus() {
     for w in golden_workloads() {
         let cured = cure(&w);
         for engine in [Engine::Tree, Engine::Vm] {
-            let (r0, out0, c0, _) = run(&cured, engine, &w.input, false);
-            let (r1, out1, c1, profile) = run(&cured, engine, &w.input, true);
+            let plain = run(&cured, engine, &w.input, false);
+            let profiled = run(&cured, engine, &w.input, true);
             let what = format!("{} ({})", w.name, engine.name());
-            assert_eq!(r0, r1, "{what}: profiling changed the result");
-            assert_eq!(out0, out1, "{what}: profiling changed program output");
-            assert_eq!(c0, c1, "{what}: profiling changed the counters");
-            let profile = profile.expect("profile recorded");
+            assert_eq!(
+                plain.first_difference(&profiled),
+                None,
+                "{what}: profiling changed the run"
+            );
+            let profile = profiled.profile.expect("profile recorded");
             assert_eq!(
                 profile.total_hits(),
-                c1.total_checks(),
+                profiled.counters.total_checks(),
                 "{what}: per-site hits must sum to the aggregate check count"
             );
         }
@@ -86,8 +71,8 @@ fn engines_agree_on_the_site_ranking() {
     let mut hot_workloads = 0usize;
     for w in golden_workloads() {
         let cured = cure(&w);
-        let (_, _, _, tree) = run(&cured, Engine::Tree, &w.input, true);
-        let (_, _, _, vm) = run(&cured, Engine::Vm, &w.input, true);
+        let tree = run(&cured, Engine::Tree, &w.input, true).profile;
+        let vm = run(&cured, Engine::Vm, &w.input, true).profile;
         let tree = rank_sites(&cured.sites, &tree.unwrap(), &model);
         let vm = rank_sites(&cured.sites, &vm.unwrap(), &model);
         let key = |rows: &[ccured_rt::SiteReport]| {
@@ -123,13 +108,14 @@ fn check_failures_are_attributed_to_the_failing_site() {
     let w = Workload::new("oob", src).without_wrappers();
     let cured = cure(&w);
     for engine in [Engine::Tree, Engine::Vm] {
-        let (result, _, _, profile) = run(&cured, engine, &w.input, true);
+        let got = run(&cured, engine, &w.input, true);
+        let result = got.result();
         assert!(
-            matches!(&result, Err(e) if e.is_check_failure()),
+            matches!(result, Err(e) if e.is_check_failure()),
             "{}: expected a check failure, got {result:?}",
             engine.name()
         );
-        let ranked = rank_sites(&cured.sites, &profile.unwrap(), &CostModel::default());
+        let ranked = rank_sites(&cured.sites, &got.profile.unwrap(), &CostModel::default());
         let failing: Vec<_> = ranked.iter().filter(|r| r.fails > 0).collect();
         assert_eq!(
             failing.len(),

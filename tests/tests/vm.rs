@@ -12,17 +12,9 @@
 use ccured::{isolated, Curer};
 use ccured_cil::Program;
 use ccured_faultinject::{mutate, FaultClass};
-use ccured_rt::{Counters, Engine, ExecMode, Interp, Limits, RtError};
+use ccured_rt::{Engine, ExecMode, Interp, Limits, RtError, RunStats};
 use ccured_workloads::prng::SplitMix64;
 use ccured_workloads::{batch_corpus, micro, suite_corpus, Workload};
-
-/// Everything observable about one run.
-#[derive(Debug, PartialEq)]
-struct Observed {
-    result: Result<i64, RtError>,
-    output: Vec<u8>,
-    counters: Counters,
-}
 
 fn observe(
     prog: &Program,
@@ -31,21 +23,17 @@ fn observe(
     input: &[u8],
     limits: Limits,
     zero_init: bool,
-) -> Observed {
+) -> RunStats {
     let mut interp = Interp::new(prog, mode);
     interp.set_engine(engine);
     interp.set_limits(limits);
     interp.set_zero_init(zero_init);
     interp.set_input(input.to_vec());
-    let result = interp.run();
-    Observed {
-        result,
-        output: interp.output().to_vec(),
-        counters: interp.counters,
-    }
+    interp.observe()
 }
 
-/// Runs both engines and asserts byte-for-byte agreement.
+/// Runs both engines and asserts byte-for-byte agreement on the result,
+/// the output and every counter.
 fn assert_engines_agree(
     what: &str,
     prog: &Program,
@@ -53,44 +41,21 @@ fn assert_engines_agree(
     input: &[u8],
     limits: Limits,
     zero_init: bool,
-) -> Observed {
+) -> RunStats {
     let tree = observe(prog, mode, Engine::Tree, input, limits, zero_init);
     let vm = observe(prog, mode, Engine::Vm, input, limits, zero_init);
-    assert_eq!(
-        tree.result, vm.result,
-        "{what}: engines disagree on the result"
-    );
-    assert_eq!(
-        tree.output, vm.output,
-        "{what}: engines disagree on program output"
-    );
-    assert_eq!(
-        tree.counters, vm.counters,
-        "{what}: engines disagree on counters"
-    );
+    if let Some(d) = tree.first_difference(&vm) {
+        panic!("{what}: engines disagree on the {d}");
+    }
     vm
 }
 
 fn lower(w: &Workload) -> Program {
-    let full = if w.with_wrappers {
-        format!(
-            "{}\n{}",
-            ccured::wrappers::stdlib_wrapper_source(),
-            w.source
-        )
-    } else {
-        w.source.clone()
-    };
-    let tu = ccured_ast::parse_translation_unit(&full).expect("parse");
-    ccured_cil::lower_translation_unit(&tu).expect("lower")
+    w.program().expect("lower")
 }
 
 fn cure(w: &Workload) -> ccured::Cured {
-    let mut curer = Curer::new();
-    if w.with_wrappers {
-        curer.with_stdlib_wrappers();
-    }
-    curer.cure_source(&w.source).expect("cure")
+    w.curer().cure_source(&w.source).expect("cure")
 }
 
 fn golden_workloads() -> Vec<Workload> {
@@ -131,7 +96,7 @@ fn assert_golden_cured_agrees(zero_init: bool) {
             zero_init,
         );
         assert_eq!(
-            got.result.as_ref().copied().expect("runs clean"),
+            got.result().expect("runs clean"),
             w.expect_exit,
             "{}: unexpected exit",
             w.name
@@ -247,7 +212,7 @@ fn assert_fuel_cutoff_agrees(
         limits,
         zero_init,
     );
-    if got.result != Err(RtError::OutOfFuel) {
+    if got.result() != Err(&RtError::OutOfFuel) {
         return false;
     }
     // The failing step is counted (fuel + 1) — unless it fell inside a check
@@ -329,7 +294,7 @@ fn assert_mutants_agree(seed: u64) {
             true,
         );
         compared += 1;
-        match &got.result {
+        match got.result() {
             Err(RtError::CheckFailed { .. }) => caught += 1,
             Err(e) => assert!(
                 !e.is_memory_error(),
@@ -362,7 +327,7 @@ fn recursion_and_stack_limit_are_identical_across_engines() {
         Limits::default(),
         false,
     );
-    assert_eq!(got.result.expect("fib runs"), 1597);
+    assert_eq!(got.result().expect("fib runs"), 1597);
 
     let deep = "int down(int n) { if (n == 0) return 0; return down(n - 1); }\n\
                 int main(void) { return down(100000); }";
@@ -377,9 +342,9 @@ fn recursion_and_stack_limit_are_identical_across_engines() {
         false,
     );
     assert!(
-        matches!(&got.result, Err(RtError::LimitExceeded { limit, .. }) if *limit == "stack_limit"),
+        matches!(got.result(), Err(RtError::LimitExceeded { limit, .. }) if *limit == "stack_limit"),
         "got {:?}",
-        got.result
+        got.result()
     );
 }
 
@@ -405,7 +370,7 @@ fn goto_semantics_are_identical_across_engines() {
         Limits::default(),
         false,
     );
-    assert_eq!(got.result.expect("runs"), 25);
+    assert_eq!(got.result().expect("runs"), 25);
 }
 
 /// Cured, goto-heavy flow: backward jumps, jumps out of nested blocks and
@@ -435,5 +400,5 @@ fn goto_heavy_cured_flow_is_identical_across_engines() {
         Limits::default(),
         false,
     );
-    assert!(got.result.is_ok(), "goto workload must run clean");
+    assert!(got.ok(), "goto workload must run clean");
 }

@@ -237,9 +237,10 @@ fn wrapped_calls_preserve_original_behaviour() {
         char *w = strstr(b, "world");
         return w != 0 ? (int)strlen(b) : 100;
     }"#;
-    let full = format!("{}\n{src}", ccured::wrappers::stdlib_wrapper_source());
-    let tu = ccured_ast::parse_translation_unit(&full).unwrap();
-    let prog = ccured_cil::lower_translation_unit(&tu).unwrap();
+    let prog = Curer::new()
+        .with_stdlib_wrappers()
+        .lower_source(src)
+        .unwrap();
     let mut orig = Interp::new(&prog, ExecMode::Original);
     assert_eq!(orig.run().unwrap(), 11);
     assert_eq!(run(src).unwrap(), 11);
