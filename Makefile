@@ -9,6 +9,7 @@ test:
 
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
+	cargo clippy -p ccured-integration --all-targets --features property-tests -- -D warnings
 	cargo fmt --check
 
 # Quick sanity pass: cure + explain + crash-test + batch the example C

@@ -159,12 +159,12 @@ fn at_span(sm: Option<&SourceMap>, span: Span) -> String {
     }
     match sm {
         Some(sm) => {
-            let lc = sm.lookup(span.lo);
+            let at = sm.locate(span.lo);
             let snippet = sm.snippet(span).trim().to_string();
             if snippet.is_empty() || snippet.len() > 48 {
-                format!(" at {}:{lc}", sm.name())
+                format!(" at {at}")
             } else {
-                format!(" at {}:{lc}: `{snippet}`", sm.name())
+                format!(" at {at}: `{snippet}`")
             }
         }
         None => format!(" at bytes {span}"),

@@ -12,6 +12,7 @@
 //! no IR.
 
 use ccured_cil::ir::{Exp, Function, Instr, Stmt};
+use ccured_cil::visit;
 use std::collections::HashMap;
 
 /// Index of a basic block in [`Cfg::blocks`].
@@ -266,39 +267,13 @@ impl<'f> Builder<'f> {
 /// instructions for which `keep` returns `false` are removed.
 pub fn for_each_instr_mut(body: &mut [Stmt], keep: &mut impl FnMut(InstrId, &Instr) -> bool) {
     let mut next = 0u32;
-    for s in body {
-        walk_mut(s, &mut next, keep);
-    }
-}
-
-fn walk_mut(s: &mut Stmt, next: &mut u32, keep: &mut impl FnMut(InstrId, &Instr) -> bool) {
-    match s {
-        Stmt::Instr(is) => {
-            is.retain(|i| {
-                let id = InstrId(*next);
-                *next += 1;
-                keep(id, i)
-            });
-        }
-        Stmt::If(_, t, e) => {
-            for s in t.iter_mut().chain(e.iter_mut()) {
-                walk_mut(s, next, keep);
-            }
-        }
-        Stmt::Loop(b) | Stmt::Block(b) => {
-            for s in b {
-                walk_mut(s, next, keep);
-            }
-        }
-        Stmt::Switch(_, arms) => {
-            for arm in arms {
-                for s in &mut arm.body {
-                    walk_mut(s, next, keep);
-                }
-            }
-        }
-        _ => {}
-    }
+    visit::for_each_instr_run_mut(body, &mut |is| {
+        is.retain(|i| {
+            let id = InstrId(next);
+            next += 1;
+            keep(id, i)
+        })
+    });
 }
 
 #[cfg(test)]

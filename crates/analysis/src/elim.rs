@@ -20,6 +20,7 @@ use crate::dataflow::{forward, Analysis, Lattice};
 use crate::loops::int_bounds;
 use ccured_ast::Span;
 use ccured_cil::ir::*;
+use ccured_cil::visit;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
 
@@ -960,7 +961,7 @@ fn place_name(a: &ElimAnalysis<'_>, func: &Function, p: Place) -> String {
 /// escape pre-pass shared by the eliminator and the loop optimizer.
 pub(crate) fn aliased_locals(func: &Function) -> HashSet<u32> {
     let mut taken = HashSet::new();
-    visit_stmts(&func.body, &mut |e| {
+    visit::for_each_exp(&func.body, &mut |e| {
         mark_addr_taken(e, &mut taken, &mut HashSet::new())
     });
     taken
@@ -972,13 +973,13 @@ pub(crate) fn tracked_globals(prog: &Program) -> HashSet<u32> {
     let mut taken_locals = HashSet::new();
     let mut taken = HashSet::new();
     for f in &prog.functions {
-        visit_stmts(&f.body, &mut |e| {
+        visit::for_each_exp(&f.body, &mut |e| {
             mark_addr_taken(e, &mut taken_locals, &mut taken)
         });
     }
     for g in &prog.globals {
         if let Some(init) = &g.init {
-            visit_init(init, &mut |e| {
+            visit::for_each_init_exp(init, &mut |e| {
                 mark_addr_taken(e, &mut taken_locals, &mut taken)
             });
         }
@@ -999,109 +1000,6 @@ fn mark_addr_taken(e: &Exp, locals: &mut HashSet<u32>, globals: &mut HashSet<u32
             }
             LvBase::Deref(_) => {}
         }
-    }
-}
-
-/// Calls `f` on every expression node (including subexpressions) in `body`.
-fn visit_stmts(body: &[Stmt], f: &mut impl FnMut(&Exp)) {
-    for s in body {
-        match s {
-            Stmt::Instr(is) => {
-                for i in is {
-                    match i {
-                        Instr::Set(lv, e, _) => {
-                            visit_lval(lv, f);
-                            visit_exp(e, f);
-                        }
-                        Instr::Call(ret, callee, args, _) => {
-                            if let Some(lv) = ret {
-                                visit_lval(lv, f);
-                            }
-                            if let Callee::Ptr(e) = callee {
-                                visit_exp(e, f);
-                            }
-                            for a in args {
-                                visit_exp(a, f);
-                            }
-                        }
-                        Instr::Check(c, _, _) => visit_check(c, f),
-                    }
-                }
-            }
-            Stmt::If(c, t, e) => {
-                visit_exp(c, f);
-                visit_stmts(t, f);
-                visit_stmts(e, f);
-            }
-            Stmt::Loop(b) | Stmt::Block(b) => visit_stmts(b, f),
-            Stmt::Return(Some(e)) => visit_exp(e, f),
-            Stmt::Switch(e, arms) => {
-                visit_exp(e, f);
-                for arm in arms {
-                    visit_stmts(&arm.body, f);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Calls `f` on every expression inside a check, recursing through the
-/// loop-optimizer wrappers.
-pub(crate) fn visit_check(c: &Check, f: &mut impl FnMut(&Exp)) {
-    match c {
-        Check::Null { ptr }
-        | Check::SeqBounds { ptr, .. }
-        | Check::SeqToSafe { ptr, .. }
-        | Check::WildBounds { ptr, .. }
-        | Check::WildTag { ptr }
-        | Check::Rtti { ptr, .. }
-        | Check::Temporal { ptr } => visit_exp(ptr, f),
-        Check::NoStackEscape { value } => visit_exp(value, f),
-        Check::IndexBound { index, .. } => visit_exp(index, f),
-        Check::Probe { inner, .. } => {
-            for c in inner {
-                visit_check(c, f);
-            }
-        }
-        Check::Guarded { inner, .. } => visit_check(inner, f),
-        Check::GuardReset { .. } => {}
-    }
-}
-
-fn visit_exp(e: &Exp, f: &mut impl FnMut(&Exp)) {
-    f(e);
-    match e {
-        Exp::Load(lv, _) | Exp::AddrOf(lv, _) | Exp::StartOf(lv, _) => visit_lval(lv, f),
-        Exp::Unop(_, x, _) | Exp::Cast(_, x, _) => visit_exp(x, f),
-        Exp::Binop(_, x, y, _) => {
-            visit_exp(x, f);
-            visit_exp(y, f);
-        }
-        _ => {}
-    }
-}
-
-fn visit_lval(lv: &Lval, f: &mut impl FnMut(&Exp)) {
-    if let LvBase::Deref(e) = &lv.base {
-        visit_exp(e, f);
-    }
-    for off in &lv.offsets {
-        if let Offset::Index(e) = off {
-            visit_exp(e, f);
-        }
-    }
-}
-
-fn visit_init(init: &Init, f: &mut impl FnMut(&Exp)) {
-    match init {
-        Init::Scalar(e) => visit_exp(e, f),
-        Init::Compound(items) => {
-            for i in items {
-                visit_init(i, f);
-            }
-        }
-        Init::String(_) => {}
     }
 }
 
@@ -1142,30 +1040,11 @@ mod tests {
     fn count_checks(prog: &Program) -> usize {
         let mut n = 0;
         for f in &prog.functions {
-            visit_checks(&f.body, &mut n);
+            visit::for_each_instr(&f.body, &mut |i| {
+                n += matches!(i, Instr::Check(..)) as usize
+            });
         }
         n
-    }
-
-    fn visit_checks(body: &[Stmt], n: &mut usize) {
-        for s in body {
-            match s {
-                Stmt::Instr(is) => {
-                    *n += is.iter().filter(|i| matches!(i, Instr::Check(..))).count()
-                }
-                Stmt::If(_, t, e) => {
-                    visit_checks(t, n);
-                    visit_checks(e, n);
-                }
-                Stmt::Loop(b) | Stmt::Block(b) => visit_checks(b, n),
-                Stmt::Switch(_, arms) => {
-                    for arm in arms {
-                        visit_checks(&arm.body, n);
-                    }
-                }
-                _ => {}
-            }
-        }
     }
 
     /// The eliminator's facts as `BTreeSet`s and `BTreeMap`s, with the

@@ -22,7 +22,8 @@
 //! bits, which stores in the loop can change.
 
 use crate::loops::{exp_invariant, guard_check_at, FnCx, OptAction, SubtreeInfo};
-use ccured_cil::ir::{Check, Instr, Stmt, SwitchArm};
+use ccured_cil::ir::{Check, Instr, Stmt};
+use ccured_cil::visit;
 
 /// Hoists every loop-invariant null/RTTI check in the subtree, appending
 /// the allocated guard slots to `slots` (their resets are planted before
@@ -33,22 +34,7 @@ pub(crate) fn hoist_invariant_checks(
     info: &SubtreeInfo,
     slots: &mut Vec<u32>,
 ) {
-    for s in body.iter_mut() {
-        match s {
-            Stmt::Instr(instrs) => hoist_in_instrs(cx, instrs, info, slots),
-            Stmt::If(_, t, e) => {
-                hoist_invariant_checks(cx, t, info, slots);
-                hoist_invariant_checks(cx, e, info, slots);
-            }
-            Stmt::Loop(b) | Stmt::Block(b) => hoist_invariant_checks(cx, b, info, slots),
-            Stmt::Switch(_, arms) => {
-                for SwitchArm { body, .. } in arms.iter_mut() {
-                    hoist_invariant_checks(cx, body, info, slots);
-                }
-            }
-            _ => {}
-        }
-    }
+    visit::for_each_instr_run_mut(body, &mut |instrs| hoist_in_instrs(cx, instrs, info, slots));
 }
 
 fn hoist_in_instrs(

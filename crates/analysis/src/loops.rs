@@ -24,8 +24,9 @@
 //! on.
 
 use crate::elim::{self, ElisionResult};
-use ccured_cil::ir::{Check, Exp, Instr, LvBase, Lval, Offset, Program, SiteId, Stmt, SwitchArm};
+use ccured_cil::ir::{Check, Exp, Instr, LvBase, Lval, Offset, Program, SiteId, Stmt};
 use ccured_cil::types::{Type, TypeId, TypeTable};
+use ccured_cil::visit;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// What the loop optimizer did to a check site.
@@ -119,7 +120,11 @@ fn optimize_function(
         widened: 0,
         actions: BTreeMap::new(),
     };
-    count_gotos(&func.body, &mut cx.label_gotos);
+    visit::for_each_stmt(&func.body, &mut |s| {
+        if let Stmt::Goto(l) = s {
+            *cx.label_gotos.entry(l.clone()).or_insert(0) += 1;
+        }
+    });
     walk_stmts(&mut cx, &mut func.body);
     result.hoisted += cx.hoisted;
     result.widened += cx.widened;
@@ -264,70 +269,35 @@ pub(crate) fn subtree_info(stmts: &[Stmt]) -> SubtreeInfo {
         gotos: HashMap::new(),
         calls: 0,
     };
-    collect_info(stmts, &mut info);
-    info
-}
-
-fn collect_info(stmts: &[Stmt], info: &mut SubtreeInfo) {
-    for s in stmts {
-        match s {
-            Stmt::Instr(instrs) => {
-                for i in instrs {
-                    match i {
-                        Instr::Set(lv, _, _) => note_assign(lv, info),
-                        Instr::Call(ret, _, _, _) => {
-                            info.calls += 1;
-                            if let Some(lv) = ret {
-                                note_assign(lv, info);
-                            }
+    visit::for_each_stmt(stmts, &mut |s| match s {
+        Stmt::Instr(instrs) => {
+            for i in instrs {
+                match i {
+                    Instr::Set(lv, _, _) => note_assign(lv, &mut info),
+                    Instr::Call(ret, _, _, _) => {
+                        info.calls += 1;
+                        if let Some(lv) = ret {
+                            note_assign(lv, &mut info);
                         }
-                        Instr::Check(..) => {}
                     }
+                    Instr::Check(..) => {}
                 }
             }
-            Stmt::If(_, t, e) => {
-                collect_info(t, info);
-                collect_info(e, info);
-            }
-            Stmt::Loop(b) | Stmt::Block(b) => collect_info(b, info),
-            Stmt::Switch(_, arms) => {
-                for SwitchArm { body, .. } in arms {
-                    collect_info(body, info);
-                }
-            }
-            Stmt::Label(l) => {
-                info.labels.insert(l.clone());
-            }
-            Stmt::Goto(l) => {
-                *info.gotos.entry(l.clone()).or_insert(0) += 1;
-            }
-            Stmt::Break | Stmt::Continue | Stmt::Return(_) => {}
         }
-    }
+        Stmt::Label(l) => {
+            info.labels.insert(l.clone());
+        }
+        Stmt::Goto(l) => {
+            *info.gotos.entry(l.clone()).or_insert(0) += 1;
+        }
+        _ => {}
+    });
+    info
 }
 
 fn note_assign(lv: &Lval, info: &mut SubtreeInfo) {
     if let LvBase::Local(l) = &lv.base {
         info.assigned.insert(l.0);
-    }
-}
-
-fn count_gotos(stmts: &[Stmt], counts: &mut HashMap<String, usize>) {
-    for s in stmts {
-        match s {
-            Stmt::Goto(l) => *counts.entry(l.clone()).or_insert(0) += 1,
-            Stmt::If(_, t, e) => {
-                count_gotos(t, counts);
-                count_gotos(e, counts);
-            }
-            Stmt::Loop(b) | Stmt::Block(b) => count_gotos(b, counts),
-            Stmt::Switch(_, arms) => {
-                for arm in arms {
-                    count_gotos(&arm.body, counts);
-                }
-            }
-            _ => {}
-        }
     }
 }
 

@@ -95,8 +95,9 @@ use crate::loops::{
     direct_local_load, exp_invariant, guard_check_at, int_bounds, strip_preserving_casts, FnCx,
     OptAction, SubtreeInfo,
 };
-use ccured_cil::ir::{BinOp, Check, Const, Exp, Instr, LvBase, Stmt};
+use ccured_cil::ir::{BinOp, Check, Const, Exp, Instr, LvBase, Lval, Stmt};
 use ccured_cil::types::{Type, TypeTable};
+use ccured_cil::visit;
 
 /// The integer value of `e` when it is a compile-time constant, looking
 /// through casts that preserve this *specific* value: the frontend lowers
@@ -358,34 +359,10 @@ fn induction_step(cx: &FnCx, body: &[Stmt], guard: &Guard) -> Option<(i128, bool
 /// Collects the RHS of every write to `idx_local` in the subtree
 /// (`None` for call results, which are never the canonical step).
 fn collect_writes<'a>(body: &'a [Stmt], idx_local: u32, out: &mut Vec<Option<&'a Exp>>) {
-    for s in body {
-        match s {
-            Stmt::Instr(instrs) => {
-                for i in instrs {
-                    match i {
-                        Instr::Set(lv, e, _) if matches!(&lv.base, LvBase::Local(l) if l.0 == idx_local) =>
-                        {
-                            out.push(Some(e));
-                        }
-                        Instr::Call(Some(lv), _, _, _) if matches!(&lv.base, LvBase::Local(l) if l.0 == idx_local) =>
-                        {
-                            out.push(None);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            Stmt::If(_, t, e) => {
-                collect_writes(t, idx_local, out);
-                collect_writes(e, idx_local, out);
-            }
-            Stmt::Loop(b) | Stmt::Block(b) => collect_writes(b, idx_local, out),
-            Stmt::Switch(_, arms) => {
-                for arm in arms {
-                    collect_writes(&arm.body, idx_local, out);
-                }
-            }
-            _ => {}
-        }
-    }
+    let writes_idx = |lv: &Lval| matches!(&lv.base, LvBase::Local(l) if l.0 == idx_local);
+    visit::for_each_instr(body, &mut |i| match i {
+        Instr::Set(lv, e, _) if writes_idx(lv) => out.push(Some(e)),
+        Instr::Call(Some(lv), _, _, _) if writes_idx(lv) => out.push(None),
+        _ => {}
+    });
 }

@@ -14,20 +14,6 @@ pub fn print_unit(tu: &TranslationUnit) -> String {
     p.out
 }
 
-/// Renders a single expression as source text.
-pub fn print_expr(e: &Expr) -> String {
-    let mut p = Printer::default();
-    p.expr(e);
-    p.out
-}
-
-/// Renders a statement as source text.
-pub fn print_stmt(s: &Stmt) -> String {
-    let mut p = Printer::default();
-    p.stmt(s);
-    p.out
-}
-
 #[derive(Default)]
 struct Printer {
     out: String,

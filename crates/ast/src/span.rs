@@ -71,11 +71,25 @@ pub struct SourceMap {
     text: String,
     /// Byte offset of the start of every line, always beginning with 0.
     line_starts: Vec<u32>,
+    /// Lines of `text` before the first line of the file `name`.
+    prelude_lines: u32,
 }
 
 impl SourceMap {
     /// Builds a source map for `text`, labelled `name` in diagnostics.
     pub fn new(name: impl Into<String>, text: impl Into<String>) -> Self {
+        SourceMap::with_prelude(name, text, 0)
+    }
+
+    /// Builds a source map for `text` whose first `prelude_lines` lines are
+    /// a prelude prepended to the file `name` (the standard-library
+    /// wrappers): [`SourceMap::locate`] reports the file's own line
+    /// numbers, and positions inside the prelude as `<wrappers>`.
+    pub fn with_prelude(
+        name: impl Into<String>,
+        text: impl Into<String>,
+        prelude_lines: u32,
+    ) -> Self {
         let text = text.into();
         let mut line_starts = vec![0u32];
         for (i, b) in text.bytes().enumerate() {
@@ -87,6 +101,7 @@ impl SourceMap {
             name: name.into(),
             text,
             line_starts,
+            prelude_lines,
         }
     }
 
@@ -112,6 +127,25 @@ impl SourceMap {
         LineCol {
             line: line_idx as u32 + 1,
             col: offset - self.line_starts[line_idx] + 1,
+        }
+    }
+
+    /// The position of `offset` in the file, or `None` when it lies in the
+    /// prelude.
+    pub fn file_lookup(&self, offset: u32) -> Option<LineCol> {
+        let lc = self.lookup(offset);
+        (lc.line > self.prelude_lines).then(|| LineCol {
+            line: lc.line - self.prelude_lines,
+            col: lc.col,
+        })
+    }
+
+    /// `name:line:col` of `offset` in the file, or `<wrappers>:line:col`,
+    /// counted from the start of the prelude, for an offset inside it.
+    pub fn locate(&self, offset: u32) -> String {
+        match self.file_lookup(offset) {
+            Some(lc) => format!("{}:{lc}", self.name),
+            None => format!("<wrappers>:{}", self.lookup(offset)),
         }
     }
 
@@ -161,6 +195,18 @@ mod tests {
     fn lookup_past_end_clamps() {
         let sm = SourceMap::new("t.c", "ab");
         assert_eq!(sm.lookup(100), LineCol { line: 1, col: 3 });
+    }
+
+    #[test]
+    fn prelude_lines_are_shifted_out_of_the_file() {
+        let sm = SourceMap::with_prelude("t.c", "w1\nw2\nint x;\n", 2);
+        assert_eq!(sm.locate(3), "<wrappers>:2:1");
+        assert_eq!(sm.file_lookup(3), None);
+        assert_eq!(sm.locate(10), "t.c:1:5");
+        assert_eq!(
+            SourceMap::new("t.c", "w1\nw2\nint x;\n").locate(10),
+            "t.c:3:5"
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 use ccured::json;
 use ccured_infer::InferOptions;
 use ccured_rt::{CostModel, ExecMode};
-use ccured_workloads::runner::{self, measure, Ratios};
-use ccured_workloads::{apache, batch_corpus, daemons, micro, olden, ptrdist, spec, Workload};
+use ccured_workloads::runner::{self, measure};
+use ccured_workloads::{apache, batch_corpus, daemons, micro, olden, ptrdist, spec};
 
 /// One row of the Figure 8 (Apache modules) table.
 #[derive(Debug, Clone)]
@@ -476,11 +476,6 @@ pub fn metadata_lookup(iters: u32) -> (f64, f64) {
         model.ratio(&cured.stats.counters, &base.counters),
         model.ratio(&jk.counters, &base.counters),
     )
-}
-
-/// Convenience: measured ratios for an arbitrary workload (used by benches).
-pub fn quick_ratio(w: &Workload) -> Ratios {
-    measure(w, &InferOptions::default()).expect("workload measures")
 }
 
 /// E12 (`fig-batch`): batch-engine timings over the micro+Olden corpus.

@@ -432,6 +432,40 @@ impl Check {
         }
     }
 
+    /// The expression a check evaluates (its only operand). The
+    /// loop-optimizer guard machinery (`Probe`/`Guarded`/`GuardReset`) has
+    /// no single operand of its own and is executed structurally instead.
+    pub fn operand(&self) -> Option<&Exp> {
+        match self {
+            Check::Null { ptr }
+            | Check::SeqBounds { ptr, .. }
+            | Check::SeqToSafe { ptr, .. }
+            | Check::WildBounds { ptr, .. }
+            | Check::WildTag { ptr }
+            | Check::Rtti { ptr, .. }
+            | Check::Temporal { ptr } => Some(ptr),
+            Check::NoStackEscape { value } => Some(value),
+            Check::IndexBound { index, .. } => Some(index),
+            Check::Probe { .. } | Check::Guarded { .. } | Check::GuardReset { .. } => None,
+        }
+    }
+
+    /// [`Check::operand`], mutably.
+    pub fn operand_mut(&mut self) -> Option<&mut Exp> {
+        match self {
+            Check::Null { ptr }
+            | Check::SeqBounds { ptr, .. }
+            | Check::SeqToSafe { ptr, .. }
+            | Check::WildBounds { ptr, .. }
+            | Check::WildTag { ptr }
+            | Check::Rtti { ptr, .. }
+            | Check::Temporal { ptr } => Some(ptr),
+            Check::NoStackEscape { value } => Some(value),
+            Check::IndexBound { index, .. } => Some(index),
+            Check::Probe { .. } | Check::Guarded { .. } | Check::GuardReset { .. } => None,
+        }
+    }
+
     /// The check this one accounts as: `Guarded` and `Probe` stand in for
     /// the original check they wrap (counters, profiles and reports
     /// attribute their events to that kind), everything else for itself.

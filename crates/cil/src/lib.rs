@@ -8,7 +8,9 @@
 //!   ([`lower`]),
 //! * the *physical type* machinery of Section 3.1 of the paper — physical
 //!   equality and physical subtyping over flattened layouts ([`phys`]),
-//! * a pretty printer for IR dumps ([`pretty`]).
+//! * a pretty printer for IR dumps ([`pretty`]),
+//! * the one pre-order walk over a function body that every pass which
+//!   only visits the IR goes through ([`visit`]).
 //!
 //! The IR mirrors CIL's simplifications: expressions are side-effect free,
 //! calls appear only as instructions, `e1[e2]` is represented as pointer
@@ -34,6 +36,7 @@ pub mod lower;
 pub mod phys;
 pub mod pretty;
 pub mod types;
+pub mod visit;
 
 pub use ir::Program;
 pub use lower::lower_translation_unit;

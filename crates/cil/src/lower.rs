@@ -9,6 +9,7 @@
 
 use crate::ir::*;
 use crate::types::*;
+use crate::visit;
 use ccured_ast::ast::{self, PtrKindAnnot};
 use ccured_ast::parse::MAX_NESTING;
 use ccured_ast::{Diag, Span};
@@ -145,13 +146,22 @@ impl Lowerer {
         if !self.ext_defined.is_empty() {
             let map = std::mem::take(&mut self.ext_defined);
             for f in &mut self.functions {
-                for s in &mut f.body {
-                    rewrite_stmt(s, &map);
-                }
+                visit::for_each_instr_run_mut(&mut f.body, &mut |is| {
+                    for i in is {
+                        if let Instr::Call(_, callee, _, _) = i {
+                            if let Callee::Extern(x) = callee {
+                                if let Some(&def) = map.get(&x.0) {
+                                    *callee = Callee::Func(def);
+                                }
+                            }
+                        }
+                    }
+                });
+                visit::for_each_exp_mut(&mut f.body, &mut |e| rewrite_fn_addr(e, &map));
             }
             for g in &mut self.globals {
                 if let Some(init) = &mut g.init {
-                    rewrite_init(init, &map);
+                    visit::for_each_init_exp_mut(init, &mut |e| rewrite_fn_addr(e, &map));
                 }
             }
             // Drop now-defined externals by marking; keep ids stable by
@@ -2138,104 +2148,14 @@ fn parse_ident_arg(s: &str) -> Option<String> {
 
 // -------------------------------------------------------- forward-call fixup
 
-fn rewrite_stmt(s: &mut Stmt, map: &HashMap<u32, FuncId>) {
-    match s {
-        Stmt::Instr(is) => {
-            for i in is {
-                rewrite_instr(i, map);
+/// Redirects the address of an external that turned out to be defined.
+fn rewrite_fn_addr(e: &mut Exp, map: &HashMap<u32, FuncId>) {
+    if let Exp::FnAddr(r, _) = e {
+        if let FnRef::Ext(x) = *r {
+            if let Some(&def) = map.get(&x.0) {
+                *r = FnRef::Def(def);
             }
         }
-        Stmt::If(c, t, e) => {
-            rewrite_exp(c, map);
-            for s in t.iter_mut().chain(e.iter_mut()) {
-                rewrite_stmt(s, map);
-            }
-        }
-        Stmt::Loop(b) | Stmt::Block(b) => {
-            for s in b {
-                rewrite_stmt(s, map);
-            }
-        }
-        Stmt::Return(Some(e)) => rewrite_exp(e, map),
-        Stmt::Switch(e, arms) => {
-            rewrite_exp(e, map);
-            for arm in arms {
-                for s in &mut arm.body {
-                    rewrite_stmt(s, map);
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-fn rewrite_instr(i: &mut Instr, map: &HashMap<u32, FuncId>) {
-    match i {
-        Instr::Set(lv, e, _) => {
-            rewrite_lval(lv, map);
-            rewrite_exp(e, map);
-        }
-        Instr::Check(..) => {}
-        Instr::Call(lv, callee, args, _) => {
-            if let Some(lv) = lv {
-                rewrite_lval(lv, map);
-            }
-            match callee {
-                Callee::Extern(x) => {
-                    if let Some(f) = map.get(&x.0) {
-                        *callee = Callee::Func(*f);
-                    }
-                }
-                Callee::Ptr(e) => rewrite_exp(e, map),
-                Callee::Func(_) => {}
-            }
-            for a in args {
-                rewrite_exp(a, map);
-            }
-        }
-    }
-}
-
-fn rewrite_lval(lv: &mut Lval, map: &HashMap<u32, FuncId>) {
-    if let LvBase::Deref(e) = &mut lv.base {
-        rewrite_exp(e, map);
-    }
-    for off in &mut lv.offsets {
-        if let Offset::Index(e) = off {
-            rewrite_exp(e, map);
-        }
-    }
-}
-
-fn rewrite_exp(e: &mut Exp, map: &HashMap<u32, FuncId>) {
-    match e {
-        Exp::FnAddr(FnRef::Ext(x), _) => {
-            if let Some(f) = map.get(&x.0) {
-                *e = match e {
-                    Exp::FnAddr(_, t) => Exp::FnAddr(FnRef::Def(*f), *t),
-                    _ => unreachable!(),
-                };
-            }
-        }
-        Exp::Load(lv, _) | Exp::AddrOf(lv, _) | Exp::StartOf(lv, _) => rewrite_lval(lv, map),
-        Exp::Unop(_, x, _) | Exp::Cast(_, x, _) => rewrite_exp(x, map),
-        Exp::Binop(_, a, b, _) => {
-            rewrite_exp(a, map);
-            rewrite_exp(b, map);
-        }
-        _ => {}
-    }
-}
-
-fn rewrite_init(init: &mut Init, map: &HashMap<u32, FuncId>) {
-    match init {
-        Init::Scalar(e) => rewrite_exp(e, map),
-        Init::Compound(items) => {
-            for i in items {
-                rewrite_init(i, map);
-            }
-        }
-        Init::String(_) => {}
     }
 }
 
@@ -2413,16 +2333,11 @@ mod tests {
                return s;\n\
              }",
         );
-        let f = &p.functions[0];
-        fn has_goto(stmts: &[Stmt]) -> bool {
-            stmts.iter().any(|s| match s {
-                Stmt::Goto(l) => l.starts_with("__cont"),
-                Stmt::If(_, t, e) => has_goto(t) || has_goto(e),
-                Stmt::Loop(b) | Stmt::Block(b) => has_goto(b),
-                _ => false,
-            })
-        }
-        assert!(has_goto(&f.body));
+        let mut has_goto = false;
+        visit::for_each_stmt(&p.functions[0].body, &mut |s| {
+            has_goto |= matches!(s, Stmt::Goto(l) if l.starts_with("__cont"));
+        });
+        assert!(has_goto);
     }
 
     #[test]

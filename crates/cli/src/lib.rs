@@ -33,6 +33,8 @@
 //!   --original-ccured     disable physical subtyping and RTTI
 //!   --no-rtti             disable RTTI only
 //!   --no-opt              disable redundant-check elimination (ablation)
+//!   --no-loop-opt         disable loop-invariant hoisting and SEQ bounds
+//!                         widening; elimination still runs (ablation)
 //!   --split-everything    force the SPLIT representation everywhere
 //!   --split-at-boundaries seed SPLIT at external-call boundaries
 //!   --fuel <n>            instruction budget for --run
@@ -513,7 +515,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Us
 pub const USAGE: &str =
     "usage: ccured <file.c> [--run] [--mode cured|original|purify|valgrind|joneskelly]
               [--input FILE] [--report] [--review] [--counters] [--emit-ir] [--wrappers]
-              [--strict-link] [--original-ccured] [--no-rtti] [--no-opt]
+              [--strict-link] [--original-ccured] [--no-rtti] [--no-opt] [--no-loop-opt]
               [--split-everything] [--split-at-boundaries] [--fuel N] [--engine vm|tree]
               [--temporal]
        ccured explain <file.c> [--sym NAME] [other options]
@@ -585,15 +587,14 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
 
     let curer = curer(o);
     let cured = curer.cure_source(source)?;
+    let map = curer.source_map(&o.file, source);
     // Static failure diagnostics are warnings: the check provably fails on
     // every execution that reaches it (the run still aborts safely).
     for sf in &cured.report.static_failures {
         let pos = if sf.span == ccured_ast::Span::DUMMY {
             String::new()
         } else {
-            let map = ccured_ast::SourceMap::new(&o.file, curer.parsed_text(source));
-            let lc = map.lookup(sf.span.lo);
-            format!("{}:{lc}: ", o.file)
+            format!("{}: ", map.locate(sf.span.lo))
         };
         out.push_str(&format!(
             "{pos}warning: in `{}`: {} ({} check always fails)\n",
@@ -604,10 +605,7 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
         render_report(&cured, &mut out);
     }
     if o.review {
-        // Build the map over the parsed text but attribute positions to the
-        // user's file, shifting out the wrapper prelude's lines.
-        let map = ccured_ast::SourceMap::new(&o.file, curer.parsed_text(source));
-        let surface = cured.review_surface_shifted(&map, curer.prelude_lines());
+        let surface = cured.review_surface(&map);
         if surface.is_empty() {
             out.push_str("review surface: empty (no trusted or bad casts)\n");
         } else {
@@ -621,17 +619,16 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
         }
     }
     if o.explain || o.review {
-        let map = ccured_ast::SourceMap::new(&o.file, curer.parsed_text(source));
         render_explanations(&cured, o, &map, &mut out);
         if o.explain && o.sym.is_none() {
-            render_opt_actions(&cured, o, &map, curer.prelude_lines(), &mut out);
+            render_opt_actions(&cured, &map, &mut out);
         }
     }
     if o.emit_ir {
         out.push_str(&ccured_cil::pretty::dump_program(&cured.program));
     }
     if o.profile {
-        return Ok(run_profile(&cured, o, &curer, source, input, out));
+        return Ok(run_profile(&cured, o, &map, input, out));
     }
     if o.run {
         return Ok(execute(
@@ -863,9 +860,8 @@ pub fn drive_campaign(o: &Options) -> Result<Outcome, CureError> {
     Ok(Outcome { exit, stdout })
 }
 
-/// The curer the options configure. Its [`Curer::parsed_text`] and
-/// [`Curer::prelude_lines`] map diagnostics and check-site positions back
-/// into the user's file.
+/// The curer the options configure. Its [`Curer::source_map`] maps
+/// diagnostics and check-site positions back into the user's file.
 pub fn curer(o: &Options) -> Curer {
     let mut c = if o.original_ccured {
         Curer::original_ccured()
@@ -962,13 +958,7 @@ fn render_explanations(cured: &Cured, o: &Options, map: &ccured_ast::SourceMap, 
 /// Lists the check sites the loop optimizer rewrote (hoisted/widened),
 /// with their final keep-reasons — the `ccured explain` view of the
 /// second-generation optimizer's work.
-fn render_opt_actions(
-    cured: &Cured,
-    o: &Options,
-    map: &ccured_ast::SourceMap,
-    shift: u32,
-    out: &mut String,
-) {
+fn render_opt_actions(cured: &Cured, map: &ccured_ast::SourceMap, out: &mut String) {
     let acted: Vec<&ccured::instrument::CheckSite> = cured
         .sites
         .iter()
@@ -982,7 +972,7 @@ fn render_opt_actions(
         acted.len()
     ));
     for s in acted {
-        let (loc, _) = site_location(o, map, shift, s);
+        let loc = site_location(map, s);
         // The keep-reason of a rewritten site is "<action>: <how>"; the
         // action is already printed, so show only the how.
         let reason = s.keep_reason.as_deref().unwrap_or("");
@@ -1067,8 +1057,7 @@ fn execute(
 fn run_profile(
     cured: &Cured,
     o: &Options,
-    curer: &Curer,
-    source: &str,
+    map: &ccured_ast::SourceMap,
     input: &[u8],
     mut out: String,
 ) -> Outcome {
@@ -1087,51 +1076,31 @@ fn run_profile(
     if o.json {
         out = profile_json(o, &rows, &profile, &out);
     } else {
-        render_profile(o, curer, source, &rows, &profile, &mut out);
+        render_profile(o, map, &rows, &profile, &mut out);
     }
     Outcome { exit, stdout: out }
 }
 
-/// `file:line:col in func` for a profile row, shifted out of the wrapper
-/// prelude like the review surface.
-fn site_location(
-    o: &Options,
-    map: &ccured_ast::SourceMap,
-    shift: u32,
-    site: &ccured::instrument::CheckSite,
-) -> (String, u32) {
+/// `file:line:col in func` for a check site, or `<wrappers> in func` for a
+/// site inside the wrapper prelude.
+fn site_location(map: &ccured_ast::SourceMap, site: &ccured::instrument::CheckSite) -> String {
     if site.span == ccured_ast::Span::DUMMY {
-        return (format!("<{}>", site.func), 0);
+        return format!("<{}>", site.func);
     }
-    let pos = map.lookup(site.span.lo);
-    if pos.line > shift {
-        (
-            format!(
-                "{}:{}:{} in {}",
-                o.file,
-                pos.line - shift,
-                pos.col,
-                site.func
-            ),
-            pos.line,
-        )
-    } else {
-        (format!("<wrappers> in {}", site.func), pos.line)
+    match map.file_lookup(site.span.lo) {
+        Some(lc) => format!("{}:{lc} in {}", map.name(), site.func),
+        None => format!("<wrappers> in {}", site.func),
     }
 }
 
 fn render_profile(
     o: &Options,
-    curer: &Curer,
-    source: &str,
+    map: &ccured_ast::SourceMap,
     rows: &[ccured_rt::SiteReport],
     profile: &ccured_rt::Profile,
     out: &mut String,
 ) {
-    let full = curer.parsed_text(source);
-    let shift = curer.prelude_lines();
-    let map = ccured_ast::SourceMap::new(&o.file, full.clone());
-    let lines: Vec<&str> = full.lines().collect();
+    let lines: Vec<&str> = map.text().lines().collect();
     let top = o.top.unwrap_or(10);
     out.push_str(&format!(
         "check-site profile (engine={}): {} sites, {} dynamic checks\n",
@@ -1141,7 +1110,7 @@ fn render_profile(
     ));
     out.push_str("rank       cost       hits  fails  check            ptr   site\n");
     for (rank, r) in rows.iter().take(top).enumerate() {
-        let (loc, line) = site_location(o, &map, shift, &r.site);
+        let loc = site_location(map, &r.site);
         out.push_str(&format!(
             "{:>4} {:>10.1} {:>10} {:>6}  {:<16} {:<5} {}\n",
             rank + 1,
@@ -1153,7 +1122,8 @@ fn render_profile(
             loc
         ));
         // Blame-style excerpt of the offending source line.
-        if line > 0 {
+        if r.site.span != ccured_ast::Span::DUMMY {
+            let line = map.lookup(r.site.span.lo).line;
             if let Some(text) = lines.get(line as usize - 1) {
                 out.push_str(&format!("     | {}\n", text.trim_end()));
             }
@@ -1177,7 +1147,7 @@ fn render_profile(
     if !missed.is_empty() {
         out.push_str("\nhot sites the optimizer could not elide, and why:\n");
         for r in missed {
-            let (loc, _) = site_location(o, &map, shift, &r.site);
+            let loc = site_location(map, &r.site);
             out.push_str(&format!(
                 "  {} ({}, {} hits): {}\n",
                 loc,
@@ -1761,6 +1731,21 @@ mod tests {
             "position attached: {}",
             r.stdout
         );
+    }
+
+    #[test]
+    fn drive_wrappers_report_positions_in_the_users_file() {
+        // The bad cast is on line 7 and the certain null dereference on
+        // line 4 of the user's file; the wrapper prelude parsed before it
+        // must not shift either position.
+        let wild = "struct A { int x; };\nstruct B { double y; char *s; };\n\
+                    int main(void) {\n  struct A a;\n  struct B *b;\n  a.x = 1;\n\
+                    \x20 b = (struct B *)&a;\n  return b->s == 0;\n}\n";
+        let r = drive(&args("explain wild.c --wrappers").unwrap(), wild, b"").unwrap();
+        assert!(r.stdout.contains(" at wild.c:7:7: "), "{}", r.stdout);
+        let null = "int main(void) {\n  int *p = 0;\n  int x;\n  x = *p;\n  return x;\n}\n";
+        let r = drive(&args("sf.c --wrappers").unwrap(), null, b"").unwrap();
+        assert!(r.stdout.starts_with("sf.c:4:3: warning:"), "{}", r.stdout);
     }
 
     #[test]

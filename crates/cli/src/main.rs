@@ -76,25 +76,10 @@ fn main() -> ExitCode {
             ExitCode::from((outcome.exit & 0xff) as u8)
         }
         Err(e) => {
-            // Render frontend errors with file/line/column. Spans are
-            // relative to the parsed text (prelude + source); shift the
-            // line number back into the user's file.
+            // Render frontend errors with file/line/column.
             if let ccured::CureError::Frontend(d) = &e {
-                let curer = ccured_cli::curer(&opts);
-                let shift = curer.prelude_lines();
-                let map = ccured_ast::SourceMap::new(&opts.file, curer.parsed_text(&source));
-                let pos = map.lookup(d.span.lo);
-                if pos.line > shift {
-                    eprintln!(
-                        "{}:{}:{}: error: {}",
-                        opts.file,
-                        pos.line - shift,
-                        pos.col,
-                        d.msg
-                    );
-                } else {
-                    eprintln!("<wrappers>:{}:{}: error: {}", pos.line, pos.col, d.msg);
-                }
+                let map = ccured_cli::curer(&opts).source_map(&opts.file, &source);
+                eprintln!("{}: error: {}", map.locate(d.span.lo), d.msg);
             } else {
                 eprintln!("ccured: {e}");
             }

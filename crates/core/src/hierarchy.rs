@@ -179,11 +179,6 @@ impl Hierarchy {
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
         self.nodes[n as usize].parent
     }
-
-    /// The type a node stands for (`None` for the void root).
-    pub fn type_of(&self, n: NodeId) -> Option<TypeId> {
-        self.nodes[n as usize].ty
-    }
 }
 
 /// Partitions the pointee types of every pointer type in `prog` into

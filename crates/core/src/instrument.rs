@@ -662,37 +662,14 @@ mod tests {
         // Every emitted instruction carries an id that resolves in the table.
         let mut stamped = 0usize;
         for f in &prog.functions {
-            visit_site_ids(&f.body, &mut |site| {
-                assert!((site.0 as usize) < sites.len());
-                stamped += 1;
+            ccured_cil::visit::for_each_instr(&f.body, &mut |i| {
+                if let Instr::Check(_, _, site) = i {
+                    assert!((site.0 as usize) < sites.len());
+                    stamped += 1;
+                }
             });
         }
         assert_eq!(stamped, c.total());
-    }
-
-    fn visit_site_ids(body: &[Stmt], f: &mut impl FnMut(SiteId)) {
-        for s in body {
-            match s {
-                Stmt::Instr(is) => {
-                    for i in is {
-                        if let Instr::Check(_, _, site) = i {
-                            f(*site);
-                        }
-                    }
-                }
-                Stmt::If(_, t, e) => {
-                    visit_site_ids(t, f);
-                    visit_site_ids(e, f);
-                }
-                Stmt::Loop(b) | Stmt::Block(b) => visit_site_ids(b, f),
-                Stmt::Switch(_, arms) => {
-                    for a in arms {
-                        visit_site_ids(&a.body, f);
-                    }
-                }
-                _ => {}
-            }
-        }
     }
 
     #[test]

@@ -419,13 +419,15 @@ impl Curer {
         }
     }
 
-    /// Number of lines the prelude adds before `src`'s first line in
-    /// [`Curer::parsed_text`], so callers can map positions back into the
-    /// user's file.
-    pub fn prelude_lines(&self) -> u32 {
-        self.prelude
+    /// The source map of the text a cure of `src` parses, with `src` read
+    /// as the file `file`: it reports positions as `file`'s own lines, and
+    /// positions inside the prelude as `<wrappers>`.
+    pub fn source_map(&self, file: &str, src: &str) -> ccured_ast::SourceMap {
+        let prelude_lines = self
+            .prelude
             .as_deref()
-            .map_or(0, |p| p.lines().count() as u32 + 1)
+            .map_or(0, |p| p.lines().count() as u32 + 1);
+        ccured_ast::SourceMap::with_prelude(file, self.parsed_text(src), prelude_lines)
     }
 
     /// Parses and lowers [`Curer::parsed_text`], timing both stages and
@@ -471,7 +473,7 @@ impl Curer {
 
         let result = infer(&prog, &self.options);
 
-        let meta = ccured_infer::split::compute_meta_types(&prog, &result.solution);
+        let meta = ccured_infer::split::meta_types(&prog.types, &result.solution);
         let mut link_issues = check_link(&prog, &result.solution, &meta);
         sort_link_issues(&mut link_issues);
         if self.strict_link && !link_issues.is_empty() {
@@ -567,17 +569,6 @@ impl Cured {
     /// bind should start with these 380 casts"): every trusted cast and
     /// every residual bad cast, rendered with source positions.
     pub fn review_surface(&self, map: &ccured_ast::SourceMap) -> Vec<String> {
-        self.review_surface_shifted(map, 0)
-    }
-
-    /// Like [`Cured::review_surface`], shifting reported line numbers down
-    /// by `prelude_lines` (casts inside a prepended prelude are attributed
-    /// to `<wrappers>`).
-    pub fn review_surface_shifted(
-        &self,
-        map: &ccured_ast::SourceMap,
-        prelude_lines: u32,
-    ) -> Vec<String> {
         let mut phys = ccured_cil::phys::PhysCtx::new(&self.program.types);
         let mut out = Vec::new();
         for site in self.program.casts.iter() {
@@ -590,19 +581,14 @@ impl Cured {
             if !interesting {
                 continue;
             }
-            let pos = map.lookup(site.span.lo);
             let label = if site.trusted {
                 "trusted cast"
             } else {
                 "BAD cast (WILD)"
             };
-            let location = if pos.line > prelude_lines {
-                format!("{}:{}:{}", map.name(), pos.line - prelude_lines, pos.col)
-            } else {
-                format!("<wrappers>:{}:{}", pos.line, pos.col)
-            };
             out.push(format!(
-                "{location}: {label} from `{}` to `{}`",
+                "{}: {label} from `{}` to `{}`",
+                map.locate(site.span.lo),
                 self.program.types.display(site.from),
                 self.program.types.display(site.to)
             ));
@@ -808,30 +794,11 @@ mod tests {
     }
 
     fn count_checks(prog: &Program) -> usize {
-        use ccured_cil::ir::{Instr, Stmt};
-        fn walk(stmts: &[Stmt], n: &mut usize) {
-            for s in stmts {
-                match s {
-                    Stmt::Instr(is) => {
-                        *n += is.iter().filter(|i| matches!(i, Instr::Check(..))).count()
-                    }
-                    Stmt::If(_, t, e) => {
-                        walk(t, n);
-                        walk(e, n);
-                    }
-                    Stmt::Loop(b) | Stmt::Block(b) => walk(b, n),
-                    Stmt::Switch(_, arms) => {
-                        for a in arms {
-                            walk(&a.body, n);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
         let mut n = 0;
         for f in &prog.functions {
-            walk(&f.body, &mut n);
+            ccured_cil::visit::for_each_instr(&f.body, &mut |i| {
+                n += matches!(i, ccured_cil::ir::Instr::Check(..)) as usize
+            });
         }
         n
     }

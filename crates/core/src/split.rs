@@ -13,7 +13,7 @@
 //!   `{m}` record (omitted when the base has no metadata); for a structure
 //!   the structure of its fields' metadata.
 
-use ccured_cil::types::{FuncSig, IntKind, QualId, Type, TypeId, TypeTable};
+use ccured_cil::types::{IntKind, Type, TypeId, TypeTable};
 use ccured_infer::{PtrKind, Solution};
 use std::collections::HashMap;
 
@@ -36,39 +36,9 @@ impl<'s> SplitTypes<'s> {
     /// Creates a builder; `types` is inspected to precompute the metadata
     /// least fixpoint over the current type population.
     pub fn new(types: &TypeTable, sol: &'s Solution) -> Self {
-        let n = types.len();
-        let mut has_meta = vec![false; n];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..n {
-                if has_meta[i] {
-                    continue;
-                }
-                let t = TypeId(i as u32);
-                let m = match types.get(t) {
-                    Type::Ptr(base, q) => {
-                        sol.kind(*q) != PtrKind::Safe
-                            || sol.is_rtti(*q)
-                            || has_meta[base.0 as usize]
-                    }
-                    Type::Array(elem, _) => has_meta[elem.0 as usize],
-                    Type::Comp(cid) => types
-                        .comp(*cid)
-                        .fields
-                        .iter()
-                        .any(|f| has_meta[f.ty.0 as usize]),
-                    _ => false,
-                };
-                if m {
-                    has_meta[i] = true;
-                    changed = true;
-                }
-            }
-        }
         SplitTypes {
             sol,
-            has_meta,
+            has_meta: ccured_infer::split::meta_types(types, sol),
             meta_cache: HashMap::new(),
             comp_meta: HashMap::new(),
         }
@@ -199,28 +169,6 @@ impl<'s> SplitTypes<'s> {
             _ => false,
         }
     }
-}
-
-/// Convenience: the qualifier of a pointer type, if any.
-pub fn qual_of(types: &TypeTable, t: TypeId) -> Option<QualId> {
-    types.ptr_parts(t).map(|(_, q)| q)
-}
-
-/// Builds the `FuncSig`-shaped metadata summary used by the runtime when
-/// calling split-typed functions: per parameter, whether metadata travels
-/// alongside.
-pub fn param_meta_shape(types: &mut TypeTable, sol: &Solution, sig: &FuncSig) -> Vec<bool> {
-    let mut st = SplitTypes::new(types, sol);
-    sig.params
-        .iter()
-        .map(|p| match types.get(*p) {
-            Type::Ptr(base, _) => {
-                let base = *base;
-                st.meta_type(types, base).is_some()
-            }
-            _ => false,
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 
 use ccured_cil::ir::*;
 use ccured_cil::lower::is_alloc_fn;
+use ccured_cil::visit;
 use ccured_infer::{PtrKind, Solution};
 
 /// Rewrites calls to wrapped externals into calls to their wrappers.
@@ -49,45 +50,19 @@ pub fn apply_wrappers(prog: &mut Program) -> Vec<(String, String)> {
             if wrapper_fns.contains(&FuncId(fi as u32)) {
                 continue;
             }
-            for s in &mut f.body {
-                rewrite_stmt(s, xid, wid);
-            }
+            visit::for_each_instr_run_mut(&mut f.body, &mut |is| {
+                for i in is {
+                    if let Instr::Call(_, callee, _, _) = i {
+                        if matches!(callee, Callee::Extern(x) if *x == xid) {
+                            *callee = Callee::Func(wid);
+                        }
+                    }
+                }
+            });
         }
         applied.push((wrapper, external));
     }
     applied
-}
-
-fn rewrite_stmt(s: &mut Stmt, from: ExternId, to: FuncId) {
-    match s {
-        Stmt::Instr(is) => {
-            for i in is {
-                if let Instr::Call(_, callee, _, _) = i {
-                    if matches!(callee, Callee::Extern(x) if *x == from) {
-                        *callee = Callee::Func(to);
-                    }
-                }
-            }
-        }
-        Stmt::If(_, t, e) => {
-            for s in t.iter_mut().chain(e.iter_mut()) {
-                rewrite_stmt(s, from, to);
-            }
-        }
-        Stmt::Loop(b) | Stmt::Block(b) => {
-            for s in b {
-                rewrite_stmt(s, from, to);
-            }
-        }
-        Stmt::Switch(_, arms) => {
-            for arm in arms {
-                for s in &mut arm.body {
-                    rewrite_stmt(s, from, to);
-                }
-            }
-        }
-        _ => {}
-    }
 }
 
 /// One incompatibility found by the link audit.
@@ -105,85 +80,62 @@ pub struct LinkIssue {
 /// pointer arguments must be thin (SAFE without metadata) or SPLIT.
 ///
 /// `meta` is the per-type metadata table from
-/// [`ccured_infer::split::compute_meta_types`].
+/// [`ccured_infer::split::meta_types`].
 pub fn check_link(prog: &Program, sol: &Solution, meta: &[bool]) -> Vec<LinkIssue> {
     let mut issues = Vec::new();
     for f in &prog.functions {
-        for s in &f.body {
-            audit_stmt(prog, sol, meta, f, s, &mut issues);
-        }
+        visit::for_each_instr(&f.body, &mut |i| {
+            if let Instr::Call(_, Callee::Extern(x), args, _) = i {
+                audit_call(prog, sol, meta, f, *x, args, &mut issues);
+            }
+        });
     }
     issues
 }
 
-fn audit_stmt(
+fn audit_call(
     prog: &Program,
     sol: &Solution,
     meta: &[bool],
     f: &Function,
-    s: &Stmt,
+    callee: ExternId,
+    args: &[Exp],
     issues: &mut Vec<LinkIssue>,
 ) {
-    match s {
-        Stmt::Instr(is) => {
-            for i in is {
-                let (callee, args) = match i {
-                    Instr::Call(_, Callee::Extern(x), args, _) => (*x, args),
-                    _ => continue,
-                };
-                let name = &prog.externals[callee.idx()].name;
-                if name.is_empty() || name.starts_with("__") || is_alloc_fn(name) {
-                    continue;
-                }
-                // Variadic externals are runtime-provided builtins (printf
-                // family) that accept any representation.
-                if let ccured_cil::types::Type::Func(sig) =
-                    prog.types.get(prog.externals[callee.idx()].ty)
-                {
-                    if sig.varargs {
-                        continue;
-                    }
-                }
-                for (idx, a) in args.iter().enumerate() {
-                    if let Some((pointee, q)) = prog.types.ptr_parts(a.ty()) {
-                        let kind = sol.kind(q);
-                        let wide = kind != PtrKind::Safe || sol.is_rtti(q);
-                        let deep_meta = meta.get(pointee.0 as usize).copied().unwrap_or(false);
-                        let compatible = (!wide && !deep_meta) || sol.is_split(q);
-                        if !compatible {
-                            issues.push(LinkIssue {
-                                external: name.clone(),
-                                caller: f.name.clone(),
-                                detail: format!(
-                                    "argument {} is a {:?}{} pointer; write a wrapper or use SPLIT types",
-                                    idx + 1,
-                                    kind,
-                                    if deep_meta { " (metadata-carrying)" } else { "" }
-                                ),
-                            });
+    let name = &prog.externals[callee.idx()].name;
+    if name.is_empty() || name.starts_with("__") || is_alloc_fn(name) {
+        return;
+    }
+    // Variadic externals are runtime-provided builtins (printf family) that
+    // accept any representation.
+    if let ccured_cil::types::Type::Func(sig) = prog.types.get(prog.externals[callee.idx()].ty) {
+        if sig.varargs {
+            return;
+        }
+    }
+    for (idx, a) in args.iter().enumerate() {
+        if let Some((pointee, q)) = prog.types.ptr_parts(a.ty()) {
+            let kind = sol.kind(q);
+            let wide = kind != PtrKind::Safe || sol.is_rtti(q);
+            let deep_meta = meta.get(pointee.0 as usize).copied().unwrap_or(false);
+            let compatible = (!wide && !deep_meta) || sol.is_split(q);
+            if !compatible {
+                issues.push(LinkIssue {
+                    external: name.clone(),
+                    caller: f.name.clone(),
+                    detail: format!(
+                        "argument {} is a {:?}{} pointer; write a wrapper or use SPLIT types",
+                        idx + 1,
+                        kind,
+                        if deep_meta {
+                            " (metadata-carrying)"
+                        } else {
+                            ""
                         }
-                    }
-                }
+                    ),
+                });
             }
         }
-        Stmt::If(_, t, e) => {
-            for s in t.iter().chain(e.iter()) {
-                audit_stmt(prog, sol, meta, f, s, issues);
-            }
-        }
-        Stmt::Loop(b) | Stmt::Block(b) => {
-            for s in b {
-                audit_stmt(prog, sol, meta, f, s, issues);
-            }
-        }
-        Stmt::Switch(_, arms) => {
-            for arm in arms {
-                for s in &arm.body {
-                    audit_stmt(prog, sol, meta, f, s, issues);
-                }
-            }
-        }
-        _ => {}
     }
 }
 
@@ -376,33 +328,21 @@ mod tests {
     }
 
     fn calls_function(f: &Function, name: &str, prog: &Program) -> bool {
-        fn walk(s: &Stmt, name: &str, prog: &Program) -> bool {
-            match s {
-                Stmt::Instr(is) => is.iter().any(|i| {
-                    matches!(i, Instr::Call(_, Callee::Func(fid), _, _)
-                        if prog.functions[fid.idx()].name == name)
-                }),
-                Stmt::If(_, t, e) => t.iter().chain(e.iter()).any(|s| walk(s, name, prog)),
-                Stmt::Loop(b) | Stmt::Block(b) => b.iter().any(|s| walk(s, name, prog)),
-                _ => false,
-            }
-        }
-        f.body.iter().any(|s| walk(s, name, prog))
+        let mut found = false;
+        visit::for_each_instr(&f.body, &mut |i| {
+            found |= matches!(i, Instr::Call(_, Callee::Func(fid), _, _)
+                if prog.functions[fid.idx()].name == name);
+        });
+        found
     }
 
     fn calls_extern(f: &Function, name: &str, prog: &Program) -> bool {
-        fn walk(s: &Stmt, name: &str, prog: &Program) -> bool {
-            match s {
-                Stmt::Instr(is) => is.iter().any(|i| {
-                    matches!(i, Instr::Call(_, Callee::Extern(x), _, _)
-                        if prog.externals[x.idx()].name == name)
-                }),
-                Stmt::If(_, t, e) => t.iter().chain(e.iter()).any(|s| walk(s, name, prog)),
-                Stmt::Loop(b) | Stmt::Block(b) => b.iter().any(|s| walk(s, name, prog)),
-                _ => false,
-            }
-        }
-        f.body.iter().any(|s| walk(s, name, prog))
+        let mut found = false;
+        visit::for_each_instr(&f.body, &mut |i| {
+            found |= matches!(i, Instr::Call(_, Callee::Extern(x), _, _)
+                if prog.externals[x.idx()].name == name);
+        });
+        found
     }
 
     #[test]
@@ -412,7 +352,7 @@ mod tests {
              void f(char *b, int i) { b = b + i; use_buf(b); }",
         );
         let res = infer(&prog, &InferOptions::default());
-        let meta = ccured_infer::split::compute_meta_types(&prog, &res.solution);
+        let meta = ccured_infer::split::meta_types(&prog.types, &res.solution);
         let issues = check_link(&prog, &res.solution, &meta);
         assert_eq!(
             issues.len(),
@@ -429,7 +369,7 @@ mod tests {
              void f(int *p) { use_one(p); }",
         );
         let res = infer(&prog, &InferOptions::default());
-        let meta = ccured_infer::split::compute_meta_types(&prog, &res.solution);
+        let meta = ccured_infer::split::meta_types(&prog.types, &res.solution);
         assert!(check_link(&prog, &res.solution, &meta).is_empty());
     }
 
@@ -447,7 +387,7 @@ mod tests {
             ..InferOptions::default()
         };
         let res = infer(&prog, &opts);
-        let meta = ccured_infer::split::compute_meta_types(&prog, &res.solution);
+        let meta = ccured_infer::split::meta_types(&prog.types, &res.solution);
         let issues = check_link(&prog, &res.solution, &meta);
         assert!(
             issues.is_empty(),

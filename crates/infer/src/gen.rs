@@ -18,6 +18,7 @@ use ccured_ast::Span;
 use ccured_cil::ir::*;
 use ccured_cil::phys::{CastClass, PhysCtx};
 use ccured_cil::types::{QualId, Type, TypeId};
+use ccured_cil::visit;
 
 /// A backward RTTI propagation edge: `rtti(dst) ⇒ rtti(src)`, optionally
 /// gated on `gate` having proper physical subtypes in the program.
@@ -130,9 +131,7 @@ impl<'a> Gen<'a> {
         // 3. Function bodies.
         for (i, f) in self.prog.functions.iter().enumerate() {
             self.cur = Some(FuncId(i as u32));
-            for s in &f.body {
-                self.stmt(f, s);
-            }
+            visit::for_each_stmt(&f.body, &mut |s| self.stmt(f, s));
         }
         self.cur = None;
         // 4. Global initializers.
@@ -241,6 +240,8 @@ impl<'a> Gen<'a> {
         }
     }
 
+    /// Constraints of one statement, not of the statements it contains
+    /// (the caller's pre-order walk reaches those next).
     fn stmt(&mut self, f: &Function, s: &Stmt) {
         match s {
             Stmt::Instr(is) => {
@@ -248,29 +249,11 @@ impl<'a> Gen<'a> {
                     self.instr(f, i);
                 }
             }
-            Stmt::If(c, t, e) => {
-                self.exp(c);
-                for s in t.iter().chain(e.iter()) {
-                    self.stmt(f, s);
-                }
-            }
-            Stmt::Loop(b) | Stmt::Block(b) => {
-                for s in b {
-                    self.stmt(f, s);
-                }
-            }
+            Stmt::If(e, ..) | Stmt::Switch(e, _) => self.exp(e),
             Stmt::Return(Some(e)) => {
                 self.exp(e);
                 let ret = f.ret_type(&self.prog.types);
                 self.flow(e.ty(), ret);
-            }
-            Stmt::Switch(e, arms) => {
-                self.exp(e);
-                for arm in arms {
-                    for s in &arm.body {
-                        self.stmt(f, s);
-                    }
-                }
             }
             _ => {}
         }

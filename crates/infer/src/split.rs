@@ -15,9 +15,10 @@
 use crate::gen::Constraints;
 use crate::kinds::{PtrKind, Solution};
 use crate::solve::InferOptions;
-use ccured_cil::ir::{Callee, CcuredPragma, Instr, Program, SplitSeed, Stmt};
+use ccured_cil::ir::{Callee, CcuredPragma, Exp, ExternId, Instr, Program, SplitSeed};
 use ccured_cil::phys::PhysCtx;
-use ccured_cil::types::{QualId, Type, TypeId};
+use ccured_cil::types::{QualId, Type, TypeId, TypeTable};
+use ccured_cil::visit;
 
 /// Runs SPLIT inference, updating `solution` in place.
 pub fn infer_split(
@@ -65,11 +66,21 @@ pub fn infer_split(
         // Seeds: external-call boundaries (pointer arguments whose pointee
         // carries metadata would otherwise need deep-copying wrappers).
         if opts.split_at_boundaries {
-            let meta = compute_meta_types(prog, solution);
+            let meta = meta_types(&prog.types, solution);
             for f in &prog.functions {
-                for s in &f.body {
-                    seed_stmt_boundaries(prog, s, &meta, &mut split, &mut phys);
-                }
+                visit::for_each_instr(&f.body, &mut |i| {
+                    if let Instr::Call(ret, Callee::Extern(x), args, _) = i {
+                        seed_call_boundary(
+                            prog,
+                            *x,
+                            ret.is_some(),
+                            args,
+                            &meta,
+                            &mut split,
+                            &mut phys,
+                        );
+                    }
+                });
             }
         }
     }
@@ -118,80 +129,60 @@ pub fn infer_split(
     }
 }
 
-fn seed_stmt_boundaries(
+/// Seeds SPLIT at one call to an external: pointer arguments, and a
+/// returned pointer, whose pointee carries metadata.
+fn seed_call_boundary(
     prog: &Program,
-    s: &Stmt,
+    callee: ExternId,
+    has_ret: bool,
+    args: &[Exp],
     meta: &[bool],
     split: &mut [bool],
     phys: &mut PhysCtx<'_>,
 ) {
-    match s {
-        Stmt::Instr(is) => {
-            for i in is {
-                if let Instr::Call(ret, Callee::Extern(x), args, _) = i {
-                    let name = &prog.externals[x.idx()].name;
-                    if name.starts_with("__") {
-                        continue;
-                    }
-                    for a in args {
-                        if let Some((base, q)) = prog.types.ptr_parts(a.ty()) {
-                            // Only pointees that carry metadata need the
-                            // compatible representation.
-                            if meta[base.0 as usize] {
-                                split[q.0 as usize] = true;
-                                for iq in phys.quals_in_type(base).iter().copied() {
-                                    split[iq.0 as usize] = true;
-                                }
-                            }
-                        }
-                    }
-                    // Library-returned pointers to metadata-carrying data
-                    // (the gethostbyname case of Section 4.2).
-                    if ret.is_some() {
-                        if let ccured_cil::types::Type::Func(sig) =
-                            prog.types.get(prog.externals[x.idx()].ty)
-                        {
-                            if let Some((base, q)) = prog.types.ptr_parts(sig.ret) {
-                                if meta[base.0 as usize] {
-                                    split[q.0 as usize] = true;
-                                    for iq in phys.quals_in_type(base).iter().copied() {
-                                        split[iq.0 as usize] = true;
-                                    }
-                                }
-                            }
-                        }
-                    }
+    let ext = &prog.externals[callee.idx()];
+    if ext.name.starts_with("__") {
+        return;
+    }
+    let mut seed = |ptr_ty: TypeId| {
+        if let Some((base, q)) = prog.types.ptr_parts(ptr_ty) {
+            // Only pointees that carry metadata need the compatible
+            // representation.
+            if meta[base.0 as usize] {
+                split[q.0 as usize] = true;
+                for iq in phys.quals_in_type(base).iter().copied() {
+                    split[iq.0 as usize] = true;
                 }
             }
         }
-        Stmt::If(_, t, e) => {
-            for s in t.iter().chain(e.iter()) {
-                seed_stmt_boundaries(prog, s, meta, split, phys);
-            }
+    };
+    for a in args {
+        seed(a.ty());
+    }
+    // Library-returned pointers to metadata-carrying data (the
+    // gethostbyname case of Section 4.2).
+    if has_ret {
+        if let Type::Func(sig) = prog.types.get(ext.ty) {
+            seed(sig.ret);
         }
-        Stmt::Loop(b) | Stmt::Block(b) => {
-            for s in b {
-                seed_stmt_boundaries(prog, s, meta, split, phys);
-            }
-        }
-        Stmt::Switch(_, arms) => {
-            for arm in arms {
-                for s in &arm.body {
-                    seed_stmt_boundaries(prog, s, meta, split, phys);
-                }
-            }
-        }
-        _ => {}
     }
 }
 
+/// [`meta_types`] over a program's type table, under the name the
+/// `perfbench` package calls.
+pub fn compute_meta_types(prog: &Program, sol: &Solution) -> Vec<bool> {
+    meta_types(&prog.types, sol)
+}
+
 /// Computes, for every type, whether its metadata type `Meta(t)` is
-/// non-void (paper Figure 6): SEQ pointers carry bounds, RTTI pointers carry
-/// a type word, and any type containing such a pointer carries metadata.
+/// non-void (paper Figure 6): SEQ and WILD pointers carry bounds, RTTI
+/// pointers carry a type word, and any type containing such a pointer
+/// carries metadata. This is the least fixpoint, so recursive types never
+/// fabricate metadata.
 ///
 /// Returns a vector indexed by [`TypeId`].
-pub fn compute_meta_types(prog: &Program, sol: &Solution) -> Vec<bool> {
-    let n = prog.types.len();
+pub fn meta_types(types: &TypeTable, sol: &Solution) -> Vec<bool> {
+    let n = types.len();
     let mut meta = vec![false; n];
     // Iterate to fixpoint (types form a finite graph; monotone).
     let mut changed = true;
@@ -202,16 +193,12 @@ pub fn compute_meta_types(prog: &Program, sol: &Solution) -> Vec<bool> {
                 continue;
             }
             let t = TypeId(i as u32);
-            let m = match prog.types.get(t) {
+            let m = match types.get(t) {
                 Type::Ptr(base, q) => {
-                    sol.kind(*q) == PtrKind::Seq
-                        || sol.kind(*q) == PtrKind::Wild
-                        || sol.is_rtti(*q)
-                        || meta[base.0 as usize]
+                    sol.kind(*q) != PtrKind::Safe || sol.is_rtti(*q) || meta[base.0 as usize]
                 }
                 Type::Array(elem, _) => meta[elem.0 as usize],
-                Type::Comp(cid) => prog
-                    .types
+                Type::Comp(cid) => types
                     .comp(*cid)
                     .fields
                     .iter()
@@ -349,7 +336,7 @@ mod tests {
              int f(struct hostent *h, int i) { return h->h_aliases[i] != 0; }",
             &InferOptions::default(),
         );
-        let meta = compute_meta_types(&p, &r.solution);
+        let meta = meta_types(&p.types, &r.solution);
         // h_aliases is indexed => SEQ => hostent carries metadata.
         let cid = p.types.find_comp("hostent", false).unwrap();
         let t = (0..p.types.len())

@@ -24,7 +24,7 @@
 
 use super::ops::{CompiledFn, Op, OpKind, RegNorm, SwitchTable, ZeroKind};
 use crate::err::RtError;
-use crate::interp::{check_operand, ExecMode, Interp};
+use crate::interp::{ExecMode, Interp};
 use crate::value::{PtrVal, Value};
 use ccured_cil::ir::*;
 use ccured_cil::types::{Type, TypeId};
@@ -841,7 +841,7 @@ impl<'p> Cc<'_, 'p> {
                 Ok(())
             }
             Instr::Check(c, _, site) => {
-                match check_operand(c) {
+                match c.operand() {
                     Some(operand) => {
                         self.emit(OpKind::CheckBegin(c, *site));
                         self.exp(operand)?;

@@ -21,7 +21,6 @@ use crate::value::{PtrVal, Value};
 use ccured::hierarchy::Hierarchy;
 use ccured::Cured;
 use ccured_cil::ir::*;
-use ccured_cil::phys::CastClass;
 use ccured_cil::types::{IntKind, Type, TypeId};
 use ccured_infer::{PtrKind, Solution};
 use std::collections::{BTreeMap, HashMap};
@@ -524,103 +523,13 @@ impl<'p> Interp<'p> {
                 need[i] = true;
             }
         }
-        fn scan_exp(e: &Exp, need: &mut Vec<bool>) {
-            match e {
-                Exp::AddrOf(lv, _) | Exp::StartOf(lv, _) => {
-                    if let LvBase::Local(l) = lv.base {
-                        need[l.idx()] = true;
-                    }
-                    scan_lval(lv, need);
-                }
-                Exp::Load(lv, _) => scan_lval(lv, need),
-                Exp::Unop(_, x, _) | Exp::Cast(_, x, _) => scan_exp(x, need),
-                Exp::Binop(_, a, b, _) => {
-                    scan_exp(a, need);
-                    scan_exp(b, need);
-                }
-                _ => {}
-            }
-        }
-        fn scan_lval(lv: &Lval, need: &mut Vec<bool>) {
-            if let LvBase::Deref(e) = &lv.base {
-                scan_exp(e, need);
-            }
-            for off in &lv.offsets {
-                if let Offset::Index(e) = off {
-                    scan_exp(e, need);
+        ccured_cil::visit::for_each_exp(&func.body, &mut |e| {
+            if let Exp::AddrOf(lv, _) | Exp::StartOf(lv, _) = e {
+                if let LvBase::Local(l) = lv.base {
+                    need[l.idx()] = true;
                 }
             }
-        }
-        fn scan_check(c: &Check, need: &mut Vec<bool>) {
-            match c {
-                Check::Null { ptr }
-                | Check::SeqBounds { ptr, .. }
-                | Check::SeqToSafe { ptr, .. }
-                | Check::WildBounds { ptr, .. }
-                | Check::WildTag { ptr }
-                | Check::Rtti { ptr, .. }
-                | Check::Temporal { ptr } => scan_exp(ptr, need),
-                Check::NoStackEscape { value } => scan_exp(value, need),
-                Check::IndexBound { index, .. } => scan_exp(index, need),
-                Check::Probe { inner, .. } => {
-                    for c in inner {
-                        scan_check(c, need);
-                    }
-                }
-                Check::Guarded { inner, .. } => scan_check(inner, need),
-                Check::GuardReset { .. } => {}
-            }
-        }
-        fn scan_stmt(s: &Stmt, need: &mut Vec<bool>) {
-            match s {
-                Stmt::Instr(is) => {
-                    for i in is {
-                        match i {
-                            Instr::Set(lv, e, _) => {
-                                scan_lval(lv, need);
-                                scan_exp(e, need);
-                            }
-                            Instr::Call(ret, callee, args, _) => {
-                                if let Some(lv) = ret {
-                                    scan_lval(lv, need);
-                                }
-                                if let Callee::Ptr(e) = callee {
-                                    scan_exp(e, need);
-                                }
-                                for a in args {
-                                    scan_exp(a, need);
-                                }
-                            }
-                            Instr::Check(c, _, _) => scan_check(c, need),
-                        }
-                    }
-                }
-                Stmt::If(c, t, e) => {
-                    scan_exp(c, need);
-                    for s in t.iter().chain(e.iter()) {
-                        scan_stmt(s, need);
-                    }
-                }
-                Stmt::Loop(b) | Stmt::Block(b) => {
-                    for s in b {
-                        scan_stmt(s, need);
-                    }
-                }
-                Stmt::Return(Some(e)) => scan_exp(e, need),
-                Stmt::Switch(e, arms) => {
-                    scan_exp(e, need);
-                    for a in arms {
-                        for s in &a.body {
-                            scan_stmt(s, need);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        for s in &func.body {
-            scan_stmt(s, &mut need);
-        }
+        });
         // Goto/label tables: intern label names and record, per block slice,
         // where each label sits, so a jump is a hash probe instead of a
         // linear scan with `String` comparisons.
@@ -975,7 +884,7 @@ impl<'p> Interp<'p> {
             _ => {}
         }
         self.bump_check_counter(c, site);
-        let operand = check_operand(c).expect("plain checks have an operand");
+        let operand = c.operand().expect("plain checks have an operand");
         let v = self.eval(operand)?;
         self.check_verdict(c, v, site)
     }
@@ -995,7 +904,7 @@ impl<'p> Interp<'p> {
         let saved = self.counters;
         let mut all_pass = true;
         for c in inner {
-            let r = match check_operand(c) {
+            let r = match c.operand() {
                 Some(e) => match self.eval(e) {
                     Ok(v) => self.check_verdict_inner(c, v),
                     Err(err) => Err(err),
@@ -2239,24 +2148,6 @@ pub(crate) fn no_frame() -> RtError {
     RtError::Internal("no active frame".into())
 }
 
-/// The expression a check evaluates (its only operand). The loop-optimizer
-/// guard machinery (`Probe`/`Guarded`/`GuardReset`) has no single operand
-/// of its own and is executed structurally instead.
-pub(crate) fn check_operand(c: &Check) -> Option<&Exp> {
-    match c {
-        Check::Null { ptr }
-        | Check::SeqBounds { ptr, .. }
-        | Check::SeqToSafe { ptr, .. }
-        | Check::WildBounds { ptr, .. }
-        | Check::WildTag { ptr }
-        | Check::Rtti { ptr, .. }
-        | Check::Temporal { ptr } => Some(ptr),
-        Check::NoStackEscape { value } => Some(value),
-        Check::IndexBound { index, .. } => Some(index),
-        Check::Probe { .. } | Check::Guarded { .. } | Check::GuardReset { .. } => None,
-    }
-}
-
 pub(crate) fn compare_i(op: BinOp, a: i128, b: i128) -> bool {
     match op {
         BinOp::Lt => a < b,
@@ -2293,13 +2184,6 @@ pub fn trunc_int(v: i128, k: IntKind, machine: &ccured_cil::types::Machine) -> i
     } else {
         ((v << shift) as u128 >> shift) as i128
     }
-}
-
-/// Did the cast site classify as a downcast? (Utility for tests.)
-pub fn is_downcast(prog: &Program, id: CastId) -> bool {
-    let mut phys = ccured_cil::phys::PhysCtx::new(&prog.types);
-    let site = &prog.casts[id.idx()];
-    phys.classify_cast(site.from, site.to) == CastClass::Downcast
 }
 
 #[cfg(test)]

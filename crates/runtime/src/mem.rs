@@ -80,11 +80,6 @@ impl Allocation {
         self.bytes.len() as u64
     }
 
-    /// Number of provenance (pointer/tag) entries.
-    pub fn prov_count(&self) -> usize {
-        self.prov.len()
-    }
-
     /// The allocation's current capability key (0 after revocation).
     pub fn key(&self) -> u64 {
         self.key
@@ -193,11 +188,6 @@ impl Memory {
     /// The allocation behind an id.
     pub fn allocation(&self, id: AllocId) -> &Allocation {
         &self.allocs[id.0 as usize]
-    }
-
-    /// Number of allocations ever made.
-    pub fn alloc_count(&self) -> usize {
-        self.allocs.len()
     }
 
     /// Frees a heap allocation.

@@ -4,6 +4,7 @@
 //! its sandbox ([`Limits`]) on everything the fuzzer can construct.
 
 use ccured::Curer;
+use ccured_integration::{run_cured, run_original};
 use ccured_rt::{ExecMode, Interp, Limits};
 use proptest::prelude::*;
 
@@ -52,27 +53,23 @@ proptest! {
         )
     ) {
         let src = toks.join(" ");
-        if let Ok(tu) = ccured_ast::parse_translation_unit(&src) {
-            if let Ok(prog) = ccured_cil::lower_translation_unit(&tu) {
-                if let Ok(cured) = Curer::new().cure_program(prog) {
-                    let limits = Limits { fuel: 200_000, ..Limits::default() };
-                    let mut i = Interp::new(&cured.program, ExecMode::cured(&cured));
-                    i.set_limits(limits);
-                    // Errors (including limit trips) are fine; panics are
-                    // not, and proptest reports them as failures here.
-                    let _ = i.run();
-                    prop_assert!(
-                        i.counters.peak_heap_bytes <= limits.max_heap_bytes,
-                        "heap cap exceeded: {} > {} on:\n{}",
-                        i.counters.peak_heap_bytes, limits.max_heap_bytes, src
-                    );
-                    prop_assert!(
-                        i.counters.peak_stack_depth <= limits.max_stack_depth as u64,
-                        "stack cap exceeded: {} > {} on:\n{}",
-                        i.counters.peak_stack_depth, limits.max_stack_depth, src
-                    );
-                }
-            }
+        if let Ok(cured) = Curer::new().cure_source(&src) {
+            let limits = Limits { fuel: 200_000, ..Limits::default() };
+            let mut i = Interp::new(&cured.program, ExecMode::cured(&cured));
+            i.set_limits(limits);
+            // Errors (including limit trips) are fine; panics are
+            // not, and proptest reports them as failures here.
+            let _ = i.run();
+            prop_assert!(
+                i.counters.peak_heap_bytes <= limits.max_heap_bytes,
+                "heap cap exceeded: {} > {} on:\n{}",
+                i.counters.peak_heap_bytes, limits.max_heap_bytes, src
+            );
+            prop_assert!(
+                i.counters.peak_stack_depth <= limits.max_stack_depth as u64,
+                "stack cap exceeded: {} > {} on:\n{}",
+                i.counters.peak_stack_depth, limits.max_stack_depth, src
+            );
         }
     }
 }
@@ -195,7 +192,7 @@ proptest! {
             Some(v) => v,
             None => return Ok(()), // division by zero somewhere: skip
         };
-        let reduced = (expected & 0x3f) as i64;
+        let reduced = expected & 0x3f;
         let src = format!(
             "long a; long b; long c; long d;\n\
              int main(void) {{\n\
@@ -206,13 +203,8 @@ proptest! {
             e.render()
         );
         // Original mode.
-        let tu = ccured_ast::parse_translation_unit(&src).expect("parse");
-        let prog = ccured_cil::lower_translation_unit(&tu).expect("lower");
-        let mut i = Interp::new(&prog, ExecMode::Original);
-        prop_assert_eq!(i.run().expect("original run"), reduced, "original vs oracle:\n{}", src);
+        prop_assert_eq!(run_original(&src).0.expect("original run"), reduced, "original vs oracle:\n{}", src);
         // Cured mode.
-        let cured = Curer::new().cure_source(&src).expect("cure");
-        let mut i = Interp::new(&cured.program, ExecMode::cured(&cured));
-        prop_assert_eq!(i.run().expect("cured run"), reduced, "cured vs oracle:\n{}", src);
+        prop_assert_eq!(run_cured(&src).0.expect("cured run"), reduced, "cured vs oracle:\n{}", src);
     }
 }

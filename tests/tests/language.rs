@@ -2,22 +2,8 @@
 //! original and cured modes (differential testing of the whole pipeline).
 
 use ccured::Curer;
+use ccured_integration::{run_cured, run_original};
 use ccured_rt::{ExecMode, Interp, RtError};
-
-fn run_original(src: &str) -> (Result<i64, RtError>, Vec<u8>) {
-    let tu = ccured_ast::parse_translation_unit(src).expect("parse");
-    let prog = ccured_cil::lower_translation_unit(&tu).expect("lower");
-    let mut i = Interp::new(&prog, ExecMode::Original);
-    let r = i.run();
-    (r, i.output().to_vec())
-}
-
-fn run_cured(src: &str) -> (Result<i64, RtError>, Vec<u8>) {
-    let cured = Curer::new().cure_source(src).expect("cure");
-    let mut i = Interp::new(&cured.program, ExecMode::cured(&cured));
-    let r = i.run();
-    (r, i.output().to_vec())
-}
 
 fn equivalent(src: &str, expect: i64) {
     let (ro, oo) = run_original(src);

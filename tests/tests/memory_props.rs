@@ -22,7 +22,7 @@ proptest! {
             v as i128
         } else {
             let shift = 128 - bits as u32;
-            (((v as i128) << shift) ) >> shift
+            ((v as i128) << shift) >> shift
         };
         prop_assert_eq!(back, expect);
     }
