@@ -89,8 +89,9 @@ serve-smoke:
 	cargo build --release -p ccured-cli
 	python3 ci/serve_smoke.py target/release/ccured
 
+# Rustdoc with warnings as errors (also run by CI's lint job).
 doc:
-	cargo doc --workspace --no-deps
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 examples:
 	cargo run -p ccured-examples --bin quickstart

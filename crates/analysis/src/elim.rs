@@ -4,7 +4,7 @@
 //! A must-analysis tracks, per scalar pointer variable, what the checks that
 //! already executed have established: non-nullness, verified SEQ/WILD
 //! bounds (valid while the pointer is unmoved), verified WILD tags, and
-//! verified RTTI downcast targets. A [`Check`](ccured_cil::ir::Check) whose
+//! verified RTTI downcast targets. A [`Check`] whose
 //! fact already holds on every path is deleted — the run-time cost counters
 //! drop, the verdict never changes, because a passing check is a pure
 //! verification (the fat-pointer conversions happen at cast evaluation, not
@@ -24,70 +24,6 @@ use ccured_cil::visit;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
 
-/// How many checks of each kind the optimizer deleted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ElisionStats {
-    /// Elided null checks.
-    pub null: u64,
-    /// Elided SEQ bounds checks.
-    pub seq_bounds: u64,
-    /// Elided SEQ-to-SAFE conversion checks.
-    pub seq_to_safe: u64,
-    /// Elided WILD bounds checks.
-    pub wild_bounds: u64,
-    /// Elided WILD tag checks.
-    pub wild_tag: u64,
-    /// Elided RTTI downcast checks.
-    pub rtti: u64,
-    /// Elided constant-index bounds checks.
-    pub index_bound: u64,
-    /// Elided temporal lock-and-key checks.
-    pub temporal: u64,
-}
-
-impl ElisionStats {
-    /// Total number of deleted checks.
-    pub fn total(&self) -> u64 {
-        self.null
-            + self.seq_bounds
-            + self.seq_to_safe
-            + self.wild_bounds
-            + self.wild_tag
-            + self.rtti
-            + self.index_bound
-            + self.temporal
-    }
-
-    /// Accumulates another function's stats.
-    pub fn add(&mut self, o: &ElisionStats) {
-        self.null += o.null;
-        self.seq_bounds += o.seq_bounds;
-        self.seq_to_safe += o.seq_to_safe;
-        self.wild_bounds += o.wild_bounds;
-        self.wild_tag += o.wild_tag;
-        self.rtti += o.rtti;
-        self.index_bound += o.index_bound;
-        self.temporal += o.temporal;
-    }
-
-    fn bump(&mut self, c: &Check) {
-        match c {
-            Check::Null { .. } => self.null += 1,
-            Check::SeqBounds { .. } => self.seq_bounds += 1,
-            Check::SeqToSafe { .. } => self.seq_to_safe += 1,
-            Check::WildBounds { .. } => self.wild_bounds += 1,
-            Check::WildTag { .. } => self.wild_tag += 1,
-            Check::Rtti { .. } => self.rtti += 1,
-            Check::IndexBound { .. } => self.index_bound += 1,
-            Check::Temporal { .. } => self.temporal += 1,
-            Check::NoStackEscape { .. } => {}
-            // Loop-optimizer artifacts are placed after elimination and are
-            // never deleted by this pass.
-            Check::Probe { .. } | Check::Guarded { .. } | Check::GuardReset { .. } => {}
-        }
-    }
-}
-
 /// A check that is statically guaranteed to fail whenever it executes.
 #[derive(Debug, Clone)]
 pub struct StaticFailure {
@@ -104,12 +40,13 @@ pub struct StaticFailure {
 /// The result of running the optimizer over a program.
 #[derive(Debug, Clone, Default)]
 pub struct ElisionResult {
-    /// Deleted-check counts.
-    pub stats: ElisionStats,
+    /// Deleted-check counts (`no_stack_escape` is always 0: escape checks
+    /// are never elided).
+    pub stats: PerCheck<u64>,
     /// Checks that provably always fail (kept in the program; reported).
     pub failures: Vec<StaticFailure>,
     /// Deleted instructions per check site, keyed by the raw
-    /// [`SiteId`](ccured_cil::ir::SiteId) index. Sites the instrumentation
+    /// [`SiteId`] index. Sites the instrumentation
     /// did not number ([`SiteId::NONE`](ccured_cil::ir::SiteId::NONE)) are
     /// not recorded.
     pub site_elides: BTreeMap<u32, u64>,
@@ -726,7 +663,7 @@ pub(crate) fn eliminate_checks_in_function(
 
 struct Plan {
     delete: HashSet<InstrId>,
-    stats: ElisionStats,
+    stats: PerCheck<u64>,
     failures: Vec<StaticFailure>,
     site_elides: BTreeMap<u32, u64>,
     site_keeps: BTreeMap<u32, String>,
@@ -744,7 +681,7 @@ fn plan_function(prog: &Program, fi: usize, tracked_globals: &HashSet<u32>) -> P
 
     let mut plan = Plan {
         delete: HashSet::new(),
-        stats: ElisionStats::default(),
+        stats: PerCheck::default(),
         failures: Vec::new(),
         site_elides: BTreeMap::new(),
         site_keeps: BTreeMap::new(),
@@ -766,7 +703,9 @@ fn plan_function(prog: &Program, fi: usize, tracked_globals: &HashSet<u32>) -> P
                     }
                     Decision::Elide => {
                         plan.delete.insert(id);
-                        plan.stats.bump(c);
+                        if let Some(k) = c.kind() {
+                            plan.stats[k] += 1;
+                        }
                         if let Some(s) = site.index() {
                             *plan.site_elides.entry(s as u32).or_insert(0) += 1;
                         }
@@ -1007,6 +946,7 @@ fn mark_addr_taken(e: &Exp, locals: &mut HashSet<u32>, globals: &mut HashSet<u32
 mod tests {
     use super::*;
     use crate::loops::optimize_program;
+    use ccured_cil::ir::CheckKind::{IndexBound, Null, SeqBounds, Temporal};
     use ccured_cil::ir::{Check, Instr, Stmt};
     use std::collections::BTreeSet;
 
@@ -1296,7 +1236,7 @@ mod tests {
         let c2 = null_check(&prog, "p");
         prog.functions[0].body.insert(0, Stmt::Instr(vec![c1, c2]));
         let r = optimize_program(&mut prog, false).elision;
-        assert_eq!(r.stats.null, 1, "the second identical check is redundant");
+        assert_eq!(r.stats[Null], 1, "the second identical check is redundant");
         assert_eq!(count_checks(&prog), 1);
         assert!(r.failures.is_empty());
     }
@@ -1318,7 +1258,10 @@ mod tests {
         let c2 = temporal_check(&prog, "p");
         prog.functions[0].body.insert(0, Stmt::Instr(vec![c1, c2]));
         let r = optimize_program(&mut prog, false).elision;
-        assert_eq!(r.stats.temporal, 1, "back-to-back key checks are redundant");
+        assert_eq!(
+            r.stats[Temporal], 1,
+            "back-to-back key checks are redundant"
+        );
         assert_eq!(count_checks(&prog), 1);
     }
 
@@ -1341,8 +1284,8 @@ mod tests {
         prog.functions[0].body.insert(call + 1, after);
         prog.functions[0].body.insert(call, before);
         let r = optimize_program(&mut prog, false).elision;
-        assert_eq!(r.stats.temporal, 0, "the callee may free p's allocation");
-        assert_eq!(r.stats.null, 1, "nullness of an unaliased local survives");
+        assert_eq!(r.stats[Temporal], 0, "the callee may free p's allocation");
+        assert_eq!(r.stats[Null], 1, "nullness of an unaliased local survives");
         assert_eq!(count_checks(&prog), 3);
     }
 
@@ -1364,7 +1307,7 @@ mod tests {
         prog.functions[0].body.insert(store + 1, after);
         prog.functions[0].body.insert(store, before);
         let r = optimize_program(&mut prog, false).elision;
-        assert_eq!(r.stats.temporal, 1, "a plain store frees nothing");
+        assert_eq!(r.stats[Temporal], 1, "a plain store frees nothing");
         assert_eq!(count_checks(&prog), 1);
     }
 
@@ -1380,7 +1323,7 @@ mod tests {
         let after = Stmt::Instr(vec![null_check(&prog, "p")]);
         prog.functions[0].body.splice(0..0, [both, after]);
         let r = optimize_program(&mut prog, false).elision;
-        assert_eq!(r.stats.null, 1, "only the join check is dominated");
+        assert_eq!(r.stats[Null], 1, "only the join check is dominated");
         assert_eq!(count_checks(&prog), 2);
     }
 
@@ -1396,7 +1339,7 @@ mod tests {
         let after = Stmt::Instr(vec![null_check(&prog, "p")]);
         prog.functions[0].body.splice(0..0, [one, after]);
         let r = optimize_program(&mut prog, false).elision;
-        assert_eq!(r.stats.null, 0, "the fact does not hold on the else path");
+        assert_eq!(r.stats[Null], 0, "the fact does not hold on the else path");
         assert_eq!(count_checks(&prog), 2);
     }
 
@@ -1416,7 +1359,7 @@ mod tests {
         prog.functions[0].body.insert(assign + 1, c2);
         prog.functions[0].body.insert(assign, c1);
         let r = optimize_program(&mut prog, false).elision;
-        assert_eq!(r.stats.null, 0);
+        assert_eq!(r.stats[Null], 0);
         assert_eq!(count_checks(&prog), 2);
     }
 
@@ -1436,7 +1379,7 @@ mod tests {
         prog.functions[0].body.insert(assign + 1, c2);
         prog.functions[0].body.insert(assign, c1);
         let r = optimize_program(&mut prog, false).elision;
-        assert_eq!(r.stats.null, 1, "q = p transfers p's nonnull fact");
+        assert_eq!(r.stats[Null], 1, "q = p transfers p's nonnull fact");
         assert_eq!(count_checks(&prog), 1);
     }
 
@@ -1461,7 +1404,7 @@ mod tests {
             .insert(0, Stmt::Instr(vec![c8, c4, c16]));
         let r = optimize_program(&mut prog, false).elision;
         assert_eq!(
-            r.stats.seq_bounds, 1,
+            r.stats[SeqBounds], 1,
             "only the smaller re-check is covered"
         );
         assert_eq!(count_checks(&prog), 2);
@@ -1538,7 +1481,10 @@ mod tests {
             .body
             .insert(call, Stmt::Instr(vec![chk(&pload), chk(&gload)]));
         let r = optimize_program(&mut prog, false).elision;
-        assert_eq!(r.stats.null, 1, "p's fact survives the call, gp's does not");
+        assert_eq!(
+            r.stats[Null], 1,
+            "p's fact survives the call, gp's does not"
+        );
     }
 
     #[test]
@@ -1561,7 +1507,7 @@ mod tests {
         );
         prog.functions[0].body.insert(0, Stmt::Instr(vec![c]));
         let r = optimize_program(&mut prog, false).elision;
-        assert_eq!(r.stats.null, 1);
+        assert_eq!(r.stats[Null], 1);
         assert_eq!(count_checks(&prog), 0);
     }
 
@@ -1575,7 +1521,7 @@ mod tests {
         let c2 = Stmt::Instr(vec![null_check(&prog, "p")]);
         prog.functions[0].body.splice(0..0, [c1, c2]);
         let r = optimize_program(&mut prog, false).elision;
-        assert_eq!(r.stats.null, 1, "no write can intervene: still redundant");
+        assert_eq!(r.stats[Null], 1, "no write can intervene: still redundant");
         assert_eq!(count_checks(&prog), 1);
     }
 
@@ -1610,7 +1556,10 @@ mod tests {
         prog.functions[0].body.insert(store + 1, c2);
         prog.functions[0].body.insert(store, c1);
         let r = optimize_program(&mut prog, false).elision;
-        assert_eq!(r.stats.null, 0, "the aliasing store kills the nonnull fact");
+        assert_eq!(
+            r.stats[Null], 0,
+            "the aliasing store kills the nonnull fact"
+        );
         assert_eq!(count_checks(&prog), 2);
     }
 
@@ -1641,7 +1590,7 @@ mod tests {
             .expect("assignment");
         prog.functions[0].body.insert(last_set + 1, c);
         let r = optimize_program(&mut prog, false).elision;
-        assert_eq!(r.stats.index_bound, 1, "interval [3,3] is within [0,3]");
+        assert_eq!(r.stats[IndexBound], 1, "interval [3,3] is within [0,3]");
         assert!(r.failures.is_empty());
     }
 
@@ -1676,7 +1625,7 @@ mod tests {
         assert!(push_into_innermost_if(&mut prog.functions[0].body, &chk));
         let r = optimize_program(&mut prog, false).elision;
         assert_eq!(
-            r.stats.index_bound, 1,
+            r.stats[IndexBound], 1,
             "both guarding branches prove 0 <= i < 4"
         );
     }
@@ -1733,7 +1682,7 @@ mod tests {
         prog.functions[0].body.insert(0, pre);
         let r = optimize_program(&mut prog, false).elision;
         assert_eq!(
-            r.stats.null, 1,
+            r.stats[Null], 1,
             "the in-loop check is dominated by the pre-loop check"
         );
     }

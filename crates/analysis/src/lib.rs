@@ -2,7 +2,7 @@
 //!
 //! Static analyses over the CIL IR:
 //!
-//! * [`cfg`] — control-flow graphs for the structured statement tree, with
+//! * [`cfg`](mod@cfg) — control-flow graphs for the structured statement tree, with
 //!   a stable instruction numbering shared by analysis and rewriting;
 //! * [`dataflow`] — a generic intraprocedural forward-dataflow framework
 //!   (meet-semilattice facts, worklist fixpoint);
@@ -29,5 +29,5 @@ pub mod widen;
 pub use blame::{blame_path, qual_names, render_blame, Blame, BlameStep};
 pub use cfg::{BasicBlock, BlockId, Branch, Cfg, InstrId};
 pub use dataflow::{forward, Analysis, Lattice};
-pub use elim::{ElisionResult, ElisionStats, StaticFailure};
+pub use elim::{ElisionResult, StaticFailure};
 pub use loops::{optimize_program, OptAction, OptResult};

@@ -55,7 +55,7 @@ pub struct OptResult {
     /// The flow-sensitive eliminator's result (always runs first).
     pub elision: ElisionResult,
     /// Per-site loop-optimizer actions, keyed by raw
-    /// [`SiteId`](ccured_cil::ir::SiteId) index.
+    /// [`SiteId`] index.
     pub actions: BTreeMap<u32, OptAction>,
     /// Check instructions rewritten by the hoisting pass.
     pub hoisted: u64,

@@ -32,7 +32,7 @@
 //! * `i` is an unaliased local, `base` is loop-invariant, and `bound` is
 //!   either an integer constant or a direct load of an unaliased local the
 //!   subtree never assigns. Casts are looked through only when
-//!   value-preserving (see [`crate::loops::strip_preserving_casts`]).
+//!   value-preserving (see `loops::strip_preserving_casts`).
 //!
 //! # Soundness
 //!

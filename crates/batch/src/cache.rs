@@ -31,8 +31,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// optimize).
 pub const NSTAGES: usize = 5;
 
-/// On-disk format version; bump on any layout change.
-const FORMAT: u32 = 1;
+/// On-disk format version; bump on any layout change, and whenever
+/// [`CureReport::canonical`](ccured::CureReport::canonical) changes shape,
+/// so entries holding digests of the old rendering read as misses.
+const FORMAT: u32 = 2;
 
 /// Magic first line of every entry.
 const MAGIC: &str = "ccured-batch-cache";

@@ -12,7 +12,7 @@
 use crate::cache::{Cache, CachedUnit};
 use crate::hash::fnv1a;
 use crate::report::{BatchReport, UnitOutcome, UnitReport, Verdict};
-use ccured::{isolated, CureError, Cured, Curer, StageTimings};
+use ccured::{isolated, Cured, Curer, StageTimings};
 use ccured_rt::{ExecMode, Interp, Limits};
 use std::fs;
 use std::io;
@@ -150,10 +150,21 @@ pub fn run_batch(cfg: &BatchConfig, units: &[PathBuf]) -> io::Result<BatchReport
     let profile = cfg.profile.then_some(cfg.limits);
 
     let wall_start = Instant::now();
-    let results = run_units(units.len(), jobs, "ccured-batch", stack_bytes, |i| {
-        cure_unit(&units[i], &curer, &config_fp, cache.as_ref(), profile)
+    let order = claim_order(units);
+    let claimed = run_units(units.len(), jobs, "ccured-batch", stack_bytes, |j| {
+        cure_unit(
+            &units[order[j]],
+            &curer,
+            &config_fp,
+            cache.as_ref(),
+            profile,
+        )
     })?;
     let wall = wall_start.elapsed();
+    let mut results: Vec<Option<UnitOutcome>> = (0..units.len()).map(|_| None).collect();
+    for (j, out) in claimed.into_iter().enumerate() {
+        results[order[j]] = out;
+    }
 
     let outcomes: Vec<UnitOutcome> = results
         .into_iter()
@@ -180,13 +191,25 @@ pub fn run_batch(cfg: &BatchConfig, units: &[PathBuf]) -> io::Result<BatchReport
     Ok(BatchReport::new(outcomes, jobs, wall, cfg.use_cache))
 }
 
+/// The order batch workers claim `units` in: largest source first, ties
+/// (and unreadable files, as size 0) in the given order. A large unit
+/// claimed last would start after every small one and finish alone.
+fn claim_order(units: &[PathBuf]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..units.len()).collect();
+    order
+        .sort_by_cached_key(|&i| std::cmp::Reverse(fs::metadata(&units[i]).map_or(0, |m| m.len())));
+    order
+}
+
 /// Runs `work(i)` once for every unit index `i` in `0..n` on `jobs` worker
 /// threads named `{name}-{w}`, each with a `stack_bytes` stack, and returns
 /// the results in index order.
 ///
-/// Workers claim indices from one shared cursor: every unit is known before
-/// the run starts, so a single counter balances the load as well as
-/// per-worker deques would. A panic in `work` kills only its worker: after
+/// Workers claim indices from one shared cursor, in index order. A free
+/// worker always takes the next index, but a long unit claimed last still
+/// finishes alone, so callers that know their units' costs number the
+/// costliest first ([`run_batch`] claims the largest sources first). A
+/// panic in `work` kills only its worker: after
 /// the others join, a recovery worker runs the same loop on the same
 /// cursor, so every unclaimed unit still runs, and the unit whose `work`
 /// panicked comes back `None`.
@@ -314,14 +337,7 @@ fn cure_unit(
                     isolated(|| Ok(profile_unit(&cured, limits))).unwrap_or_default();
             }
         }
-        Err(e) if !out.from_cache => {
-            out.verdict = match e {
-                CureError::Frontend(d) => Verdict::Frontend(d.to_string()),
-                CureError::Link(issues) => Verdict::Link(issues.len()),
-                CureError::Internal(m) => Verdict::Internal(m),
-                CureError::Timeout { .. } => Verdict::ResourceExhausted(e.to_string()),
-            }
-        }
+        Err(e) if !out.from_cache => out.verdict = Verdict::from(e),
         // The curer is deterministic, so a re-cure of a cached unit cannot
         // fail; if it somehow does, keep the cached verdict and skip the
         // profile rather than contradicting the cache.
@@ -400,6 +416,20 @@ mod tests {
         assert!(discover_units(&empty).is_err(), "no units is an error");
         let _ = fs::remove_dir_all(&d);
         let _ = fs::remove_dir_all(&empty);
+    }
+
+    #[test]
+    fn units_are_claimed_largest_first_with_ties_in_path_order() {
+        let d = scratch("claim");
+        let units = vec![
+            write(&d, "a.c", "int a;"),
+            write(&d, "b.c", "int main(void) { return 0; }"),
+            write(&d, "c.c", "int c;"),
+            write(&d, "d.c", "int x, y;"),
+            d.join("missing.c"),
+        ];
+        assert_eq!(claim_order(&units), vec![1, 3, 0, 2, 4]);
+        let _ = fs::remove_dir_all(&d);
     }
 
     #[test]
@@ -540,7 +570,7 @@ mod tests {
         let temporal_fails: Vec<u64> = rep.units[0]
             .site_profile
             .iter()
-            .filter(|r| r.site.check == "temporal")
+            .filter(|r| r.site.kind == ccured_cil::ir::CheckKind::Temporal)
             .map(|r| r.fails)
             .collect();
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Per-unit outcomes and the aggregate [`BatchReport`].
 
 use crate::cache::NSTAGES;
-use ccured::{json, CureReport, StageTimings};
+use ccured::{json, CureError, CureReport, StageTimings};
 use ccured_rt::SiteReport;
 use std::time::Duration;
 
@@ -48,7 +48,7 @@ impl UnitReport {
             seq: r.kind_counts.seq as u64,
             wild: r.kind_counts.wild as u64,
             rtti: r.kind_counts.rtti as u64,
-            checks_inserted: r.checks_inserted.total() as u64,
+            checks_inserted: r.checks_inserted.total(),
             checks_elided: r.checks_elided.total(),
             bad_casts: r.census.bad as u64,
             trusted_casts: r.trusted_casts as u64,
@@ -162,6 +162,19 @@ impl Verdict {
             | Verdict::Internal(m)
             | Verdict::ResourceExhausted(m) => m.clone(),
             Verdict::Link(n) => format!("{n} link-audit issues"),
+        }
+    }
+}
+
+/// The verdict of a cure that failed; batch and serve both name a failed
+/// cure by its [`Verdict::label`].
+impl From<CureError> for Verdict {
+    fn from(e: CureError) -> Self {
+        match e {
+            CureError::Frontend(d) => Verdict::Frontend(d.to_string()),
+            CureError::Link(issues) => Verdict::Link(issues.len()),
+            CureError::Internal(m) => Verdict::Internal(m),
+            CureError::Timeout { .. } => Verdict::ResourceExhausted(e.to_string()),
         }
     }
 }
@@ -419,8 +432,8 @@ impl BatchReport {
                     r.cost,
                     r.hits,
                     r.fails,
-                    r.site.check,
-                    r.site.ptr_kind,
+                    r.site.kind.name(),
+                    r.site.kind.ptr_kind(),
                     r.site.func,
                     r.site.span.lo
                 ));
@@ -538,6 +551,7 @@ impl BatchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccured_cil::ir::CheckKind;
 
     fn unit(path: &str, cached: bool, cured: bool) -> UnitOutcome {
         UnitOutcome {
@@ -557,14 +571,13 @@ mod tests {
         }
     }
 
-    fn row(path_site: u32, check: &'static str, hits: u64, cost: f64) -> SiteReport {
+    fn row(path_site: u32, kind: CheckKind, hits: u64, cost: f64) -> SiteReport {
         SiteReport {
             site: ccured::instrument::CheckSite {
                 id: ccured_cil::ir::SiteId(path_site),
                 func: "f".into(),
                 span: ccured_ast::Span::DUMMY,
-                check,
-                ptr_kind: "seq",
+                kind,
                 static_count: 1,
                 elided: 0,
                 keep_reason: None,
@@ -581,16 +594,19 @@ mod tests {
     fn hot_sites_aggregate_across_units_deterministically() {
         let mut a = unit("a.c", false, true);
         let mut b = unit("b.c", false, true);
-        a.site_profile = vec![row(0, "seq_bounds", 4, 16.0), row(1, "null", 0, 0.0)];
+        a.site_profile = vec![
+            row(0, CheckKind::SeqBounds, 4, 16.0),
+            row(1, CheckKind::Null, 0, 0.0),
+        ];
         b.site_profile = vec![
-            row(0, "seq_bounds", 4, 16.0),
-            row(1, "wild_bounds", 3, 27.0),
+            row(0, CheckKind::SeqBounds, 4, 16.0),
+            row(1, CheckKind::WildBounds, 3, 27.0),
         ];
         let r = BatchReport::new(vec![b, a], 1, Duration::ZERO, false);
         assert!(r.profiled());
         let hot = r.hot_sites(10);
         // Cost first; the 16.0 tie breaks on unit path; zero-hit rows drop.
-        let keyed: Vec<(&str, &str)> = hot.iter().map(|(p, r)| (*p, r.site.check)).collect();
+        let keyed: Vec<(&str, &str)> = hot.iter().map(|(p, r)| (*p, r.site.kind.name())).collect();
         assert_eq!(
             keyed,
             vec![

@@ -53,6 +53,7 @@
 use crate::cache::{Cache, CachedUnit};
 use crate::engine::{profile_unit, record_cure};
 use crate::hash::hex;
+use crate::report::Verdict;
 use ccured::{isolated, json, CureError, Curer};
 use std::collections::{HashMap, VecDeque};
 use std::fs;
@@ -564,13 +565,8 @@ fn cure_request(shared: &Arc<Shared>, path: &str) -> String {
         Err(e) => {
             shared.stats.errors.fetch_add(1, Ordering::Relaxed);
             note_failure(shared, path);
-            let kind = match &e {
-                CureError::Frontend(_) => "frontend-error",
-                CureError::Link(_) => "link-error",
-                CureError::Internal(_) => "internal-error",
-                CureError::Timeout { .. } => "resource-exhausted",
-            };
-            error_reply(kind, path, Some(attempt), &e.to_string())
+            let detail = e.to_string();
+            error_reply(Verdict::from(e).label(), path, Some(attempt), &detail)
         }
     }
 }

@@ -583,7 +583,14 @@ fn fig_profile_table(smoke: bool) {
             let hottest = r
                 .top
                 .first()
-                .map(|t| format!("{} in {} ({} hits)", t.site.check, t.site.func, t.hits))
+                .map(|t| {
+                    format!(
+                        "{} in {} ({} hits)",
+                        t.site.kind.name(),
+                        t.site.func,
+                        t.hits
+                    )
+                })
                 .unwrap_or_else(|| "-".to_string());
             vec![
                 r.name.clone(),

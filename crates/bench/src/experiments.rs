@@ -2,6 +2,7 @@
 //! DESIGN.md). All ratios come from the shared deterministic cost model.
 
 use ccured::json;
+use ccured_cil::ir::CheckKind;
 use ccured_infer::InferOptions;
 use ccured_rt::{CostModel, ExecMode};
 use ccured_workloads::runner::{self, measure};
@@ -844,8 +845,8 @@ pub fn fig_temporal(smoke: bool) -> TemporalFig {
                 w.name
             );
             assert_eq!(
-                (tt.instrs, tt.temporal_checks),
-                (vt.instrs, vt.temporal_checks),
+                (tt.instrs, tt.checks[CheckKind::Temporal]),
+                (vt.instrs, vt.checks[CheckKind::Temporal]),
                 "{}: engines disagree under --temporal",
                 w.name
             );
@@ -853,7 +854,7 @@ pub fn fig_temporal(smoke: bool) -> TemporalFig {
                 name: w.name.clone(),
                 steps_plain: tp.instrs,
                 steps_temporal: tt.instrs,
-                temporal_checks: tt.temporal_checks,
+                temporal_checks: tt.checks[CheckKind::Temporal],
                 tree_plain,
                 tree_temporal,
                 vm_plain,

@@ -413,22 +413,144 @@ pub enum Check {
     },
 }
 
+/// The kind of a run-time check, one per plain [`Check`] variant of the
+/// same name: the one list of kinds that every per-kind count, cost and
+/// name is indexed by ([`PerCheck`]). The order is the order reports,
+/// counters and cost sums list the kinds in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[allow(missing_docs)]
+pub enum CheckKind {
+    Null,
+    SeqBounds,
+    SeqToSafe,
+    WildBounds,
+    WildTag,
+    Rtti,
+    NoStackEscape,
+    IndexBound,
+    Temporal,
+}
+
+impl CheckKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [CheckKind; 9] = [
+        CheckKind::Null,
+        CheckKind::SeqBounds,
+        CheckKind::SeqToSafe,
+        CheckKind::WildBounds,
+        CheckKind::WildTag,
+        CheckKind::Rtti,
+        CheckKind::NoStackEscape,
+        CheckKind::IndexBound,
+        CheckKind::Temporal,
+    ];
+
+    /// The stable short name: counters, reports, failure verdicts and the
+    /// printer's upper-cased `CHECK_*` spelling all use it.
+    pub fn name(self) -> &'static str {
+        match self {
+            CheckKind::Null => "null",
+            CheckKind::SeqBounds => "seq_bounds",
+            CheckKind::SeqToSafe => "seq_to_safe",
+            CheckKind::WildBounds => "wild_bounds",
+            CheckKind::WildTag => "wild_tag",
+            CheckKind::Rtti => "rtti",
+            CheckKind::NoStackEscape => "no_stack_escape",
+            CheckKind::IndexBound => "index_bound",
+            CheckKind::Temporal => "temporal",
+        }
+    }
+
+    /// The inferred pointer kind the check guards, as rendered in profiles
+    /// (`-` for checks not tied to a pointer representation: escape and
+    /// index checks, and temporal checks, which guard the allocation).
+    pub fn ptr_kind(self) -> &'static str {
+        match self {
+            CheckKind::Null => "safe",
+            CheckKind::SeqBounds | CheckKind::SeqToSafe => "seq",
+            CheckKind::WildBounds | CheckKind::WildTag => "wild",
+            CheckKind::Rtti => "rtti",
+            CheckKind::NoStackEscape | CheckKind::IndexBound | CheckKind::Temporal => "-",
+        }
+    }
+}
+
+/// One `T` per [`CheckKind`], indexed by it: static check counts, dynamic
+/// check counters and per-kind check prices.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct PerCheck<T>(pub [T; CheckKind::ALL.len()]);
+
+impl PerCheck<u64> {
+    /// The sum over every kind.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// Adds `o` kind by kind.
+    pub fn add(&mut self, o: &PerCheck<u64>) {
+        for (a, b) in self.0.iter_mut().zip(o.0) {
+            *a += b;
+        }
+    }
+}
+
+impl<T> std::ops::Index<CheckKind> for PerCheck<T> {
+    type Output = T;
+    fn index(&self, k: CheckKind) -> &T {
+        &self.0[k as usize]
+    }
+}
+
+impl<T> std::ops::IndexMut<CheckKind> for PerCheck<T> {
+    fn index_mut(&mut self, k: CheckKind) -> &mut T {
+        &mut self.0[k as usize]
+    }
+}
+
+/// One `name: value` entry per kind, so the pretty form `{:#?}` has one
+/// line per kind: `RunStats::first_difference` names a diverging counter
+/// by its line.
+impl<T: std::fmt::Debug> std::fmt::Debug for PerCheck<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut s = f.debug_struct("PerCheck");
+        for k in CheckKind::ALL {
+            s.field(k.name(), &self[k]);
+        }
+        s.finish()
+    }
+}
+
 impl Check {
-    /// A short stable name for counting/reporting.
+    /// The kind this check is accounted as: its own for a plain check, the
+    /// wrapped check's for `Guarded` and a `Probe` (a probe stands in for
+    /// its first inner check), and `None` for `GuardReset` and an empty
+    /// `Probe`, which count nothing.
+    #[inline]
+    pub fn kind(&self) -> Option<CheckKind> {
+        Some(match self {
+            Check::Null { .. } => CheckKind::Null,
+            Check::SeqBounds { .. } => CheckKind::SeqBounds,
+            Check::SeqToSafe { .. } => CheckKind::SeqToSafe,
+            Check::WildBounds { .. } => CheckKind::WildBounds,
+            Check::WildTag { .. } => CheckKind::WildTag,
+            Check::Rtti { .. } => CheckKind::Rtti,
+            Check::NoStackEscape { .. } => CheckKind::NoStackEscape,
+            Check::IndexBound { .. } => CheckKind::IndexBound,
+            Check::Temporal { .. } => CheckKind::Temporal,
+            Check::Guarded { inner, .. } => return inner.kind(),
+            Check::Probe { inner, .. } => return inner.first().and_then(Check::kind),
+            Check::GuardReset { .. } => return None,
+        })
+    }
+
+    /// A short stable name: the [`CheckKind::name`] of a plain check, or
+    /// the guard machinery's own `probe`/`guarded`/`guard_reset`.
     pub fn name(&self) -> &'static str {
         match self {
-            Check::Null { .. } => "null",
-            Check::SeqBounds { .. } => "seq_bounds",
-            Check::SeqToSafe { .. } => "seq_to_safe",
-            Check::WildBounds { .. } => "wild_bounds",
-            Check::WildTag { .. } => "wild_tag",
-            Check::Rtti { .. } => "rtti",
-            Check::NoStackEscape { .. } => "no_stack_escape",
-            Check::IndexBound { .. } => "index_bound",
-            Check::Temporal { .. } => "temporal",
             Check::Probe { .. } => "probe",
             Check::Guarded { .. } => "guarded",
             Check::GuardReset { .. } => "guard_reset",
+            plain => plain.kind().map_or("", CheckKind::name),
         }
     }
 
@@ -463,17 +585,6 @@ impl Check {
             Check::NoStackEscape { value } => Some(value),
             Check::IndexBound { index, .. } => Some(index),
             Check::Probe { .. } | Check::Guarded { .. } | Check::GuardReset { .. } => None,
-        }
-    }
-
-    /// The check this one accounts as: `Guarded` and `Probe` stand in for
-    /// the original check they wrap (counters, profiles and reports
-    /// attribute their events to that kind), everything else for itself.
-    pub fn accounted(&self) -> &Check {
-        match self {
-            Check::Guarded { inner, .. } => inner.accounted(),
-            Check::Probe { inner, .. } => inner.first().map_or(self, Check::accounted),
-            _ => self,
         }
     }
 }

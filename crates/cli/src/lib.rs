@@ -101,6 +101,7 @@
 //! tested; `main.rs` is a thin wrapper.
 
 use ccured::{json, CureError, Cured, Curer};
+use ccured_cil::ir::{CheckKind, PerCheck};
 use ccured_rt::{Engine, ExecMode, Interp, Limits, RunStats};
 use std::fmt;
 
@@ -979,7 +980,7 @@ fn render_opt_actions(cured: &Cured, map: &ccured_ast::SourceMap, out: &mut Stri
         let how = reason.split_once(": ").map_or(reason, |(_, r)| r);
         out.push_str(&format!(
             "  {loc}: {} check {} — {how}\n",
-            s.check,
+            s.kind.name(),
             s.opt_action.unwrap_or("?"),
         ));
     }
@@ -1030,18 +1031,19 @@ fn execute(
     let (stats, exit) = run(prog, mode, o, input, None, &mut out);
     if o.counters {
         let c = &stats.counters;
+        let k = |kind| c.checks[kind];
         out.push_str(&format!(
             "-- counters: instrs={} loads={} stores={} checks={} (null={} seq={} wild={} rtti={} index={} temporal={}) meta_ops={}\n",
             c.instrs,
             c.loads,
             c.stores,
             c.total_checks(),
-            c.null_checks,
-            c.seq_bounds_checks,
-            c.wild_bounds_checks + c.wild_tag_checks,
-            c.rtti_checks,
-            c.index_checks,
-            c.temporal_checks,
+            k(CheckKind::Null),
+            k(CheckKind::SeqBounds),
+            k(CheckKind::WildBounds) + k(CheckKind::WildTag),
+            k(CheckKind::Rtti),
+            k(CheckKind::IndexBound),
+            k(CheckKind::Temporal),
             c.meta_ops,
         ));
     }
@@ -1117,8 +1119,8 @@ fn render_profile(
             r.cost,
             r.hits,
             r.fails,
-            r.site.check,
-            r.site.ptr_kind,
+            r.site.kind.name(),
+            r.site.kind.ptr_kind(),
             loc
         ));
         // Blame-style excerpt of the offending source line.
@@ -1151,7 +1153,7 @@ fn render_profile(
             out.push_str(&format!(
                 "  {} ({}, {} hits): {}\n",
                 loc,
-                r.site.check,
+                r.site.kind.name(),
                 r.hits,
                 r.site.keep_reason.as_deref().unwrap_or("")
             ));
@@ -1203,32 +1205,16 @@ fn render_report(cured: &Cured, out: &mut String) {
         c.trusted,
         c.alloc
     ));
-    let k = &r.checks_inserted;
     out.push_str(&format!(
-        "checks inserted: {} (null={} seq={} seq2safe={} wild={} tag={} rtti={} escape={} index={} temporal={})\n",
-        k.total(),
-        k.null,
-        k.seq_bounds,
-        k.seq_to_safe,
-        k.wild_bounds,
-        k.wild_tag,
-        k.rtti,
-        k.no_stack_escape,
-        k.index_bound,
-        k.temporal
+        "checks inserted: {} ({})\n",
+        r.checks_inserted.total(),
+        report_counts(&r.checks_inserted, |_| true)
     ));
-    let e = &r.checks_elided;
+    // Escape checks are never elided, so the elided line leaves them out.
     out.push_str(&format!(
-        "checks elided: {} (null={} seq={} seq2safe={} wild={} tag={} rtti={} index={} temporal={})\n",
-        e.total(),
-        e.null,
-        e.seq_bounds,
-        e.seq_to_safe,
-        e.wild_bounds,
-        e.wild_tag,
-        e.rtti,
-        e.index_bound,
-        e.temporal
+        "checks elided: {} ({})\n",
+        r.checks_elided.total(),
+        report_counts(&r.checks_elided, |k| k != CheckKind::NoStackEscape)
     ));
     if r.checks_hoisted + r.checks_widened > 0 {
         out.push_str(&format!(
@@ -1258,6 +1244,20 @@ fn render_report(cured: &Cured, out: &mut String) {
             i.caller, i.external, i.detail
         ));
     }
+}
+
+/// The `--report` label of each check kind.
+const REPORT_LABELS: PerCheck<&str> = PerCheck([
+    "null", "seq", "seq2safe", "wild", "tag", "rtti", "escape", "index", "temporal",
+]);
+
+/// `label=count` for each kind `keep` selects, space-separated.
+fn report_counts(counts: &PerCheck<u64>, keep: impl Fn(CheckKind) -> bool) -> String {
+    let kinds = CheckKind::ALL.into_iter().filter(|&k| keep(k));
+    let parts: Vec<String> = kinds
+        .map(|k| format!("{}={}", REPORT_LABELS[k], counts[k]))
+        .collect();
+    parts.join(" ")
 }
 
 #[cfg(test)]

@@ -21,66 +21,6 @@ use ccured_cil::types::Type;
 use ccured_infer::gen::lval_type;
 use ccured_infer::{PtrKind, Solution};
 
-/// Static counts of inserted checks, by kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct CheckCounts {
-    pub null: usize,
-    pub seq_bounds: usize,
-    pub seq_to_safe: usize,
-    pub wild_bounds: usize,
-    pub wild_tag: usize,
-    pub rtti: usize,
-    pub no_stack_escape: usize,
-    pub index_bound: usize,
-    pub temporal: usize,
-}
-
-impl CheckCounts {
-    /// Total checks inserted.
-    pub fn total(&self) -> usize {
-        self.null
-            + self.seq_bounds
-            + self.seq_to_safe
-            + self.wild_bounds
-            + self.wild_tag
-            + self.rtti
-            + self.no_stack_escape
-            + self.index_bound
-            + self.temporal
-    }
-
-    /// Accumulates another set of counts (per-function instrumentation
-    /// results merged into a whole-unit report).
-    pub fn add(&mut self, o: &CheckCounts) {
-        self.null += o.null;
-        self.seq_bounds += o.seq_bounds;
-        self.seq_to_safe += o.seq_to_safe;
-        self.wild_bounds += o.wild_bounds;
-        self.wild_tag += o.wild_tag;
-        self.rtti += o.rtti;
-        self.no_stack_escape += o.no_stack_escape;
-        self.index_bound += o.index_bound;
-        self.temporal += o.temporal;
-    }
-
-    fn bump(&mut self, c: &Check) {
-        match c {
-            Check::Null { .. } => self.null += 1,
-            Check::SeqBounds { .. } => self.seq_bounds += 1,
-            Check::SeqToSafe { .. } => self.seq_to_safe += 1,
-            Check::WildBounds { .. } => self.wild_bounds += 1,
-            Check::WildTag { .. } => self.wild_tag += 1,
-            Check::Rtti { .. } => self.rtti += 1,
-            Check::NoStackEscape { .. } => self.no_stack_escape += 1,
-            Check::IndexBound { .. } => self.index_bound += 1,
-            Check::Temporal { .. } => self.temporal += 1,
-            // Synthesized by the loop optimizer, never by instrumentation.
-            Check::Probe { .. } | Check::Guarded { .. } | Check::GuardReset { .. } => {}
-        }
-    }
-}
-
 /// The static identity behind a [`SiteId`]: where a check was emitted and
 /// what it guards. Rows are numbered in emission order, so two cures of the
 /// same program with the same configuration always agree on the table.
@@ -93,11 +33,8 @@ pub struct CheckSite {
     pub func: String,
     /// Source span the checks of this site inherit.
     pub span: ccured_ast::Span,
-    /// Check kind ([`Check::name`]).
-    pub check: &'static str,
-    /// Pointer kind the check guards (`safe`/`seq`/`wild`/`rtti`, or `-`
-    /// for checks not tied to a pointer representation).
-    pub ptr_kind: &'static str,
+    /// Check kind; its name and the pointer kind it guards come from it.
+    pub kind: CheckKind,
     /// Check instructions emitted with this id (one source site can
     /// instrument several accesses of the same expression).
     pub static_count: u32,
@@ -111,23 +48,6 @@ pub struct CheckSite {
     pub opt_action: Option<&'static str>,
 }
 
-/// The inferred pointer kind a check guards, as rendered in profiles.
-pub fn check_ptr_kind(c: &Check) -> &'static str {
-    match c {
-        Check::Null { .. } => "safe",
-        Check::SeqBounds { .. } | Check::SeqToSafe { .. } => "seq",
-        Check::WildBounds { .. } | Check::WildTag { .. } => "wild",
-        Check::Rtti { .. } => "rtti",
-        // Temporal checks guard the allocation, not a particular fat
-        // representation; like index/escape checks they render kind-less.
-        Check::NoStackEscape { .. } | Check::IndexBound { .. } | Check::Temporal { .. } => "-",
-        // Guard machinery reports the kind of the check it stands in for.
-        Check::Guarded { inner, .. } => check_ptr_kind(inner),
-        Check::Probe { inner, .. } => inner.first().map_or("-", check_ptr_kind),
-        Check::GuardReset { .. } => "-",
-    }
-}
-
 /// Instruments every function body in `prog` in place; returns the static
 /// check counts and the check-site table indexed by [`SiteId`].
 pub fn instrument(
@@ -135,7 +55,7 @@ pub fn instrument(
     sol: &Solution,
     hier: &Hierarchy,
     temporal: bool,
-) -> (CheckCounts, Vec<CheckSite>) {
+) -> (PerCheck<u64>, Vec<CheckSite>) {
     // `#pragma ccured_trusted(fn)` marks a function as part of the trusted
     // interface: its body gets no checks (the programmer vouches for it).
     let trusted: std::collections::HashSet<&str> = prog
@@ -152,7 +72,7 @@ pub fn instrument(
             sol,
             hier,
             phys: PhysCtx::new(&prog.types),
-            counts: CheckCounts::default(),
+            counts: PerCheck::default(),
             span: ccured_ast::Span::DUMMY,
             sites: Vec::new(),
             site_ids: std::collections::HashMap::new(),
@@ -184,7 +104,7 @@ struct Ctx<'a> {
     sol: &'a Solution,
     hier: &'a Hierarchy,
     phys: PhysCtx<'a>,
-    counts: CheckCounts,
+    counts: PerCheck<u64>,
     // Span of the instruction currently being instrumented; inserted checks
     // inherit it so diagnostics and blame output have source positions.
     span: ccured_ast::Span,
@@ -192,7 +112,7 @@ struct Ctx<'a> {
     // by (span, function, check kind) — the pointer kind is implied by the
     // check kind and need not widen the key.
     sites: Vec<CheckSite>,
-    site_ids: std::collections::HashMap<(ccured_ast::Span, String, &'static str), SiteId>,
+    site_ids: std::collections::HashMap<(ccured_ast::Span, String, CheckKind), SiteId>,
     // `--temporal`: every dereference additionally gets a lock-and-key
     // check after its spatial check.
     temporal: bool,
@@ -254,16 +174,17 @@ impl<'a> Ctx<'a> {
     }
 
     fn push(&mut self, f: &Function, c: Check, out: &mut Vec<Instr>) {
-        self.counts.bump(&c);
-        let site = self.site_id(f, &c);
+        let kind = c.kind().expect("instrumentation emits plain checks");
+        self.counts[kind] += 1;
+        let site = self.site_id(f, kind);
         out.push(Instr::Check(c, self.span, site));
     }
 
     /// The stable site id for a check at the current span: existing row if
     /// this (span, function, kind) was seen before, fresh row otherwise.
-    fn site_id(&mut self, f: &Function, c: &Check) -> SiteId {
+    fn site_id(&mut self, f: &Function, kind: CheckKind) -> SiteId {
         use std::collections::hash_map::Entry;
-        match self.site_ids.entry((self.span, f.name.clone(), c.name())) {
+        match self.site_ids.entry((self.span, f.name.clone(), kind)) {
             Entry::Occupied(e) => {
                 let id = *e.get();
                 self.sites[id.0 as usize].static_count += 1;
@@ -276,8 +197,7 @@ impl<'a> Ctx<'a> {
                     id,
                     func: f.name.clone(),
                     span: self.span,
-                    check: c.name(),
-                    ptr_kind: check_ptr_kind(c),
+                    kind,
                     static_count: 1,
                     elided: 0,
                     keep_reason: None,
@@ -499,7 +419,7 @@ mod tests {
     use super::*;
     use ccured_infer::{infer, InferOptions};
 
-    fn instrumented(src: &str) -> (Program, CheckCounts) {
+    fn instrumented(src: &str) -> (Program, PerCheck<u64>) {
         let tu = ccured_ast::parse_translation_unit(src).expect("parse");
         let mut prog = ccured_cil::lower_translation_unit(&tu).expect("lower");
         let res = infer(&prog, &InferOptions::default());
@@ -519,22 +439,22 @@ mod tests {
     #[test]
     fn safe_deref_gets_null_check() {
         let (_, c) = instrumented("int f(int *p) { return *p; }");
-        assert_eq!(c.null, 1);
-        assert_eq!(c.seq_bounds, 0);
+        assert_eq!(c[CheckKind::Null], 1);
+        assert_eq!(c[CheckKind::SeqBounds], 0);
     }
 
     #[test]
     fn seq_deref_gets_bounds_check() {
         let (_, c) = instrumented("int f(int *p, int i) { return p[i]; }");
-        assert!(c.seq_bounds >= 1);
-        assert_eq!(c.null, 0);
+        assert!(c[CheckKind::SeqBounds] >= 1);
+        assert_eq!(c[CheckKind::Null], 0);
     }
 
     #[test]
     fn static_array_index_checked() {
         let (_, c) = instrumented("int f(int i) { int a[10]; a[0] = 1; return a[i]; }");
         // a[0] is statically in bounds; a[i] needs a dynamic check.
-        assert_eq!(c.index_bound, 1);
+        assert_eq!(c[CheckKind::IndexBound], 1);
     }
 
     #[test]
@@ -542,9 +462,9 @@ mod tests {
         let (_, c) = instrumented(
             "int f(double *d) { int **pp; int *q; pp = (int **)d; q = *pp; return *q; }",
         );
-        assert!(c.wild_bounds >= 1);
+        assert!(c[CheckKind::WildBounds] >= 1);
         assert!(
-            c.wild_tag >= 1,
+            c[CheckKind::WildTag] >= 1,
             "reading a pointer through WILD needs a tag check"
         );
     }
@@ -556,7 +476,7 @@ mod tests {
              struct C { void *vt; int r; } gc;\n\
              int g(struct F *f) { struct C *c; c = (struct C *)f; return c->r; }",
         );
-        assert_eq!(c.rtti, 1);
+        assert_eq!(c[CheckKind::Rtti], 1);
     }
 
     #[test]
@@ -567,32 +487,32 @@ mod tests {
              void take(struct F *f) { }\n\
              void g(struct C *c) { take((struct F *)c); }",
         );
-        assert_eq!(c.rtti, 0);
-        assert_eq!(c.seq_to_safe, 0);
+        assert_eq!(c[CheckKind::Rtti], 0);
+        assert_eq!(c[CheckKind::SeqToSafe], 0);
     }
 
     #[test]
     fn pointer_store_to_heap_gets_escape_check() {
         let (_, c) = instrumented("void f(int **pp, int *v) { *pp = v; }");
-        assert!(c.no_stack_escape >= 1);
+        assert!(c[CheckKind::NoStackEscape] >= 1);
     }
 
     #[test]
     fn pointer_store_to_local_gets_no_escape_check() {
         let (_, c) = instrumented("void f(int *v) { int *q; q = v; }");
-        assert_eq!(c.no_stack_escape, 0);
+        assert_eq!(c[CheckKind::NoStackEscape], 0);
     }
 
     #[test]
     fn indirect_call_gets_null_check() {
         let (_, c) = instrumented("int apply(int (*fp)(int), int x) { return fp(x); }");
-        assert!(c.null >= 1);
+        assert!(c[CheckKind::Null] >= 1);
     }
 
     #[test]
     fn condition_checks_precede_if() {
         let (p, c) = instrumented("int f(int *p) { if (*p) return 1; return 0; }");
-        assert_eq!(c.null, 1);
+        assert_eq!(c[CheckKind::Null], 1);
         // The check must be a statement before the If in the body.
         let f = &p.functions[0];
         let has_check_stmt = f.body.iter().any(|s| match s {
@@ -606,10 +526,10 @@ mod tests {
     fn trusted_cast_unchecked() {
         let (_, c) =
             instrumented("int f(double *d) { int *q; q = (int * __TRUSTED)d; return *q; }");
-        assert_eq!(c.rtti, 0);
-        assert_eq!(c.seq_to_safe, 0);
+        assert_eq!(c[CheckKind::Rtti], 0);
+        assert_eq!(c[CheckKind::SeqToSafe], 0);
         // The SAFE deref of q still gets its null check.
-        assert!(c.null >= 1);
+        assert!(c[CheckKind::Null] >= 1);
     }
 
     #[test]
@@ -620,7 +540,7 @@ mod tests {
              int checked_peek(int *p) { return *p; }",
         );
         // Only checked_peek gets the null check.
-        assert_eq!(c.null, 1);
+        assert_eq!(c[CheckKind::Null], 1);
         let raw = p.find_function("raw_peek").unwrap();
         let has_check = p.functions[raw.idx()].body.iter().any(|s| match s {
             Stmt::Instr(is) => is.iter().any(|i| matches!(i, Instr::Check(..))),
@@ -633,17 +553,7 @@ mod tests {
     fn check_totals_add_up() {
         let (_, c) =
             instrumented("int f(int *p, int i) { int a[4]; a[i] = *p; return a[i] + p[i]; }");
-        assert_eq!(
-            c.total(),
-            c.null
-                + c.seq_bounds
-                + c.seq_to_safe
-                + c.wild_bounds
-                + c.wild_tag
-                + c.rtti
-                + c.no_stack_escape
-                + c.index_bound
-        );
+        assert_eq!(c.total(), CheckKind::ALL.iter().map(|&k| c[k]).sum::<u64>());
         assert!(c.total() >= 4);
     }
 
@@ -658,9 +568,9 @@ mod tests {
             assert!(s.static_count >= 1);
         }
         let static_total: u32 = sites.iter().map(|s| s.static_count).sum();
-        assert_eq!(static_total as usize, c.total(), "every check has a site");
+        assert_eq!(u64::from(static_total), c.total(), "every check has a site");
         // Every emitted instruction carries an id that resolves in the table.
-        let mut stamped = 0usize;
+        let mut stamped = 0u64;
         for f in &prog.functions {
             ccured_cil::visit::for_each_instr(&f.body, &mut |i| {
                 if let Instr::Check(_, _, site) = i {
@@ -684,10 +594,10 @@ mod tests {
         let sites = sites_of("int f(int *p) { return *p; }");
         let null = sites
             .iter()
-            .find(|s| s.check == "null")
+            .find(|s| s.kind == CheckKind::Null)
             .expect("null-check site");
         assert_eq!(null.func, "f");
-        assert_eq!(null.ptr_kind, "safe");
+        assert_eq!(null.kind.ptr_kind(), "safe");
         assert_eq!(null.elided, 0, "optimizer has not run");
         assert!(null.keep_reason.is_none());
     }

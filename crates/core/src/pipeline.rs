@@ -2,10 +2,10 @@
 //! instrument → optimize → audit.
 
 use crate::hierarchy::Hierarchy;
-use crate::instrument::{instrument, CheckCounts, CheckSite};
+use crate::instrument::{instrument, CheckSite};
 use crate::wrappers::{apply_wrappers, check_link, LinkIssue};
-use ccured_analysis::{optimize_program, ElisionStats, OptResult, StaticFailure};
-use ccured_cil::ir::Program;
+use ccured_analysis::{optimize_program, OptResult, StaticFailure};
+use ccured_cil::ir::{PerCheck, Program};
 use ccured_infer::solve::AnnotationViolation;
 use ccured_infer::{infer, CastCensus, InferOptions, KindCounts, Provenance, Solution};
 use std::fmt;
@@ -145,9 +145,10 @@ pub struct CureReport {
     /// Cast classification census.
     pub census: CastCensus,
     /// Static counts of inserted run-time checks (before elimination).
-    pub checks_inserted: CheckCounts,
-    /// Static counts of checks the optimizer proved redundant and deleted.
-    pub checks_elided: ElisionStats,
+    pub checks_inserted: PerCheck<u64>,
+    /// Static counts of checks the optimizer proved redundant and deleted
+    /// (`no_stack_escape` stays 0: the eliminator always keeps those).
+    pub checks_elided: PerCheck<u64>,
     /// Check instructions the loop optimizer rewrote to run once per loop
     /// entry (loop-invariant null/RTTI hoisting).
     pub checks_hoisted: u64,
@@ -217,12 +218,13 @@ pub struct Cured {
 ///
 /// ```
 /// use ccured::Curer;
+/// use ccured_cil::ir::CheckKind;
 ///
 /// let cured = Curer::new()
 ///     .rtti(true)
 ///     .cure_source("int f(int *p) { return *p; }")
 ///     .unwrap();
-/// assert_eq!(cured.report.checks_inserted.null, 1);
+/// assert_eq!(cured.report.checks_inserted[CheckKind::Null], 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Curer {
@@ -319,8 +321,9 @@ impl Curer {
     /// carries a capability key stamped at allocation, `free` revokes it
     /// (the bytes stay live under the cured GC semantics), and every
     /// dereference gets a `CHECK_TEMPORAL` comparing the key — an ordinary
-    /// check instruction with a [`SiteId`], so the optimizer, profiler,
-    /// blame explainer, and both engines apply unchanged. Off by default.
+    /// check instruction with a [`SiteId`](ccured_cil::ir::SiteId), so the
+    /// optimizer, profiler, blame explainer, and both engines apply
+    /// unchanged. Off by default.
     pub fn temporal(&mut self, on: bool) -> &mut Self {
         self.temporal = on;
         self
@@ -686,13 +689,14 @@ fn declared_kind_counts(prog: &Program, sol: &Solution) -> KindCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccured_cil::ir::CheckKind;
 
     #[test]
     fn cure_simple_program() {
         let cured = Curer::new()
             .cure_source("int f(int *p) { return *p; }")
             .expect("cure");
-        assert_eq!(cured.report.checks_inserted.null, 1);
+        assert_eq!(cured.report.checks_inserted[CheckKind::Null], 1);
         assert_eq!(cured.report.kind_counts.wild, 0);
     }
 
@@ -758,13 +762,13 @@ mod tests {
         let cured = Curer::new()
             .cure_source("int f(int *p) { int a; a = *p; a = a + *p; return a; }")
             .expect("cure");
-        assert_eq!(cured.report.checks_inserted.null, 2);
-        assert_eq!(cured.report.checks_elided.null, 1);
+        assert_eq!(cured.report.checks_inserted[CheckKind::Null], 2);
+        assert_eq!(cured.report.checks_elided[CheckKind::Null], 1);
         // The surviving program really has one check fewer.
         let remaining = count_checks(&cured.program);
         assert_eq!(
             remaining as u64,
-            cured.report.checks_inserted.total() as u64 - cured.report.checks_elided.total()
+            cured.report.checks_inserted.total() - cured.report.checks_elided.total()
         );
     }
 
@@ -774,7 +778,7 @@ mod tests {
         let cured = Curer::new().optimize(false).cure_source(src).expect("cure");
         assert_eq!(cured.report.checks_elided.total(), 0);
         assert_eq!(
-            count_checks(&cured.program),
+            count_checks(&cured.program) as u64,
             cured.report.checks_inserted.total()
         );
     }

@@ -7,6 +7,8 @@
 //! Valgrind ≈ 9–130×, I/O-bound daemons ≈ 1.0×) emerges from the check
 //! counts each workload actually incurs.
 
+use ccured_cil::ir::{CheckKind, PerCheck};
+
 /// Event counts for one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[allow(missing_docs)]
@@ -26,19 +28,10 @@ pub struct Counters {
     /// Bytes moved by I/O builtins.
     pub io_bytes: u64,
 
-    // CCured checks, executed dynamically.
-    pub null_checks: u64,
-    pub seq_bounds_checks: u64,
-    pub seq_to_safe_checks: u64,
-    pub wild_bounds_checks: u64,
-    pub wild_tag_checks: u64,
-    pub rtti_checks: u64,
+    /// CCured checks executed, by kind.
+    pub checks: PerCheck<u64>,
     /// Total parent-chain steps walked by RTTI checks.
     pub rtti_walk_steps: u64,
-    pub escape_checks: u64,
-    pub index_checks: u64,
-    /// Temporal lock-and-key comparisons (`--temporal`).
-    pub temporal_checks: u64,
     /// WILD tag updates on stores through WILD pointers.
     pub tag_updates: u64,
     /// Fat-pointer representation conversions at casts.
@@ -69,15 +62,7 @@ pub struct Counters {
 impl Counters {
     /// Total dynamic CCured checks executed.
     pub fn total_checks(&self) -> u64 {
-        self.null_checks
-            + self.seq_bounds_checks
-            + self.seq_to_safe_checks
-            + self.wild_bounds_checks
-            + self.wild_tag_checks
-            + self.rtti_checks
-            + self.escape_checks
-            + self.index_checks
-            + self.temporal_checks
+        self.checks.total()
     }
 
     /// Dynamic `CHECK_NULL` + `CHECK_BOUNDS` events — the subset the
@@ -85,11 +70,11 @@ impl Counters {
     /// runs must execute strictly fewer of these than `--no-opt` runs on
     /// workloads with any intraprocedural redundancy, and never more.
     pub fn null_bounds_checks(&self) -> u64 {
-        self.null_checks
-            + self.seq_bounds_checks
-            + self.seq_to_safe_checks
-            + self.wild_bounds_checks
-            + self.index_checks
+        use CheckKind::*;
+        [Null, SeqBounds, SeqToSafe, WildBounds, IndexBound]
+            .iter()
+            .map(|&k| self.checks[k])
+            .sum()
     }
 }
 
@@ -116,18 +101,9 @@ pub struct CostModel {
     pub io_op: f64,
     pub io_byte: f64,
 
-    pub null_check: f64,
-    pub seq_bounds_check: f64,
-    pub seq_to_safe_check: f64,
-    pub wild_bounds_check: f64,
-    pub wild_tag_check: f64,
-    pub rtti_check: f64,
+    /// Per executed check, by kind.
+    pub check: PerCheck<f64>,
     pub rtti_walk_step: f64,
-    pub escape_check: f64,
-    pub index_check: f64,
-    /// Temporal lock-and-key comparison: a load of the allocation's key
-    /// slot plus a compare-and-branch.
-    pub temporal_check: f64,
     pub tag_update: f64,
     pub fat_convert: f64,
     pub meta_op: f64,
@@ -152,16 +128,12 @@ impl Default for CostModel {
             io_op: 2_500.0,
             io_byte: 2.0,
 
-            null_check: 1.0,
-            seq_bounds_check: 4.0,
-            seq_to_safe_check: 3.0,
-            wild_bounds_check: 9.0,
-            wild_tag_check: 9.0,
-            rtti_check: 3.0,
+            // In `CheckKind` order: null, seq_bounds, seq_to_safe,
+            // wild_bounds, wild_tag, rtti, no_stack_escape, index_bound,
+            // temporal (a load of the allocation's key slot plus a
+            // compare-and-branch).
+            check: PerCheck([1.0, 4.0, 3.0, 9.0, 9.0, 3.0, 1.0, 0.4, 2.0]),
             rtti_walk_step: 2.0,
-            escape_check: 1.0,
-            index_check: 0.4,
-            temporal_check: 2.0,
             tag_update: 9.0,
             fat_convert: 1.0,
             meta_op: 4.0,
@@ -179,23 +151,14 @@ impl Default for CostModel {
 impl CostModel {
     /// Total abstract cycles for a run.
     pub fn cycles(&self, c: &Counters) -> f64 {
-        self.instr * c.instrs as f64
+        let program = self.instr * c.instrs as f64
             + self.load * c.loads as f64
             + self.store * c.stores as f64
             + self.call * c.calls as f64
             + self.extern_call * c.extern_calls as f64
             + self.io_op * c.io_ops as f64
-            + self.io_byte * c.io_bytes as f64
-            + self.null_check * c.null_checks as f64
-            + self.seq_bounds_check * c.seq_bounds_checks as f64
-            + self.seq_to_safe_check * c.seq_to_safe_checks as f64
-            + self.wild_bounds_check * c.wild_bounds_checks as f64
-            + self.wild_tag_check * c.wild_tag_checks as f64
-            + self.rtti_check * c.rtti_checks as f64
-            + self.rtti_walk_step * c.rtti_walk_steps as f64
-            + self.escape_check * c.escape_checks as f64
-            + self.index_check * c.index_checks as f64
-            + self.temporal_check * c.temporal_checks as f64
+            + self.io_byte * c.io_bytes as f64;
+        self.add_check_cycles(program, c)
             + self.tag_update * c.tag_updates as f64
             + self.fat_convert * c.fat_converts as f64
             + self.meta_op * c.meta_ops as f64
@@ -211,16 +174,23 @@ impl CostModel {
     /// Memory and call traffic is invariant under the loop passes, so the
     /// total [`cycles`](Self::cycles) figure would dilute the signal.
     pub fn check_cycles(&self, c: &Counters) -> f64 {
-        self.null_check * c.null_checks as f64
-            + self.seq_bounds_check * c.seq_bounds_checks as f64
-            + self.seq_to_safe_check * c.seq_to_safe_checks as f64
-            + self.wild_bounds_check * c.wild_bounds_checks as f64
-            + self.wild_tag_check * c.wild_tag_checks as f64
-            + self.rtti_check * c.rtti_checks as f64
-            + self.rtti_walk_step * c.rtti_walk_steps as f64
-            + self.escape_check * c.escape_checks as f64
-            + self.index_check * c.index_checks as f64
-            + self.temporal_check * c.temporal_checks as f64
+        // -0.0 is the exact additive identity: the first term comes out
+        // unchanged, as if the sum had started with it.
+        self.add_check_cycles(-0.0, c)
+    }
+
+    /// Adds the check terms to `acc` one at a time, in [`CheckKind`] order
+    /// with the RTTI walk steps directly after `rtti`. Floating-point
+    /// addition is not associative, so this order is what keeps
+    /// [`cycles`](Self::cycles) and every ratio built on it bit-stable.
+    fn add_check_cycles(&self, mut acc: f64, c: &Counters) -> f64 {
+        for k in CheckKind::ALL {
+            acc += self.check[k] * c.checks[k] as f64;
+            if k == CheckKind::Rtti {
+                acc += self.rtti_walk_step * c.rtti_walk_steps as f64;
+            }
+        }
+        acc
     }
 
     /// Overhead ratio of `instrumented` relative to `baseline`.
@@ -269,8 +239,8 @@ mod tests {
             ..Counters::default()
         };
         let mut cured = base;
-        cured.null_checks = 100;
-        cured.seq_bounds_checks = 50;
+        cured.checks[CheckKind::Null] = 100;
+        cured.checks[CheckKind::SeqBounds] = 50;
         let r = model.ratio(&cured, &base);
         assert!(r > 1.0 && r < 2.0, "modest CCured-style overhead, got {r}");
     }
@@ -303,8 +273,8 @@ mod tests {
             ..Counters::default()
         };
         let mut cured = base;
-        cured.null_checks = 5_000;
-        cured.seq_bounds_checks = 2_000;
+        cured.checks[CheckKind::Null] = 5_000;
+        cured.checks[CheckKind::SeqBounds] = 2_000;
         let r = model.ratio(&cured, &base);
         assert!(
             r < 1.05,
@@ -312,8 +282,8 @@ mod tests {
         );
         base.io_ops = 0;
         let mut cured2 = base;
-        cured2.null_checks = 5_000;
-        cured2.seq_bounds_checks = 2_000;
+        cured2.checks[CheckKind::Null] = 5_000;
+        cured2.checks[CheckKind::SeqBounds] = 2_000;
         assert!(
             model.ratio(&cured2, &base) > 1.2,
             "CPU-bound overhead must be visible"
@@ -334,21 +304,181 @@ mod tests {
         assert_eq!(model.sandbox_overhead(&Counters::default()), 0.0);
     }
 
-    #[test]
-    fn total_checks_sums() {
-        let c = Counters {
-            null_checks: 1,
-            seq_bounds_checks: 2,
-            index_checks: 3,
+    /// The reference for [`CostModel::cycles`]: every term spelled out, in
+    /// the order it must add them.
+    fn reference_cycles(m: &CostModel, c: &Counters) -> f64 {
+        use CheckKind::*;
+        m.instr * c.instrs as f64
+            + m.load * c.loads as f64
+            + m.store * c.stores as f64
+            + m.call * c.calls as f64
+            + m.extern_call * c.extern_calls as f64
+            + m.io_op * c.io_ops as f64
+            + m.io_byte * c.io_bytes as f64
+            + m.check[Null] * c.checks[Null] as f64
+            + m.check[SeqBounds] * c.checks[SeqBounds] as f64
+            + m.check[SeqToSafe] * c.checks[SeqToSafe] as f64
+            + m.check[WildBounds] * c.checks[WildBounds] as f64
+            + m.check[WildTag] * c.checks[WildTag] as f64
+            + m.check[Rtti] * c.checks[Rtti] as f64
+            + m.rtti_walk_step * c.rtti_walk_steps as f64
+            + m.check[NoStackEscape] * c.checks[NoStackEscape] as f64
+            + m.check[IndexBound] * c.checks[IndexBound] as f64
+            + m.check[Temporal] * c.checks[Temporal] as f64
+            + m.tag_update * c.tag_updates as f64
+            + m.fat_convert * c.fat_converts as f64
+            + m.meta_op * c.meta_ops as f64
+            + m.shadow_op * c.shadow_ops as f64
+            + m.jit_instr * c.jit_instrs as f64
+            + m.bt_instr * c.bt_instrs as f64
+            + m.registry_lookup * c.registry_lookups as f64
+            + m.limit_check * c.limit_checks as f64
+    }
+
+    /// The reference for [`CostModel::check_cycles`].
+    fn reference_check_cycles(m: &CostModel, c: &Counters) -> f64 {
+        use CheckKind::*;
+        m.check[Null] * c.checks[Null] as f64
+            + m.check[SeqBounds] * c.checks[SeqBounds] as f64
+            + m.check[SeqToSafe] * c.checks[SeqToSafe] as f64
+            + m.check[WildBounds] * c.checks[WildBounds] as f64
+            + m.check[WildTag] * c.checks[WildTag] as f64
+            + m.check[Rtti] * c.checks[Rtti] as f64
+            + m.rtti_walk_step * c.rtti_walk_steps as f64
+            + m.check[NoStackEscape] * c.checks[NoStackEscape] as f64
+            + m.check[IndexBound] * c.checks[IndexBound] as f64
+            + m.check[Temporal] * c.checks[Temporal] as f64
+    }
+
+    /// Seeded counters of every magnitude, so sums round differently when
+    /// their terms are added in a different order.
+    fn random_counters(state: &mut u64) -> Counters {
+        let mut next = || {
+            // splitmix64
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let z = z ^ (z >> 31);
+            z >> (z % 64)
+        };
+        let mut c = Counters {
+            instrs: next(),
+            loads: next(),
+            stores: next(),
+            calls: next(),
+            extern_calls: next(),
+            io_ops: next(),
+            io_bytes: next(),
+            rtti_walk_steps: next(),
+            tag_updates: next(),
+            fat_converts: next(),
+            meta_ops: next(),
+            limit_checks: next(),
+            shadow_ops: next(),
+            jit_instrs: next(),
+            bt_instrs: next(),
+            registry_lookups: next(),
             ..Counters::default()
         };
+        for k in CheckKind::ALL {
+            c.checks[k] = next();
+        }
+        c
+    }
+
+    #[test]
+    fn cycles_fold_in_the_reference_order_bit_for_bit() {
+        let m = CostModel::default();
+        let mut state = 1;
+        let mut walk_order_matters = false;
+        for _ in 0..4096 {
+            let c = random_counters(&mut state);
+            assert_eq!(
+                m.cycles(&c).to_bits(),
+                reference_cycles(&m, &c).to_bits(),
+                "{c:?}"
+            );
+            assert_eq!(
+                m.check_cycles(&c).to_bits(),
+                reference_check_cycles(&m, &c).to_bits(),
+                "{c:?}"
+            );
+            // The samples can tell the orders apart: with the walk-step
+            // term moved behind the last kind, some sums differ.
+            let moved = CheckKind::ALL
+                .iter()
+                .fold(-0.0, |acc, &k| acc + m.check[k] * c.checks[k] as f64)
+                + m.rtti_walk_step * c.rtti_walk_steps as f64;
+            walk_order_matters |= moved.to_bits() != m.check_cycles(&c).to_bits();
+        }
+        assert!(walk_order_matters);
+    }
+
+    #[test]
+    fn every_check_kind_is_named_once_and_priced() {
+        use ccured_cil::ir::{Check, Exp};
+        use ccured_cil::types::{IntKind, TypeId};
+        let e = || Exp::int(0, IntKind::Int, TypeId(0));
+        let model = CostModel::default();
+        let mut names = std::collections::HashSet::new();
+        for k in CheckKind::ALL {
+            let c = match k {
+                CheckKind::Null => Check::Null { ptr: e() },
+                CheckKind::SeqBounds => Check::SeqBounds {
+                    ptr: e(),
+                    access_size: 4,
+                },
+                CheckKind::SeqToSafe => Check::SeqToSafe {
+                    ptr: e(),
+                    access_size: 4,
+                },
+                CheckKind::WildBounds => Check::WildBounds {
+                    ptr: e(),
+                    access_size: 4,
+                },
+                CheckKind::WildTag => Check::WildTag { ptr: e() },
+                CheckKind::Rtti => Check::Rtti {
+                    ptr: e(),
+                    target_node: 0,
+                },
+                CheckKind::NoStackEscape => Check::NoStackEscape { value: e() },
+                CheckKind::IndexBound => Check::IndexBound { index: e(), len: 4 },
+                CheckKind::Temporal => Check::Temporal { ptr: e() },
+            };
+            assert_eq!(c.kind(), Some(k));
+            // The printer spells a check `CHECK_` + its upper-cased name.
+            assert_eq!(c.name(), k.name());
+            assert!(names.insert(k.name()), "{} named twice", k.name());
+            assert!(model.check[k] > 0.0, "{} is free", k.name());
+        }
+        // Cured text, reports and verdicts spell these; they must not move.
+        let spelled = CheckKind::ALL.map(CheckKind::name);
+        let want = [
+            "null",
+            "seq_bounds",
+            "seq_to_safe",
+            "wild_bounds",
+            "wild_tag",
+            "rtti",
+            "no_stack_escape",
+            "index_bound",
+            "temporal",
+        ];
+        assert_eq!(spelled, want);
+    }
+
+    #[test]
+    fn total_checks_sums() {
+        let mut c = Counters::default();
+        c.checks[CheckKind::Null] = 1;
+        c.checks[CheckKind::SeqBounds] = 2;
+        c.checks[CheckKind::IndexBound] = 3;
         assert_eq!(c.total_checks(), 6);
         assert_eq!(c.null_bounds_checks(), 6);
-        let w = Counters {
-            wild_tag_checks: 4,
-            rtti_checks: 2,
-            ..c
-        };
+        let mut w = c;
+        w.checks[CheckKind::WildTag] = 4;
+        w.checks[CheckKind::Rtti] = 2;
         assert_eq!(w.total_checks(), 12);
         assert_eq!(
             w.null_bounds_checks(),

@@ -12,6 +12,7 @@ use crate::err::RtError;
 use crate::interp::Interp;
 use crate::mem::{AllocKind, Pointer};
 use crate::value::{PtrVal, Value};
+use ccured_cil::ir::CheckKind;
 use ccured_cil::types::Type;
 
 /// Dispatches an external call by name.
@@ -48,7 +49,7 @@ pub fn call(it: &mut Interp<'_>, name: &str, args: &[Value]) -> Result<Option<Va
             Ok(Some(Value::Ptr(out)))
         }
         "__verify_nul" => {
-            it.counters.seq_bounds_checks += 1;
+            it.counters.checks[CheckKind::SeqBounds] += 1;
             let pv = ptr_arg(args, 0)?;
             let (p, hi) = checked_extent(it, &pv, "__verify_nul")?;
             let mut off = p.offset;
@@ -74,7 +75,7 @@ pub fn call(it: &mut Interp<'_>, name: &str, args: &[Value]) -> Result<Option<Va
             }
         }
         "__bounds_check_n" => {
-            it.counters.seq_bounds_checks += 1;
+            it.counters.checks[CheckKind::SeqBounds] += 1;
             let pv = ptr_arg(args, 0)?;
             let n = int_arg(args, 1)? as i64;
             let (p, hi) = checked_extent(it, &pv, "__bounds_check_n")?;

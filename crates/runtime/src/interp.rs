@@ -953,51 +953,14 @@ impl<'p> Interp<'p> {
     /// Counts the check in the per-kind cost counters (before the operand is
     /// evaluated, matching compiled CCured where the check instruction itself
     /// is the unit of cost) and, in Profile mode, as a hit of its site.
-    /// Shared by both engines.
+    /// Guard machinery counts as the check it stands in for
+    /// ([`Check::kind`]). Shared by both engines.
     pub(crate) fn bump_check_counter(&mut self, c: &Check, site: SiteId) {
         if let (Some(prof), Some(i)) = (self.profile.as_deref_mut(), site.index()) {
             prof.slot(i).hits += 1;
         }
-        match c {
-            Check::Null { .. } => self.counters.null_checks += 1,
-            Check::SeqBounds { .. } => self.counters.seq_bounds_checks += 1,
-            Check::SeqToSafe { .. } => self.counters.seq_to_safe_checks += 1,
-            Check::WildBounds { .. } => self.counters.wild_bounds_checks += 1,
-            Check::WildTag { .. } => self.counters.wild_tag_checks += 1,
-            Check::Rtti { .. } => self.counters.rtti_checks += 1,
-            Check::NoStackEscape { .. } => self.counters.escape_checks += 1,
-            Check::IndexBound { .. } => self.counters.index_checks += 1,
-            Check::Temporal { .. } => self.counters.temporal_checks += 1,
-            // Guard machinery accounts as the check it stands in for (a
-            // probe with no inner checks counts nothing, like a reset).
-            Check::Probe { .. } | Check::Guarded { .. } => {
-                let accounted = c.accounted();
-                if !matches!(
-                    accounted,
-                    Check::Probe { .. } | Check::Guarded { .. } | Check::GuardReset { .. }
-                ) {
-                    self.bump_check_counter_kind(accounted);
-                }
-            }
-            Check::GuardReset { .. } => {}
-        }
-    }
-
-    /// The per-kind counter bump alone, for accounting a guard-machinery
-    /// event as its underlying check kind (profile hits are handled by the
-    /// caller).
-    fn bump_check_counter_kind(&mut self, c: &Check) {
-        match c {
-            Check::Null { .. } => self.counters.null_checks += 1,
-            Check::SeqBounds { .. } => self.counters.seq_bounds_checks += 1,
-            Check::SeqToSafe { .. } => self.counters.seq_to_safe_checks += 1,
-            Check::WildBounds { .. } => self.counters.wild_bounds_checks += 1,
-            Check::WildTag { .. } => self.counters.wild_tag_checks += 1,
-            Check::Rtti { .. } => self.counters.rtti_checks += 1,
-            Check::NoStackEscape { .. } => self.counters.escape_checks += 1,
-            Check::IndexBound { .. } => self.counters.index_checks += 1,
-            Check::Temporal { .. } => self.counters.temporal_checks += 1,
-            Check::Probe { .. } | Check::Guarded { .. } | Check::GuardReset { .. } => {}
+        if let Some(k) = c.kind() {
+            self.counters.checks[k] += 1;
         }
     }
 
@@ -1027,8 +990,13 @@ impl<'p> Interp<'p> {
     }
 
     fn check_verdict_inner(&mut self, c: &Check, v: Value) -> Result<(), RtError> {
-        let fail = |check: &'static str, detail: String| -> Result<(), RtError> {
-            Err(RtError::CheckFailed { check, detail })
+        // A failure is named by the check's kind; the guard machinery never
+        // gets here (see the last arm).
+        let fail = |detail: String| -> Result<(), RtError> {
+            Err(RtError::CheckFailed {
+                check: c.name(),
+                detail,
+            })
         };
         let as_ptr = |v: Value| -> Result<PtrVal, RtError> {
             v.as_ptr()
@@ -1038,30 +1006,22 @@ impl<'p> Interp<'p> {
             Check::Null { .. } => {
                 let v = as_ptr(v)?;
                 match v {
-                    PtrVal::Null => fail("null", "null pointer dereference".into()),
-                    PtrVal::IntVal(x) => fail("null", format!("integer {x:#x} used as pointer")),
+                    PtrVal::Null => fail("null pointer dereference".into()),
+                    PtrVal::IntVal(x) => fail(format!("integer {x:#x} used as pointer")),
                     _ => Ok(()),
                 }
             }
             Check::SeqBounds { access_size, .. } | Check::SeqToSafe { access_size, .. } => {
-                let name = if matches!(c, Check::SeqBounds { .. }) {
-                    "seq_bounds"
-                } else {
-                    "seq_to_safe"
-                };
                 let v = as_ptr(v)?;
                 match v {
-                    PtrVal::Null => fail(name, "null sequence pointer".into()),
-                    PtrVal::IntVal(x) => fail(name, format!("integer {x:#x} used as pointer")),
+                    PtrVal::Null => fail("null sequence pointer".into()),
+                    PtrVal::IntVal(x) => fail(format!("integer {x:#x} used as pointer")),
                     PtrVal::Seq { p, lo, hi } | PtrVal::Wild { p, lo, hi } => {
                         if p.offset < lo || p.offset + *access_size as i64 > hi {
-                            fail(
-                                name,
-                                format!(
-                                    "pointer at offset {} outside bounds [{lo}, {hi}) for {access_size}-byte access",
-                                    p.offset
-                                ),
-                            )
+                            fail(format!(
+                                "pointer at offset {} outside bounds [{lo}, {hi}) for {access_size}-byte access",
+                                p.offset
+                            ))
                         } else {
                             Ok(())
                         }
@@ -1072,25 +1032,20 @@ impl<'p> Interp<'p> {
                         let _ = p;
                         Ok(())
                     }
-                    PtrVal::Fn(_) => fail(name, "function pointer used as data".into()),
+                    PtrVal::Fn(_) => fail("function pointer used as data".into()),
                 }
             }
             Check::WildBounds { access_size, .. } => {
                 let v = as_ptr(v)?;
                 match v {
-                    PtrVal::Null => fail("wild_bounds", "null wild pointer".into()),
-                    PtrVal::IntVal(x) => {
-                        fail("wild_bounds", format!("integer {x:#x} used as pointer"))
-                    }
+                    PtrVal::Null => fail("null wild pointer".into()),
+                    PtrVal::IntVal(x) => fail(format!("integer {x:#x} used as pointer")),
                     PtrVal::Wild { p, lo, hi } | PtrVal::Seq { p, lo, hi } => {
                         if p.offset < lo || p.offset + *access_size as i64 > hi {
-                            fail(
-                                "wild_bounds",
-                                format!(
-                                    "wild pointer at offset {} outside area [{lo}, {hi})",
-                                    p.offset
-                                ),
-                            )
+                            fail(format!(
+                                "wild pointer at offset {} outside area [{lo}, {hi})",
+                                p.offset
+                            ))
                         } else {
                             Ok(())
                         }
@@ -1113,13 +1068,10 @@ impl<'p> Interp<'p> {
                     PtrVal::Null | PtrVal::IntVal(_) | PtrVal::Fn(_) => return Ok(()),
                 };
                 if self.temporal && !self.mem.temporal_valid(p.alloc) {
-                    fail(
-                        "temporal",
-                        format!(
-                            "capability key for allocation #{} was revoked (use after free)",
-                            p.alloc.0
-                        ),
-                    )
+                    fail(format!(
+                        "capability key for allocation #{} was revoked (use after free)",
+                        p.alloc.0
+                    ))
                 } else {
                     Ok(())
                 }
@@ -1152,16 +1104,12 @@ impl<'p> Interp<'p> {
                         if ok {
                             Ok(())
                         } else {
-                            fail(
-                                "rtti",
-                                format!("checked downcast failed: node {node} is not a subtype of {target_node}"),
-                            )
+                            fail(format!(
+                                "checked downcast failed: node {node} is not a subtype of {target_node}"
+                            ))
                         }
                     }
-                    _ => fail(
-                        "rtti",
-                        "downcast of a pointer without run-time type info".into(),
-                    ),
+                    _ => fail("downcast of a pointer without run-time type info".into()),
                 }
             }
             Check::NoStackEscape { .. } => {
@@ -1174,10 +1122,7 @@ impl<'p> Interp<'p> {
                     .as_int()
                     .ok_or_else(|| RtError::Unsupported("non-integer index".into()))?;
                 if v < 0 || v as u64 >= *len {
-                    fail(
-                        "index_bound",
-                        format!("index {v} out of bounds for array of {len}"),
-                    )
+                    fail(format!("index {v} out of bounds for array of {len}"))
                 } else {
                     Ok(())
                 }
@@ -1968,7 +1913,7 @@ impl<'p> Interp<'p> {
                         && !matches!(dst_kind, AllocKind::Stack { .. })
                     {
                         return Err(RtError::CheckFailed {
-                            check: "no_stack_escape",
+                            check: CheckKind::NoStackEscape.name(),
                             detail: "stack pointer stored into the heap".into(),
                         });
                     }
@@ -2441,7 +2386,7 @@ mod tests {
         let cured = ccured::Curer::new().cure_source(src).expect("cure");
         let mut interp = Interp::new(&cured.program, ExecMode::cured(&cured));
         assert_eq!(interp.run().unwrap(), 6);
-        assert!(interp.counters.index_checks > 0);
+        assert!(interp.counters.checks[CheckKind::IndexBound] > 0);
         assert!(interp.counters.total_checks() > 0);
     }
 

@@ -10,7 +10,7 @@
 //! byte-identical to an unprofiled one (asserted by the differential tests).
 //!
 //! [`rank_sites`] joins the dynamic profile with the static
-//! [`CheckSite`](ccured::instrument::CheckSite) table and the abstract
+//! [`CheckSite`] table and the abstract
 //! [`CostModel`] into a deterministically ranked hot-site report. Cost is
 //! *attributed* at render time (hits × the per-kind check cost, plus walked
 //! RTTI steps) rather than measured, so the ranking is identical across the
@@ -92,8 +92,8 @@ impl SiteReport {
         let s = &self.site;
         o.str("func", &s.func)
             .num("span_lo", s.span.lo)
-            .str("check", s.check)
-            .str("ptr_kind", s.ptr_kind)
+            .str("check", s.kind.name())
+            .str("ptr_kind", s.kind.ptr_kind())
             .num("static_count", s.static_count)
             .num("elided", s.elided)
             .num("hits", self.hits)
@@ -101,23 +101,6 @@ impl SiteReport {
             .num("walk_steps", self.walk_steps)
             .fixed("cost", self.cost, 1)
             .opt_str("keep_reason", s.keep_reason.as_deref());
-    }
-}
-
-/// The abstract cost of executing one check of the named kind once,
-/// excluding RTTI walk steps (attributed separately).
-pub fn check_unit_cost(model: &CostModel, kind: &str) -> f64 {
-    match kind {
-        "null" => model.null_check,
-        "seq_bounds" => model.seq_bounds_check,
-        "seq_to_safe" => model.seq_to_safe_check,
-        "wild_bounds" => model.wild_bounds_check,
-        "wild_tag" => model.wild_tag_check,
-        "rtti" => model.rtti_check,
-        "no_stack_escape" => model.escape_check,
-        "index_bound" => model.index_check,
-        "temporal" => model.temporal_check,
-        _ => 0.0,
     }
 }
 
@@ -135,7 +118,7 @@ pub fn rank_sites(sites: &[CheckSite], profile: &Profile, model: &CostModel) -> 
                     .copied()
                     .unwrap_or_default();
             SiteReport {
-                cost: c.hits as f64 * check_unit_cost(model, s.check)
+                cost: c.hits as f64 * model.check[s.kind]
                     + c.walk_steps as f64 * model.rtti_walk_step,
                 hits: c.hits,
                 fails: c.fails,
@@ -156,15 +139,14 @@ pub fn rank_sites(sites: &[CheckSite], profile: &Profile, model: &CostModel) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccured_cil::ir::SiteId;
+    use ccured_cil::ir::{CheckKind, SiteId};
 
-    fn site(id: u32, check: &'static str) -> CheckSite {
+    fn site(id: u32, kind: CheckKind) -> CheckSite {
         CheckSite {
             id: SiteId(id),
             func: "f".into(),
             span: ccured_ast::Span::DUMMY,
-            check,
-            ptr_kind: "safe",
+            kind,
             static_count: 1,
             elided: 0,
             keep_reason: None,
@@ -174,7 +156,11 @@ mod tests {
 
     #[test]
     fn ranking_orders_by_attributed_cost_with_id_tiebreak() {
-        let sites = vec![site(0, "null"), site(1, "wild_bounds"), site(2, "null")];
+        let sites = vec![
+            site(0, CheckKind::Null),
+            site(1, CheckKind::WildBounds),
+            site(2, CheckKind::Null),
+        ];
         let mut prof = Profile::new(3);
         prof.sites[0].hits = 10; // 10 × 1.0 = 10 cycles
         prof.sites[1].hits = 2; // 2 × 9.0 = 18 cycles
@@ -188,7 +174,7 @@ mod tests {
 
     #[test]
     fn rtti_walk_steps_add_attributed_cost() {
-        let sites = vec![site(0, "rtti"), site(1, "rtti")];
+        let sites = vec![site(0, CheckKind::Rtti), site(1, CheckKind::Rtti)];
         let mut prof = Profile::new(2);
         prof.sites[0].hits = 1;
         prof.sites[1].hits = 1;
@@ -196,7 +182,10 @@ mod tests {
         let rows = rank_sites(&sites, &prof, &CostModel::default());
         assert_eq!(rows[0].site.id.0, 1, "walk steps make site 1 hotter");
         let m = CostModel::default();
-        assert_eq!(rows[0].cost, m.rtti_check + 5.0 * m.rtti_walk_step);
+        assert_eq!(
+            rows[0].cost,
+            m.check[CheckKind::Rtti] + 5.0 * m.rtti_walk_step
+        );
     }
 
     #[test]

@@ -82,6 +82,7 @@ impl RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccured_cil::ir::CheckKind;
 
     #[test]
     fn first_difference_names_the_first_difference() {
@@ -98,6 +99,11 @@ mod tests {
         };
         let mut b = a.clone();
         assert_eq!(a.first_difference(&b), None);
+        // A per-kind check count is named by its kind.
+        let mut t = a.clone();
+        t.counters.checks[CheckKind::Temporal] += 1;
+        let temporal = Some("counter temporal: 0 vs 1");
+        assert_eq!(a.first_difference(&t).as_deref(), temporal);
         b.counters.instrs += 1;
         let instrs = Some("counter instrs: 100 vs 101");
         assert_eq!(a.first_difference(&b).as_deref(), instrs);

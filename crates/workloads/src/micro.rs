@@ -109,6 +109,7 @@ pub fn ptr_store(iters: u32) -> Workload {
 mod tests {
     use super::*;
     use crate::runner;
+    use ccured_cil::ir::CheckKind;
     use ccured_infer::InferOptions;
 
     fn check(w: &Workload) {
@@ -147,7 +148,7 @@ mod tests {
         // The point of the benchmark: it must actually contain WILD quals.
         let cured = runner::run_cured(&w, &InferOptions::default()).unwrap();
         assert!(cured.cured.report.kind_counts.wild > 0);
-        assert!(cured.stats.counters.wild_bounds_checks > 0);
+        assert!(cured.stats.counters.checks[CheckKind::WildBounds] > 0);
     }
 
     #[test]
@@ -159,7 +160,7 @@ mod tests {
             cured.cured.report.kind_counts.rtti > 0,
             "must use RTTI pointers"
         );
-        assert!(cured.stats.counters.rtti_checks > 0);
+        assert!(cured.stats.counters.checks[CheckKind::Rtti] > 0);
         assert_eq!(cured.cured.report.kind_counts.wild, 0);
     }
 

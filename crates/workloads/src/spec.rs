@@ -207,6 +207,7 @@ pub fn ijpeg_oo(types: u32, rounds: u32) -> Workload {
 mod tests {
     use super::*;
     use crate::runner;
+    use ccured_cil::ir::CheckKind;
     use ccured_infer::InferOptions;
 
     #[test]
@@ -218,7 +219,7 @@ mod tests {
         assert!(c.stats.ok(), "{:?}", c.stats.error);
         assert_eq!(o.exit, c.stats.exit);
         // compress is SEQ-heavy: bounds checks dominate.
-        assert!(c.stats.counters.seq_bounds_checks > 0);
+        assert!(c.stats.counters.checks[CheckKind::SeqBounds] > 0);
         assert_eq!(c.cured.report.kind_counts.wild, 0);
     }
 
@@ -230,7 +231,7 @@ mod tests {
         assert_eq!(c.stats.exit, 0);
         assert_eq!(c.cured.report.kind_counts.wild, 0, "RTTI removes all WILD");
         assert!(c.cured.report.kind_counts.rtti > 0);
-        assert!(c.stats.counters.rtti_checks > 0);
+        assert!(c.stats.counters.checks[CheckKind::Rtti] > 0);
     }
 
     #[test]
@@ -254,6 +255,6 @@ mod tests {
         );
         // The program still runs correctly through WILD pointers.
         assert!(c.stats.ok(), "{:?}", c.stats.error);
-        assert!(c.stats.counters.wild_bounds_checks > 0);
+        assert!(c.stats.counters.checks[CheckKind::WildBounds] > 0);
     }
 }

@@ -7,6 +7,7 @@
 //! ```
 
 use ccured::Curer;
+use ccured_cil::ir::CheckKind;
 use ccured_rt::{ExecMode, Interp};
 
 const PROGRAM: &str = r#"
@@ -64,7 +65,7 @@ fn main() {
     print!("{}", String::from_utf8_lossy(interp.output()));
     println!(
         "exit = {exit}; RTTI checks executed: {}",
-        interp.counters.rtti_checks
+        interp.counters.checks[CheckKind::Rtti]
     );
 
     // And the comparison the paper makes: the same program under the

@@ -6,6 +6,7 @@
 //! ```
 
 use ccured::Curer;
+use ccured_cil::ir::CheckKind;
 use ccured_rt::{ExecMode, Interp};
 
 const PROGRAM: &str = r#"
@@ -34,9 +35,9 @@ fn main() {
     println!(
         "checks inserted: {} total ({} null, {} seq-bounds, {} index)",
         r.checks_inserted.total(),
-        r.checks_inserted.null,
-        r.checks_inserted.seq_bounds,
-        r.checks_inserted.index_bound
+        r.checks_inserted[CheckKind::Null],
+        r.checks_inserted[CheckKind::SeqBounds],
+        r.checks_inserted[CheckKind::IndexBound]
     );
 
     // 2. Run the cured program.

@@ -4,6 +4,7 @@
 //! promises.
 
 use ccured::Curer;
+use ccured_cil::ir::CheckKind;
 use ccured_infer::InferOptions;
 use ccured_integration::{run_cured, run_original};
 use ccured_rt::{ExecMode, Interp, RtError};
@@ -321,5 +322,5 @@ fn original_ccured_mode_still_runs_correctly() {
     let old = runner::run_cured(&w, &InferOptions::original_ccured()).expect("cure");
     assert!(old.stats.ok(), "{:?}", old.stats.error);
     assert_eq!(old.stats.exit, 0);
-    assert!(old.stats.counters.wild_bounds_checks > 0);
+    assert!(old.stats.counters.checks[CheckKind::WildBounds] > 0);
 }

@@ -17,6 +17,7 @@
 //! same site, at the exact same iteration, with the exact same error as the
 //! unoptimized program.
 
+use ccured_cil::ir::CheckKind;
 use ccured_infer::InferOptions;
 use ccured_rt::{Engine, ExecMode, Interp, RunStats};
 use ccured_workloads::{batch_corpus, daemons, micro, runner, suite_corpus, Workload};
@@ -171,10 +172,10 @@ fn invariant_pointer_checks_hoist_to_one_per_loop_entry() {
     assert_eq!(noloop.cured.report.checks_hoisted, 0);
     assert_eq!(noloop.cured.report.checks_widened, 0);
     assert!(
-        opt.stats.counters.null_checks < noloop.stats.counters.null_checks,
+        opt.stats.counters.checks[CheckKind::Null] < noloop.stats.counters.checks[CheckKind::Null],
         "per-iteration null checks collapse to the entry probe: {} vs {}",
-        opt.stats.counters.null_checks,
-        noloop.stats.counters.null_checks
+        opt.stats.counters.checks[CheckKind::Null],
+        noloop.stats.counters.checks[CheckKind::Null]
     );
 }
 
@@ -243,11 +244,12 @@ fn generalized_widening_covers_down_count_and_strided_loops() {
         assert_eq!(full.stats.error, noloop.stats.error, "{}", w.name);
         assert_eq!(full.stats.output, noloop.stats.output, "{}", w.name);
         assert!(
-            full.stats.counters.seq_bounds_checks < noloop.stats.counters.seq_bounds_checks,
+            full.stats.counters.checks[CheckKind::SeqBounds]
+                < noloop.stats.counters.checks[CheckKind::SeqBounds],
             "{}: per-iteration SEQ checks must collapse ({} vs {})",
             w.name,
-            full.stats.counters.seq_bounds_checks,
-            noloop.stats.counters.seq_bounds_checks
+            full.stats.counters.checks[CheckKind::SeqBounds],
+            noloop.stats.counters.checks[CheckKind::SeqBounds]
         );
     }
 }
@@ -293,7 +295,8 @@ fn widening_negatives_are_left_untouched() {
         assert_eq!(full.stats.error, noloop.stats.error, "{}", w.name);
         assert_eq!(full.stats.output, noloop.stats.output, "{}", w.name);
         assert_eq!(
-            full.stats.counters.seq_bounds_checks, noloop.stats.counters.seq_bounds_checks,
+            full.stats.counters.checks[CheckKind::SeqBounds],
+            noloop.stats.counters.checks[CheckKind::SeqBounds],
             "{}: per-iteration SEQ checks must be untouched",
             w.name
         );
@@ -409,7 +412,7 @@ fn run_profiled(cured: &ccured::Cured, engine: Engine, input: &[u8]) -> RunStats
 }
 
 /// The failing sites of a profiled run, as `(site_id, fails)` pairs.
-fn failing_sites(cured: &ccured::Cured, run: &RunStats) -> Vec<(u32, u64, &'static str)> {
+fn failing_sites(cured: &ccured::Cured, run: &RunStats) -> Vec<(u32, u64, CheckKind)> {
     let profile = run.profile.as_ref().expect("profile recorded");
     cured
         .sites
@@ -417,7 +420,7 @@ fn failing_sites(cured: &ccured::Cured, run: &RunStats) -> Vec<(u32, u64, &'stat
         .filter_map(|s| {
             let i = s.id.index()?;
             let c = profile.sites.get(i)?;
-            (c.fails > 0).then_some((s.id.0, c.fails, s.check))
+            (c.fails > 0).then_some((s.id.0, c.fails, s.kind))
         })
         .collect()
 }
@@ -451,9 +454,9 @@ fn failed_widened_probe_blames_the_precise_iteration() {
     let fn_ = failing_sites(&noopt, &rn);
     assert_eq!(ff.len(), 1, "exactly one site fails: {ff:?}");
     assert_eq!(ff, fn_, "the blamed site must be identical to no-opt");
-    let (_, fails, check) = ff[0];
+    let (_, fails, kind) = ff[0];
     assert_eq!(fails, 1, "the residual fires once, at the precise index");
-    assert_eq!(check, "seq_bounds");
+    assert_eq!(kind, CheckKind::SeqBounds);
 }
 
 /// Both execution engines must agree exactly on optimized programs — the
@@ -498,7 +501,7 @@ fn temporal_checks_hoist_only_out_of_call_free_loops() {
     assert!(
         full.sites
             .iter()
-            .any(|s| s.check == "temporal" && s.opt_action == Some("hoisted")),
+            .any(|s| s.kind == CheckKind::Temporal && s.opt_action == Some("hoisted")),
         "call-free loop: the temporal check must hoist"
     );
     let noloop = cure_temporal(&callfree, true, false);
@@ -507,10 +510,10 @@ fn temporal_checks_hoist_only_out_of_call_free_loops() {
     assert_eq!(rf.result(), rn.result(), "hoisting changed the verdict");
     let (cf, cn) = (rf.counters, rn.counters);
     assert!(
-        cf.temporal_checks < cn.temporal_checks,
+        cf.checks[CheckKind::Temporal] < cn.checks[CheckKind::Temporal],
         "per-iteration key checks collapse to the entry probe: {} vs {}",
-        cf.temporal_checks,
-        cn.temporal_checks
+        cf.checks[CheckKind::Temporal],
+        cn.checks[CheckKind::Temporal]
     );
 
     // Same loop shape with a call in the body: `id` *could* free the
@@ -534,7 +537,7 @@ fn temporal_checks_hoist_only_out_of_call_free_loops() {
     let loop_temporals: Vec<_> = cured
         .sites
         .iter()
-        .filter(|s| s.func == "drain" && s.check == "temporal")
+        .filter(|s| s.func == "drain" && s.kind == CheckKind::Temporal)
         .collect();
     assert!(!loop_temporals.is_empty(), "the deref emits a key check");
     for s in &loop_temporals {

@@ -5,6 +5,7 @@
 //! the optimized run executes no more, and in aggregate strictly fewer,
 //! `CHECK_NULL`/`CHECK_BOUNDS` events.
 
+use ccured_cil::ir::CheckKind;
 use ccured_infer::InferOptions;
 use ccured_workloads::{daemons, micro, olden, runner, Workload};
 
@@ -136,9 +137,9 @@ fn treeadd_null_checks_drop_measurably() {
         "treeadd has redundancy"
     );
     assert!(
-        opt.stats.counters.null_checks < noopt.stats.counters.null_checks,
+        opt.stats.counters.checks[CheckKind::Null] < noopt.stats.counters.checks[CheckKind::Null],
         "dominated null checks gone at run time: {} vs {}",
-        opt.stats.counters.null_checks,
-        noopt.stats.counters.null_checks
+        opt.stats.counters.checks[CheckKind::Null],
+        noopt.stats.counters.checks[CheckKind::Null]
     );
 }
