@@ -16,9 +16,8 @@
 //!
 //! Entries are sharded into 256 subdirectories named by the first two hex
 //! characters of the key (`.ccured-cache/ab/ab….unit`), keeping directory
-//! fanout flat on large corpora. Valid entries from the old flat layout
-//! are migrated into their shard by the startup sweep, so warm caches
-//! survive the layout change.
+//! fanout flat on large corpora. No build writes a `.unit` file at the top
+//! level, so the startup sweep deletes any it finds as corrupt.
 
 use crate::hash::{fnv1a, from_hex, hex};
 use crate::report::UnitReport;
@@ -81,9 +80,10 @@ impl Cache {
     }
 
     /// The startup recovery sweep (see [`Cache::open`]). Walks the shard
-    /// subdirectories and the top level; valid entries still sitting flat
-    /// at the top level (the pre-sharding layout) are moved into their
-    /// shard. Returns how many files were deleted:
+    /// subdirectories and the top level, where a `.unit` file is a flat
+    /// entry of the pre-sharding layout: those were written with an older
+    /// format version, which is part of every key, so they can never hit
+    /// and count as corrupt. Returns how many files were deleted:
     /// `(orphaned_tmp, corrupt_entries)`.
     pub fn sweep(&self) -> (u64, u64) {
         let (mut tmp, mut corrupt) = (0u64, 0u64);
@@ -98,19 +98,8 @@ impl Cache {
                 if name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit()) {
                     sweep_dir(&path, &mut tmp, &mut corrupt);
                 }
-            } else if name.ends_with(".unit") && from_hex(name.trim_end_matches(".unit")).is_some()
-            {
-                // A flat entry from the pre-sharding layout: migrate it if
-                // it still parses, delete it otherwise.
-                let ok = fs::read(&path).is_ok_and(|bytes| parse_entry(&bytes).is_some());
-                if ok {
-                    let shard = self.dir.join(&name[..2]);
-                    if fs::create_dir_all(&shard).is_ok() {
-                        let _ = fs::rename(&path, shard.join(&*name));
-                    }
-                } else if fs::remove_file(&path).is_ok() {
-                    corrupt += 1;
-                }
+            } else if name.ends_with(".unit") && fs::remove_file(&path).is_ok() {
+                corrupt += 1;
             } else if name.starts_with('.')
                 && name.ends_with(".tmp")
                 && fs::remove_file(&path).is_ok()
@@ -349,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn entries_shard_by_key_prefix_and_flat_entries_migrate() {
+    fn entries_shard_by_key_prefix_and_flat_entries_are_swept() {
         let dir = tmpdir("shard");
         let c = Cache::open(&dir).unwrap();
         let key = Cache::unit_key("shard me", "cfg");
@@ -360,18 +349,14 @@ mod tests {
             "entry lives under its two-hex shard"
         );
 
-        // A valid entry in the pre-sharding flat layout: the open sweep
-        // moves it into its shard and it loads as a hit.
+        // An entry in the pre-sharding flat layout, even one that parses,
+        // is deleted as corrupt, not moved into its shard.
         let legacy = Cache::unit_key("legacy entry", "cfg");
         let lh = hex(legacy);
         fs::write(dir.join(format!("{lh}.unit")), render_entry(&sample())).unwrap();
-        let c = Cache::open(&dir).unwrap();
+        assert_eq!(c.sweep(), (0, 1));
         assert!(!dir.join(format!("{lh}.unit")).exists(), "flat file gone");
-        assert!(
-            dir.join(&lh[..2]).join(format!("{lh}.unit")).is_file(),
-            "migrated into its shard"
-        );
-        assert_eq!(c.load(legacy), Some(sample()), "warm across the layout");
+        assert_eq!(c.load(legacy), None, "a flat entry never hits");
 
         // Orphaned temp files and corrupt entries inside a shard are swept.
         let shard = dir.join(&h[..2]);

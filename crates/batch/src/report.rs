@@ -207,13 +207,11 @@ pub struct UnitOutcome {
     pub site_profile: Vec<SiteReport>,
 }
 
-/// Hit/miss/elapsed accounting for one pipeline stage.
+/// Elapsed-time accounting for one pipeline stage. The cache holds whole
+/// units, so each stage hits and misses exactly when its unit does
+/// ([`CacheStats::hits`], [`CacheStats::misses`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageStat {
-    /// Times this stage was served from cache.
-    pub hits: u64,
-    /// Times this stage ran live.
-    pub misses: u64,
     /// Wall-clock spent running the stage live this run.
     pub live: Duration,
     /// Wall-clock the cache avoided (the original cure's cost for stages
@@ -291,15 +289,13 @@ impl BatchReport {
                 let ns = u.cure_timings.as_ns();
                 if u.from_cache {
                     cache.hits += 1;
-                    for (i, n) in ns.iter().enumerate() {
-                        cache.stages[i].hits += 1;
-                        cache.stages[i].saved += Duration::from_nanos(*n);
+                    for (st, n) in cache.stages.iter_mut().zip(ns) {
+                        st.saved += Duration::from_nanos(n);
                     }
                 } else {
                     cache.misses += 1;
-                    for (i, n) in ns.iter().enumerate() {
-                        cache.stages[i].misses += 1;
-                        cache.stages[i].live += Duration::from_nanos(*n);
+                    for (st, n) in cache.stages.iter_mut().zip(ns) {
+                        st.live += Duration::from_nanos(n);
                     }
                     if u.verdict.is_cured() {
                         cache.entries_written += 1;
@@ -449,16 +445,13 @@ impl BatchReport {
                 self.cache.entries_written
             ));
             s.push_str(&format!(
-                "  {:10}  {:>5}  {:>6}  {:>9}  {:>9}\n",
-                "stage", "hits", "misses", "live-ms", "saved-ms"
+                "  {:10}  {:>9}  {:>9}\n",
+                "stage", "live-ms", "saved-ms"
             ));
-            for (i, name) in STAGE_NAMES.iter().enumerate() {
-                let st = &self.cache.stages[i];
+            for (name, st) in STAGE_NAMES.iter().zip(&self.cache.stages) {
                 s.push_str(&format!(
-                    "  {:10}  {:>5}  {:>6}  {:>9.2}  {:>9.2}\n",
+                    "  {:10}  {:>9.2}  {:>9.2}\n",
                     name,
-                    st.hits,
-                    st.misses,
                     st.live.as_secs_f64() * 1e3,
                     st.saved.as_secs_f64() * 1e3
                 ));
@@ -534,9 +527,7 @@ impl BatchReport {
                     .obj("stages", |o| {
                         for (name, st) in STAGE_NAMES.iter().zip(&c.stages) {
                             o.obj(name, |o| {
-                                o.num("hits", st.hits)
-                                    .num("misses", st.misses)
-                                    .num("live_ns", st.live.as_nanos())
+                                o.num("live_ns", st.live.as_nanos())
                                     .num("saved_ns", st.saved.as_nanos());
                             });
                         }
@@ -673,7 +664,7 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains("\"boom \\\"quoted\\\"\""), "{j}");
         assert!(j.contains("\"hit_rate\":0.000000"), "{j}");
-        assert!(j.contains("\"stages\":{\"parse\""), "{j}");
+        assert!(j.contains("\"stages\":{\"parse\":{\"live_ns\":"), "{j}");
         assert!(j.ends_with('}'), "{j}");
     }
 

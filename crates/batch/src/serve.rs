@@ -54,7 +54,7 @@ use crate::cache::{Cache, CachedUnit};
 use crate::engine::{profile_unit, record_cure};
 use crate::hash::hex;
 use crate::report::Verdict;
-use ccured::{isolated, json, CureError, Curer};
+use ccured::{isolated, json, CureError, Cured, Curer};
 use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::io::{self, BufRead, BufReader, Write};
@@ -572,34 +572,50 @@ fn cure_request(shared: &Arc<Shared>, path: &str) -> String {
 }
 
 fn profile_request(shared: &Arc<Shared>, path: &str) -> String {
-    let source = match read_unit(shared, path) {
-        Ok(s) => s,
-        Err(reply) => return reply,
-    };
-    // Profiling needs the in-memory program and site table, which the
-    // unit cache does not hold: always a full (isolated, deadline-bounded)
-    // cure plus a sandboxed execution.
-    match isolated(|| shared.curer.cure_source(&source)) {
-        Ok(cured) => {
-            let rows = isolated(|| Ok(profile_unit(&cured, shared.cfg.limits))).unwrap_or_default();
-            shared.stats.cured.fetch_add(1, Ordering::Relaxed);
-            shared.lock(&shared.quarantine).remove(path);
-            json::object(|o| {
-                o.str("status", "ok")
-                    .str("kind", "profile")
-                    .str("path", path);
-                o.list("sites", rows.iter().take(10), |o, r| r.write_json(o));
-            })
-        }
-        Err(e) => {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            note_failure(shared, path);
-            error_reply("cure-failed", path, None, &e.to_string())
-        }
-    }
+    fresh_cure_request(shared, path, |cured| {
+        let rows = isolated(|| Ok(profile_unit(cured, shared.cfg.limits))).unwrap_or_default();
+        json::object(|o| {
+            o.str("status", "ok")
+                .str("kind", "profile")
+                .str("path", path);
+            o.list("sites", rows.iter().take(10), |o, r| r.write_json(o));
+        })
+    })
 }
 
 fn explain_request(shared: &Arc<Shared>, path: &str) -> String {
+    fresh_cure_request(shared, path, |cured| {
+        let r = &cured.report;
+        json::object(|o| {
+            o.str("status", "ok")
+                .str("kind", "explain")
+                .str("path", path)
+                .num("wild", r.kind_counts.wild)
+                .num("checks_inserted", r.checks_inserted.total())
+                .num("checks_elided", r.checks_elided.total())
+                .num("hoisted", r.checks_hoisted)
+                .num("widened", r.checks_widened);
+            o.list(
+                "static_failures",
+                r.static_failures.iter().take(20),
+                |o, f| {
+                    o.str("func", &f.func)
+                        .str("check", f.check)
+                        .str("message", &f.message);
+                },
+            );
+        })
+    })
+}
+
+/// Serves a request that needs the cured program itself, which the unit
+/// cache does not hold: always a full (isolated, deadline-bounded) cure,
+/// whose `ok` reply `reply` renders.
+fn fresh_cure_request(
+    shared: &Arc<Shared>,
+    path: &str,
+    reply: impl FnOnce(&Cured) -> String,
+) -> String {
     let source = match read_unit(shared, path) {
         Ok(s) => s,
         Err(reply) => return reply,
@@ -608,26 +624,7 @@ fn explain_request(shared: &Arc<Shared>, path: &str) -> String {
         Ok(cured) => {
             shared.stats.cured.fetch_add(1, Ordering::Relaxed);
             shared.lock(&shared.quarantine).remove(path);
-            let r = &cured.report;
-            json::object(|o| {
-                o.str("status", "ok")
-                    .str("kind", "explain")
-                    .str("path", path)
-                    .num("wild", r.kind_counts.wild)
-                    .num("checks_inserted", r.checks_inserted.total())
-                    .num("checks_elided", r.checks_elided.total())
-                    .num("hoisted", r.checks_hoisted)
-                    .num("widened", r.checks_widened);
-                o.list(
-                    "static_failures",
-                    r.static_failures.iter().take(20),
-                    |o, f| {
-                        o.str("func", &f.func)
-                            .str("check", f.check)
-                            .str("message", &f.message);
-                    },
-                );
-            })
+            reply(&cured)
         }
         Err(e) => {
             shared.stats.errors.fetch_add(1, Ordering::Relaxed);

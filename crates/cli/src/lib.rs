@@ -2,56 +2,9 @@
 //!
 //! The command-line driver: cure a C file, inspect the inference results,
 //! and run the program on the ccured-rs abstract machine in any
-//! instrumentation mode.
-//!
-//! ```text
-//! ccured <file.c> [options]
-//! ccured explain <file.c> [--sym name] [options]
-//! ccured crash-test <file.c> [--mutants N] [--seed S] [--json]
-//! ccured batch <dir|manifest|file.c> [--jobs N] [--cache-dir D] [--no-cache] [--profile] [--json]
-//!                             [--deadline-ms N]
-//! ccured profile <file.c> [--top N] [--json] [--engine vm|tree]
-//! ccured serve <socket> [--workers N] [--cache-dir D] [--no-cache] [--deadline-ms N]
-//!                       [--queue-cap N] [--fault-poison SUBSTR]
-//! ccured client <socket> <request...>
-//! ccured synth <out-dir> [--profile P] [--units N] [--seed S]
-//! ccured campaign [out-dir] [--profile P] [--units N] [--seed S] [--mutants-per-unit K]
-//!                 [--jobs N] [--cache-dir D] [--no-cache] [--json]
-//!
-//!   --run                 execute after curing (default mode: cured)
-//!   --mode <m>            original | cured | purify | valgrind | joneskelly
-//!   --input <file>        bytes for the input builtins (getchar/net_recv)
-//!   --report              print the cure report (kinds, casts, checks)
-//!   --review              print the code-review surface (trusted/bad casts
-//!                         plus WILD blame paths)
-//!   --sym <name>          `explain`: only this symbol (local as `f::p`
-//!                         or plain `p`, global by name)
-//!   --counters            print event counters after --run
-//!   --emit-ir             dump the (instrumented) CIL
-//!   --wrappers            prepend the stdlib wrapper prelude
-//!   --strict-link         fail on link-audit findings
-//!   --original-ccured     disable physical subtyping and RTTI
-//!   --no-rtti             disable RTTI only
-//!   --no-opt              disable redundant-check elimination (ablation)
-//!   --no-loop-opt         disable loop-invariant hoisting and SEQ bounds
-//!                         widening; elimination still runs (ablation)
-//!   --split-everything    force the SPLIT representation everywhere
-//!   --split-at-boundaries seed SPLIT at external-call boundaries
-//!   --fuel <n>            instruction budget for --run
-//!   --top <n>             `profile`: rows in the hot-site table (default 10)
-//!   --mutants <n>         `crash-test`: number of mutants (default 60)
-//!   --seed <s>            `crash-test`/`synth`/`campaign`: batch seed (default 1)
-//!   --json                `crash-test`/`batch`/`campaign`: machine-readable report
-//!   --jobs <n>            `batch`: worker threads (default: one per core)
-//!   --cache-dir <d>       `batch`: cache directory (default .ccured-cache)
-//!   --no-cache            `batch`: disable the content-addressed cache
-//!   --profile             `batch`: execute every cured unit and aggregate
-//!                         the hottest check sites across the batch
-//!   --profile <p>         `synth`/`campaign`: generation profile
-//!                         (mixed|openssl|bind|openssh; campaign default: all)
-//!   --units <n>           `synth`/`campaign`: units to generate
-//!   --mutants-per-unit <k> `campaign`: seeded faults per unit (default 2)
-//! ```
+//! instrumentation mode. `ccured --help` lists every command and the flags
+//! each one takes; the parser and the help text read the same table, so
+//! they cannot disagree.
 //!
 //! `ccured explain` prints, for every WILD pointer (or the one named by
 //! `--sym`), the shortest chain of value flows from that pointer back to
@@ -98,12 +51,14 @@
 //! `busy`, and 4 when the daemon cannot be reached.
 //!
 //! The library half exists so the argument parser and driver can be unit
-//! tested; `main.rs` is a thin wrapper.
+//! tested; `main.rs` prints what [`run`] returns.
 
 use ccured::{json, CureError, Cured, Curer};
 use ccured_cil::ir::{CheckKind, PerCheck};
 use ccured_rt::{Engine, ExecMode, Interp, Limits, RunStats};
 use std::fmt;
+use Arg::{Parsed, Switch, Text};
+use Command::{Batch, Campaign, Client, CrashTest, Cure, Explain, Profile, Serve, Synth};
 
 /// Execution mode selected on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -121,101 +76,158 @@ pub enum Mode {
     JonesKelly,
 }
 
-/// Parsed command line.
+impl std::str::FromStr for Mode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Ok(match s {
+            "cured" => Mode::Cured,
+            "original" => Mode::Original,
+            "purify" => Mode::Purify,
+            "valgrind" => Mode::Valgrind,
+            "joneskelly" => Mode::JonesKelly,
+            other => {
+                return Err(format!(
+                    "unknown mode `{other}` (expected cured|original|purify|valgrind|joneskelly)"
+                ))
+            }
+        })
+    }
+}
+
+/// A `ccured` command. Its word comes first on the command line; without
+/// one, the first argument is the file to cure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Command {
+    /// `ccured <file.c>`: cure one file, then report on, dump or run it.
+    #[default]
+    Cure,
+    /// `explain`: print blame paths for WILD pointers.
+    Explain,
+    /// `crash-test`: run the fault-injection harness.
+    CrashTest,
+    /// `profile`: run with per-site check profiling and print the ranked
+    /// hot-site table.
+    Profile,
+    /// `batch`: cure a directory/manifest of units in parallel.
+    Batch,
+    /// `serve`: start the long-lived cure daemon.
+    Serve,
+    /// `client`: send one request line to a running daemon.
+    Client,
+    /// `synth`: write a generated corpus to a directory.
+    Synth,
+    /// `campaign`: generate + cure + differential + crash-test.
+    Campaign,
+    /// `--help` or `-h`: print the usage and every flag.
+    Help,
+}
+
+/// Every command but `Help`, in `--help` order: its name (`ccured` and
+/// its word) and its operands.
+const COMMANDS: [(Command, &str, &str); 9] = [
+    (Cure, "ccured", "<file.c>"),
+    (Explain, "ccured explain", "<file.c>"),
+    (CrashTest, "ccured crash-test", "<file.c>"),
+    (Profile, "ccured profile", "<file.c>"),
+    (Batch, "ccured batch", "<dir|manifest|file.c>"),
+    (Serve, "ccured serve", "<socket>"),
+    (
+        Client,
+        "ccured client",
+        "<socket> cure|profile|explain <path> | status|reset|shutdown",
+    ),
+    (Synth, "ccured synth", "<out-dir>"),
+    (Campaign, "ccured campaign", "[out-dir]"),
+];
+
+impl Command {
+    /// `ccured` and the command's word.
+    fn name(self) -> &'static str {
+        COMMANDS
+            .iter()
+            .find(|c| c.0 == self)
+            .map_or("ccured", |c| c.1)
+    }
+}
+
+/// Parsed command line. Each field is set by the flag its doc names;
+/// `ccured --help` lists the commands that take each flag.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
-    /// The C source file.
+    /// The command to run.
+    pub command: Command,
+    /// The operand: the C source file, batch path, socket or out-dir.
     pub file: String,
-    /// `explain` subcommand: print blame paths for WILD pointers.
-    pub explain: bool,
-    /// `crash-test` subcommand: run the fault-injection harness.
-    pub crash_test: bool,
-    /// `batch` subcommand: cure a directory/manifest of units in parallel.
-    pub batch: bool,
-    /// `profile` subcommand: run with per-site check profiling and print
-    /// the ranked hot-site table.
-    pub profile: bool,
-    /// `serve` subcommand: start the long-lived cure daemon.
-    pub serve: bool,
-    /// `client` subcommand: send one request line to a running daemon.
-    pub client: bool,
-    /// `synth` subcommand: write a generated corpus to a directory.
-    pub synth: bool,
-    /// `campaign` subcommand: generate + cure + differential + crash-test.
-    pub campaign: bool,
-    /// `--units`: synth/campaign corpus size.
+    /// `--units`.
     pub units: Option<usize>,
-    /// `--mutants-per-unit`: campaign seeded faults per unit.
+    /// `--mutants-per-unit`.
     pub mutants_per_unit: Option<usize>,
-    /// `--profile <name>` (synth/campaign): generation profile.
+    /// `--profile P` (`synth`/`campaign`): the generation profile.
     pub profile_name: Option<String>,
+    /// `--profile` (`batch`): profile every cured unit.
+    pub batch_profile: bool,
     /// `client`: the request line (remaining positional words, joined).
     pub request: Option<String>,
-    /// `--workers`: serve worker threads (None: daemon default).
+    /// `--workers` (None: daemon default).
     pub workers: Option<usize>,
-    /// `--queue-cap`: serve request-queue capacity before `busy` shedding.
+    /// `--queue-cap`.
     pub queue_cap: Option<usize>,
-    /// `--deadline-ms`: per-unit cure wall-clock budget (`batch`/`serve`).
+    /// `--deadline-ms`.
     pub deadline_ms: Option<u64>,
-    /// `--fault-poison`: serve fault injection — a worker panics when a
-    /// requested unit's source contains this substring (tests/CI only).
+    /// `--fault-poison`.
     pub fault_poison: Option<String>,
-    /// `--top`: rows in the profile table (default 10).
+    /// `--top` (default 10).
     pub top: Option<usize>,
-    /// `--jobs`: batch worker threads (None: one per core).
+    /// `--jobs` (None: one per core).
     pub jobs: Option<usize>,
-    /// `--cache-dir`: batch cache directory.
+    /// `--cache-dir`.
     pub cache_dir: Option<String>,
-    /// `--no-cache`: disable the batch cache.
+    /// `--no-cache`.
     pub no_cache: bool,
-    /// `--mutants`: crash-test batch size.
+    /// `--mutants`.
     pub mutants: Option<usize>,
-    /// `--seed`: crash-test batch seed.
+    /// `--seed`.
     pub seed: Option<u64>,
-    /// `--json`: machine-readable crash-test report.
+    /// `--json`.
     pub json: bool,
-    /// `--sym`: restrict `explain` to one symbol.
+    /// `--sym`.
     pub sym: Option<String>,
-    /// Execute after curing.
+    /// `--run`.
     pub run: bool,
-    /// Execution mode.
+    /// `--mode`.
     pub mode: Mode,
-    /// Input file for the input builtins.
+    /// `--input`.
     pub input: Option<String>,
-    /// Print the cure report.
+    /// `--report`.
     pub report: bool,
-    /// Print the code-review surface (trusted and bad casts).
+    /// `--review`.
     pub review: bool,
-    /// Print counters after a run.
+    /// `--counters`.
     pub counters: bool,
-    /// Dump the instrumented IR.
+    /// `--emit-ir`.
     pub emit_ir: bool,
-    /// Prepend the stdlib wrappers.
+    /// `--wrappers`.
     pub wrappers: bool,
-    /// Fail on link-audit findings.
+    /// `--strict-link`.
     pub strict_link: bool,
-    /// Original-CCured configuration.
+    /// `--original-ccured`.
     pub original_ccured: bool,
-    /// Disable RTTI only.
+    /// `--no-rtti`.
     pub no_rtti: bool,
-    /// Disable redundant-check elimination.
+    /// `--no-opt`.
     pub no_opt: bool,
-    /// Disable only the loop optimizer (hoisting + widening), keeping the
-    /// flow-sensitive eliminator on — the ablation between PR-5 and PR-6
-    /// optimization levels.
+    /// `--no-loop-opt`.
     pub no_loop_opt: bool,
-    /// Force SPLIT everywhere.
+    /// `--split-everything`.
     pub split_everything: bool,
-    /// Seed SPLIT at boundaries.
+    /// `--split-at-boundaries`.
     pub split_at_boundaries: bool,
-    /// Instruction budget.
+    /// `--fuel`.
     pub fuel: Option<u64>,
-    /// Execution engine (`vm` is the default; `tree` is the reference
-    /// tree-walking oracle).
+    /// `--engine` (`vm` is the default; `tree` is the reference oracle).
     pub engine: Engine,
-    /// `--temporal`: emit lock-and-key temporal checks (use-after-free and
-    /// double-free become ordinary check failures with blame, instead of
-    /// being silently neutralized by the GC-backed `free`).
+    /// `--temporal`.
     pub temporal: bool,
 }
 
@@ -231,272 +243,253 @@ impl fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
+/// One command-line flag: its name, what it does with its value, the
+/// commands whose drivers read it, and its `--help` line.
+struct Flag {
+    name: &'static str,
+    commands: &'static [Command],
+    arg: Arg,
+    help: &'static str,
+}
+
+/// How a flag sets its [`Options`] field.
+enum Arg {
+    /// A switch: sets its `bool`.
+    Switch(fn(&mut Options) -> &mut bool),
+    /// Takes a value (shown as the placeholder) and stores it as given.
+    Text(&'static str, fn(&mut Options) -> &mut Option<String>),
+    /// Takes a value (shown as the placeholder) that the function parses
+    /// and stores, or rejects with a message.
+    Parsed(&'static str, fn(&mut Options, &str) -> Result<(), String>),
+}
+
+const fn flag(
+    name: &'static str,
+    commands: &'static [Command],
+    arg: Arg,
+    help: &'static str,
+) -> Flag {
+    Flag {
+        name,
+        commands,
+        arg,
+        help,
+    }
+}
+
+fn number<T: std::str::FromStr>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("`{v}` is not a number"))
+}
+
+/// The commands that cure and can run one file.
+const RUNS: &[Command] = &[Cure, Explain];
+/// The commands that print the cure of one file.
+const SHOWS: &[Command] = &[Cure, Explain, Profile];
+/// The commands that execute one file.
+const EXECS: &[Command] = &[Cure, Explain, CrashTest, Profile];
+/// The commands that cure with the curer the flags configure.
+const CURES: &[Command] = &[Cure, Explain, Profile, Batch, Serve];
+
+/// Every flag, in `--help` order. A command takes exactly the flags whose
+/// entry lists it; `--profile` has one entry per meaning.
+#[rustfmt::skip]
+static FLAGS: &[Flag] = &[
+    flag("--run", RUNS, Switch(|o| &mut o.run), "execute after curing (default mode: cured)"),
+    flag("--mode", SHOWS, Parsed("M", |o, v| v.parse().map(|m| o.mode = m)),
+         "cured | original | purify | valgrind | joneskelly"),
+    flag("--input", EXECS, Text("FILE", |o| &mut o.input),
+         "bytes for the input builtins (getchar/net_recv)"),
+    flag("--report", SHOWS, Switch(|o| &mut o.report),
+         "print the cure report (kinds, casts, checks)"),
+    flag("--review", SHOWS, Switch(|o| &mut o.review),
+         "print the code-review surface (trusted/bad casts plus WILD blame paths)"),
+    flag("--counters", RUNS, Switch(|o| &mut o.counters), "print event counters after --run"),
+    flag("--emit-ir", SHOWS, Switch(|o| &mut o.emit_ir), "dump the (instrumented) CIL"),
+    flag("--wrappers", CURES, Switch(|o| &mut o.wrappers), "prepend the stdlib wrapper prelude"),
+    flag("--strict-link", CURES, Switch(|o| &mut o.strict_link), "fail on link-audit findings"),
+    flag("--original-ccured", CURES, Switch(|o| &mut o.original_ccured),
+         "disable physical subtyping and RTTI"),
+    flag("--no-rtti", CURES, Switch(|o| &mut o.no_rtti), "disable RTTI only"),
+    flag("--no-opt", CURES, Switch(|o| &mut o.no_opt),
+         "disable redundant-check elimination (ablation)"),
+    flag("--no-loop-opt", CURES, Switch(|o| &mut o.no_loop_opt),
+         "disable loop-invariant hoisting and SEQ bounds widening (ablation)"),
+    flag("--split-everything", CURES, Switch(|o| &mut o.split_everything),
+         "force the SPLIT representation everywhere"),
+    flag("--split-at-boundaries", CURES, Switch(|o| &mut o.split_at_boundaries),
+         "seed SPLIT at external-call boundaries"),
+    flag("--temporal", &[Cure, Explain, CrashTest, Profile, Batch, Serve],
+         Switch(|o| &mut o.temporal), "emit lock-and-key use-after-free checks (cured mode only)"),
+    flag("--fuel", &[Cure, Explain, CrashTest, Profile, Batch, Serve, Campaign],
+         Parsed("N", |o, v| number(v).map(|n| o.fuel = Some(n))),
+         "instruction budget for each run"),
+    flag("--engine", EXECS, Parsed("vm|tree", |o, v| v.parse().map(|e| o.engine = e)),
+         "execution engine (default vm; tree is the reference oracle)"),
+    flag("--sym", &[Explain], Text("NAME", |o| &mut o.sym),
+         "only this symbol (local as `f::p` or plain `p`, global by name)"),
+    flag("--mutants", &[CrashTest], Parsed("N", |o, v| number(v).map(|n| o.mutants = Some(n))),
+         "number of mutants (default 60)"),
+    flag("--seed", &[CrashTest, Synth, Campaign],
+         Parsed("S", |o, v| number(v).map(|n| o.seed = Some(n))),
+         "mutation or generation seed (default 1)"),
+    flag("--json", &[CrashTest, Profile, Batch, Campaign], Switch(|o| &mut o.json),
+         "machine-readable report"),
+    flag("--top", &[Profile], Parsed("N", |o, v| number(v).map(|n| o.top = Some(n))),
+         "rows in the hot-site table (default 10)"),
+    flag("--jobs", &[Batch, Campaign], Parsed("N", |o, v| number(v).map(|n| o.jobs = Some(n))),
+         "worker threads (default: one per core)"),
+    flag("--cache-dir", &[Batch, Serve, Campaign], Text("D", |o| &mut o.cache_dir),
+         "cache directory (default .ccured-cache, in the out-dir for campaign)"),
+    flag("--no-cache", &[Batch, Serve, Campaign], Switch(|o| &mut o.no_cache),
+         "disable the content-addressed cache"),
+    flag("--deadline-ms", &[Batch, Serve],
+         Parsed("N", |o, v| number(v).map(|n| o.deadline_ms = Some(n))),
+         "per-unit cure wall-clock budget"),
+    flag("--profile", &[Batch], Switch(|o| &mut o.batch_profile),
+         "execute every cured unit and aggregate the hottest check sites"),
+    flag("--workers", &[Serve], Parsed("N", |o, v| number(v).map(|n| o.workers = Some(n))),
+         "worker threads"),
+    flag("--queue-cap", &[Serve], Parsed("N", |o, v| number(v).map(|n| o.queue_cap = Some(n))),
+         "request-queue capacity before `busy` shedding"),
+    flag("--fault-poison", &[Serve], Text("SUBSTR", |o| &mut o.fault_poison),
+         "a worker panics on a unit containing SUBSTR (fault injection for tests)"),
+    flag("--profile", &[Synth, Campaign], Text("P", |o| &mut o.profile_name),
+         "generation profile: mixed|openssl|bind|openssh (campaign default: all)"),
+    flag("--units", &[Synth, Campaign], Parsed("N", |o, v| number(v).map(|n| o.units = Some(n))),
+         "units to generate (default 50 for synth, 40 for campaign)"),
+    flag("--mutants-per-unit", &[Campaign],
+         Parsed("K", |o, v| number(v).map(|n| o.mutants_per_unit = Some(n))),
+         "seeded faults per unit (default 2)"),
+];
+
+impl Flag {
+    /// `--name` or `--name PLACEHOLDER`.
+    fn synopsis(&self) -> String {
+        match self.arg {
+            Switch(_) => self.name.to_string(),
+            Text(v, _) | Parsed(v, _) => format!("{} {v}", self.name),
+        }
+    }
+
+    /// Sets the flag's option, reading its value from `args`.
+    fn apply(
+        &self,
+        o: &mut Options,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<(), UsageError> {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| UsageError(format!("{} requires a value", self.name)))
+        };
+        match self.arg {
+            Switch(field) => *field(o) = true,
+            Text(_, field) => *field(o) = Some(value()?),
+            Parsed(_, set) => {
+                set(o, &value()?).map_err(|e| UsageError(format!("{}: {e}", self.name)))?
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The entry for flag `name` under `command`; before the command is
+/// known, the first entry of that name.
+fn lookup(name: &str, command: Option<Command>) -> Result<&'static Flag, UsageError> {
+    let mut named = FLAGS.iter().filter(|f| f.name == name).peekable();
+    let Some(&first) = named.peek() else {
+        return Err(UsageError(format!("unknown flag `{name}`\n{}", usage())));
+    };
+    match command {
+        None => Ok(first),
+        Some(c) => named
+            .find(|f| f.commands.contains(&c))
+            .ok_or_else(|| misapplied(name, c)),
+    }
+}
+
+/// The error for a flag that command `c` does not read.
+fn misapplied(name: &str, c: Command) -> UsageError {
+    let takers: Vec<String> = COMMANDS
+        .iter()
+        .filter(|(k, ..)| {
+            FLAGS
+                .iter()
+                .any(|f| f.name == name && f.commands.contains(k))
+        })
+        .map(|(k, ..)| format!("`{}`", k.name()))
+        .collect();
+    UsageError(format!(
+        "{name} does not apply to `{}` (only to {})",
+        c.name(),
+        takers.join(", ")
+    ))
+}
+
 /// Parses argv (without the program name).
 ///
 /// # Errors
 ///
-/// [`UsageError`] for unknown flags, missing values, or a missing file.
+/// [`UsageError`] for unknown flags, flags the command does not take,
+/// missing or malformed values, or a missing file.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, UsageError> {
     let mut o = Options::default();
+    // The first positional argument fixes the command; flags seen before
+    // it are checked against it then.
+    let mut command = None;
+    let mut early = Vec::new();
     let mut it = args.into_iter();
-    let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-        it.next()
-            .ok_or_else(|| UsageError(format!("{flag} requires a value")))
-    };
-    let mut first_positional = true;
-    let mut profile_flag = false;
     while let Some(a) = it.next() {
-        match a.as_str() {
-            // Subcommand form: `ccured explain <file.c> [--sym name]`.
-            "explain" if first_positional => {
-                first_positional = false;
-                o.explain = true;
+        if a == "--help" || a == "-h" {
+            o.command = Command::Help;
+            return Ok(o);
+        }
+        if a.starts_with('-') {
+            let f = lookup(&a, command)?;
+            f.apply(&mut o, &mut it)?;
+            if command.is_none() {
+                early.push(f);
             }
-            // `ccured crash-test <file.c> [--mutants N] [--seed S] [--json]`.
-            "crash-test" if first_positional => {
-                first_positional = false;
-                o.crash_test = true;
+            continue;
+        }
+        let Some(c) = command else {
+            let c = COMMANDS
+                .iter()
+                .find(|(_, name, _)| name.strip_prefix("ccured ") == Some(&a))
+                .map_or(Command::Cure, |c| c.0);
+            if let Some(f) = early.iter().find(|f| !f.commands.contains(&c)) {
+                return Err(misapplied(f.name, c));
             }
-            // `ccured batch <dir|manifest> [--jobs N] [--cache-dir D] ...`.
-            "batch" if first_positional => {
-                first_positional = false;
-                o.batch = true;
+            if c == Command::Cure {
+                o.file = a;
             }
-            // `ccured profile <file.c> [--top N] [--json] [--engine vm|tree]`.
-            "profile" if first_positional => {
-                first_positional = false;
-                o.profile = true;
-            }
-            // `ccured serve <socket> [--workers N] [--deadline-ms N] ...`.
-            "serve" if first_positional => {
-                first_positional = false;
-                o.serve = true;
-            }
-            // `ccured client <socket> <request...>`.
-            "client" if first_positional => {
-                first_positional = false;
-                o.client = true;
-            }
-            // `ccured synth <out-dir> [--profile P] [--units N] [--seed S]`.
-            "synth" if first_positional => {
-                first_positional = false;
-                o.synth = true;
-            }
-            // `ccured campaign [out-dir] [--profile P] [--units N] ...`.
-            "campaign" if first_positional => {
-                first_positional = false;
-                o.campaign = true;
-            }
-            // `--profile` is overloaded: for `synth`/`campaign` it names a
-            // generation profile and consumes a value; elsewhere it is the
-            // batch site-profiling flag. The subcommand word always comes
-            // first positionally, so the meaning is settled by now.
-            "--profile" if o.synth || o.campaign => {
-                o.profile_name = Some(need(&mut it, "--profile")?);
-            }
-            // `--profile` (flag form): profile every unit of a batch.
-            "--profile" => {
-                profile_flag = true;
-                o.profile = true;
-            }
-            "--units" => {
-                let v = need(&mut it, "--units")?;
-                o.units = Some(
-                    v.parse()
-                        .map_err(|_| UsageError(format!("--units: `{v}` is not a number")))?,
-                );
-            }
-            "--mutants-per-unit" => {
-                let v = need(&mut it, "--mutants-per-unit")?;
-                o.mutants_per_unit = Some(v.parse().map_err(|_| {
-                    UsageError(format!("--mutants-per-unit: `{v}` is not a number"))
-                })?);
-            }
-            "--top" => {
-                let v = need(&mut it, "--top")?;
-                o.top = Some(
-                    v.parse()
-                        .map_err(|_| UsageError(format!("--top: `{v}` is not a number")))?,
-                );
-            }
-            "--no-cache" => o.no_cache = true,
-            "--cache-dir" => o.cache_dir = Some(need(&mut it, "--cache-dir")?),
-            "--workers" => {
-                let v = need(&mut it, "--workers")?;
-                o.workers = Some(
-                    v.parse()
-                        .map_err(|_| UsageError(format!("--workers: `{v}` is not a number")))?,
-                );
-            }
-            "--queue-cap" => {
-                let v = need(&mut it, "--queue-cap")?;
-                o.queue_cap = Some(
-                    v.parse()
-                        .map_err(|_| UsageError(format!("--queue-cap: `{v}` is not a number")))?,
-                );
-            }
-            "--deadline-ms" => {
-                let v = need(&mut it, "--deadline-ms")?;
-                o.deadline_ms =
-                    Some(v.parse().map_err(|_| {
-                        UsageError(format!("--deadline-ms: `{v}` is not a number"))
-                    })?);
-            }
-            "--fault-poison" => o.fault_poison = Some(need(&mut it, "--fault-poison")?),
-            "--jobs" => {
-                let v = need(&mut it, "--jobs")?;
-                o.jobs = Some(
-                    v.parse()
-                        .map_err(|_| UsageError(format!("--jobs: `{v}` is not a number")))?,
-                );
-            }
-            "--run" => o.run = true,
-            "--report" => o.report = true,
-            "--review" => o.review = true,
-            "--counters" => o.counters = true,
-            "--emit-ir" => o.emit_ir = true,
-            "--wrappers" => o.wrappers = true,
-            "--strict-link" => o.strict_link = true,
-            "--original-ccured" => o.original_ccured = true,
-            "--no-rtti" => o.no_rtti = true,
-            "--no-opt" => o.no_opt = true,
-            "--no-loop-opt" => o.no_loop_opt = true,
-            "--sym" => o.sym = Some(need(&mut it, "--sym")?),
-            "--json" => o.json = true,
-            "--mutants" => {
-                let v = need(&mut it, "--mutants")?;
-                o.mutants = Some(
-                    v.parse()
-                        .map_err(|_| UsageError(format!("--mutants: `{v}` is not a number")))?,
-                );
-            }
-            "--seed" => {
-                let v = need(&mut it, "--seed")?;
-                o.seed = Some(
-                    v.parse()
-                        .map_err(|_| UsageError(format!("--seed: `{v}` is not a number")))?,
-                );
-            }
-            "--split-everything" => o.split_everything = true,
-            "--split-at-boundaries" => o.split_at_boundaries = true,
-            "--mode" => {
-                let v = need(&mut it, "--mode")?;
-                o.mode = match v.as_str() {
-                    "cured" => Mode::Cured,
-                    "original" => Mode::Original,
-                    "purify" => Mode::Purify,
-                    "valgrind" => Mode::Valgrind,
-                    "joneskelly" => Mode::JonesKelly,
-                    other => {
-                        return Err(UsageError(format!(
-                            "unknown mode `{other}` (expected cured|original|purify|valgrind|joneskelly)"
-                        )))
-                    }
-                };
-            }
-            "--engine" => {
-                let v = need(&mut it, "--engine")?;
-                o.engine = v.parse().map_err(|e: String| UsageError(e))?;
-            }
-            "--input" => o.input = Some(need(&mut it, "--input")?),
-            "--temporal" => o.temporal = true,
-            "--fuel" => {
-                let v = need(&mut it, "--fuel")?;
-                o.fuel = Some(
-                    v.parse()
-                        .map_err(|_| UsageError(format!("--fuel: `{v}` is not a number")))?,
-                );
-            }
-            "--help" | "-h" => return Err(UsageError(USAGE.to_string())),
-            flag if flag.starts_with('-') => {
-                return Err(UsageError(format!("unknown flag `{flag}`\n{USAGE}")))
-            }
-            file => {
-                first_positional = false;
-                if o.file.is_empty() {
-                    o.file = file.to_string();
-                } else if o.client {
-                    // `client <socket> <request...>`: everything after the
-                    // socket path is the request line.
-                    match &mut o.request {
-                        Some(r) => {
-                            r.push(' ');
-                            r.push_str(file);
-                        }
-                        None => o.request = Some(file.to_string()),
-                    }
-                } else {
-                    return Err(UsageError(format!("unexpected extra argument `{file}`")));
+            command = Some(c);
+            continue;
+        };
+        if o.file.is_empty() {
+            o.file = a;
+        } else if c == Command::Client {
+            // `client <socket> <request...>`: everything after the
+            // socket path is the request line.
+            match &mut o.request {
+                Some(r) => {
+                    r.push(' ');
+                    r.push_str(&a);
                 }
+                None => o.request = Some(a),
             }
+        } else {
+            return Err(UsageError(format!("unexpected extra argument `{a}`")));
         }
     }
-    if o.file.is_empty() && !o.campaign {
+    o.command = command.unwrap_or_default();
+    if o.file.is_empty() && o.command != Command::Campaign {
         // `campaign` may omit the out-dir (a scratch directory is used);
         // everything else, including `synth`, needs its positional.
-        return Err(UsageError(format!("no input file\n{USAGE}")));
+        return Err(UsageError(format!("no input file\n{}", usage())));
     }
-    if o.sym.is_some() && !o.explain {
-        return Err(UsageError(
-            "--sym only applies to the `explain` subcommand".into(),
-        ));
-    }
-    if o.mutants.is_some() && !o.crash_test {
-        return Err(UsageError(
-            "--mutants only applies to the `crash-test` subcommand".into(),
-        ));
-    }
-    if o.seed.is_some() && !(o.crash_test || o.synth || o.campaign) {
-        return Err(UsageError(
-            "--seed only applies to the `crash-test`, `synth` and `campaign` subcommands".into(),
-        ));
-    }
-    if o.units.is_some() && !(o.synth || o.campaign) {
-        return Err(UsageError(
-            "--units only applies to the `synth` and `campaign` subcommands".into(),
-        ));
-    }
-    if o.mutants_per_unit.is_some() && !o.campaign {
-        return Err(UsageError(
-            "--mutants-per-unit only applies to the `campaign` subcommand".into(),
-        ));
-    }
-    if o.json && !(o.crash_test || o.batch || o.profile || o.campaign) {
-        return Err(UsageError(
-            "--json only applies to the `crash-test`, `batch`, `profile` and `campaign` subcommands".into(),
-        ));
-    }
-    if o.top.is_some() && !o.profile {
-        return Err(UsageError(
-            "--top only applies to the `profile` subcommand".into(),
-        ));
-    }
-    if profile_flag && !o.batch {
-        return Err(UsageError(
-            "--profile only applies to the `batch` subcommand (use `ccured profile <file.c>` for one unit)".into(),
-        ));
-    }
-    if o.profile && o.mode != Mode::Cured {
+    if o.command == Command::Profile && o.mode != Mode::Cured {
         return Err(UsageError(
             "`profile` runs in cured mode (the checks being profiled only exist there)".into(),
-        ));
-    }
-    if (o.jobs.is_some() || o.cache_dir.is_some() || o.no_cache)
-        && !(o.batch || o.serve || o.campaign)
-    {
-        return Err(UsageError(
-            "--jobs/--cache-dir/--no-cache only apply to the `batch`, `serve` and `campaign` subcommands"
-                .into(),
-        ));
-    }
-    if o.deadline_ms.is_some() && !(o.batch || o.serve) {
-        return Err(UsageError(
-            "--deadline-ms only applies to the `batch` and `serve` subcommands".into(),
-        ));
-    }
-    if (o.workers.is_some() || o.queue_cap.is_some() || o.fault_poison.is_some()) && !o.serve {
-        return Err(UsageError(
-            "--workers/--queue-cap/--fault-poison only apply to the `serve` subcommand".into(),
         ));
     }
     if o.temporal && o.mode != Mode::Cured {
@@ -504,7 +497,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Us
             "--temporal only applies to cured mode (the temporal checks are cure-inserted)".into(),
         ));
     }
-    if o.client && o.request.is_none() {
+    if o.command == Command::Client && o.request.is_none() {
         return Err(UsageError(
             "client needs a request, e.g. `ccured client /tmp/cc.sock status`".into(),
         ));
@@ -512,24 +505,32 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Us
     Ok(o)
 }
 
-/// The usage string.
-pub const USAGE: &str =
-    "usage: ccured <file.c> [--run] [--mode cured|original|purify|valgrind|joneskelly]
-              [--input FILE] [--report] [--review] [--counters] [--emit-ir] [--wrappers]
-              [--strict-link] [--original-ccured] [--no-rtti] [--no-opt] [--no-loop-opt]
-              [--split-everything] [--split-at-boundaries] [--fuel N] [--engine vm|tree]
-              [--temporal]
-       ccured explain <file.c> [--sym NAME] [other options]
-       ccured crash-test <file.c> [--mutants N] [--seed S] [--json] [--temporal]
-       ccured batch <dir|manifest|file.c> [--jobs N] [--cache-dir D] [--no-cache] [--profile] [--json]
-                   [--deadline-ms N]
-       ccured profile <file.c> [--top N] [--json] [--engine vm|tree] [--temporal]
-       ccured serve <socket> [--workers N] [--cache-dir D] [--no-cache] [--deadline-ms N]
-                   [--queue-cap N] [--fault-poison SUBSTR]
-       ccured client <socket> <request...>   (cure|profile|explain <path> | status|reset|shutdown)
-       ccured synth <out-dir> [--profile mixed|openssl|bind|openssh] [--units N] [--seed S]
-       ccured campaign [out-dir] [--profile P] [--units N] [--seed S] [--mutants-per-unit K]
-                   [--jobs N] [--cache-dir D] [--no-cache] [--json]";
+/// The usage synopsis: one line per command with the flags it takes.
+fn usage() -> String {
+    let mut lines = Vec::new();
+    for (i, (c, name, operands)) in COMMANDS.iter().enumerate() {
+        let lead = if i == 0 { "usage:" } else { "" };
+        let mut line = format!("{lead:6} {name} {operands}");
+        for f in FLAGS.iter().filter(|f| f.commands.contains(c)) {
+            let item = format!(" [{}]", f.synopsis());
+            if line.len() + item.len() > 80 {
+                lines.push(std::mem::replace(&mut line, " ".repeat(13)));
+            }
+            line.push_str(&item);
+        }
+        lines.push(line);
+    }
+    lines.join("\n")
+}
+
+/// The `--help` text: the synopsis, then one line per flag.
+fn help() -> String {
+    let mut s = usage() + "\n\nflags:\n";
+    for f in FLAGS {
+        s.push_str(&format!("  {:<24} {}\n", f.synopsis(), f.help));
+    }
+    s + &format!("  {:<24} print this help\n", "-h, --help")
+}
 
 /// What a driver invocation produced (for testing and for `main`).
 #[derive(Debug)]
@@ -538,6 +539,72 @@ pub struct Outcome {
     pub exit: i32,
     /// Everything that should go to stdout.
     pub stdout: String,
+    /// Everything that should go to stderr.
+    pub stderr: String,
+}
+
+impl Outcome {
+    fn new(exit: i32, stdout: String) -> Self {
+        Outcome {
+            exit,
+            stdout,
+            stderr: String::new(),
+        }
+    }
+
+    /// A failure: nothing on stdout, `message` and a newline on stderr.
+    pub fn error(exit: i32, message: impl fmt::Display) -> Self {
+        Outcome {
+            exit,
+            stdout: String::new(),
+            stderr: format!("{message}\n"),
+        }
+    }
+}
+
+/// Runs the command `o` names, as `main` does, and returns what it prints.
+/// Exit codes: 0 success (or the program's own status after `--run`); 1 a
+/// cure error (a frontend error prints as `file:line:col: error: ...`), a
+/// failed batch unit or a `client` error reply; 2 an unreadable file; 3 a
+/// failed check; 4 any other run-time error, a daemon that cannot start or
+/// be reached; 5 an escaped mutant; 6 a `busy` reply; 7 a blown deadline;
+/// 8 an engine divergence. Usage errors (exit 2) never get here.
+pub fn run(o: &Options) -> Outcome {
+    let (result, failed) = match o.command {
+        Command::Help => return Outcome::new(0, help()),
+        #[cfg(unix)]
+        Command::Serve => (drive_serve(o), 4),
+        #[cfg(unix)]
+        Command::Client => return drive_client(o),
+        Command::Batch => (drive_batch(o), 1),
+        Command::Synth => (drive_synth(o), 1),
+        Command::Campaign => (drive_campaign(o), 1),
+        _ => return drive_file(o),
+    };
+    result.unwrap_or_else(|e| Outcome::error(failed, format!("ccured: {e}")))
+}
+
+/// Reads `o.file` and the `--input` bytes, and runs [`drive`] on them.
+fn drive_file(o: &Options) -> Outcome {
+    let source = match std::fs::read_to_string(&o.file) {
+        Ok(s) => s,
+        Err(e) => return Outcome::error(2, format!("ccured: cannot read `{}`: {e}", o.file)),
+    };
+    let input = match &o.input {
+        Some(path) => match std::fs::read(path) {
+            Ok(b) => b,
+            Err(e) => return Outcome::error(2, format!("ccured: cannot read input `{path}`: {e}")),
+        },
+        None => Vec::new(),
+    };
+    drive(o, &source, &input).unwrap_or_else(|e| match e {
+        // Frontend errors point at a file position.
+        CureError::Frontend(d) => {
+            let map = curer(o).source_map(&o.file, &source);
+            Outcome::error(1, format!("{}: error: {}", map.locate(d.span.lo), d.msg))
+        }
+        e => Outcome::error(1, format!("ccured: {e}")),
+    })
 }
 
 /// Runs the driver on the given source text.
@@ -549,7 +616,7 @@ pub struct Outcome {
 pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureError> {
     let mut out = String::new();
 
-    if o.crash_test {
+    if o.command == Command::CrashTest {
         let mut cfg =
             ccured_faultinject::CrashTest::new(o.mutants.unwrap_or(60), o.seed.unwrap_or(1))
                 .with_engine(o.engine)
@@ -564,7 +631,7 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
         }
         // Any escape is a soundness bug: distinct exit code so CI trips.
         let exit = if rep.escaped().is_empty() { 0 } else { 5 };
-        return Ok(Outcome { exit, stdout: out });
+        return Ok(Outcome::new(exit, out));
     }
 
     // Baseline/original modes skip the cure (they run the plain program).
@@ -619,16 +686,17 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
             }
         }
     }
-    if o.explain || o.review {
+    let explain = o.command == Command::Explain;
+    if explain || o.review {
         render_explanations(&cured, o, &map, &mut out);
-        if o.explain && o.sym.is_none() {
+        if explain && o.sym.is_none() {
             render_opt_actions(&cured, &map, &mut out);
         }
     }
     if o.emit_ir {
         out.push_str(&ccured_cil::pretty::dump_program(&cured.program));
     }
-    if o.profile {
+    if o.command == Command::Profile {
         return Ok(run_profile(&cured, o, &map, input, out));
     }
     if o.run {
@@ -640,10 +708,7 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
             out,
         ));
     }
-    Ok(Outcome {
-        exit: 0,
-        stdout: out,
-    })
+    Ok(Outcome::new(0, out))
 }
 
 /// Runs the `batch` subcommand: cure every unit under `o.file` (a
@@ -664,7 +729,7 @@ pub fn drive_batch(o: &Options) -> Result<Outcome, CureError> {
         cfg.cache_dir = d.into();
     }
     cfg.use_cache = !o.no_cache;
-    cfg.profile = o.profile;
+    cfg.profile = o.batch_profile;
     cfg.limits = limits(o, cfg.limits);
     let report = ccured_batch::run_path(&cfg, std::path::Path::new(&o.file))
         .map_err(|e| CureError::Internal(format!("batch: {e}")))?;
@@ -681,16 +746,14 @@ pub fn drive_batch(o: &Options) -> Result<Outcome, CureError> {
         .units
         .iter()
         .any(|u| matches!(u.verdict, ccured_batch::Verdict::ResourceExhausted(_)));
-    Ok(Outcome {
-        exit: if exhausted {
-            7
-        } else if report.failed() == 0 {
-            0
-        } else {
-            1
-        },
-        stdout,
-    })
+    let exit = if exhausted {
+        7
+    } else if report.failed() == 0 {
+        0
+    } else {
+        1
+    };
+    Ok(Outcome::new(exit, stdout))
 }
 
 /// Runs the `serve` subcommand: starts the cure daemon on the socket named
@@ -725,10 +788,7 @@ pub fn drive_serve(o: &Options) -> Result<Outcome, CureError> {
     // Outcome's stdout would only appear after shutdown.
     eprintln!("ccured serve: listening on {}", o.file);
     server.wait();
-    Ok(Outcome {
-        exit: 0,
-        stdout: String::new(),
-    })
+    Ok(Outcome::new(0, String::new()))
 }
 
 /// Runs the `client` subcommand: sends the request line to the daemon and
@@ -746,15 +806,12 @@ pub fn drive_client(o: &Options) -> Outcome {
             } else {
                 1
             };
-            Outcome {
-                exit,
-                stdout: format!("{reply}\n"),
-            }
+            Outcome::new(exit, format!("{reply}\n"))
         }
-        Err(e) => Outcome {
-            exit: 4,
-            stdout: format!("ccured client: cannot reach `{}`: {e}\n", o.file),
-        },
+        Err(e) => Outcome::new(
+            4,
+            format!("ccured client: cannot reach `{}`: {e}\n", o.file),
+        ),
     }
 }
 
@@ -787,15 +844,15 @@ pub fn drive_synth(o: &Options) -> Result<Outcome, CureError> {
             CureError::Internal(format!("synth: cannot write `{}`: {e}", path.display()))
         })?;
     }
-    Ok(Outcome {
-        exit: 0,
-        stdout: format!(
+    Ok(Outcome::new(
+        0,
+        format!(
             "synth: wrote {} units (profile {}, seed {seed}) to {}\n",
             workloads.len(),
             profile.name,
             o.file
         ),
-    })
+    ))
 }
 
 /// Runs the `campaign` subcommand: generates a corpus, batch-cures it,
@@ -858,7 +915,7 @@ pub fn drive_campaign(o: &Options) -> Result<Outcome, CureError> {
     } else {
         0
     };
-    Ok(Outcome { exit, stdout })
+    Ok(Outcome::new(exit, stdout))
 }
 
 /// The curer the options configure. Its [`Curer::source_map`] maps
@@ -949,7 +1006,7 @@ fn render_explanations(cured: &Cured, o: &Options, map: &ccured_ast::SourceMap, 
                     )),
                 }
             }
-            if explained == 0 && o.explain {
+            if explained == 0 && o.command == Command::Explain {
                 out.push_str("explain: no WILD pointers — nothing to explain\n");
             }
         }
@@ -990,7 +1047,7 @@ fn render_opt_actions(cured: &Cured, map: &ccured_ast::SourceMap, out: &mut Stri
 /// `sites` check sites when given. Appends the guest's output, and a
 /// runtime-error line when the run failed, to `out`. The exit code is the
 /// program's own, 3 when a check failed, or 4 for any other run-time error.
-fn run(
+fn run_program(
     prog: &ccured_cil::Program,
     mode: ExecMode<'_>,
     o: &Options,
@@ -1028,7 +1085,7 @@ fn execute(
     input: &[u8],
     mut out: String,
 ) -> Outcome {
-    let (stats, exit) = run(prog, mode, o, input, None, &mut out);
+    let (stats, exit) = run_program(prog, mode, o, input, None, &mut out);
     if o.counters {
         let c = &stats.counters;
         let k = |kind| c.checks[kind];
@@ -1047,7 +1104,7 @@ fn execute(
             c.meta_ops,
         ));
     }
-    Outcome { exit, stdout: out }
+    Outcome::new(exit, out)
 }
 
 /// Runs `cured` with per-site profiling enabled and appends the ranked
@@ -1064,7 +1121,7 @@ fn run_profile(
     mut out: String,
 ) -> Outcome {
     let sites = Some(cured.sites.len());
-    let (stats, exit) = run(
+    let (stats, exit) = run_program(
         &cured.program,
         ExecMode::cured(cured),
         o,
@@ -1080,7 +1137,7 @@ fn run_profile(
     } else {
         render_profile(o, map, &rows, &profile, &mut out);
     }
-    Outcome { exit, stdout: out }
+    Outcome::new(exit, out)
 }
 
 /// `file:line:col in func` for a check site, or `<wrappers> in func` for a
@@ -1268,6 +1325,115 @@ mod tests {
         parse_args(s.split_whitespace().map(String::from))
     }
 
+    /// Every `ccured` invocation in README.md's code blocks and in the
+    /// Makefile parses, so the flag table cannot drift from the documented
+    /// command lines.
+    #[test]
+    fn documented_invocations_parse() {
+        let mut in_block = false;
+        let readme = include_str!("../../../README.md").lines().filter(|l| {
+            in_block ^= l.trim_start().starts_with("```");
+            in_block
+        });
+        let makefile = include_str!("../../../Makefile").lines();
+        let mut parsed = 0;
+        for line in readme.chain(makefile) {
+            let line = line.split(" #").next().unwrap_or_default().trim();
+            let Some(rest) = line
+                .split_once("--bin ccured -- ")
+                .map(|(_, rest)| rest)
+                .or_else(|| line.strip_prefix("ccured "))
+            else {
+                continue;
+            };
+            // Stop at a redirection, a pipe or a trailing `&`.
+            let argv = rest
+                .split_whitespace()
+                .take_while(|w| !w.starts_with(['>', '<', '|', '&']))
+                .map(String::from);
+            if let Err(e) = parse_args(argv) {
+                panic!("`{line}` does not parse: {e}");
+            }
+            parsed += 1;
+        }
+        assert!(parsed >= 40, "only {parsed} invocations found");
+    }
+
+    /// Each of these flags is accepted by some command but never read by
+    /// this one's driver.
+    #[test]
+    fn flags_the_command_does_not_read_are_usage_errors() {
+        for (argv, flag, command) in [
+            ("batch DIR --profile --top 5", "--top", "batch"),
+            ("serve SOCK --jobs 4", "--jobs", "serve"),
+            ("crash-test f.c --no-opt", "--no-opt", "crash-test"),
+            ("crash-test f.c --run", "--run", "crash-test"),
+            ("campaign --temporal", "--temporal", "campaign"),
+            ("synth out --wrappers", "--wrappers", "synth"),
+            ("batch DIR --profile --engine tree", "--engine", "batch"),
+            ("--sym p batch DIR", "--sym", "batch"),
+        ] {
+            let e = args(argv).unwrap_err().0;
+            assert!(
+                e.starts_with(flag) && e.contains(&format!("`ccured {command}`")),
+                "{argv}: {e}"
+            );
+        }
+        // A flag before the command word is checked against that command.
+        let o = args("--no-opt --json batch DIR").unwrap();
+        assert!(o.command == Command::Batch && o.no_opt && o.json);
+    }
+
+    /// Two entries of one name never serve the same command, so the lookup
+    /// under a command is unambiguous, and `--help` shows every entry.
+    #[test]
+    fn help_lists_every_flag_once_per_meaning() {
+        for (i, f) in FLAGS.iter().enumerate() {
+            for g in &FLAGS[i + 1..] {
+                assert!(
+                    f.name != g.name || !f.commands.iter().any(|c| g.commands.contains(c)),
+                    "{} is declared twice for one command",
+                    f.name
+                );
+            }
+        }
+        for argv in ["--help", "-h", "batch DIR --help"] {
+            let r = run(&args(argv).unwrap());
+            assert_eq!((r.exit, r.stderr.as_str()), (0, ""), "{argv}");
+            assert!(r.stdout.starts_with("usage: ccured <file.c> [--run]"));
+            for f in FLAGS {
+                let line = format!("\n  {:<24} {}\n", f.synopsis(), f.help);
+                assert!(r.stdout.contains(&line), "{argv}: no {line:?}");
+            }
+        }
+    }
+
+    /// The failures `main` reports before or instead of a driver's output.
+    #[test]
+    fn run_reports_unreadable_files_and_frontend_errors_on_stderr() {
+        let dir = std::env::temp_dir().join(format!("ccured-cli-run-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bad = dir.join("bad.c");
+        std::fs::write(&bad, "int main(void) { return }\n").unwrap();
+        let r = run(&args(&bad.display().to_string()).unwrap());
+        assert_eq!(r.exit, 1);
+        assert!(r.stdout.is_empty());
+        let want = format!("{}:1:25: error: ", bad.display());
+        assert!(r.stderr.starts_with(&want), "{}", r.stderr);
+        let missing = dir.join("missing.c").display().to_string();
+        let r = run(&args(&missing).unwrap());
+        assert_eq!(r.exit, 2);
+        assert!(r
+            .stderr
+            .starts_with(&format!("ccured: cannot read `{missing}`: ")));
+        let r = run(&args(&format!("{} --input {missing}", bad.display())).unwrap());
+        assert_eq!(r.exit, 2);
+        assert!(r
+            .stderr
+            .starts_with(&format!("ccured: cannot read input `{missing}`: ")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn parses_typical_invocation() {
         let o = args("prog.c --run --report --mode cured --fuel 1000").unwrap();
@@ -1308,19 +1474,19 @@ mod tests {
     #[test]
     fn parses_explain_subcommand() {
         let o = args("explain prog.c --sym p").unwrap();
-        assert!(o.explain);
+        assert_eq!(o.command, Command::Explain);
         assert_eq!(o.sym.as_deref(), Some("p"));
         assert_eq!(o.file, "prog.c");
         assert!(args("prog.c --sym p").is_err(), "--sym requires explain");
         assert!(args("explain").is_err(), "explain still needs a file");
         let plain = args("prog.c --no-opt").unwrap();
-        assert!(plain.no_opt && !plain.explain);
+        assert!(plain.no_opt && plain.command != Command::Explain);
     }
 
     #[test]
     fn parses_crash_test_subcommand() {
         let o = args("crash-test prog.c --mutants 30 --seed 9 --json").unwrap();
-        assert!(o.crash_test && o.json);
+        assert!(o.command == Command::CrashTest && o.json);
         assert_eq!(o.mutants, Some(30));
         assert_eq!(o.seed, Some(9));
         assert_eq!(o.file, "prog.c");
@@ -1333,7 +1499,7 @@ mod tests {
     #[test]
     fn parses_profile_subcommand() {
         let o = args("profile prog.c --top 5 --json --engine tree").unwrap();
-        assert!(o.profile && o.json);
+        assert!(o.command == Command::Profile && o.json);
         assert_eq!(o.top, Some(5));
         assert_eq!(o.engine, Engine::Tree);
         assert_eq!(o.file, "prog.c");
@@ -1415,7 +1581,7 @@ mod tests {
     #[test]
     fn parses_batch_subcommand() {
         let o = args("batch examples/c --jobs 4 --cache-dir /tmp/cc --no-cache --json").unwrap();
-        assert!(o.batch && o.json && o.no_cache);
+        assert!(o.command == Command::Batch && o.json && o.no_cache);
         assert_eq!(o.jobs, Some(4));
         assert_eq!(o.cache_dir.as_deref(), Some("/tmp/cc"));
         assert_eq!(o.file, "examples/c");
@@ -1424,7 +1590,7 @@ mod tests {
         assert!(args("batch").is_err(), "batch still needs a path");
         assert!(args("batch dir --jobs x").is_err());
         assert!(args("prog.c --json").is_err(), "--json needs a subcommand");
-        assert!(args("batch dir --profile").unwrap().profile);
+        assert!(args("batch dir --profile").unwrap().batch_profile);
         assert!(args("prog.c --profile").is_err(), "--profile needs batch");
     }
 
@@ -1478,14 +1644,14 @@ mod tests {
             "serve /tmp/cc.sock --workers 3 --queue-cap 64 --deadline-ms 500 --fault-poison BOOM",
         )
         .unwrap();
-        assert!(o.serve);
+        assert_eq!(o.command, Command::Serve);
         assert_eq!(o.file, "/tmp/cc.sock");
         assert_eq!(o.workers, Some(3));
         assert_eq!(o.queue_cap, Some(64));
         assert_eq!(o.deadline_ms, Some(500));
         assert_eq!(o.fault_poison.as_deref(), Some("BOOM"));
         let c = args("client /tmp/cc.sock cure /src/a.c").unwrap();
-        assert!(c.client);
+        assert_eq!(c.command, Command::Client);
         assert_eq!(c.file, "/tmp/cc.sock");
         assert_eq!(c.request.as_deref(), Some("cure /src/a.c"));
         assert!(
@@ -1505,14 +1671,14 @@ mod tests {
     #[test]
     fn parses_synth_and_campaign_subcommands() {
         let s = args("synth /tmp/out --profile openssl --units 12 --seed 9").unwrap();
-        assert!(s.synth);
+        assert_eq!(s.command, Command::Synth);
         assert_eq!(s.file, "/tmp/out");
         assert_eq!(s.profile_name.as_deref(), Some("openssl"));
         assert_eq!(s.units, Some(12));
         assert_eq!(s.seed, Some(9));
         assert!(args("synth").is_err(), "synth needs an out-dir");
         let c = args("campaign --units 8 --mutants-per-unit 3 --seed 5 --jobs 2 --json").unwrap();
-        assert!(c.campaign && c.json);
+        assert!(c.command == Command::Campaign && c.json);
         assert!(c.file.is_empty(), "campaign out-dir is optional");
         assert_eq!(c.units, Some(8));
         assert_eq!(c.mutants_per_unit, Some(3));
@@ -1534,7 +1700,7 @@ mod tests {
         );
         // `--profile` keeps its flag meaning outside synth/campaign, and
         // requires a value inside them.
-        assert!(args("batch dir --profile").unwrap().profile);
+        assert!(args("batch dir --profile").unwrap().batch_profile);
         assert!(
             args("synth out --profile").is_err(),
             "synth --profile needs a value"

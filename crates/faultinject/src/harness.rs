@@ -207,8 +207,11 @@ pub fn crash_test(ws: &[Workload], cfg: &CrashTest) -> Result<CrashTestReport, C
     })
 }
 
-/// Crash-tests a single C source (the CLI entry point). Stdlib wrappers are
-/// prepended, matching how `ccured run` treats input files.
+/// Crash-tests a single C source (the CLI entry point). The source always
+/// lowers with the stdlib wrapper prelude (the wrapper source prepended
+/// before curing), as [`Workload::new`] sets it up, whereas `ccured f.c
+/// --run` prepends it only with `--wrappers`; so `ccured crash-test` takes
+/// no `--wrappers`.
 ///
 /// # Errors
 ///
