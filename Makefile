@@ -1,6 +1,6 @@
 # Convenience targets for ccured-rs.
 
-.PHONY: all test lint tables bench bench-interp bench-profile bench-opt2 bench-serve bench-synth bench-temporal bless doc examples smoke profile-smoke serve-smoke synth-smoke stress clean
+.PHONY: all test lint tables bench-interp bench-profile bench-opt2 bench-serve bench-synth bench-temporal bench-hierarchy bless doc examples smoke profile-smoke serve-smoke synth-smoke stress clean
 
 all: test
 
@@ -46,9 +46,6 @@ bless:
 tables:
 	cargo run --release -p ccured-bench --bin tables
 
-bench:
-	cargo bench --workspace
-
 # E13: tree-vs-VM throughput table; writes BENCH_interp.json.
 bench-interp:
 	cargo run --release -p ccured-bench --bin tables -- fig-interp
@@ -72,6 +69,10 @@ bench-synth:
 # E19: temporal lock-and-key check overhead; writes BENCH_temporal.json.
 bench-temporal:
 	cargo run --release -p ccured-bench --bin tables -- fig-temporal
+
+# E20: physical-subtype hierarchy build cost; writes BENCH_hierarchy.json.
+bench-hierarchy:
+	cargo run --release -p ccured-bench --bin tables -- fig-hierarchy
 
 # Generative soundness smoke: synthesize a small corpus across every
 # profile, then run a campaign (cure + tree-vs-VM differential + seeded

@@ -1,13 +1,15 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
-//! Usage: `tables [fig8|fig9|casts|ijpeg|bind|suites|split|security|ablation|fig-batch|fig-interp|fig-profile|fig-opt2|fig-serve|fig-synth|fig-temporal|all] [--smoke]`
+//! Usage: `tables [fig8|fig9|casts|ijpeg|bind|suites|split|security|ablation|fig-batch|fig-interp|fig-profile|fig-opt2|fig-serve|fig-synth|fig-temporal|fig-hierarchy|all] [--smoke]`
 //!
-//! `fig-interp`, `fig-profile`, `fig-opt2`, `fig-serve`, `fig-synth` and
-//! `fig-temporal` write `BENCH_interp.json` / `BENCH_profile.json` /
-//! `BENCH_opt2.json` / `BENCH_serve.json` / `BENCH_synth.json` /
-//! `BENCH_temporal.json`, one compact JSON line each, to the working
-//! directory; `--smoke` shrinks their workloads for CI. `fig-interp` is the
-//! one tree-vs-VM throughput table.
+//! `fig-interp`, `fig-profile`, `fig-opt2`, `fig-serve`, `fig-synth`,
+//! `fig-temporal` and `fig-hierarchy` write `BENCH_interp.json` /
+//! `BENCH_profile.json` / `BENCH_opt2.json` / `BENCH_serve.json` /
+//! `BENCH_synth.json` / `BENCH_temporal.json` / `BENCH_hierarchy.json` to
+//! the working directory, one [`Record`] line each; `--smoke` shrinks their
+//! workloads for CI. `tables` exits 1 when a record it wrote is not
+//! correct or a figure could not run. `fig-interp` is the one tree-vs-VM
+//! throughput table.
 //!
 //! Each table prints our measurement next to the paper's reported value
 //! (absolute numbers are not comparable — the substrate is an interpreter —
@@ -15,226 +17,114 @@
 
 use ccured_bench::table::{paper_ratio, ratio, render};
 use ccured_bench::*;
+use std::time::Duration;
 
-const TABLES: &[&str] = &[
-    "fig8",
-    "fig9",
-    "casts",
-    "ijpeg",
-    "bind",
-    "suites",
-    "split",
-    "security",
-    "ablation",
-    "fig-batch",
-    "fig-interp",
-    "fig-profile",
-    "fig-opt2",
-    "fig-serve",
-    "fig-synth",
-    "fig-temporal",
-    "all",
+/// Prints one table. It gets `--smoke` and returns `false` when its figure
+/// could not run or a record it wrote is not correct.
+type Table = fn(bool) -> bool;
+
+/// Every table in `all` order, by subcommand.
+const TABLES: [(&str, Table); 17] = [
+    ("fig8", fig8_table),
+    ("fig9", fig9_table),
+    ("casts", casts_table),
+    ("ijpeg", ijpeg_table),
+    ("bind", bind_table),
+    ("suites", suites_table),
+    ("split", split_tables),
+    ("security", security_table),
+    ("ablation", ablation_table),
+    ("fig-batch", fig_batch_table),
+    ("fig-interp", fig_interp_table),
+    ("fig-profile", fig_profile_table),
+    ("fig-opt2", fig_opt2_table),
+    ("fig-serve", fig_serve_table),
+    ("fig-synth", fig_synth_table),
+    ("fig-temporal", fig_temporal_table),
+    ("fig-hierarchy", fig_hierarchy_table),
 ];
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     args.retain(|a| a != "--smoke");
-    let which = args.first().cloned().unwrap_or_else(|| "all".to_string());
-    if !TABLES.contains(&which.as_str()) {
+    let which = args.first().map_or("all", String::as_str);
+    let chosen: Vec<_> = TABLES
+        .iter()
+        .filter(|(name, _)| which == "all" || which == *name)
+        .collect();
+    if chosen.is_empty() {
+        let names: Vec<&str> = TABLES.iter().map(|t| t.0).chain(["all"]).collect();
         eprintln!(
             "unknown table `{which}`; expected one of: {}",
-            TABLES.join(", ")
+            names.join(", ")
         );
         std::process::exit(2);
     }
-    let all = which == "all";
-    if all || which == "fig8" {
-        fig8_table();
+    let mut correct = true;
+    for (_, table) in chosen {
+        correct &= table(smoke);
     }
-    if all || which == "fig9" {
-        fig9_table();
-    }
-    if all || which == "casts" {
-        casts_table();
-    }
-    if all || which == "ijpeg" {
-        ijpeg_table();
-    }
-    if all || which == "bind" {
-        bind_table();
-    }
-    if all || which == "suites" {
-        suites_table();
-    }
-    if all || which == "split" {
-        split_tables();
-    }
-    if all || which == "security" {
-        security_table();
-    }
-    if all || which == "ablation" {
-        ablation_table();
-    }
-    if all || which == "fig-batch" {
-        fig_batch_table();
-    }
-    if all || which == "fig-interp" {
-        fig_interp_table(smoke);
-    }
-    if all || which == "fig-profile" {
-        fig_profile_table(smoke);
-    }
-    if all || which == "fig-opt2" {
-        fig_opt2_table(smoke);
-    }
-    if all || which == "fig-serve" {
-        fig_serve_table(smoke);
-    }
-    if all || which == "fig-synth" {
-        fig_synth_table(smoke);
-    }
-    if all || which == "fig-temporal" {
-        fig_temporal_table(smoke);
+    if !correct {
+        std::process::exit(1);
     }
 }
 
-fn fig_temporal_table(smoke: bool) {
-    println!(
-        "== E19: temporal lock-and-key check overhead (--temporal){} ==\n",
-        if smoke { " (smoke)" } else { "" }
-    );
-    let f = fig_temporal(smoke);
-    let us = |d: std::time::Duration| format!("{:.0} us", d.as_secs_f64() * 1e6);
-    let rows: Vec<Vec<String>> = f
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                format!("{}/{}", r.steps_plain, r.steps_temporal),
-                r.temporal_checks.to_string(),
-                us(r.tree_plain),
-                us(r.tree_temporal),
-                us(r.vm_plain),
-                us(r.vm_temporal),
-                format!("{:.2}x", r.overhead_tree()),
-                format!("{:.2}x", r.overhead_vm()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &[
-                "workload",
-                "steps plain/temporal",
-                "key checks",
-                "tree",
-                "tree+t",
-                "vm",
-                "vm+t",
-                "tree ovh",
-                "vm ovh"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "geomean temporal overhead: tree {:.2}x, vm {:.2}x (best of {} runs; ceiling 1.5x)",
-        f.geomean_overhead_tree(),
-        f.geomean_overhead_vm(),
-        f.reps
-    );
-    write_record("BENCH_temporal.json", &f.to_json());
+/// Prints a table (see [`render`]) and a blank line.
+fn table<R: AsRef<[String]>>(header: &str, rows: &[R]) {
+    println!("{}", render(header, rows));
 }
 
-fn fig_synth_table(smoke: bool) {
-    println!(
-        "== E17: generative differential soundness campaign{} ==\n",
-        if smoke { " (smoke)" } else { "" }
-    );
-    let f = match fig_synth(smoke) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("fig-synth failed: {e}");
-            return;
-        }
-    };
-    print!("{}", f.report.render());
-    println!(
-        "\nworst pointer-kind deviation from target: {:.1} points (tolerance {:.0})\n",
-        f.max_deviation(),
-        ccured_synth::KIND_TOLERANCE_PCT
-    );
-    write_record("BENCH_synth.json", &f.to_json());
+/// Prints a figure's `== title ==` line, marked when `--smoke` shrank it.
+fn heading(title: &str, smoke: bool) {
+    println!("== {title}{} ==\n", if smoke { " (smoke)" } else { "" });
 }
 
-#[cfg(unix)]
-fn fig_serve_table(smoke: bool) {
-    println!(
-        "== E16: cure daemon, cold vs resident-cache warm paths{} ==\n",
-        if smoke { " (smoke)" } else { "" }
-    );
-    let f = match fig_serve(smoke) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("fig-serve failed: {e}");
-            return;
-        }
-    };
-    let ms = |d: std::time::Duration| format!("{:.1} ms", d.as_secs_f64() * 1e3);
-    let rows = vec![
-        vec!["cold (empty cache)".to_string(), ms(f.cold), ratio(1.0)],
-        vec![
-            "warm, unchanged sources (unit cache)".to_string(),
-            ms(f.warm_identical),
-            ratio(f.identical_speedup()),
-        ],
-        vec![
-            "warm, one function appended (full cure)".to_string(),
-            ms(f.warm_touched),
-            ratio(f.touched_speedup()),
-        ],
-    ];
-    println!(
-        "{} units over the socket; touched-pass digests match cold batch: {}",
-        f.units, f.digests_match
-    );
-    println!(
-        "reply latency: p50 {} / p99 {}\n",
-        ms(f.reply_p50),
-        ms(f.reply_p99)
-    );
-    println!("{}", render(&["configuration", "wall", "speedup"], &rows));
-    write_record("BENCH_serve.json", &f.to_json());
+fn ms(d: Duration) -> String {
+    format!("{:.1} ms", d.as_secs_f64() * 1e3)
 }
 
-#[cfg(not(unix))]
-fn fig_serve_table(_smoke: bool) {
-    eprintln!("fig-serve requires unix domain sockets; skipped on this platform");
+fn us(d: Duration) -> String {
+    format!("{:.0} us", d.as_secs_f64() * 1e6)
 }
 
-/// Writes a figure's JSON record, one compact line, to the working
-/// directory.
-fn write_record(name: &str, json: &str) {
-    match std::fs::write(name, format!("{json}\n")) {
-        Ok(()) => println!("wrote {name}"),
-        Err(e) => eprintln!("could not write {name}: {e}"),
+/// Writes a figure's record, one compact JSON line, to the working
+/// directory. Returns whether it was written and is correct.
+fn write_record(name: &str, record: &Record) -> bool {
+    if let Err(e) = std::fs::write(name, record.json() + "\n") {
+        eprintln!("could not write {name}: {e}");
+        return false;
     }
+    println!("wrote {name}");
+    if !record.correct() {
+        eprintln!(
+            "{name} is not correct: {} of {} rows failed, or a value is not finite",
+            record.failed, record.attempted
+        );
+    }
+    record.correct()
+}
+
+/// A figure's result, or `None` after printing why it could not run.
+fn ran<T>(figure: &str, result: std::io::Result<T>) -> Option<T> {
+    result.map_err(|e| eprintln!("{figure} failed: {e}")).ok()
+}
+
+fn pct(p: u32) -> String {
+    format!("{p}%")
 }
 
 fn pct_str(p: (u32, u32, u32, u32)) -> String {
     format!("{}/{}/{}/{}", p.0, p.1, p.2, p.3)
 }
 
-fn fig8_table() {
+fn fig8_table(_: bool) -> bool {
     println!("== Figure 8: Apache module performance ==");
     println!("(sf/sq/w/rt = % of static pointers inferred SAFE/SEQ/WILD/RTTI)\n");
-    let rows: Vec<Vec<String>> = fig8(60)
+    let rows: Vec<_> = fig8(60)
         .into_iter()
         .map(|r| {
-            vec![
+            [
                 r.name,
                 r.lines.to_string(),
                 pct_str(r.pct),
@@ -244,28 +134,19 @@ fn fig8_table() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render(
-            &[
-                "module",
-                "lines",
-                "sf/sq/w/rt",
-                "ratio",
-                "paper sf/sq/w/rt",
-                "paper ratio"
-            ],
-            &rows
-        )
+    table(
+        "module|lines|sf/sq/w/rt|ratio|paper sf/sq/w/rt|paper ratio",
+        &rows,
     );
+    true
 }
 
-fn fig9_table() {
+fn fig9_table(_: bool) -> bool {
     println!("== Figure 9: system software performance ==\n");
-    let rows: Vec<Vec<String>> = fig9()
+    let rows: Vec<_> = fig9()
         .into_iter()
         .map(|r| {
-            vec![
+            [
                 r.name,
                 r.lines.to_string(),
                 pct_str(r.pct),
@@ -278,215 +159,117 @@ fn fig9_table() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render(
-            &[
-                "program",
-                "lines",
-                "sf/sq/w/rt",
-                "ccured",
-                "valgrind",
-                "sandbox",
-                "vm",
-                "paper ccured",
-                "paper valgrind"
-            ],
-            &rows
-        )
+    table(
+        "program|lines|sf/sq/w/rt|ccured|valgrind|sandbox|vm|paper ccured|paper valgrind",
+        &rows,
     );
+    true
 }
 
-fn casts_table() {
+fn casts_table(_: bool) -> bool {
     println!("== Section 3: cast census over the corpus ==\n");
     let c = cast_census();
-    let rows = vec![
-        vec![
-            "identical (% of pointer casts)".to_string(),
-            format!("{:.1}%", c.pct_identical),
-            "~63%".to_string(),
-        ],
-        vec![
-            "upcasts (% of non-identical)".to_string(),
-            format!("{:.1}%", c.pct_upcasts),
-            "~93%".to_string(),
-        ],
-        vec![
-            "downcasts (% of non-identical)".to_string(),
-            format!("{:.1}%", c.pct_downcasts),
-            "~6%".to_string(),
-        ],
-        vec![
-            "still bad (% of non-identical)".to_string(),
-            format!("{:.1}%", c.pct_bad),
-            "<1%".to_string(),
-        ],
-        vec![
-            "verified without WILD (% of all)".to_string(),
-            format!("{:.1}%", c.pct_verified),
-            ">99%".to_string(),
-        ],
-    ];
+    let rows = [
+        ("identical (% of pointer casts)", c.pct_identical, "~63%"),
+        ("upcasts (% of non-identical)", c.pct_upcasts, "~93%"),
+        ("downcasts (% of non-identical)", c.pct_downcasts, "~6%"),
+        ("still bad (% of non-identical)", c.pct_bad, "<1%"),
+        ("verified without WILD (% of all)", c.pct_verified, ">99%"),
+    ]
+    .map(|(what, pct, paper)| [what.into(), format!("{pct:.1}%"), paper.into()]);
     println!("total pointer casts: {}\n", c.ptr_casts);
-    println!("{}", render(&["statistic", "measured", "paper"], &rows));
+    table("statistic|measured|paper", &rows);
+    true
 }
 
-fn ijpeg_table() {
+fn ijpeg_table(_: bool) -> bool {
     println!("== Section 5: the ijpeg RTTI experiment ==\n");
     let r = ijpeg_experiment(40, 24);
-    let rows = vec![
-        vec![
-            "WILD pointers".to_string(),
-            format!("{}%", r.old_wild_pct),
-            format!("{}%", r.new_wild_pct),
-            "60% -> 0%".to_string(),
-        ],
-        vec![
-            "RTTI pointers".to_string(),
-            "0%".to_string(),
-            format!("{}%", r.new_rtti_pct),
-            "0% -> 1%".to_string(),
-        ],
-        vec![
-            "slowdown".to_string(),
-            ratio(r.old_ratio),
-            ratio(r.new_ratio),
-            "2.15 -> 1.45".to_string(),
-        ],
-    ];
+    let wild = [pct(r.old_wild_pct), pct(r.new_wild_pct)];
+    let slowdown = [ratio(r.old_ratio), ratio(r.new_ratio)];
+    let rows = [
+        ["WILD pointers", &wild[0], &wild[1], "60% -> 0%"],
+        ["RTTI pointers", "0%", &pct(r.new_rtti_pct), "0% -> 1%"],
+        ["slowdown", &slowdown[0], &slowdown[1], "2.15 -> 1.45"],
+    ]
+    .map(|row| row.map(String::from));
     println!("downcast sites: {}\n", r.downcasts);
-    println!(
-        "{}",
-        render(&["metric", "original ccured", "with RTTI", "paper"], &rows)
-    );
+    table("metric|original ccured|with RTTI|paper", &rows);
+    true
 }
 
-fn bind_table() {
+fn bind_table(_: bool) -> bool {
     println!("== Section 5: bind cast statistics ==\n");
     let b = bind_experiment(40, 14);
-    let rows = vec![
-        vec![
-            "pointer casts".to_string(),
-            b.ptr_casts.to_string(),
-            "82000".to_string(),
-        ],
-        vec![
-            "upcasts (physical subtyping)".to_string(),
-            b.upcasts.to_string(),
-            "26500".to_string(),
-        ],
-        vec![
-            "downcasts (RTTI-checked)".to_string(),
-            b.downcasts.to_string(),
-            "150 of 530 bad".to_string(),
-        ],
-        vec![
-            "trusted casts (review surface)".to_string(),
-            b.trusted.to_string(),
-            "380".to_string(),
-        ],
-        vec![
-            "WILD without RTTI".to_string(),
-            format!("{}%", b.wild_pct_without_rtti),
-            "30%".to_string(),
-        ],
-        vec![
-            "WILD with RTTI + trusted".to_string(),
-            format!("{}%", b.wild_pct_with_rtti),
-            "0%".to_string(),
-        ],
-    ];
-    println!("{}", render(&["statistic", "measured", "paper"], &rows));
+    let n = |x: usize| x.to_string();
+    let rows = [
+        ("pointer casts", n(b.ptr_casts), "82000"),
+        ("upcasts (physical subtyping)", n(b.upcasts), "26500"),
+        ("downcasts (RTTI-checked)", n(b.downcasts), "150 of 530 bad"),
+        ("trusted casts (review surface)", n(b.trusted), "380"),
+        ("WILD without RTTI", pct(b.wild_pct_without_rtti), "30%"),
+        ("WILD with RTTI + trusted", pct(b.wild_pct_with_rtti), "0%"),
+    ]
+    .map(|(what, measured, paper)| [what.into(), measured, paper.into()]);
+    table("statistic|measured|paper", &rows);
+    true
 }
 
-fn suites_table() {
+fn suites_table(_: bool) -> bool {
     println!("== Section 5: Spec95/Olden/Ptrdist with baseline tools ==");
     println!("(paper bands: CCured 1.07-1.56, Purify 25-100x, Valgrind 9-130x)\n");
-    let rows: Vec<Vec<String>> = suites()
+    let rows: Vec<_> = suites()
         .into_iter()
-        .map(|r| vec![r.name, ratio(r.ccured), ratio(r.purify), ratio(r.valgrind)])
+        .map(|r| [r.name, ratio(r.ccured), ratio(r.purify), ratio(r.valgrind)])
         .collect();
-    println!(
-        "{}",
-        render(&["benchmark", "ccured", "purify", "valgrind"], &rows)
-    );
+    table("benchmark|ccured|purify|valgrind", &rows);
+    true
 }
 
-fn split_tables() {
+fn split_tables(_: bool) -> bool {
     println!("== Section 4.2/5: compatible (split) representation overhead ==");
     println!("(paper: mostly <3% extra; em3d +58%, anagram +7%)\n");
-    let rows: Vec<Vec<String>> = split_overhead()
+    let rows: Vec<_> = split_overhead()
         .into_iter()
         .map(|r| {
-            vec![
-                r.name,
-                ratio(r.nosplit),
-                ratio(r.allsplit),
-                format!("+{:.0}%", (r.split_cost - 1.0) * 100.0),
-            ]
+            let cost = format!("+{:.0}%", (r.split_cost - 1.0) * 100.0);
+            [r.name, ratio(r.nosplit), ratio(r.allsplit), cost]
         })
         .collect();
-    println!(
-        "{}",
-        render(&["benchmark", "nosplit", "all-split", "split cost"], &rows)
-    );
+    table("benchmark|nosplit|all-split|split cost", &rows);
     println!("== boundary-seeded split spread ==");
     println!("(paper: bind 6% split / 31% with meta ptr; OpenSSH <1%)\n");
-    let rows: Vec<Vec<String>> = split_boundary()
+    let rows: Vec<_> = split_boundary()
         .into_iter()
         .map(|r| {
-            vec![
-                r.name,
-                format!("{:.1}%", r.split_pct),
-                format!("{:.1}%", r.meta_pct),
-            ]
+            let pct = |p: f64| format!("{p:.1}%");
+            [r.name, pct(r.split_pct), pct(r.meta_pct)]
         })
         .collect();
-    println!(
-        "{}",
-        render(
-            &["program", "split quals", "of those, with meta ptr"],
-            &rows
-        )
-    );
+    table("program|split quals|of those, with meta ptr", &rows);
+    true
 }
 
-fn security_table() {
+fn security_table(_: bool) -> bool {
     println!("== Section 5: known-vulnerability scenarios ==\n");
-    let rows: Vec<Vec<String>> = security()
+    let rows: Vec<_> = security()
         .into_iter()
         .map(|r| {
-            vec![
-                r.name,
-                r.original,
-                r.cured,
-                if r.prevented { "yes" } else { "NO" }.to_string(),
-            ]
+            let prevented = if r.prevented { "yes" } else { "NO" };
+            [r.name, r.original, r.cured, prevented.to_string()]
         })
         .collect();
-    println!(
-        "{}",
-        render(&["scenario", "plain C", "cured", "prevented"], &rows)
-    );
+    table("scenario|plain C|cured|prevented", &rows);
+    true
 }
 
-fn ablation_table() {
+fn ablation_table(_: bool) -> bool {
     println!("== Ablation: the extension staircase on the OO workload ==\n");
-    let rows: Vec<Vec<String>> = ablation(24, 12)
+    let rows: Vec<_> = ablation(24, 12)
         .into_iter()
-        .map(|r| {
-            vec![
-                r.config,
-                format!("{}%", r.wild_pct),
-                format!("{}%", r.rtti_pct),
-                ratio(r.ratio),
-            ]
-        })
+        .map(|r| [r.config, pct(r.wild_pct), pct(r.rtti_pct), ratio(r.ratio)])
         .collect();
-    println!(
-        "{}",
-        render(&["configuration", "wild", "rtti", "ratio"], &rows)
-    );
+    table("configuration|wild|rtti|ratio", &rows);
     let (cc, jk) = metadata_lookup(60);
     println!(
         "metadata ablation (ptr-heavy loop): fat pointers {}x vs global-registry lookup {}x",
@@ -500,30 +283,22 @@ fn ablation_table() {
         steps,
         ratio(interval)
     );
+    true
 }
 
-fn fig_batch_table() {
+fn fig_batch_table(_: bool) -> bool {
     println!("== E12: batch-engine speedup (micro+Olden corpus) ==\n");
-    let f = match fig_batch(0) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("fig-batch failed: {e}");
-            return;
-        }
+    let Some(f) = ran("fig-batch", fig_batch(0)) else {
+        return false;
     };
-    let ms = |d: std::time::Duration| format!("{:.1} ms", d.as_secs_f64() * 1e3);
-    let rows = vec![
-        vec![
-            "sequential, no cache".to_string(),
-            ms(f.sequential),
-            ratio(1.0),
-        ],
-        vec![
+    let rows = [
+        ["sequential, no cache".into(), ms(f.sequential), ratio(1.0)],
+        [
             format!("parallel x{}, cold cache", f.jobs),
             ms(f.parallel_cold),
             ratio(f.parallel_speedup()),
         ],
-        vec![
+        [
             format!("parallel x{}, warm cache", f.jobs),
             ms(f.warm),
             ratio(f.warm_speedup()),
@@ -535,64 +310,58 @@ fn fig_batch_table() {
         f.warm_hit_rate * 100.0,
         f.parallel_cpu_ratio
     );
-    println!("{}", render(&["configuration", "wall", "speedup"], &rows));
+    table("configuration|wall|speedup", &rows);
+    true
 }
 
-fn fig_interp_table(smoke: bool) {
-    println!(
-        "== E13: execution-engine throughput, tree vs bytecode VM{} ==\n",
-        if smoke { " (smoke)" } else { "" }
+fn fig_interp_table(smoke: bool) -> bool {
+    heading(
+        "E13: execution-engine throughput, tree vs bytecode VM",
+        smoke,
     );
     let f = fig_interp(smoke);
-    let us = |d: std::time::Duration| format!("{:.0} us", d.as_secs_f64() * 1e6);
-    let rows: Vec<Vec<String>> = f
+    let rows: Vec<_> = f
         .rows
         .iter()
         .map(|r| {
-            vec![
+            let speedup = format!("{:.1}x", r.speedup());
+            [
                 r.name.clone(),
                 r.steps.to_string(),
                 us(r.tree),
                 us(r.vm),
-                format!("{:.1}x", r.speedup()),
+                speedup,
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render(&["workload", "steps", "tree", "vm", "speedup"], &rows)
-    );
+    table("workload|steps|tree|vm|speedup", &rows);
     println!(
         "geomean speedup: {:.2}x (best of {} runs)",
         f.geomean_speedup(),
         f.reps
     );
-    write_record("BENCH_interp.json", &f.to_json());
+    write_record("BENCH_interp.json", &f.record())
 }
 
-fn fig_profile_table(smoke: bool) {
-    println!(
-        "== E14: hot-site check profiles (both engines agree){} ==\n",
-        if smoke { " (smoke)" } else { "" }
-    );
+fn fig_profile_table(smoke: bool) -> bool {
+    heading("E14: hot-site check profiles (both engines agree)", smoke);
     let f = fig_profile(smoke);
-    let rows: Vec<Vec<String>> = f
+    let rows: Vec<_> = f
         .rows
         .iter()
         .map(|r| {
-            let hottest = r
-                .top
-                .first()
-                .map(|t| {
+            let hottest = r.top.first().map_or_else(
+                || "-".to_string(),
+                |t| {
                     format!(
                         "{} in {} ({} hits)",
                         t.site.kind.name(),
                         t.site.func,
                         t.hits
                     )
-                })
-                .unwrap_or_else(|| "-".to_string());
-            vec![
+                },
+            );
+            [
                 r.name.clone(),
                 format!("{}/{}", r.hot_sites, r.sites),
                 r.total_hits.to_string(),
@@ -602,34 +371,24 @@ fn fig_profile_table(smoke: bool) {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render(
-            &[
-                "workload",
-                "hot/sites",
-                "checks run",
-                "top-3 cost",
-                "unelided hot",
-                "hottest site"
-            ],
-            &rows
-        )
+    table(
+        "workload|hot/sites|checks run|top-3 cost|unelided hot|hottest site",
+        &rows,
     );
-    write_record("BENCH_profile.json", &f.to_json());
+    write_record("BENCH_profile.json", &f.record())
 }
 
-fn fig_opt2_table(smoke: bool) {
-    println!(
-        "== E15: loop-optimizer executed-check cost, no-opt vs elim-only vs full{} ==\n",
-        if smoke { " (smoke)" } else { "" }
+fn fig_opt2_table(smoke: bool) -> bool {
+    heading(
+        "E15: loop-optimizer executed-check cost, no-opt vs elim-only vs full",
+        smoke,
     );
     let f = fig_opt2(smoke);
-    let rows: Vec<Vec<String>> = f
+    let rows: Vec<_> = f
         .rows
         .iter()
         .map(|r| {
-            vec![
+            [
                 r.name.clone(),
                 if r.strided { "yes" } else { "" }.to_string(),
                 format!("{:.0}", r.noopt),
@@ -640,24 +399,122 @@ fn fig_opt2_table(smoke: bool) {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render(
-            &[
-                "workload",
-                "strided",
-                "no-opt",
-                "elim-only",
-                "full",
-                "reduction",
-                "hoist/widen"
-            ],
-            &rows
-        )
+    table(
+        "workload|strided|no-opt|elim-only|full|reduction|hoist/widen",
+        &rows,
     );
     println!(
         "geomean executed-check-cost reduction, strided subset: {:.1}% (target ≥15%)",
         f.geomean_reduction_strided() * 100.0
     );
-    write_record("BENCH_opt2.json", &f.to_json());
+    write_record("BENCH_opt2.json", &f.record())
+}
+
+#[cfg(unix)]
+fn fig_serve_table(smoke: bool) -> bool {
+    heading("E16: cure daemon, cold vs resident-cache warm paths", smoke);
+    let Some(f) = ran("fig-serve", fig_serve(smoke)) else {
+        return false;
+    };
+    let rows = [
+        ["cold (empty cache)".into(), ms(f.cold), ratio(1.0)],
+        [
+            "warm, unchanged sources (unit cache)".into(),
+            ms(f.warm_identical),
+            ratio(f.identical_speedup()),
+        ],
+        [
+            "warm, one function appended (full cure)".into(),
+            ms(f.warm_touched),
+            ratio(f.touched_speedup()),
+        ],
+    ];
+    println!(
+        "{} units over the socket; touched-pass digests match cold batch: {}",
+        f.units, f.digests_match
+    );
+    println!(
+        "reply latency: p50 {} / p99 {}\n",
+        ms(f.reply_p50),
+        ms(f.reply_p99)
+    );
+    table("configuration|wall|speedup", &rows);
+    write_record("BENCH_serve.json", &f.record())
+}
+
+#[cfg(not(unix))]
+fn fig_serve_table(_: bool) -> bool {
+    eprintln!("fig-serve requires unix domain sockets; skipped on this platform");
+    true
+}
+
+fn fig_synth_table(smoke: bool) -> bool {
+    heading("E17: generative differential soundness campaign", smoke);
+    let Some(f) = ran("fig-synth", fig_synth(smoke)) else {
+        return false;
+    };
+    print!("{}", f.report.render());
+    println!(
+        "\nworst pointer-kind deviation from target: {:.1} points (tolerance {:.0})\n",
+        f.max_deviation(),
+        ccured_synth::KIND_TOLERANCE_PCT
+    );
+    write_record("BENCH_synth.json", &f.record())
+}
+
+fn fig_temporal_table(smoke: bool) -> bool {
+    heading(
+        "E19: temporal lock-and-key check overhead (--temporal)",
+        smoke,
+    );
+    let f = fig_temporal(smoke);
+    let rows: Vec<_> = f
+        .rows
+        .iter()
+        .map(|r| {
+            [
+                r.name.clone(),
+                format!("{}/{}", r.steps_plain, r.steps_temporal),
+                r.temporal_checks.to_string(),
+                us(r.tree_plain),
+                us(r.tree_temporal),
+                us(r.vm_plain),
+                us(r.vm_temporal),
+                format!("{:.2}x", r.overhead_tree()),
+                format!("{:.2}x", r.overhead_vm()),
+            ]
+        })
+        .collect();
+    table(
+        "workload|steps plain/temporal|key checks|tree|tree+t|vm|vm+t|tree ovh|vm ovh",
+        &rows,
+    );
+    println!(
+        "geomean temporal overhead: tree {:.2}x, vm {:.2}x (best of {} runs; ceiling 1.5x)",
+        f.geomean_overhead_tree(),
+        f.geomean_overhead_vm(),
+        f.reps
+    );
+    write_record("BENCH_temporal.json", &f.record())
+}
+
+fn fig_hierarchy_table(smoke: bool) -> bool {
+    let f = fig_hierarchy(smoke);
+    let title = "E20: physical-subtype hierarchy build, ijpeg_oo chain";
+    println!("== {title} (best of {} runs) ==\n", f.reps);
+    let rows: Vec<_> = f
+        .rows
+        .iter()
+        .map(|r| {
+            [
+                format!("ijpeg_oo({})", r.types),
+                r.lines.to_string(),
+                r.nodes.to_string(),
+                r.comparisons.to_string(),
+                format!("{:.2} ms", r.build.as_secs_f64() * 1e3),
+            ]
+        })
+        .collect();
+    table("unit|lines|nodes|exact comparisons|build", &rows);
+    write_record("BENCH_hierarchy.json", &f.record())
 }

@@ -1,10 +1,11 @@
 //! One function per reproduced table/figure (experiment ids E1–E10 in
 //! DESIGN.md). All ratios come from the shared deterministic cost model.
 
-use ccured::json;
+use crate::record::Record;
 use ccured_cil::ir::CheckKind;
+use ccured_faultinject::FaultClass;
 use ccured_infer::InferOptions;
-use ccured_rt::{CostModel, ExecMode};
+use ccured_rt::{CostModel, Engine, ExecMode};
 use ccured_workloads::runner::{self, measure};
 use ccured_workloads::{apache, batch_corpus, daemons, micro, olden, ptrdist, spec};
 
@@ -82,11 +83,8 @@ pub fn fig9() -> Vec<Fig9Row> {
         .map(|w| {
             let r = measure(&w, &InferOptions::default()).expect("fig9 workload");
             let cured = w.curer().cure_source(&w.source).expect("fig9 cure");
-            let [(tree, _), (vm, _)] = time_round_robin(
-                [
-                    Timing::on(&cured, ccured_rt::Engine::Tree),
-                    Timing::on(&cured, ccured_rt::Engine::Vm),
-                ],
+            let [(tree, _), (vm, _)] = time_runs(
+                [(&cured, Engine::Tree, false), (&cured, Engine::Vm, false)],
                 &w.input,
                 2,
             );
@@ -584,71 +582,94 @@ pub struct InterpFig {
 impl InterpFig {
     /// Geometric mean of the per-workload speedups.
     pub fn geomean_speedup(&self) -> f64 {
-        let n = self.rows.len().max(1) as f64;
-        (self.rows.iter().map(|r| r.speedup().ln()).sum::<f64>() / n).exp()
+        geomean(self.rows.iter().map(InterpRow::speedup))
     }
 
-    /// `BENCH_interp.json` — machine-readable record for CI artifacts.
-    pub fn to_json(&self) -> String {
-        json::object(|o| {
-            o.str("experiment", "fig-interp");
-            o.list("rows", &self.rows, |o, r| {
-                o.str("name", &r.name)
-                    .num("steps", r.steps)
-                    .num("tree_us", r.tree.as_micros())
-                    .num("vm_us", r.vm.as_micros())
-                    .fixed("speedup", r.speedup(), 3);
-            });
-            o.num("reps", self.reps)
-                .fixed("geomean_speedup", self.geomean_speedup(), 3);
-        })
+    /// `BENCH_interp.json`, one row per workload.
+    pub fn record(&self) -> Record {
+        let mut r = Record::new(self.rows.len());
+        for row in &self.rows {
+            r.row(
+                &row.name,
+                [
+                    ("runtime.steps", row.steps as f64, "count"),
+                    ("runtime.tree_s", row.tree.as_secs_f64(), "s"),
+                    ("runtime.vm_s", row.vm.as_secs_f64(), "s"),
+                    ("interp.speedup", row.speedup(), "x"),
+                ],
+            );
+        }
+        r.metrics([
+            ("interp.reps", self.reps.into(), "count"),
+            ("interp.geomean_speedup", self.geomean_speedup(), "x"),
+        ]);
+        r
     }
 }
 
-/// One configuration a figure times: a cure, the engine it runs on, and
-/// whether per-site profiling is on. Temporal semantics follow the cure.
-#[derive(Clone, Copy)]
-struct Timing<'c> {
-    cured: &'c ccured::Cured,
-    engine: ccured_rt::Engine,
-    profile: bool,
+/// Geometric mean of `xs`, their logarithms summed in order (1 when
+/// `xs` is empty).
+fn geomean(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let (mut n, mut ln_sum) = (0usize, 0.0);
+    for x in xs {
+        n += 1;
+        ln_sum += x.ln();
+    }
+    (ln_sum / n.max(1) as f64).exp()
 }
 
-impl<'c> Timing<'c> {
-    fn on(cured: &'c ccured::Cured, engine: ccured_rt::Engine) -> Self {
-        Timing {
-            cured,
-            engine,
-            profile: false,
+/// Times `N` configurations round-robin, one run of each per round for
+/// `reps` rounds, so a slow phase of a shared host lands on every
+/// configuration alike instead of on one side of a ratio. A run of
+/// configuration `i` is `run(setup(i))`, and only `run` is timed. Returns
+/// each configuration's best wall-clock and what its last run returned.
+fn time_round_robin<S, T, const N: usize>(
+    reps: u32,
+    mut setup: impl FnMut(usize) -> S,
+    mut run: impl FnMut(S) -> T,
+) -> [(std::time::Duration, T); N] {
+    let mut best = [std::time::Duration::MAX; N];
+    let mut last: [Option<T>; N] = std::array::from_fn(|_| None);
+    for _ in 0..reps.max(1) {
+        for (i, (best, last)) in best.iter_mut().zip(&mut last).enumerate() {
+            let state = setup(i);
+            let t0 = std::time::Instant::now();
+            let out = run(state);
+            *best = (*best).min(t0.elapsed());
+            *last = Some(out);
         }
     }
+    std::array::from_fn(|i| (best[i], last[i].take().expect("at least one round")))
 }
 
-/// Times `configs` round-robin, one run of each per round for `reps`
-/// rounds, so a slow phase of a shared host lands on every configuration
-/// alike instead of on one side of a ratio. Returns each configuration's
-/// best wall-clock and the (deterministic) counters of its runs.
-fn time_round_robin<const N: usize>(
-    configs: [Timing<'_>; N],
+/// Times cured runs on `input` with [`time_round_robin`], one
+/// configuration per `(cure, engine, per-site profiling on)`; temporal
+/// semantics follow the cure. Each run is a fresh interpreter, and only its
+/// `run` is timed. Returns each configuration's best wall-clock and its
+/// (deterministic) counters.
+fn time_runs<const N: usize>(
+    configs: [(&ccured::Cured, Engine, bool); N],
     input: &[u8],
     reps: u32,
 ) -> [(std::time::Duration, ccured_rt::Counters); N] {
-    let mut out = std::array::from_fn(|_| (std::time::Duration::MAX, Default::default()));
-    for _ in 0..reps.max(1) {
-        for (c, (best, counters)) in configs.iter().zip(&mut out) {
-            let mut interp = ccured_rt::Interp::new(&c.cured.program, ExecMode::cured(c.cured));
-            interp.set_engine(c.engine);
+    let runs = time_round_robin(
+        reps,
+        |i| {
+            let (cured, engine, profile) = configs[i];
+            let mut interp = ccured_rt::Interp::new(&cured.program, ExecMode::cured(cured));
+            interp.set_engine(engine);
             interp.set_input(input.to_vec());
-            if c.profile {
-                interp.enable_profile(c.cured.sites.len());
+            if profile {
+                interp.enable_profile(cured.sites.len());
             }
-            let t0 = std::time::Instant::now();
+            interp
+        },
+        |mut interp| {
             interp.run().expect("bench workload runs clean");
-            *best = (*best).min(t0.elapsed());
-            *counters = interp.counters;
-        }
-    }
-    out
+            interp
+        },
+    );
+    runs.map(|(best, interp)| (best, interp.counters))
 }
 
 /// The Figure-9-shaped corpus of the engine-throughput figure (E13
@@ -701,11 +722,8 @@ pub fn fig_interp(smoke: bool) -> InterpFig {
         .iter()
         .map(|w| {
             let cured = w.curer().cure_source(&w.source).expect("fig-interp cure");
-            let [(tree, tree_c), (vm, vm_c)] = time_round_robin(
-                [
-                    Timing::on(&cured, ccured_rt::Engine::Tree),
-                    Timing::on(&cured, ccured_rt::Engine::Vm),
-                ],
+            let [(tree, tree_c), (vm, vm_c)] = time_runs(
+                [(&cured, Engine::Tree, false), (&cured, Engine::Vm, false)],
                 &w.input,
                 reps,
             );
@@ -772,42 +790,41 @@ pub struct TemporalFig {
 impl TemporalFig {
     /// Geometric mean of the tree-engine temporal overheads.
     pub fn geomean_overhead_tree(&self) -> f64 {
-        let n = self.rows.len().max(1) as f64;
-        (self
-            .rows
-            .iter()
-            .map(|r| r.overhead_tree().ln())
-            .sum::<f64>()
-            / n)
-            .exp()
+        geomean(self.rows.iter().map(TemporalRow::overhead_tree))
     }
 
     /// Geometric mean of the VM temporal overheads.
     pub fn geomean_overhead_vm(&self) -> f64 {
-        let n = self.rows.len().max(1) as f64;
-        (self.rows.iter().map(|r| r.overhead_vm().ln()).sum::<f64>() / n).exp()
+        geomean(self.rows.iter().map(TemporalRow::overhead_vm))
     }
 
-    /// `BENCH_temporal.json` — machine-readable record for CI artifacts.
-    pub fn to_json(&self) -> String {
-        json::object(|o| {
-            o.str("experiment", "fig-temporal");
-            o.list("rows", &self.rows, |o, r| {
-                o.str("name", &r.name)
-                    .num("steps_plain", r.steps_plain)
-                    .num("steps_temporal", r.steps_temporal)
-                    .num("temporal_checks", r.temporal_checks)
-                    .num("tree_plain_us", r.tree_plain.as_micros())
-                    .num("tree_temporal_us", r.tree_temporal.as_micros())
-                    .num("vm_plain_us", r.vm_plain.as_micros())
-                    .num("vm_temporal_us", r.vm_temporal.as_micros())
-                    .fixed("overhead_tree", r.overhead_tree(), 3)
-                    .fixed("overhead_vm", r.overhead_vm(), 3);
-            });
-            o.num("reps", self.reps)
-                .fixed("geomean_overhead_tree", self.geomean_overhead_tree(), 3)
-                .fixed("geomean_overhead_vm", self.geomean_overhead_vm(), 3);
-        })
+    /// `BENCH_temporal.json`, one row per workload; `runtime.*` are the
+    /// spatial-only cure's, `temporal.*` the `--temporal` cure's.
+    pub fn record(&self) -> Record {
+        let mut r = Record::new(self.rows.len());
+        for row in &self.rows {
+            r.row(
+                &row.name,
+                [
+                    ("runtime.steps", row.steps_plain as f64, "count"),
+                    ("temporal.steps", row.steps_temporal as f64, "count"),
+                    ("temporal.checks", row.temporal_checks as f64, "count"),
+                    ("runtime.tree_s", row.tree_plain.as_secs_f64(), "s"),
+                    ("temporal.tree_s", row.tree_temporal.as_secs_f64(), "s"),
+                    ("runtime.vm_s", row.vm_plain.as_secs_f64(), "s"),
+                    ("temporal.vm_s", row.vm_temporal.as_secs_f64(), "s"),
+                    ("temporal.tree_overhead", row.overhead_tree(), "x"),
+                    ("temporal.vm_overhead", row.overhead_vm(), "x"),
+                ],
+            );
+        }
+        let (tree, vm) = (self.geomean_overhead_tree(), self.geomean_overhead_vm());
+        r.metrics([
+            ("temporal.reps", self.reps.into(), "count"),
+            ("temporal.geomean_tree_overhead", tree, "x"),
+            ("temporal.geomean_vm_overhead", vm, "x"),
+        ]);
+        r
     }
 }
 
@@ -829,12 +846,12 @@ pub fn fig_temporal(smoke: bool) -> TemporalFig {
             let plain = cure(false);
             let temporal = cure(true);
             let [(tree_plain, tp), (vm_plain, vp), (tree_temporal, tt), (vm_temporal, vt)] =
-                time_round_robin(
+                time_runs(
                     [
-                        Timing::on(&plain, ccured_rt::Engine::Tree),
-                        Timing::on(&plain, ccured_rt::Engine::Vm),
-                        Timing::on(&temporal, ccured_rt::Engine::Tree),
-                        Timing::on(&temporal, ccured_rt::Engine::Vm),
+                        (&plain, Engine::Tree, false),
+                        (&plain, Engine::Vm, false),
+                        (&temporal, Engine::Tree, false),
+                        (&temporal, Engine::Vm, false),
                     ],
                     &w.input,
                     reps,
@@ -895,21 +912,24 @@ pub struct ProfileFig {
 }
 
 impl ProfileFig {
-    /// `BENCH_profile.json` — machine-readable record for CI artifacts.
-    pub fn to_json(&self) -> String {
-        json::object(|o| {
-            o.str("experiment", "fig-profile");
-            o.list("rows", &self.rows, |o, r| {
-                o.str("name", &r.name)
-                    .num("sites", r.sites)
-                    .num("hot_sites", r.hot_sites)
-                    .num("total_hits", r.total_hits)
-                    .fixed("total_cost", r.total_cost, 1)
-                    .fixed("top_share", r.top_share, 3)
-                    .num("unelided_hot", r.unelided_hot)
-                    .list("top", &r.top, |o, t| t.write_json(o));
-            });
-        })
+    /// `BENCH_profile.json`, one row per workload. The top sites are not
+    /// in it: `ccured profile --json` writes a unit's ranked sites.
+    pub fn record(&self) -> Record {
+        let mut r = Record::new(self.rows.len());
+        for row in &self.rows {
+            r.row(
+                &row.name,
+                [
+                    ("profile.sites", row.sites as f64, "count"),
+                    ("profile.hot_sites", row.hot_sites as f64, "count"),
+                    ("profile.hits", row.total_hits as f64, "count"),
+                    ("profile.cost", row.total_cost, "cycles"),
+                    ("profile.top_share", row.top_share, "ratio"),
+                    ("profile.unelided_hot", row.unelided_hot as f64, "count"),
+                ],
+            );
+        }
+        r
     }
 }
 
@@ -917,7 +937,7 @@ impl ProfileFig {
 /// ranked site rows (run errors are impossible on this corpus).
 fn profile_cured(
     cured: &ccured::Cured,
-    engine: ccured_rt::Engine,
+    engine: Engine,
     input: &[u8],
 ) -> Vec<ccured_rt::SiteReport> {
     use ccured_rt::Interp;
@@ -948,26 +968,14 @@ pub fn fig_profile(smoke: bool) -> ProfileFig {
             ptrdist::anagram(40),
         ]
     } else {
-        vec![
-            micro::safe_deref(4000),
-            micro::seq_index(1500),
-            micro::wild_loop(500),
-            micro::rtti_dispatch(1200),
-            micro::ptr_store(1500),
-            olden::em3d(64, 6, 48),
-            olden::treeadd(12),
-            ptrdist::anagram(80),
-            ptrdist::ks(30),
-            spec::compress_like(32, 8),
-            spec::ijpeg_oo(48, 40),
-        ]
+        interp_corpus(false).0
     };
     let rows = ws
         .iter()
         .map(|w| {
             let cured = w.curer().cure_source(&w.source).expect("fig-profile cure");
-            let vm = profile_cured(&cured, ccured_rt::Engine::Vm, &w.input);
-            let tree = profile_cured(&cured, ccured_rt::Engine::Tree, &w.input);
+            let vm = profile_cured(&cured, Engine::Vm, &w.input);
+            let tree = profile_cured(&cured, Engine::Tree, &w.input);
             let key = |rows: &[ccured_rt::SiteReport]| {
                 rows.iter()
                     .map(|r| (r.site.id, r.hits, r.fails, r.walk_steps, r.cost.to_bits()))
@@ -1007,22 +1015,15 @@ pub fn fig_profile(smoke: bool) -> ProfileFig {
 /// Figure 9 corpus of (profiled / plain) run time, each best-of-`reps` on
 /// the bytecode VM. The acceptance bar is <5% (asserted in release).
 pub fn profile_overhead(reps: u32) -> f64 {
-    let corpus = daemons::figure9_corpus();
-    let mut ln_sum = 0.0;
-    for w in &corpus {
+    geomean(daemons::figure9_corpus().iter().map(|w| {
         let cured = w
             .curer()
             .cure_source(&w.source)
             .expect("profile-overhead cure");
-        let plain = Timing::on(&cured, ccured_rt::Engine::Vm);
-        let profiled = Timing {
-            profile: true,
-            ..plain
-        };
-        let [(plain, _), (profiled, _)] = time_round_robin([plain, profiled], &w.input, reps);
-        ln_sum += (profiled.as_secs_f64() / plain.as_secs_f64().max(1e-9)).ln();
-    }
-    (ln_sum / corpus.len().max(1) as f64).exp()
+        let configs = [(&cured, Engine::Vm, false), (&cured, Engine::Vm, true)];
+        let [(plain, _), (profiled, _)] = time_runs(configs, &w.input, reps);
+        profiled.as_secs_f64() / plain.as_secs_f64().max(1e-9)
+    }))
 }
 
 /// E15 (`fig-opt2`): one workload's executed-check cost under the three
@@ -1070,37 +1071,31 @@ impl Opt2Fig {
     /// Geometric mean of the loop passes' cost reduction over the strided
     /// subset — the headline E15 claim (target ≥ 15%).
     pub fn geomean_reduction_strided(&self) -> f64 {
-        let strided: Vec<&Opt2Row> = self.rows.iter().filter(|r| r.strided).collect();
-        if strided.is_empty() {
-            return 0.0;
-        }
-        let ln_sum: f64 = strided
-            .iter()
-            .map(|r| (r.full / r.elim.max(1e-9)).max(1e-9).ln())
-            .sum();
-        1.0 - (ln_sum / strided.len() as f64).exp()
+        let strided = self.rows.iter().filter(|r| r.strided);
+        1.0 - geomean(strided.map(|r| (r.full / r.elim.max(1e-9)).max(1e-9)))
     }
 
-    /// `BENCH_opt2.json` — machine-readable record for CI artifacts.
-    pub fn to_json(&self) -> String {
-        json::object(|o| {
-            o.str("experiment", "fig-opt2");
-            o.list("rows", &self.rows, |o, r| {
-                o.str("name", &r.name)
-                    .num("strided", r.strided)
-                    .fixed("noopt_check_cycles", r.noopt, 1)
-                    .fixed("elim_check_cycles", r.elim, 1)
-                    .fixed("full_check_cycles", r.full, 1)
-                    .fixed("reduction", r.reduction(), 3)
-                    .num("hoisted", r.hoisted)
-                    .num("widened", r.widened);
-            });
-            o.fixed(
-                "geomean_reduction_strided",
-                self.geomean_reduction_strided(),
-                3,
+    /// `BENCH_opt2.json`, one row per workload; `runtime.check_cycles` and
+    /// `analysis.*` are the full optimizer's.
+    pub fn record(&self) -> Record {
+        let mut r = Record::new(self.rows.len());
+        for row in &self.rows {
+            r.row(
+                &row.name,
+                [
+                    ("opt2.strided", u8::from(row.strided).into(), "bool"),
+                    ("opt2.noopt_check_cycles", row.noopt, "cycles"),
+                    ("opt2.elim_check_cycles", row.elim, "cycles"),
+                    ("runtime.check_cycles", row.full, "cycles"),
+                    ("opt2.reduction", row.reduction(), "ratio"),
+                    ("analysis.hoisted", row.hoisted as f64, "count"),
+                    ("analysis.widened", row.widened as f64, "count"),
+                ],
             );
-        })
+        }
+        let strided = self.geomean_reduction_strided();
+        r.metrics([("opt2.geomean_reduction_strided", strided, "ratio")]);
+        r
     }
 }
 
@@ -1207,20 +1202,23 @@ impl ServeFig {
         self.cold.as_secs_f64() / self.warm_touched.as_secs_f64().max(1e-9)
     }
 
-    /// `BENCH_serve.json` — machine-readable record for CI artifacts.
-    pub fn to_json(&self) -> String {
-        json::object(|o| {
-            o.str("experiment", "fig-serve")
-                .num("units", self.units)
-                .num("cold_us", self.cold.as_micros())
-                .num("warm_identical_us", self.warm_identical.as_micros())
-                .num("warm_touched_us", self.warm_touched.as_micros())
-                .fixed("identical_speedup", self.identical_speedup(), 3)
-                .fixed("touched_speedup", self.touched_speedup(), 3)
-                .num("reply_p50_us", self.reply_p50.as_micros())
-                .num("reply_p99_us", self.reply_p99.as_micros())
-                .num("digests_match", self.digests_match);
-        })
+    /// `BENCH_serve.json` over the three passes; the touched pass fails
+    /// when its digests do not match the cold batch.
+    pub fn record(&self) -> Record {
+        let s = |d: std::time::Duration| d.as_secs_f64();
+        let mut r = Record::new(3);
+        r.failed = u64::from(!self.digests_match);
+        r.metrics([
+            ("serve.units", self.units as f64, "count"),
+            ("serve.cold_s", s(self.cold), "s"),
+            ("serve.warm_identical_s", s(self.warm_identical), "s"),
+            ("serve.warm_touched_s", s(self.warm_touched), "s"),
+            ("serve.identical_speedup", self.identical_speedup(), "x"),
+            ("serve.touched_speedup", self.touched_speedup(), "x"),
+            ("serve.reply_p50_ms", s(self.reply_p50) * 1e3, "ms"),
+            ("serve.reply_p99_ms", s(self.reply_p99) * 1e3, "ms"),
+        ]);
+        r
     }
 }
 
@@ -1350,9 +1348,67 @@ impl SynthFig {
             .fold(0.0, f64::max)
     }
 
-    /// `BENCH_synth.json` — the campaign report is already the record.
-    pub fn to_json(&self) -> String {
-        self.report.to_json()
+    /// `BENCH_synth.json` over the campaign's units and mutants; each
+    /// escape, divergence and cure failure is a failed row. The per-class
+    /// and per-profile metrics are keyed by class and profile name.
+    pub fn record(&self) -> Record {
+        let rep = &self.report;
+        let mut r = Record::new(rep.units + rep.mutants as usize);
+        r.failed = (rep.escapes.len() + rep.divergences.len() + rep.cure_failures.len()) as u64;
+        let (caught, escaped, masked, limit, invalid) = rep.outcome_totals();
+        let n = |x: usize| x as f64;
+        r.metrics([
+            ("synth.seed", rep.seed as f64, "seed"),
+            ("synth.units", n(rep.units), "count"),
+            ("synth.mutants_per_unit", n(rep.mutants_per_unit), "count"),
+            ("synth.jobs", n(rep.jobs), "count"),
+            ("synth.mutants", rep.mutants as f64, "count"),
+            ("synth.caught", caught as f64, "count"),
+            ("synth.escaped", escaped as f64, "count"),
+            ("synth.masked", masked as f64, "count"),
+            ("synth.resource_exhausted", limit as f64, "count"),
+            ("synth.invalid", invalid as f64, "count"),
+            ("synth.divergences", n(rep.divergences.len()), "count"),
+            ("synth.cure_failures", n(rep.cure_failures.len()), "count"),
+            ("synth.cache_hit_rate", rep.cache_hit_rate, "ratio"),
+            ("synth.wall_s", rep.wall.as_secs_f64(), "s"),
+        ]);
+        for (class, c) in FaultClass::ALL.iter().zip(&rep.classes) {
+            let limit = c.resource_exhausted as f64;
+            r.row(
+                class.name(),
+                [
+                    ("synth.total", c.total as f64, "count"),
+                    ("synth.caught", c.caught as f64, "count"),
+                    ("synth.escaped", c.escaped as f64, "count"),
+                    ("synth.masked", c.masked as f64, "count"),
+                    ("synth.resource_exhausted", limit, "count"),
+                    ("synth.invalid", c.invalid as f64, "count"),
+                ],
+            );
+        }
+        for p in &rep.profiles {
+            let (t, m) = (p.target, p.measured);
+            let within = p.within(ccured_synth::KIND_TOLERANCE_PCT);
+            r.row(
+                &p.name,
+                [
+                    ("synth.units", n(p.units), "count"),
+                    ("synth.pointers", p.pointers as f64, "count"),
+                    ("synth.target_safe_pct", t.0, "%"),
+                    ("synth.target_seq_pct", t.1, "%"),
+                    ("synth.target_wild_pct", t.2, "%"),
+                    ("synth.target_rtti_pct", t.3, "%"),
+                    ("synth.measured_safe_pct", m.0, "%"),
+                    ("synth.measured_seq_pct", m.1, "%"),
+                    ("synth.measured_wild_pct", m.2, "%"),
+                    ("synth.measured_rtti_pct", m.3, "%"),
+                    ("synth.max_deviation", p.max_deviation(), "points"),
+                    ("synth.within_tolerance", u8::from(within).into(), "bool"),
+                ],
+            );
+        }
+        r
     }
 }
 
@@ -1371,6 +1427,86 @@ pub fn fig_synth(smoke: bool) -> std::io::Result<SynthFig> {
     let report = ccured_synth::run_campaign(&cfg);
     let _ = std::fs::remove_dir_all(&dir);
     Ok(SynthFig { report: report? })
+}
+
+/// E20 (`fig-hierarchy`): one `ijpeg_oo` chain's hierarchy build.
+#[derive(Debug, Clone)]
+pub struct HierarchyRow {
+    /// Types in the chain.
+    pub types: u32,
+    /// Source lines of the unit.
+    pub lines: usize,
+    /// Hierarchy nodes, the `void` root included.
+    pub nodes: usize,
+    /// Exact comparisons of one build: the coinductive ones in `PhysCtx`
+    /// plus the parent search's class-layout prefix tests.
+    pub comparisons: u64,
+    /// Best-of-`reps` wall-clock of `Hierarchy::build`.
+    pub build: std::time::Duration,
+}
+
+/// E20 (`fig-hierarchy`): the whole table.
+#[derive(Debug, Clone)]
+pub struct HierarchyFig {
+    /// One row per chain length.
+    pub rows: Vec<HierarchyRow>,
+    /// Timing repetitions per unit (best-of).
+    pub reps: u32,
+}
+
+impl HierarchyFig {
+    /// `BENCH_hierarchy.json`, one row per chain length.
+    pub fn record(&self) -> Record {
+        let mut r = Record::new(self.rows.len());
+        for row in &self.rows {
+            r.row(
+                row.types,
+                [
+                    ("hierarchy.lines", row.lines as f64, "count"),
+                    ("hierarchy.nodes", row.nodes as f64, "count"),
+                    ("hierarchy.comparisons", row.comparisons as f64, "count"),
+                    ("hierarchy.build_s", row.build.as_secs_f64(), "s"),
+                ],
+            );
+        }
+        r.metrics([("hierarchy.reps", self.reps.into(), "count")]);
+        r
+    }
+}
+
+/// E20 (`fig-hierarchy`): `Hierarchy::build` on the `ijpeg_oo(n, 28)`
+/// chain, n = 50/100/150/200 (about 2k–8k lines), each unit parsed and
+/// lowered without the wrapper prelude and built best-of-20, round-robin
+/// across the four units. `smoke` times best-of-3 for CI.
+pub fn fig_hierarchy(smoke: bool) -> HierarchyFig {
+    use ccured::Hierarchy;
+    use ccured_cil::phys::PhysCtx;
+    const TYPES: [u32; 4] = [50, 100, 150, 200];
+    let reps = if smoke { 3 } else { 20 };
+    let units = TYPES.map(|types| {
+        let w = spec::ijpeg_oo(types, 28);
+        let tu = ccured_ast::parse_translation_unit(&w.source).expect("fig-hierarchy parse");
+        let prog = ccured_cil::lower_translation_unit(&tu).expect("fig-hierarchy lower");
+        (w.source.lines().count(), prog)
+    });
+    let timed: [_; 4] = time_round_robin(reps, |i| &units[i].1, Hierarchy::build);
+    let rows = TYPES
+        .iter()
+        .zip(&units)
+        .zip(timed)
+        .map(|((&types, (lines, prog)), (build, h))| {
+            let mut phys = PhysCtx::new(&prog.types);
+            let (_, tests) = Hierarchy::build_with(prog, &mut phys);
+            HierarchyRow {
+                types,
+                lines: *lines,
+                nodes: h.len(),
+                comparisons: phys.comparisons() + tests,
+                build,
+            }
+        })
+        .collect();
+    HierarchyFig { rows, reps }
 }
 
 #[cfg(test)]
@@ -1451,7 +1587,7 @@ mod tests {
         );
     }
 
-    /// E19: the JSON record carries both per-engine geomeans and the raw
+    /// E19: the record carries both per-engine geomeans and the raw
     /// counters the overhead is computed from.
     #[test]
     fn fig_temporal_json_records_overheads() {
@@ -1468,12 +1604,23 @@ mod tests {
             }],
             reps: 2,
         };
-        let j = f.to_json();
-        assert!(j.contains("\"experiment\":\"fig-temporal\""), "{j}");
-        assert!(j.contains("\"geomean_overhead_tree\":1.250"), "{j}");
-        assert!(j.contains("\"geomean_overhead_vm\":1.100"), "{j}");
-        assert!(j.contains("\"temporal_checks\":20"), "{j}");
-        assert!(j.contains("\"steps_temporal\":120"), "{j}");
+        let r = f.record();
+        let j = r.json();
+        assert!(
+            j.starts_with(r#"{"correct":true,"attempted":1,"failed":0,"metrics":{"#),
+            "{j}"
+        );
+        let value = |name| r.value(name).unwrap_or_else(|| panic!("no {name}: {j}"));
+        assert!(
+            (value("temporal.geomean_tree_overhead") - 1.25).abs() < 5e-4,
+            "{j}"
+        );
+        assert!(
+            (value("temporal.geomean_vm_overhead") - 1.1).abs() < 5e-4,
+            "{j}"
+        );
+        assert_eq!(value("temporal.checks.w"), 20.0);
+        assert_eq!(value("temporal.steps.w"), 120.0);
     }
 
     /// E14: the profile figure's internal cross-engine assertion must hold
@@ -1495,9 +1642,16 @@ mod tests {
             assert!(r.top_share > 0.0 && r.top_share <= 1.0 + 1e-9, "{}", r.name);
             assert!(!r.top.is_empty(), "{}: no top sites", r.name);
         }
-        let j = f.to_json();
-        assert!(j.contains("\"experiment\":\"fig-profile\""), "{j}");
-        assert!(j.contains("\"keep_reason\""), "{j}");
+        let r = f.record();
+        assert!(
+            r.correct() && r.attempted == f.rows.len() as u64,
+            "{}",
+            r.json()
+        );
+        for w in &f.rows {
+            let kept = r.value(&format!("profile.unelided_hot.{}", w.name));
+            assert_eq!(kept, Some(w.unelided_hot as f64), "{}", r.json());
+        }
     }
 
     /// E14: enabling per-site profiling must cost <5% wall-clock over the
@@ -1541,9 +1695,17 @@ mod tests {
                 assert!(r.full < r.elim, "{}: widening must win", r.name);
             }
         }
-        let j = f.to_json();
-        assert!(j.contains("\"experiment\":\"fig-opt2\""), "{j}");
-        assert!(j.contains("\"geomean_reduction_strided\""), "{j}");
+        let r = f.record();
+        assert!(
+            r.correct() && r.attempted == f.rows.len() as u64,
+            "{}",
+            r.json()
+        );
+        assert!(
+            r.value("opt2.geomean_reduction_strided").is_some(),
+            "{}",
+            r.json()
+        );
     }
 
     /// E15 headline: ≥15% geometric-mean executed-check-cost reduction on
@@ -1562,6 +1724,29 @@ mod tests {
              workloads (geomean), got {:.1}%",
             g * 100.0
         );
+    }
+
+    /// E20: one row per chain length, growing with the chain, and the
+    /// exact comparisons stay near-linear in it (the quadratic builder
+    /// made 245007 at 200 types).
+    #[test]
+    fn fig_hierarchy_rows_grow_near_linearly() {
+        let f = fig_hierarchy(true);
+        let r = f.record();
+        assert!(r.correct() && r.attempted == 4, "{}", r.json());
+        for w in f.rows.windows(2) {
+            assert!(w[0].lines < w[1].lines && w[0].nodes < w[1].nodes, "{w:?}");
+        }
+        let (small, large) = (&f.rows[1], &f.rows[3]);
+        assert!(
+            (large.comparisons as f64) < 2.5 * small.comparisons as f64,
+            "doubling the chain from {} to {} types: {} -> {} comparisons",
+            small.types,
+            large.types,
+            small.comparisons,
+            large.comparisons
+        );
+        assert_eq!(r.value("hierarchy.nodes.200"), Some(large.nodes as f64));
     }
 
     #[test]
@@ -1621,11 +1806,8 @@ mod tests {
             f.max_deviation(),
             f.report.render()
         );
-        let j = f.to_json();
-        assert!(
-            j.contains("\"sound\": true") || j.contains("\"sound\":true"),
-            "{j}"
-        );
+        let r = f.record();
+        assert!(r.correct() && r.failed == 0, "{}", r.json());
     }
 
     /// E16 floor: the resident unit cache must make an unchanged re-request

@@ -1,12 +1,14 @@
 //! Minimal fixed-width table rendering for the `tables` binary.
 
-/// Renders a table: a header row followed by data rows, columns padded to
-/// their widest cell, separated by two spaces.
-pub fn render(header: &[&str], rows: &[Vec<String>]) -> String {
+/// Renders a table: a header row (`header`'s columns separated by `|`)
+/// followed by data rows, columns padded to their widest cell, separated by
+/// two spaces.
+pub fn render<R: AsRef<[String]>>(header: &str, rows: &[R]) -> String {
+    let header: Vec<&str> = header.split('|').collect();
     let cols = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for r in rows {
-        for (i, cell) in r.iter().enumerate().take(cols) {
+        for (i, cell) in r.as_ref().iter().enumerate().take(cols) {
             widths[i] = widths[i].max(cell.len());
         }
     }
@@ -27,7 +29,7 @@ pub fn render(header: &[&str], rows: &[Vec<String>]) -> String {
     out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
     out.push('\n');
     for r in rows {
-        out.push_str(&fmt_row(r, &widths));
+        out.push_str(&fmt_row(r.as_ref(), &widths));
         out.push('\n');
     }
     out
@@ -57,10 +59,10 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let s = render(
-            &["name", "ratio"],
+            "name|ratio",
             &[
-                vec!["asis".into(), "0.96".into()],
-                vec!["usertrack".into(), "1.00".into()],
+                ["asis".into(), "0.96".into()],
+                ["usertrack".into(), "1.00".into()],
             ],
         );
         let lines: Vec<&str> = s.lines().collect();

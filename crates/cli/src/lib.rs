@@ -492,6 +492,11 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Us
             "`profile` runs in cured mode (the checks being profiled only exist there)".into(),
         ));
     }
+    if o.command == Command::Explain && o.mode != Mode::Cured {
+        return Err(UsageError(
+            "`explain` runs in cured mode (the blame paths it prints come from the cure)".into(),
+        ));
+    }
     if o.temporal && o.mode != Mode::Cured {
         return Err(UsageError(
             "--temporal only applies to cured mode (the temporal checks are cure-inserted)".into(),
@@ -636,10 +641,9 @@ pub fn drive(o: &Options, source: &str, input: &[u8]) -> Result<Outcome, CureErr
 
     // Baseline/original modes skip the cure (they run the plain program).
     if o.run && o.mode != Mode::Cured {
-        if o.report || o.emit_ir {
+        if o.report || o.review || o.emit_ir {
             out.push_str(
-                "ccured: note: --report/--emit-ir apply to cured mode only and are ignored here
-",
+                "ccured: note: --report/--review/--emit-ir apply to cured mode only and are ignored here\n",
             );
         }
         let prog = curer(o).lower_source(source)?;
@@ -1963,6 +1967,37 @@ mod tests {
         let r = drive(&o, "int main(void) { return 5; }", b"").unwrap();
         assert_eq!(r.exit, 5);
         assert!(r.stdout.contains("-- counters:"));
+    }
+
+    /// A baseline `--mode` runs the plain program, which has no blame
+    /// paths: `explain` refuses every such mode, and a plain run names
+    /// each cure output it skips, `--review` included.
+    #[test]
+    fn baseline_modes_refuse_explain_and_name_the_ignored_flags() {
+        for mode in ["original", "purify", "valgrind", "joneskelly"] {
+            for line in [
+                format!("explain prog.c --mode {mode}"),
+                format!("explain prog.c --run --mode {mode}"),
+            ] {
+                let e = args(&line).expect_err(&line);
+                assert!(
+                    e.0.starts_with("`explain` runs in cured mode"),
+                    "{line}: {e}"
+                );
+            }
+        }
+        assert!(args("explain prog.c --run --mode cured").is_ok());
+        for flag in ["--review", "--report", "--emit-ir"] {
+            let o = args(&format!("mem.c --run --mode original {flag}")).unwrap();
+            let r = drive(&o, "int main(void) { return 5; }", b"").unwrap();
+            assert_eq!(r.exit, 5);
+            assert_eq!(
+                r.stdout,
+                "ccured: note: --report/--review/--emit-ir apply to cured mode only \
+                 and are ignored here\n",
+                "{flag}"
+            );
+        }
     }
 
     #[test]

@@ -53,7 +53,9 @@ impl Hierarchy {
 
     /// [`Hierarchy::build`] over a caller's comparison context; also
     /// returns how many class-layout prefix tests the parent search made.
-    fn build_with(prog: &Program, phys: &mut PhysCtx) -> (Hierarchy, u64) {
+    /// Those plus [`PhysCtx::comparisons`] count a build's exact
+    /// comparisons.
+    pub fn build_with(prog: &Program, phys: &mut PhysCtx) -> (Hierarchy, u64) {
         // One node per physical-equality class of pointee types (distinct
         // struct tags with identical layout share a node: they are
         // indistinguishable to the checked-downcast machinery).

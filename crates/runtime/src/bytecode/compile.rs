@@ -1028,10 +1028,7 @@ impl<'p> Cc<'_, 'p> {
             MinusPP => generic,
             _ => OpKind::BinArith {
                 op,
-                trunc: match self.prog.types.get(res_ty) {
-                    Type::Int(k) => Some(*k),
-                    _ => None,
-                },
+                trunc: self.it.int_kind(res_ty),
             },
         }
     }

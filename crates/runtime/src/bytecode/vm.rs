@@ -6,18 +6,16 @@
 //! applies unchanged). All memory, counter, limit and check machinery is
 //! the same `Interp` state the tree engine uses — the ops below call the
 //! exact same `pub(crate)` helpers (`load_place`, `store_mem_checked`,
-//! `apply_binop`, `eval_cast`, `make_ptr`, ...), so behaviour can only
-//! diverge if compilation placed an op or a cost wrong, which is what the
-//! differential suite pins down.
+//! `apply_binop`, `arith`, `compare`, `eval_cast`, `make_ptr`, ...), so
+//! behaviour can only diverge if compilation placed an op or a cost wrong,
+//! which is what the differential suite pins down.
 
 use super::ops::{CompiledFn, OpKind, RegNorm, ZeroKind};
 use crate::err::RtError;
-use crate::interp::{
-    compare_f, compare_i, no_frame, trunc_int, ExecMode, Frame, Interp, LocalSlot, Place,
-};
+use crate::interp::{no_frame, trunc_int, ExecMode, Frame, Interp, LocalSlot, Place};
 use crate::mem::{AllocKind, Pointer};
 use crate::value::{PtrVal, Value};
-use ccured_cil::ir::{BinOp, FnRef, FuncId, LocalId};
+use ccured_cil::ir::{FnRef, FuncId, LocalId};
 use ccured_cil::types::Type;
 use std::rc::Rc;
 
@@ -241,83 +239,6 @@ impl<'p> Interp<'p> {
         r
     }
 
-    /// Arithmetic/bitwise operator with the result truncation pre-resolved
-    /// (the `BinArith` fast path; mirrors `apply_binop`'s arithmetic arm).
-    fn vm_arith(
-        &self,
-        op: ccured_cil::ir::BinOp,
-        a: Value,
-        b: Value,
-        trunc: Option<ccured_cil::types::IntKind>,
-    ) -> Result<Value, RtError> {
-        use ccured_cil::ir::BinOp::*;
-        match (a, b) {
-            (Value::Float(x), Value::Float(y)) => {
-                let r = match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => x / y,
-                    _ => return Err(RtError::Unsupported(format!("float operator {op:?}"))),
-                };
-                Ok(Value::Float(r))
-            }
-            (Value::Int(x), Value::Int(y)) => {
-                let r = match op {
-                    Add => x.wrapping_add(y),
-                    Sub => x.wrapping_sub(y),
-                    Mul => x.wrapping_mul(y),
-                    Div => {
-                        if y == 0 {
-                            return Err(RtError::DivByZero);
-                        }
-                        x.wrapping_div(y)
-                    }
-                    Rem => {
-                        if y == 0 {
-                            return Err(RtError::DivByZero);
-                        }
-                        x.wrapping_rem(y)
-                    }
-                    Shl => x.wrapping_shl((y & 63) as u32),
-                    Shr => x.wrapping_shr((y & 63) as u32),
-                    BitAnd => x & y,
-                    BitXor => x ^ y,
-                    BitOr => x | y,
-                    _ => unreachable!("BinArith compiled from a non-arithmetic operator"),
-                };
-                Ok(Value::Int(match trunc {
-                    Some(k) => trunc_int(r, k, &self.prog.types.machine),
-                    None => r,
-                }))
-            }
-            (x, y) => Err(RtError::Unsupported(format!(
-                "operator {op:?} between {x:?} and {y:?}"
-            ))),
-        }
-    }
-
-    /// Comparison (the `BinCmp` fast path; mirrors `apply_binop`'s
-    /// comparison arm, pointers comparing by virtual address).
-    fn vm_cmp(&self, op: BinOp, a: Value, b: Value) -> Result<bool, RtError> {
-        Ok(match (a, b) {
-            (Value::Int(x), Value::Int(y)) => compare_i(op, x, y),
-            (Value::Float(x), Value::Float(y)) => compare_f(op, x, y),
-            (Value::Ptr(x), Value::Ptr(y)) => {
-                let vx = self.mem.va_of(&x) as i128;
-                let vy = self.mem.va_of(&y) as i128;
-                compare_i(op, vx, vy)
-            }
-            (Value::Ptr(x), Value::Int(y)) => compare_i(op, self.mem.va_of(&x) as i128, y),
-            (Value::Int(x), Value::Ptr(y)) => compare_i(op, x, self.mem.va_of(&y) as i128),
-            (x, y) => {
-                return Err(RtError::Unsupported(format!(
-                    "comparison between {x:?} and {y:?}"
-                )))
-            }
-        })
-    }
-
     /// Register read (the `LoadReg` body, shared with the fused forms).
     #[inline]
     fn vm_read_reg(&self, l: LocalId, zk: ZeroKind) -> Result<Value, RtError> {
@@ -535,13 +456,13 @@ impl<'p> Interp<'p> {
                 OpKind::BinArith { op, trunc } => {
                     let b = vals.pop().ok_or_else(underflow)?;
                     let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_arith(*op, a, b, *trunc)?;
+                    let r = self.arith(*op, a, b, *trunc)?;
                     vals.push(r);
                 }
                 OpKind::BinCmp(op) => {
                     let b = vals.pop().ok_or_else(underflow)?;
                     let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_cmp(*op, a, b)?;
+                    let r = self.compare(*op, a, b)?;
                     vals.push(Value::Int(r as i128));
                 }
                 OpKind::PtrAdd { elem, neg } => {
@@ -762,7 +683,7 @@ impl<'p> Interp<'p> {
                         self.add_instrs(*c2)?;
                     }
                     let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_arith(*op, a, b, *trunc)?;
+                    let r = self.arith(*op, a, b, *trunc)?;
                     vals.push(r);
                 }
                 OpKind::RegStoreReg {
@@ -784,7 +705,7 @@ impl<'p> Interp<'p> {
                         self.add_instrs(*c2)?;
                     }
                     let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_arith(*op, a, Value::Int(*v), *trunc)?;
+                    let r = self.arith(*op, a, Value::Int(*v), *trunc)?;
                     vals.push(r);
                 }
                 OpKind::PushBinCmp { v, op, c2 } => {
@@ -792,7 +713,7 @@ impl<'p> Interp<'p> {
                         self.add_instrs(*c2)?;
                     }
                     let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_cmp(*op, a, Value::Int(*v))?;
+                    let r = self.compare(*op, a, Value::Int(*v))?;
                     vals.push(Value::Int(r as i128));
                 }
                 OpKind::PushCmpBranch {
@@ -806,7 +727,7 @@ impl<'p> Interp<'p> {
                         self.add_instrs(*c2)?;
                     }
                     let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_cmp(*op, a, Value::Int(*v))?;
+                    let r = self.compare(*op, a, Value::Int(*v))?;
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
@@ -825,7 +746,7 @@ impl<'p> Interp<'p> {
                 OpKind::CmpBranch { op, target, c2 } => {
                     let b = vals.pop().ok_or_else(underflow)?;
                     let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_cmp(*op, a, b)?;
+                    let r = self.compare(*op, a, b)?;
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
@@ -843,7 +764,7 @@ impl<'p> Interp<'p> {
                 } => {
                     let b = vals.pop().ok_or_else(underflow)?;
                     let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_arith(*op, a, b, *trunc)?;
+                    let r = self.arith(*op, a, b, *trunc)?;
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
@@ -890,7 +811,7 @@ impl<'p> Interp<'p> {
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
-                    let r = self.vm_cmp(*op, av, bv)?;
+                    let r = self.compare(*op, av, bv)?;
                     if *c4 != 0 {
                         self.add_instrs(*c4)?;
                     }
@@ -917,7 +838,7 @@ impl<'p> Interp<'p> {
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
-                    let r = self.vm_arith(*op, av, bv, *trunc)?;
+                    let r = self.arith(*op, av, bv, *trunc)?;
                     vals.push(r);
                 }
                 OpKind::RegRegPtrAdd {
@@ -967,7 +888,7 @@ impl<'p> Interp<'p> {
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
-                    let r = self.vm_arith(*op, a, Value::Int(*v), *trunc)?;
+                    let r = self.arith(*op, a, Value::Int(*v), *trunc)?;
                     vals.push(r);
                 }
                 OpKind::RegImmArithStore {
@@ -989,7 +910,7 @@ impl<'p> Interp<'p> {
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
-                    let r = self.vm_arith(*op, a, Value::Int(*v), *trunc)?;
+                    let r = self.arith(*op, a, Value::Int(*v), *trunc)?;
                     if *c4 != 0 {
                         self.add_instrs(*c4)?;
                     }
@@ -1014,7 +935,7 @@ impl<'p> Interp<'p> {
                         self.add_instrs(*c2)?;
                     }
                     let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_arith(*op, a, Value::Int(b), *trunc)?;
+                    let r = self.arith(*op, a, Value::Int(b), *trunc)?;
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
@@ -1040,7 +961,7 @@ impl<'p> Interp<'p> {
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
-                    let r = self.vm_cmp(*op, a, Value::Int(*v))?;
+                    let r = self.compare(*op, a, Value::Int(*v))?;
                     if *c4 != 0 {
                         self.add_instrs(*c4)?;
                     }
@@ -1065,7 +986,7 @@ impl<'p> Interp<'p> {
                         self.add_instrs(*c2)?;
                     }
                     let a = vals.pop().ok_or_else(underflow)?;
-                    let r = self.vm_cmp(*op, a, Value::Int(b))?;
+                    let r = self.compare(*op, a, Value::Int(b))?;
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
@@ -1096,7 +1017,7 @@ impl<'p> Interp<'p> {
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
-                    let r = self.vm_cmp(*op, Value::Int(a), Value::Int(*v))?;
+                    let r = self.compare(*op, Value::Int(a), Value::Int(*v))?;
                     if *c4 != 0 {
                         self.add_instrs(*c4)?;
                     }

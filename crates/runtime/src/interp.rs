@@ -1413,72 +1413,87 @@ impl<'p> Interp<'p> {
                 };
                 Ok(Value::Int(diff / elem))
             }
-            Lt | Gt | Le | Ge | Eq | Ne => {
-                let r = match (a, b) {
-                    (Value::Float(x), Value::Float(y)) => compare_f(op, x, y),
-                    (Value::Int(x), Value::Int(y)) => compare_i(op, x, y),
-                    (Value::Ptr(x), Value::Ptr(y)) => {
-                        let vx = self.mem.va_of(&x) as i128;
-                        let vy = self.mem.va_of(&y) as i128;
-                        compare_i(op, vx, vy)
-                    }
-                    (Value::Ptr(x), Value::Int(y)) => compare_i(op, self.mem.va_of(&x) as i128, y),
-                    (Value::Int(x), Value::Ptr(y)) => compare_i(op, x, self.mem.va_of(&y) as i128),
-                    (x, y) => {
-                        return Err(RtError::Unsupported(format!(
-                            "comparison between {x:?} and {y:?}"
-                        )))
-                    }
-                };
-                Ok(Value::Int(r as i128))
-            }
-            _ => {
-                // Pure arithmetic.
-                match (a, b) {
-                    (Value::Float(x), Value::Float(y)) => {
-                        let r = match op {
-                            Add => x + y,
-                            Sub => x - y,
-                            Mul => x * y,
-                            Div => x / y,
-                            _ => {
-                                return Err(RtError::Unsupported(format!("float operator {op:?}")))
-                            }
-                        };
-                        Ok(Value::Float(r))
-                    }
-                    (Value::Int(x), Value::Int(y)) => {
-                        let r = match op {
-                            Add => x.wrapping_add(y),
-                            Sub => x.wrapping_sub(y),
-                            Mul => x.wrapping_mul(y),
-                            Div => {
-                                if y == 0 {
-                                    return Err(RtError::DivByZero);
-                                }
-                                x.wrapping_div(y)
-                            }
-                            Rem => {
-                                if y == 0 {
-                                    return Err(RtError::DivByZero);
-                                }
-                                x.wrapping_rem(y)
-                            }
-                            Shl => x.wrapping_shl((y & 63) as u32),
-                            Shr => x.wrapping_shr((y & 63) as u32),
-                            BitAnd => x & y,
-                            BitXor => x ^ y,
-                            BitOr => x | y,
-                            _ => unreachable!("handled above"),
-                        };
-                        Ok(Value::Int(self.trunc_to(res_ty, r)))
-                    }
-                    (x, y) => Err(RtError::Unsupported(format!(
-                        "operator {op:?} between {x:?} and {y:?}"
-                    ))),
-                }
-            }
+            Lt | Gt | Le | Ge | Eq | Ne => Ok(Value::Int(self.compare(op, a, b)? as i128)),
+            _ => self.arith(op, a, b, self.int_kind(res_ty)),
         }
+    }
+
+    /// An arithmetic or bitwise operator, its integer result truncated to
+    /// `trunc` (the kind [`Interp::int_kind`] resolves from the result
+    /// type). Both engines evaluate every such operator here.
+    pub(crate) fn arith(
+        &self,
+        op: BinOp,
+        a: Value,
+        b: Value,
+        trunc: Option<IntKind>,
+    ) -> Result<Value, RtError> {
+        use BinOp::*;
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => {
+                let r = match op {
+                    Add => x + y,
+                    Sub => x - y,
+                    Mul => x * y,
+                    Div => x / y,
+                    _ => return Err(RtError::Unsupported(format!("float operator {op:?}"))),
+                };
+                Ok(Value::Float(r))
+            }
+            (Value::Int(x), Value::Int(y)) => {
+                let r = match op {
+                    Add => x.wrapping_add(y),
+                    Sub => x.wrapping_sub(y),
+                    Mul => x.wrapping_mul(y),
+                    Div => {
+                        if y == 0 {
+                            return Err(RtError::DivByZero);
+                        }
+                        x.wrapping_div(y)
+                    }
+                    Rem => {
+                        if y == 0 {
+                            return Err(RtError::DivByZero);
+                        }
+                        x.wrapping_rem(y)
+                    }
+                    Shl => x.wrapping_shl((y & 63) as u32),
+                    Shr => x.wrapping_shr((y & 63) as u32),
+                    BitAnd => x & y,
+                    BitXor => x ^ y,
+                    BitOr => x | y,
+                    _ => unreachable!("not an arithmetic operator"),
+                };
+                Ok(Value::Int(match trunc {
+                    Some(k) => trunc_int(r, k, &self.prog.types.machine),
+                    None => r,
+                }))
+            }
+            (x, y) => Err(RtError::Unsupported(format!(
+                "operator {op:?} between {x:?} and {y:?}"
+            ))),
+        }
+    }
+
+    /// A comparison, pointers comparing by virtual address. Both engines
+    /// evaluate every comparison here.
+    pub(crate) fn compare(&self, op: BinOp, a: Value, b: Value) -> Result<bool, RtError> {
+        Ok(match (a, b) {
+            (Value::Int(x), Value::Int(y)) => compare_i(op, x, y),
+            (Value::Float(x), Value::Float(y)) => compare_f(op, x, y),
+            (Value::Ptr(x), Value::Ptr(y)) => {
+                let vx = self.mem.va_of(&x) as i128;
+                let vy = self.mem.va_of(&y) as i128;
+                compare_i(op, vx, vy)
+            }
+            (Value::Ptr(x), Value::Int(y)) => compare_i(op, self.mem.va_of(&x) as i128, y),
+            (Value::Int(x), Value::Ptr(y)) => compare_i(op, x, self.mem.va_of(&y) as i128),
+            (x, y) => {
+                return Err(RtError::Unsupported(format!(
+                    "comparison between {x:?} and {y:?}"
+                )))
+            }
+        })
     }
 
     /// Size of a type that must be sized to execute this operation; a
@@ -1501,11 +1516,20 @@ impl<'p> Interp<'p> {
         self.sized(ty, "pointer arithmetic element")
     }
 
+    /// The integer kind a value of type `ty` truncates to (`None` for a
+    /// type that is not an integer).
+    pub(crate) fn int_kind(&self, ty: TypeId) -> Option<IntKind> {
+        match self.prog.types.get(ty) {
+            Type::Int(k) => Some(*k),
+            _ => None,
+        }
+    }
+
     /// Truncates an integer to the width/signedness of `ty`.
     fn trunc_to(&self, ty: TypeId, v: i128) -> i128 {
-        match self.prog.types.get(ty) {
-            Type::Int(k) => trunc_int(v, *k, &self.prog.types.machine),
-            _ => v,
+        match self.int_kind(ty) {
+            Some(k) => trunc_int(v, k, &self.prog.types.machine),
+            None => v,
         }
     }
 
@@ -2093,7 +2117,7 @@ pub(crate) fn no_frame() -> RtError {
     RtError::Internal("no active frame".into())
 }
 
-pub(crate) fn compare_i(op: BinOp, a: i128, b: i128) -> bool {
+fn compare_i(op: BinOp, a: i128, b: i128) -> bool {
     match op {
         BinOp::Lt => a < b,
         BinOp::Gt => a > b,
@@ -2105,7 +2129,7 @@ pub(crate) fn compare_i(op: BinOp, a: i128, b: i128) -> bool {
     }
 }
 
-pub(crate) fn compare_f(op: BinOp, a: f64, b: f64) -> bool {
+fn compare_f(op: BinOp, a: f64, b: f64) -> bool {
     match op {
         BinOp::Lt => a < b,
         BinOp::Gt => a > b,
