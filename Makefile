@@ -28,13 +28,17 @@ smoke:
 	cargo test -q -p ccured-integration --test opt2
 	$(MAKE) synth-smoke
 
-# Hot-site profiling on two examples, under both engines (the rankings
-# must be identical; the tree run is the cross-check).
+# Hot-site profiling under both engines, then batch aggregation. Each
+# profile, text and `--json`, must be identical on both engines once the
+# engine's name is masked (the tree run is the cross-check). matrix.c's
+# hot kept sites are untracked operands.
 profile-smoke:
-	cargo run -q -p ccured-cli --bin ccured -- profile examples/c/quickstart.c --engine vm
-	cargo run -q -p ccured-cli --bin ccured -- profile examples/c/quickstart.c --engine tree
-	cargo run -q -p ccured-cli --bin ccured -- profile examples/c/seq_walk.c --top 5 --engine vm
-	cargo run -q -p ccured-cli --bin ccured -- profile examples/c/seq_walk.c --top 5 --engine tree
+	sh ci/both_engines.sh cargo run -q -p ccured-cli --bin ccured -- profile examples/c/quickstart.c
+	sh ci/both_engines.sh cargo run -q -p ccured-cli --bin ccured -- profile examples/c/quickstart.c --json
+	sh ci/both_engines.sh cargo run -q -p ccured-cli --bin ccured -- profile examples/c/seq_walk.c --top 5
+	sh ci/both_engines.sh cargo run -q -p ccured-cli --bin ccured -- profile examples/c/seq_walk.c --top 5 --json
+	sh ci/both_engines.sh cargo run -q -p ccured-cli --bin ccured -- profile examples/c/matrix.c
+	sh ci/both_engines.sh cargo run -q -p ccured-cli --bin ccured -- profile examples/c/matrix.c --json
 	cargo run -q -p ccured-cli --bin ccured -- batch examples/c --jobs 4 --no-cache --profile
 
 # Regenerate the pretty-printer golden files after an intentional change

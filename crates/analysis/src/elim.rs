@@ -17,6 +17,7 @@
 
 use crate::cfg::{for_each_instr_mut, Cfg, InstrId};
 use crate::dataflow::{forward, Analysis, Lattice};
+use crate::keep::{KeepReason, OperandShape};
 use crate::loops::int_bounds;
 use ccured_ast::Span;
 use ccured_cil::ir::*;
@@ -50,10 +51,12 @@ pub struct ElisionResult {
     /// did not number ([`SiteId::NONE`](ccured_cil::ir::SiteId::NONE)) are
     /// not recorded.
     pub site_elides: BTreeMap<u32, u64>,
-    /// Why the first surviving check of each site was kept, keyed like
-    /// [`ElisionResult::site_elides`]. Feeds the profiler's "hot sites the
-    /// optimizer could not elide" report.
-    pub site_keeps: BTreeMap<u32, String>,
+    /// Why each site with a surviving check was kept, keyed like
+    /// [`ElisionResult::site_elides`]: the reason of its first kept check
+    /// in block order, or the loop optimizer's rewrite, which takes
+    /// precedence. Feeds the profiler's "hot sites the optimizer could not
+    /// elide" report.
+    pub site_keeps: BTreeMap<u32, KeepReason>,
 }
 
 /// A trackable place: a whole scalar variable. Address-taken locals are
@@ -619,57 +622,30 @@ impl Analysis for ElimAnalysis<'_> {
     }
 }
 
-impl ElisionResult {
-    /// Folds another (per-function) result into this one. Site ids are
-    /// globally unique across a program, so per-site maps never collide
-    /// when merging results of distinct functions.
-    pub fn merge(&mut self, other: ElisionResult) {
-        self.stats.add(&other.stats);
-        self.failures.extend(other.failures);
-        for (site, n) in other.site_elides {
-            *self.site_elides.entry(site).or_insert(0) += n;
-        }
-        for (site, why) in other.site_keeps {
-            // Last writer wins: the reason recorded for a site must be the
-            // one computed at the final fixpoint, not a stale early answer.
-            self.site_keeps.insert(site, why);
-        }
-    }
-}
-
 /// Deletes provably redundant checks from one function body and reports
-/// checks that provably always fail. The analysis is intraprocedural, so
-/// per-function results compose:
+/// them, and the checks that provably always fail, into `result`. The
+/// analysis is intraprocedural and site ids are unique, so
 /// [`optimize_program`](crate::loops::optimize_program) runs this over
-/// every function with the shared `tracked_globals` set from
-/// [`tracked_globals`].
+/// every function with one `result` and one [`tracked_globals`] set.
 pub(crate) fn eliminate_checks_in_function(
     prog: &mut Program,
     fi: usize,
     tracked_globals: &HashSet<u32>,
-) -> ElisionResult {
-    let plan = plan_function(prog, fi, tracked_globals);
-    let result = ElisionResult {
-        stats: plan.stats,
-        failures: plan.failures,
-        site_elides: plan.site_elides,
-        site_keeps: plan.site_keeps,
-    };
-    let body = &mut prog.functions[fi].body;
-    let delete = plan.delete;
-    for_each_instr_mut(body, &mut |id, _| !delete.contains(&id));
-    result
+    result: &mut ElisionResult,
+) {
+    let delete = plan_function(prog, fi, tracked_globals, result);
+    for_each_instr_mut(&mut prog.functions[fi].body, &mut |id, _| {
+        !delete.contains(&id)
+    });
 }
 
-struct Plan {
-    delete: HashSet<InstrId>,
-    stats: PerCheck<u64>,
-    failures: Vec<StaticFailure>,
-    site_elides: BTreeMap<u32, u64>,
-    site_keeps: BTreeMap<u32, String>,
-}
-
-fn plan_function(prog: &Program, fi: usize, tracked_globals: &HashSet<u32>) -> Plan {
+/// The checks of function `fi` to delete; their report goes to `result`.
+fn plan_function(
+    prog: &Program,
+    fi: usize,
+    tracked_globals: &HashSet<u32>,
+    result: &mut ElisionResult,
+) -> HashSet<InstrId> {
     let func = &prog.functions[fi];
     let cfg = Cfg::build(func);
     let mut analysis = ElimAnalysis {
@@ -679,214 +655,172 @@ fn plan_function(prog: &Program, fi: usize, tracked_globals: &HashSet<u32>) -> P
     };
     let entries = forward(&cfg, &mut analysis);
 
-    let mut plan = Plan {
-        delete: HashSet::new(),
-        stats: PerCheck::default(),
-        failures: Vec::new(),
-        site_elides: BTreeMap::new(),
-        site_keeps: BTreeMap::new(),
-    };
+    let mut delete = HashSet::new();
     for (bi, block) in cfg.blocks.iter().enumerate() {
-        // Unreachable blocks keep their checks: we have no facts there and
-        // deleting dead code is not this pass's job.
-        let Some(mut fact) = entries[bi].clone() else {
-            continue;
-        };
+        // Unreachable blocks (no entry fact) keep their checks: deleting
+        // dead code is not this pass's job.
+        let mut fact = entries[bi].clone();
         for &(id, instr) in &block.instrs {
-            if let Instr::Check(c, span, site) = instr {
-                match decide(&analysis, func, c, &fact) {
-                    Decision::Keep => {
+            // Only plain checks are judged: the loop optimizer's probes,
+            // residuals and resets, which have no operand of their own, are
+            // placed after this pass runs.
+            let plain = match instr {
+                Instr::Check(c, span, site) if c.operand().is_some() => {
+                    c.kind().map(|kind| (c, kind, span, site))
+                }
+                _ => None,
+            };
+            if let Some((c, kind, span, site)) = plain {
+                let decision = match &fact {
+                    Some(fact) => decide(&analysis, func, c, kind, fact),
+                    None => Decision::Keep(KeepReason::Unreachable),
+                };
+                match decision {
+                    Decision::Keep(why) => {
+                        if let KeepReason::AlwaysFails(message) = &why {
+                            result.failures.push(StaticFailure {
+                                func: func.name.clone(),
+                                check: c.name(),
+                                message: message.clone(),
+                                span: *span,
+                            });
+                        }
                         if let Some(s) = site.index() {
-                            let why = keep_reason(&analysis, c, &fact);
-                            plan.site_keeps.insert(s as u32, why);
+                            result.site_keeps.entry(s as u32).or_insert(why);
                         }
                     }
                     Decision::Elide => {
-                        plan.delete.insert(id);
-                        if let Some(k) = c.kind() {
-                            plan.stats[k] += 1;
-                        }
+                        delete.insert(id);
+                        result.stats[kind] += 1;
                         if let Some(s) = site.index() {
-                            *plan.site_elides.entry(s as u32).or_insert(0) += 1;
+                            *result.site_elides.entry(s as u32).or_insert(0) += 1;
                         }
-                    }
-                    Decision::AlwaysFails(message) => {
-                        if let Some(s) = site.index() {
-                            plan.site_keeps
-                                .insert(s as u32, format!("provably always fails: {message}"));
-                        }
-                        plan.failures.push(StaticFailure {
-                            func: func.name.clone(),
-                            check: c.name(),
-                            message,
-                            span: *span,
-                        });
                     }
                 }
             }
-            analysis.transfer(id, instr, &mut fact);
+            if let Some(fact) = &mut fact {
+                analysis.transfer(id, instr, fact);
+            }
         }
     }
-    plan
+    delete
 }
 
 enum Decision {
-    Keep,
+    Keep(KeepReason),
     Elide,
-    AlwaysFails(String),
 }
 
-fn decide(a: &ElimAnalysis<'_>, func: &Function, c: &Check, fact: &Facts) -> Decision {
+/// Whether `c`, a plain check of `kind`, can go under `fact`; a kept check
+/// carries the reason it stays.
+fn decide(
+    a: &ElimAnalysis<'_>,
+    func: &Function,
+    c: &Check,
+    kind: CheckKind,
+    fact: &Facts,
+) -> Decision {
+    let keep = Decision::Keep;
+    // Null, RTTI and temporal facts survive casts; the others do not.
+    let operand = c.operand().expect("a plain check has an operand");
+    let keyed = match kind {
+        CheckKind::Null | CheckKind::Rtti | CheckKind::Temporal => strip_casts(operand),
+        _ => operand,
+    };
+    let place = a.direct_place(keyed);
+    // The verdict of a check that one fact about its place proves.
+    let proven_if = |holds: Option<bool>| match holds {
+        Some(true) => Decision::Elide,
+        Some(false) => keep(KeepReason::Unproven(kind)),
+        None => keep(untracked(keyed)),
+    };
     match c {
-        Check::Null { ptr } => {
-            let stripped = strip_casts(ptr);
-            if matches!(
-                stripped,
-                Exp::AddrOf(..) | Exp::StartOf(..) | Exp::FnAddr(..)
-            ) {
-                // The address of a variable or function is never null.
-                return Decision::Elide;
-            }
-            if let Some(p) = a.stripped_place(ptr) {
-                if fact.nonnull.contains(p) {
-                    return Decision::Elide;
-                }
-                if fact.null.contains(p) {
-                    return Decision::AlwaysFails(format!(
-                        "dereference of `{}`, which is null on every path here",
-                        place_name(a, func, p)
-                    ));
-                }
-            }
-            Decision::Keep
+        // The address of a variable or function is never null.
+        Check::Null { .. }
+            if matches!(keyed, Exp::AddrOf(..) | Exp::StartOf(..) | Exp::FnAddr(..)) =>
+        {
+            Decision::Elide
         }
-        Check::SeqBounds { ptr, access_size } | Check::SeqToSafe { ptr, access_size } => {
-            match a.direct_place(ptr) {
-                Some(p) if fact.bounds.get(p).is_some_and(|v| v >= *access_size) => Decision::Elide,
-                _ => Decision::Keep,
+        Check::Null { .. } => match place {
+            Some(p) if !fact.nonnull.contains(p) && fact.null.contains(p) => {
+                keep(KeepReason::AlwaysFails(format!(
+                    "dereference of `{}`, which is null on every path here",
+                    place_name(a, func, p)
+                )))
+            }
+            _ => proven_if(place.map(|p| fact.nonnull.contains(p))),
+        },
+        Check::SeqBounds { access_size, .. }
+        | Check::SeqToSafe { access_size, .. }
+        | Check::WildBounds { access_size, .. } => {
+            let verified = match kind {
+                CheckKind::WildBounds => &fact.wild_bounds,
+                _ => &fact.bounds,
+            };
+            match place.map(|p| verified.get(p)) {
+                Some(Some(v)) if v < *access_size => keep(KeepReason::ShortAccess {
+                    kind,
+                    verified: v,
+                    needed: *access_size,
+                }),
+                v => proven_if(v.map(|v| v.is_some())),
             }
         }
-        Check::WildBounds { ptr, access_size } => match a.direct_place(ptr) {
-            Some(p) if fact.wild_bounds.get(p).is_some_and(|v| v >= *access_size) => {
-                Decision::Elide
-            }
-            _ => Decision::Keep,
-        },
-        Check::WildTag { ptr } => match a.direct_place(ptr) {
-            Some(p) if fact.wild_tag.contains(p) => Decision::Elide,
-            _ => Decision::Keep,
-        },
-        Check::Rtti { ptr, target_node } => match a.stripped_place(ptr) {
-            Some(p) if fact.rtti.get(p) == Some(*target_node) => Decision::Elide,
-            _ => Decision::Keep,
-        },
+        Check::WildTag { .. } => proven_if(place.map(|p| fact.wild_tag.contains(p))),
+        Check::Rtti { target_node, .. } => {
+            proven_if(place.map(|p| fact.rtti.get(p) == Some(*target_node)))
+        }
+        Check::Temporal { .. } => proven_if(place.map(|p| fact.temporal.contains(p))),
         Check::IndexBound { index, len } => {
+            let n = *len as i128;
             if let Exp::Const(Const::Int(v, _), _) = index {
-                if *v < 0 || *v as u128 >= *len as u128 {
-                    return Decision::AlwaysFails(format!(
-                        "index {v} is always out of bounds for an array of length {len}"
-                    ));
-                }
                 // A constant in-bounds index cannot fail.
-                return Decision::Elide;
+                return if *v < 0 || *v as u128 >= *len as u128 {
+                    keep(KeepReason::AlwaysFails(format!(
+                        "index {v} is always out of bounds for an array of length {len}"
+                    )))
+                } else {
+                    Decision::Elide
+                };
             }
-            if let Some(p) = a.direct_place(index) {
-                if let Some(r) = fact.ranges.get(p) {
-                    let len = *len as i128;
-                    if r.within(0, len - 1) {
-                        // The interval proves every value in bounds.
-                        return Decision::Elide;
-                    }
-                    if r.hi < 0 || r.lo >= len {
-                        return Decision::AlwaysFails(format!(
-                            "index is always out of bounds for an array of length {len}: its value lies in [{}, {}]",
-                            r.lo, r.hi
-                        ));
-                    }
-                }
+            let Some(p) = place else {
+                return keep(KeepReason::VariableIndex);
+            };
+            match fact.ranges.get(p) {
+                // The interval proves every value in bounds.
+                Some(r) if r.within(0, n - 1) => Decision::Elide,
+                Some(r) if r.hi < 0 || r.lo >= n => keep(KeepReason::AlwaysFails(format!(
+                    "index is always out of bounds for an array of length {n}: its value lies in [{}, {}]",
+                    r.lo, r.hi
+                ))),
+                Some(r) => keep(KeepReason::IndexRange {
+                    lo: r.lo,
+                    hi: r.hi,
+                    len: *len,
+                }),
+                None => keep(KeepReason::Unproven(kind)),
             }
-            Decision::Keep
         }
-        Check::Temporal { ptr } => match a.stripped_place(ptr) {
-            Some(p) if fact.temporal.contains(p) => Decision::Elide,
-            _ => Decision::Keep,
-        },
-        Check::NoStackEscape { .. } => Decision::Keep,
-        // Loop-optimizer artifacts: placed after this pass ran; never
-        // rejudged.
-        Check::Probe { .. } | Check::Guarded { .. } | Check::GuardReset { .. } => Decision::Keep,
+        Check::NoStackEscape { .. } => keep(KeepReason::Unproven(kind)),
+        Check::Probe { .. } | Check::Guarded { .. } | Check::GuardReset { .. } => {
+            unreachable!("the eliminator judges plain checks only")
+        }
     }
 }
 
-/// Explains why [`decide`] returned [`Decision::Keep`] for `c` under `fact`
-/// — the profiler's "hot site the optimizer could not elide" annotation.
-/// Mirrors the `Keep` paths of [`decide`] exactly.
-fn keep_reason(a: &ElimAnalysis<'_>, c: &Check, fact: &Facts) -> String {
-    const UNTRACKED: &str =
-        "pointer is not a trackable scalar (address taken, aggregate field, or loaded through memory)";
-    match c {
-        Check::Null { ptr } => match a.stripped_place(ptr) {
-            None => UNTRACKED.into(),
-            Some(_) => "pointer not proven non-null on every incoming path".into(),
-        },
-        Check::SeqBounds { ptr, access_size } | Check::SeqToSafe { ptr, access_size } => {
-            match a.direct_place(ptr) {
-                None => UNTRACKED.into(),
-                Some(p) => match fact.bounds.get(p) {
-                    Some(v) => format!(
-                        "an earlier bounds check only verified a {v}-byte access; this one needs {access_size} bytes"
-                    ),
-                    None => "no dominating bounds check on every incoming path".into(),
-                },
-            }
-        }
-        Check::WildBounds { ptr, access_size } => match a.direct_place(ptr) {
-            None => UNTRACKED.into(),
-            Some(p) => match fact.wild_bounds.get(p) {
-                Some(v) => format!(
-                    "an earlier wild-bounds check only verified a {v}-byte access; this one needs {access_size} bytes"
-                ),
-                None => "no dominating wild-bounds check on every incoming path".into(),
-            },
-        },
-        Check::WildTag { ptr } => match a.direct_place(ptr) {
-            None => UNTRACKED.into(),
-            Some(_) => "no dominating tag check on every incoming path (memory writes invalidate tag facts)".into(),
-        },
-        Check::Rtti { ptr, .. } => match a.stripped_place(ptr) {
-            None => UNTRACKED.into(),
-            Some(_) => "no dominating downcast to the same target on every incoming path".into(),
-        },
-        Check::IndexBound { index, len } => match a.direct_place(index) {
-            None => "index is not a compile-time constant".into(),
-            Some(p) => match fact.ranges.get(p) {
-                Some(r) => format!(
-                    "index is not a compile-time constant and its value range [{}, {}] is not contained in [0, {}]",
-                    r.lo,
-                    r.hi,
-                    *len as i128 - 1
-                ),
-                None => "index is not a compile-time constant and its value range is unknown".into(),
-            },
-        },
-        Check::Temporal { ptr } => match a.stripped_place(ptr) {
-            None => UNTRACKED.into(),
-            Some(_) => {
-                "no dominating temporal check on every incoming path (an intervening call may free the allocation)"
-                    .into()
-            }
-        },
-        Check::NoStackEscape { .. } => {
-            "stack-escape checks depend on the run-time value stored and are never elided".into()
-        }
-        Check::Probe { slot, .. } => format!(
-            "loop-optimizer probe for guard slot {slot} (runs at most once per loop entry)"
-        ),
-        Check::Guarded { slot, .. } => format!(
-            "residual of a hoisted/widened check (skipped while guard slot {slot} holds)"
-        ),
-        Check::GuardReset { .. } => "loop-optimizer guard reset (no run-time cost)".into(),
-    }
+/// Why `e`, a check operand with no tracked place, is untracked. The
+/// caller strips the casts its check kind looks through.
+fn untracked(e: &Exp) -> KeepReason {
+    KeepReason::Untracked(match e {
+        Exp::Binop(op, ..) if op.is_pointer_arith() => OperandShape::PtrArith,
+        Exp::Cast(..) => OperandShape::Cast,
+        Exp::Load(lv, _) if lv.is_deref() => OperandShape::ThroughMemory,
+        Exp::Load(lv, _) if !lv.offsets.is_empty() => OperandShape::AggregatePart,
+        // A whole local, or a global whose address is never taken, is a
+        // tracked place.
+        Exp::Load(..) => OperandShape::AddrTakenGlobal,
+        _ => OperandShape::Other,
+    })
 }
 
 fn place_name(a: &ElimAnalysis<'_>, func: &Function, p: Place) -> String {
@@ -1685,5 +1619,150 @@ mod tests {
             r.stats[Null], 1,
             "the in-loop check is dominated by the pre-loop check"
         );
+    }
+
+    /// The reason recorded for site 0 when `checks` (all stamped with that
+    /// site) open the body of function 0.
+    fn site_reason(prog: &mut Program, checks: Vec<Check>) -> Option<KeepReason> {
+        let instrs = checks
+            .into_iter()
+            .map(|c| Instr::Check(c, Span::DUMMY, SiteId(0)))
+            .collect();
+        prog.functions[0].body.insert(0, Stmt::Instr(instrs));
+        optimize_program(prog, false).elision.site_keeps.remove(&0)
+    }
+
+    fn seq_bounds(ptr: Exp) -> Check {
+        Check::SeqBounds {
+            ptr,
+            access_size: 4,
+        }
+    }
+
+    fn untracked_reason(shape: OperandShape) -> Option<KeepReason> {
+        Some(KeepReason::Untracked(shape))
+    }
+
+    #[test]
+    fn pointer_arithmetic_operand_is_named() {
+        let mut prog = lower("int f(int *p, int i) { return 0; }");
+        let (p, i) = (load(&prog, "p"), load(&prog, "i"));
+        let ty = p.ty();
+        let arith = Exp::Binop(BinOp::PlusPI, Box::new(p), Box::new(i), ty);
+        assert_eq!(
+            site_reason(&mut prog, vec![seq_bounds(arith)]),
+            untracked_reason(OperandShape::PtrArith)
+        );
+    }
+
+    #[test]
+    fn aggregate_part_operand_is_named() {
+        let mut prog = lower("int f(int *p) { return 0; }");
+        let Exp::Load(lv, ty) = load(&prog, "p") else {
+            unreachable!()
+        };
+        // A field of a local (the types are irrelevant to the decision).
+        let mut field = *lv;
+        field
+            .offsets
+            .push(Offset::Field(ccured_cil::types::CompId(0), 0));
+        let ptr = Exp::Load(Box::new(field), ty);
+        assert_eq!(
+            site_reason(&mut prog, vec![Check::Null { ptr }]),
+            untracked_reason(OperandShape::AggregatePart)
+        );
+    }
+
+    #[test]
+    fn operand_loaded_through_memory_is_named() {
+        let mut prog = lower("int f(int **pp) { return 0; }");
+        let pp = load(&prog, "pp");
+        let ty = pp.ty();
+        let ptr = Exp::Load(Box::new(Lval::deref(pp)), ty);
+        assert_eq!(
+            site_reason(&mut prog, vec![Check::Temporal { ptr }]),
+            untracked_reason(OperandShape::ThroughMemory)
+        );
+    }
+
+    #[test]
+    fn address_taken_global_operand_is_named() {
+        let mut prog = lower("int *gp;\nint f(void) { int **pp; pp = &gp; return 0; }");
+        let g = prog.find_global("gp").unwrap();
+        let ptr = Exp::Load(Box::new(Lval::global(g)), prog.globals[g.idx()].ty);
+        assert_eq!(
+            site_reason(&mut prog, vec![Check::Null { ptr }]),
+            untracked_reason(OperandShape::AddrTakenGlobal)
+        );
+    }
+
+    #[test]
+    fn cast_operand_is_named_only_where_casts_are_not_looked_through() {
+        let mut prog = lower("int f(int *p) { return 0; }");
+        let p = load(&prog, "p");
+        let ty = p.ty();
+        let cast = Exp::Cast(CastId(0), Box::new(p), ty);
+        assert_eq!(
+            site_reason(&mut prog, vec![seq_bounds(cast.clone())]),
+            untracked_reason(OperandShape::Cast)
+        );
+        // A null check sees through the cast to the tracked parameter.
+        let mut prog = lower("int f(int *p) { return 0; }");
+        assert_eq!(
+            site_reason(&mut prog, vec![Check::Null { ptr: cast }]),
+            Some(KeepReason::Unproven(CheckKind::Null))
+        );
+    }
+
+    #[test]
+    fn address_operand_is_named() {
+        let mut prog = lower("int f(void) { int a[4]; a[0] = 1; return a[0]; }");
+        let f = &prog.functions[0];
+        let (ai, al) = f
+            .locals
+            .iter()
+            .enumerate()
+            .find(|(_, l)| l.name == "a")
+            .unwrap();
+        let ptr = Exp::StartOf(Box::new(Lval::local(LocalId(ai as u32))), al.ty);
+        assert_eq!(
+            site_reason(&mut prog, vec![seq_bounds(ptr)]),
+            untracked_reason(OperandShape::Other)
+        );
+    }
+
+    #[test]
+    fn a_site_keeps_the_reason_of_its_first_kept_check() {
+        // `p[i] + *q` stamps both bounds checks with one site: the first
+        // kept check (on `p +p i`) gives the site its reason, not `*q`.
+        let mut prog = lower("int sum2(int *p, int *q, int i) { return p[i] + *q; }");
+        let (p, q, i) = (load(&prog, "p"), load(&prog, "q"), load(&prog, "i"));
+        let ty = p.ty();
+        let arith = Exp::Binop(BinOp::PlusPI, Box::new(p), Box::new(i), ty);
+        assert_eq!(
+            site_reason(&mut prog, vec![seq_bounds(arith), seq_bounds(q)]),
+            untracked_reason(OperandShape::PtrArith)
+        );
+    }
+
+    #[test]
+    fn a_check_in_unreachable_code_says_so() {
+        let mut prog = lower("int f(int *p) { return 1; return *p; }");
+        let dead = prog.functions[0]
+            .body
+            .iter()
+            .rposition(|s| matches!(s, Stmt::Return(..)))
+            .expect("the second return");
+        let c = Instr::Check(
+            Check::Null {
+                ptr: load(&prog, "p"),
+            },
+            Span::DUMMY,
+            SiteId(0),
+        );
+        prog.functions[0].body.insert(dead, Stmt::Instr(vec![c]));
+        let mut r = optimize_program(&mut prog, false).elision;
+        assert_eq!(r.site_keeps.remove(&0), Some(KeepReason::Unreachable));
+        assert_eq!(count_checks(&prog), 1, "dead code keeps its checks");
     }
 }

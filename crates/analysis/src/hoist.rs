@@ -21,7 +21,7 @@
 //! WILD checks are never hoisted: their verdicts depend on the area's tag
 //! bits, which stores in the loop can change.
 
-use crate::loops::{exp_invariant, guard_check_at, FnCx, OptAction, SubtreeInfo};
+use crate::loops::{exp_invariant, FnCx, OptAction, SubtreeInfo};
 use ccured_cil::ir::{Check, Instr, Stmt};
 use ccured_cil::visit;
 
@@ -58,14 +58,7 @@ fn hoist_in_instrs(
             _ => false,
         };
         if hoistable {
-            let Instr::Check(c, _, site) = &instrs[j] else {
-                unreachable!();
-            };
-            let (site, inner) = (*site, c.clone());
-            let slot = cx.alloc_slot();
-            guard_check_at(instrs, j, slot, vec![inner]);
-            slots.push(slot);
-            cx.record(site, OptAction::Hoisted);
+            slots.push(cx.rewrite(instrs, j, OptAction::Hoisted, None));
             j += 1; // step over the planted probe and its residual
         }
         j += 1;

@@ -10,6 +10,8 @@
 //!   re-verified SEQ/WILD bounds on unmoved pointers, and repeated RTTI
 //!   downcasts are deleted after instrumentation, plus a static failure
 //!   detector for checks that provably always fail;
+//! * [`keep`] — why a check survived: the typed [`KeepReason`] each kept
+//!   site carries, with its text rendered in one place;
 //! * [`blame`] — the WILD/SEQ blame explainer: shortest provenance path
 //!   from any poisoned pointer back to the cast that caused it;
 //! * [`loops`] / [`hoist`] / [`widen`] — the second-generation loop
@@ -23,6 +25,7 @@ pub mod cfg;
 pub mod dataflow;
 pub mod elim;
 pub mod hoist;
+pub mod keep;
 pub mod loops;
 pub mod widen;
 
@@ -30,4 +33,5 @@ pub use blame::{blame_path, qual_names, render_blame, Blame, BlameStep};
 pub use cfg::{BasicBlock, BlockId, Branch, Cfg, InstrId};
 pub use dataflow::{forward, Analysis, Lattice};
 pub use elim::{ElisionResult, StaticFailure};
+pub use keep::{KeepReason, OperandShape};
 pub use loops::{optimize_program, OptAction, OptResult};

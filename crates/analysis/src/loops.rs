@@ -24,10 +24,11 @@
 //! on.
 
 use crate::elim::{self, ElisionResult};
+use crate::keep::KeepReason;
 use ccured_cil::ir::{Check, Exp, Instr, LvBase, Lval, Offset, Program, SiteId, Stmt};
 use ccured_cil::types::{Type, TypeId, TypeTable};
 use ccured_cil::visit;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// What the loop optimizer did to a check site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,57 +55,30 @@ impl OptAction {
 pub struct OptResult {
     /// The flow-sensitive eliminator's result (always runs first).
     pub elision: ElisionResult,
-    /// Per-site loop-optimizer actions, keyed by raw
-    /// [`SiteId`] index.
-    pub actions: BTreeMap<u32, OptAction>,
     /// Check instructions rewritten by the hoisting pass.
     pub hoisted: u64,
     /// Check instructions rewritten by the widening pass.
     pub widened: u64,
 }
 
-impl OptResult {
-    /// Folds another (per-function) result into this one. Site ids are
-    /// globally unique, so the per-site maps of distinct functions never
-    /// collide.
-    pub fn merge(&mut self, other: OptResult) {
-        self.elision.merge(other.elision);
-        self.actions.extend(other.actions);
-        self.hoisted += other.hoisted;
-        self.widened += other.widened;
-    }
-}
-
 /// Runs the full static optimization pipeline over `prog` in place:
 /// check elimination, then (when `loop_opt`) loop-invariant hoisting and
-/// SEQ bounds widening over every loop.
+/// SEQ bounds widening over every loop. Both passes are intraprocedural;
+/// the set of tracked globals is computed once for the whole program.
 pub fn optimize_program(prog: &mut Program, loop_opt: bool) -> OptResult {
     let tracked = elim::tracked_globals(prog);
     let mut result = OptResult::default();
     for fi in 0..prog.functions.len() {
-        result.merge(optimize_function(prog, fi, &tracked, loop_opt));
+        elim::eliminate_checks_in_function(prog, fi, &tracked, &mut result.elision);
+        if loop_opt {
+            optimize_loops(prog, fi, &mut result);
+        }
     }
     result
 }
 
-/// Runs the full static optimization pipeline over one function body:
-/// elimination, then (when `loop_opt`) the loop passes. Both passes are
-/// intraprocedural; `tracked_globals` is the program-wide set
-/// [`optimize_program`] computes once.
-fn optimize_function(
-    prog: &mut Program,
-    fi: usize,
-    tracked_globals: &HashSet<u32>,
-    loop_opt: bool,
-) -> OptResult {
-    let elision = elim::eliminate_checks_in_function(prog, fi, tracked_globals);
-    let mut result = OptResult {
-        elision,
-        ..OptResult::default()
-    };
-    if !loop_opt {
-        return result;
-    }
+/// Runs the loop passes over one function body, after the eliminator.
+fn optimize_loops(prog: &mut Program, fi: usize, result: &mut OptResult) {
     let Program {
         ref types,
         ref mut functions,
@@ -116,9 +90,7 @@ fn optimize_function(
         aliased: elim::aliased_locals(func),
         label_gotos: HashMap::new(),
         next_slot: 0,
-        hoisted: 0,
-        widened: 0,
-        actions: BTreeMap::new(),
+        result,
     };
     visit::for_each_stmt(&func.body, &mut |s| {
         if let Stmt::Goto(l) = s {
@@ -126,23 +98,6 @@ fn optimize_function(
         }
     });
     walk_stmts(&mut cx, &mut func.body);
-    result.hoisted += cx.hoisted;
-    result.widened += cx.widened;
-    result.actions.extend(cx.actions);
-    // The loop passes run after the eliminator's fixpoint, so their verdict
-    // on a site supersedes the recorded keep-reason.
-    for (site, action) in &result.actions {
-        let why = match action {
-            OptAction::Hoisted => {
-                "hoisted: loop-invariant operand, evaluated once per loop entry".to_string()
-            }
-            OptAction::Widened => {
-                "widened: per-iteration bounds folded into one whole-trip range probe".to_string()
-            }
-        };
-        result.elision.site_keeps.insert(*site, why);
-    }
-    result
 }
 
 /// Per-function rewriting state shared by the hoisting and widening passes.
@@ -156,28 +111,51 @@ pub(crate) struct FnCx<'p> {
     /// subtree from outside it.
     label_gotos: HashMap<String, usize>,
     next_slot: u32,
-    pub hoisted: u64,
-    pub widened: u64,
-    pub actions: BTreeMap<u32, OptAction>,
+    /// The program's result so far; a rewrite supersedes the reason the
+    /// eliminator recorded for its site.
+    result: &'p mut OptResult,
 }
 
 impl FnCx<'_> {
-    /// Allocates a fresh frame-local guard slot.
-    pub(crate) fn alloc_slot(&mut self) -> u32 {
-        let s = self.next_slot;
+    /// Rewrites `instrs[at]` (a plain check) into its guarded residual and
+    /// plants the probe immediately before it, so the probe evaluates the
+    /// summarized checks (the original, then a widening's `endpoint`) at
+    /// exactly the point the original check ran. Counts the rewrite and
+    /// records `action` as the site's reason; returns the fresh guard slot.
+    pub(crate) fn rewrite(
+        &mut self,
+        instrs: &mut Vec<Instr>,
+        at: usize,
+        action: OptAction,
+        endpoint: Option<Check>,
+    ) -> u32 {
+        let Instr::Check(original, span, site) = instrs[at].clone() else {
+            unreachable!("the loop passes only rewrite check instructions");
+        };
+        let slot = self.next_slot;
         self.next_slot += 1;
-        s
-    }
-
-    /// Records an action against `site` (ignoring synthetic sites).
-    pub(crate) fn record(&mut self, site: SiteId, action: OptAction) {
+        let probe = std::iter::once(original.clone()).chain(endpoint).collect();
+        instrs[at] = Instr::Check(
+            Check::Guarded {
+                slot,
+                inner: Box::new(original),
+            },
+            span,
+            site,
+        );
+        instrs.insert(
+            at,
+            Instr::Check(Check::Probe { slot, inner: probe }, span, site),
+        );
         match action {
-            OptAction::Hoisted => self.hoisted += 1,
-            OptAction::Widened => self.widened += 1,
+            OptAction::Hoisted => self.result.hoisted += 1,
+            OptAction::Widened => self.result.widened += 1,
         }
         if let Some(i) = site.index() {
-            self.actions.insert(i as u32, action);
+            let keeps = &mut self.result.elision.site_keeps;
+            keeps.insert(i as u32, KeepReason::Rewritten(action));
         }
+        slot
     }
 }
 
@@ -387,37 +365,4 @@ fn lval_addr_invariant(cx: &FnCx, info: &SubtreeInfo, lv: &Lval) -> bool {
             Offset::Field(..) => true,
             Offset::Index(e) => exp_invariant(cx, info, e),
         })
-}
-
-/// Rewrites `instrs[at]` (a plain check) into its guarded residual and
-/// plants the probe immediately before it, so the probe evaluates the
-/// summarized checks at exactly the point the original check ran.
-pub(crate) fn guard_check_at(
-    instrs: &mut Vec<Instr>,
-    at: usize,
-    slot: u32,
-    probe_inner: Vec<Check>,
-) {
-    let Instr::Check(original, span, site) = instrs[at].clone() else {
-        unreachable!("guard_check_at is only called on check instructions");
-    };
-    instrs[at] = Instr::Check(
-        Check::Guarded {
-            slot,
-            inner: Box::new(original),
-        },
-        span,
-        site,
-    );
-    instrs.insert(
-        at,
-        Instr::Check(
-            Check::Probe {
-                slot,
-                inner: probe_inner,
-            },
-            span,
-            site,
-        ),
-    );
 }

@@ -92,8 +92,8 @@
 //! guard and access without re-checking the guard.
 
 use crate::loops::{
-    direct_local_load, exp_invariant, guard_check_at, int_bounds, strip_preserving_casts, FnCx,
-    OptAction, SubtreeInfo,
+    direct_local_load, exp_invariant, int_bounds, strip_preserving_casts, FnCx, OptAction,
+    SubtreeInfo,
 };
 use ccured_cil::ir::{BinOp, Check, Const, Exp, Instr, LvBase, Lval, Stmt};
 use ccured_cil::types::{Type, TypeTable};
@@ -212,14 +212,7 @@ pub(crate) fn try_widen(cx: &mut FnCx, body: &mut [Stmt], info: &SubtreeInfo) ->
     let Stmt::Instr(instrs) = &mut body[pos] else {
         unreachable!("find_check only returns Instr positions");
     };
-    let Instr::Check(original, _, site) = &instrs[at] else {
-        unreachable!("find_check only returns check instructions");
-    };
-    let (site, original) = (*site, original.clone());
-    let slot = cx.alloc_slot();
-    guard_check_at(instrs, at, slot, vec![original, endpoint]);
-    cx.record(site, OptAction::Widened);
-    Some(slot)
+    Some(cx.rewrite(instrs, at, OptAction::Widened, Some(endpoint)))
 }
 
 /// Canonicalizes the guard condition into index-on-the-left form, trying

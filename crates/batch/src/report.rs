@@ -571,8 +571,7 @@ mod tests {
                 kind,
                 static_count: 1,
                 elided: 0,
-                keep_reason: None,
-                opt_action: None,
+                keep: None,
             },
             hits,
             fails: 0,

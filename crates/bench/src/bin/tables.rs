@@ -153,14 +153,13 @@ fn fig9_table(_: bool) -> bool {
                 ratio(r.ccured),
                 ratio(r.valgrind),
                 format!("{:.2}%", r.sandbox_overhead * 100.0),
-                format!("{:.1}x", r.vm_speedup),
                 paper_ratio(r.paper_ccured),
                 paper_ratio(r.paper_valgrind),
             ]
         })
         .collect();
     table(
-        "program|lines|sf/sq/w/rt|ccured|valgrind|sandbox|vm|paper ccured|paper valgrind",
+        "program|lines|sf/sq/w/rt|ccured|valgrind|sandbox|paper ccured|paper valgrind",
         &rows,
     );
     true

@@ -48,7 +48,7 @@ pub fn fig8(requests: u32) -> Vec<Fig8Row> {
 }
 
 /// One row of the Figure 9 (system software) table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig9Row {
     /// Program name.
     pub name: String,
@@ -64,9 +64,6 @@ pub struct Fig9Row {
     /// (fuel/stack/heap/deadline checks) — the price of the hardened
     /// interpreter, which must stay under 2%.
     pub sandbox_overhead: f64,
-    /// Wall-clock speedup of the bytecode VM over the tree-walking
-    /// reference engine on this workload's cured run.
-    pub vm_speedup: f64,
     /// Paper's CCured ratio.
     pub paper_ccured: Option<f64>,
     /// Paper's Valgrind ratio.
@@ -82,12 +79,6 @@ pub fn fig9() -> Vec<Fig9Row> {
         .into_iter()
         .map(|w| {
             let r = measure(&w, &InferOptions::default()).expect("fig9 workload");
-            let cured = w.curer().cure_source(&w.source).expect("fig9 cure");
-            let [(tree, _), (vm, _)] = time_runs(
-                [(&cured, Engine::Tree, false), (&cured, Engine::Vm, false)],
-                &w.input,
-                2,
-            );
             Fig9Row {
                 name: w.name.clone(),
                 lines: r.lines,
@@ -95,7 +86,6 @@ pub fn fig9() -> Vec<Fig9Row> {
                 ccured: r.ccured,
                 valgrind: r.valgrind,
                 sandbox_overhead: model.sandbox_overhead(&r.cured_counters),
-                vm_speedup: tree.as_secs_f64() / vm.as_secs_f64().max(1e-9),
                 paper_ccured: w.paper.ccured_ratio,
                 paper_valgrind: w.paper.valgrind_ratio,
                 paper_pct: w.paper.pct,
@@ -951,12 +941,10 @@ fn profile_cured(
     ccured_rt::profile::rank_sites(&cured.sites, &prof, &CostModel::default())
 }
 
-/// E14 (`fig-profile`): per-site check profiles over the same corpus as
-/// [`fig_interp`]. Every workload is profiled on *both* engines and the
-/// rankings are asserted identical — the differential guarantee the CLI
-/// `profile` subcommand relies on. `smoke` shrinks the workloads for CI.
-pub fn fig_profile(smoke: bool) -> ProfileFig {
-    let ws = if smoke {
+/// The E14 (`fig-profile`) corpus: [`fig_interp`]'s, with smaller
+/// workloads for `smoke`.
+fn profile_corpus(smoke: bool) -> Vec<ccured_workloads::Workload> {
+    if smoke {
         vec![
             micro::safe_deref(400),
             micro::seq_index(200),
@@ -969,8 +957,15 @@ pub fn fig_profile(smoke: bool) -> ProfileFig {
         ]
     } else {
         interp_corpus(false).0
-    };
-    let rows = ws
+    }
+}
+
+/// E14 (`fig-profile`): per-site check profiles over the same corpus as
+/// [`fig_interp`]. Every workload is profiled on *both* engines and the
+/// rankings are asserted identical — the differential guarantee the CLI
+/// `profile` subcommand relies on. `smoke` shrinks the workloads for CI.
+pub fn fig_profile(smoke: bool) -> ProfileFig {
+    let rows = profile_corpus(smoke)
         .iter()
         .map(|w| {
             let cured = w.curer().cure_source(&w.source).expect("fig-profile cure");
@@ -1002,7 +997,7 @@ pub fn fig_profile(smoke: bool) -> ProfileFig {
                 },
                 unelided_hot: vm
                     .iter()
-                    .filter(|r| r.hits > 0 && r.site.keep_reason.is_some())
+                    .filter(|r| r.hits > 0 && r.site.keep.is_some())
                     .count(),
                 top: vm.iter().filter(|r| r.hits > 0).take(3).cloned().collect(),
             }
@@ -1512,6 +1507,10 @@ pub fn fig_hierarchy(smoke: bool) -> HierarchyFig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccured::{KeepReason, OperandShape, OptAction};
+    use ccured_cil::ir::{Check, Exp, Instr, LvBase};
+    use ccured_cil::visit;
+    use std::collections::{HashMap, HashSet};
 
     /// E13/E18: the bytecode VM must beat the tree-walking reference
     /// engine by ≥2.2× geomean on the Figure-9 corpus. The design target
@@ -1652,6 +1651,178 @@ mod tests {
             let kept = r.value(&format!("profile.unelided_hot.{}", w.name));
             assert_eq!(kept, Some(w.unelided_hot as f64), "{}", r.json());
         }
+    }
+
+    /// Whether `e` is a place the eliminator tracks: a whole local, or a
+    /// whole global whose address the program never takes (`taken`).
+    fn tracked_place(e: &Exp, taken: &HashSet<u32>) -> bool {
+        matches!(e, Exp::Load(lv, _) if lv.offsets.is_empty() && match &lv.base {
+            LvBase::Local(_) => true,
+            LvBase::Global(g) => !taken.contains(&g.0),
+            LvBase::Deref(_) => false,
+        })
+    }
+
+    /// The shape of an operand that is no tracked place, read off the IR.
+    fn operand_shape(e: &Exp, taken: &HashSet<u32>) -> OperandShape {
+        match e {
+            Exp::Binop(op, ..) if op.is_pointer_arith() => OperandShape::PtrArith,
+            Exp::Cast(..) => OperandShape::Cast,
+            Exp::Load(lv, _) => match &lv.base {
+                LvBase::Deref(_) => OperandShape::ThroughMemory,
+                _ if !lv.offsets.is_empty() => OperandShape::AggregatePart,
+                LvBase::Global(g) if taken.contains(&g.0) => OperandShape::AddrTakenGlobal,
+                _ => panic!("a tracked place has no untracked shape"),
+            },
+            _ => OperandShape::Other,
+        }
+    }
+
+    /// The operand a check's facts are keyed on: null, RTTI and temporal
+    /// checks look through casts, the others do not.
+    fn keyed_operand(c: &Check) -> &Exp {
+        let mut e = c.operand().expect("a plain check");
+        if matches!(
+            c.kind(),
+            Some(CheckKind::Null | CheckKind::Rtti | CheckKind::Temporal)
+        ) {
+            while let Exp::Cast(_, inner, _) = e {
+                e = inner;
+            }
+        }
+        e
+    }
+
+    /// Checks every site's keep-reason against the cured IR it explains.
+    fn assert_reasons_match_ir(cured: &ccured::Cured, what: &str) {
+        let prog = &cured.program;
+        let mut taken = HashSet::new();
+        let mut note = |e: &Exp| {
+            if let Exp::AddrOf(lv, _) | Exp::StartOf(lv, _) = e {
+                if let LvBase::Global(g) = lv.base {
+                    taken.insert(g.0);
+                }
+            }
+        };
+        for f in &prog.functions {
+            visit::for_each_exp(&f.body, &mut note);
+        }
+        for g in &prog.globals {
+            if let Some(init) = &g.init {
+                visit::for_each_init_exp(init, &mut note);
+            }
+        }
+        let mut surviving: HashMap<u32, Vec<&Check>> = HashMap::new();
+        for f in &prog.functions {
+            visit::for_each_instr(&f.body, &mut |i| {
+                if let Instr::Check(c, _, site) = i {
+                    if site.index().is_some() {
+                        surviving.entry(site.0).or_default().push(c);
+                    }
+                }
+            });
+        }
+        for s in &cured.sites {
+            let checks = surviving.remove(&s.id.0).unwrap_or_default();
+            let at = format!("{what}: {} site {} in {}", s.kind.name(), s.id.0, s.func);
+            let Some(why) = &s.keep else {
+                assert!(checks.is_empty(), "{at}: checks survive without a reason");
+                continue;
+            };
+            // A probe summarizes one check when hoisted, and the check plus
+            // the whole-trip endpoint when widened.
+            let probed = checks.iter().find_map(|c| match c {
+                Check::Probe { inner, .. } => Some(inner.len()),
+                _ => None,
+            });
+            assert_eq!(
+                probed.is_some(),
+                matches!(why, KeepReason::Rewritten(_)),
+                "{at}: the reason and the rewritten checks disagree ({why})"
+            );
+            let plain = || checks.iter().filter(|c| c.operand().is_some());
+            let witnessed = match why {
+                KeepReason::Rewritten(action) => {
+                    probed == Some(if *action == OptAction::Widened { 2 } else { 1 })
+                        && checks.iter().any(|c| matches!(c, Check::Guarded { .. }))
+                }
+                KeepReason::Untracked(shape) => plain().any(|c| {
+                    let e = keyed_operand(c);
+                    !tracked_place(e, &taken) && operand_shape(e, &taken) == *shape
+                }),
+                KeepReason::Unproven(CheckKind::NoStackEscape) => {
+                    s.kind == CheckKind::NoStackEscape && plain().next().is_some()
+                }
+                KeepReason::Unproven(kind) | KeepReason::ShortAccess { kind, .. } => {
+                    *kind == s.kind && plain().any(|c| tracked_place(keyed_operand(c), &taken))
+                }
+                KeepReason::IndexRange { .. } => {
+                    plain().any(|c| tracked_place(keyed_operand(c), &taken))
+                }
+                KeepReason::VariableIndex => plain().any(|c| {
+                    let e = keyed_operand(c);
+                    !tracked_place(e, &taken) && !matches!(e, Exp::Const(..))
+                }),
+                // Reachability is the CFG's to judge; an `elim` unit test
+                // covers it.
+                KeepReason::Unreachable => plain().next().is_some(),
+                KeepReason::AlwaysFails(m) => cured
+                    .report
+                    .static_failures
+                    .iter()
+                    .any(|f| f.message == *m && f.func == s.func),
+            };
+            assert!(witnessed, "{at}: the IR does not bear out {why:?} ({why})");
+        }
+        assert!(
+            surviving.is_empty(),
+            "{what}: checks stamped with no known site"
+        );
+    }
+
+    /// Every keep-reason is true of the cured IR: over the `examples/c`
+    /// units and the E14 corpus (full and smoke), without and with
+    /// `--temporal`, a site with a surviving check has a reason, a site
+    /// is rewritten exactly when its probe and guarded residual survive,
+    /// and an untracked reason names the shape of its check's operand. A
+    /// rewritten site may also keep a plain check the loop passes left
+    /// alone (`m[r][r]` in `matrix.c`): the rewrite names the site.
+    #[test]
+    fn keep_reasons_are_borne_out_by_the_cured_ir() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/c");
+        let mut units: Vec<(String, ccured::Curer, String)> = std::fs::read_dir(&dir)
+            .expect("examples/c exists")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "c"))
+            .map(|p| {
+                let src = std::fs::read_to_string(&p).expect("readable example");
+                (p.display().to_string(), ccured::Curer::new(), src)
+            })
+            .collect();
+        units.sort_by(|a, b| a.0.cmp(&b.0));
+        assert!(units.len() >= 6, "examples/c holds the example units");
+        for w in profile_corpus(true)
+            .into_iter()
+            .chain(profile_corpus(false))
+        {
+            units.push((w.name.clone(), w.curer(), w.source));
+        }
+        let mut untracked = 0;
+        for (name, mut curer, src) in units {
+            for temporal in [false, true] {
+                let cured = curer
+                    .temporal(temporal)
+                    .cure_source(&src)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_reasons_match_ir(&cured, &format!("{name} (temporal: {temporal})"));
+                untracked += cured
+                    .sites
+                    .iter()
+                    .filter(|s| matches!(s.keep, Some(KeepReason::Untracked(_))))
+                    .count();
+            }
+        }
+        assert!(untracked > 0, "the corpus keeps untracked operands");
     }
 
     /// E14: enabling per-site profiling must cost <5% wall-clock over the
@@ -1827,6 +1998,13 @@ mod tests {
             "unit-cache warm path must be ≥3× faster, got {:.2}×",
             f.identical_speedup()
         );
+    }
+
+    /// Figure 9 is deterministic: every column comes from the cost model
+    /// and the static cure, so two runs print the same table.
+    #[test]
+    fn fig9_rows_are_reproducible() {
+        assert_eq!(fig9(), fig9());
     }
 
     #[test]

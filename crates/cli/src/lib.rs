@@ -53,7 +53,7 @@
 //! The library half exists so the argument parser and driver can be unit
 //! tested; `main.rs` prints what [`run`] returns.
 
-use ccured::{json, CureError, Cured, Curer};
+use ccured::{json, CureError, Cured, Curer, KeepReason, OptAction};
 use ccured_cil::ir::{CheckKind, PerCheck};
 use ccured_rt::{Engine, ExecMode, Interp, Limits, RunStats};
 use std::fmt;
@@ -1021,10 +1021,10 @@ fn render_explanations(cured: &Cured, o: &Options, map: &ccured_ast::SourceMap, 
 /// with their final keep-reasons — the `ccured explain` view of the
 /// second-generation optimizer's work.
 fn render_opt_actions(cured: &Cured, map: &ccured_ast::SourceMap, out: &mut String) {
-    let acted: Vec<&ccured::instrument::CheckSite> = cured
+    let acted: Vec<_> = cured
         .sites
         .iter()
-        .filter(|s| s.opt_action.is_some())
+        .filter_map(|s| Some((s, s.opt_action()?)))
         .collect();
     if acted.is_empty() {
         return;
@@ -1033,16 +1033,14 @@ fn render_opt_actions(cured: &Cured, map: &ccured_ast::SourceMap, out: &mut Stri
         "\ncheck optimization ({} sites rewritten by the loop optimizer):\n",
         acted.len()
     ));
-    for s in acted {
+    for (s, action) in acted {
         let loc = site_location(map, s);
-        // The keep-reason of a rewritten site is "<action>: <how>"; the
-        // action is already printed, so show only the how.
-        let reason = s.keep_reason.as_deref().unwrap_or("");
-        let how = reason.split_once(": ").map_or(reason, |(_, r)| r);
+        // The action is printed already, so the reason's `{:#}` omits it.
         out.push_str(&format!(
-            "  {loc}: {} check {} — {how}\n",
+            "  {loc}: {} check {} — {:#}\n",
             s.kind.name(),
-            s.opt_action.unwrap_or("?"),
+            action.name(),
+            KeepReason::Rewritten(action),
         ));
     }
 }
@@ -1197,26 +1195,26 @@ fn render_profile(
                 r.site.elided, r.site.static_count
             ));
         }
-        if let Some(a) = r.site.opt_action {
-            out.push_str(&format!("     = loop optimizer: {a}\n"));
+        if let Some(a) = r.site.opt_action() {
+            out.push_str(&format!("     = loop optimizer: {}\n", a.name()));
         }
     }
     // The eliminator's side of the story: the hot sites it had to keep.
-    let missed: Vec<&ccured_rt::SiteReport> = rows
+    let missed: Vec<(&ccured_rt::SiteReport, &KeepReason)> = rows
         .iter()
-        .filter(|r| r.hits > 0 && r.site.keep_reason.is_some())
+        .filter(|r| r.hits > 0)
+        .filter_map(|r| Some((r, r.site.keep.as_ref()?)))
         .take(top)
         .collect();
     if !missed.is_empty() {
         out.push_str("\nhot sites the optimizer could not elide, and why:\n");
-        for r in missed {
+        for (r, why) in missed {
             let loc = site_location(map, &r.site);
             out.push_str(&format!(
-                "  {} ({}, {} hits): {}\n",
+                "  {} ({}, {} hits): {why}\n",
                 loc,
                 r.site.kind.name(),
                 r.hits,
-                r.site.keep_reason.as_deref().unwrap_or("")
             ));
         }
     }
@@ -1240,7 +1238,7 @@ fn profile_json(
         j.list("rows", rows.iter().take(top).enumerate(), |j, (rank, r)| {
             j.num("rank", rank + 1).num("site", r.site.id.index());
             r.write_json(j);
-            j.opt_str("opt_action", r.site.opt_action);
+            j.opt_str("opt_action", r.site.opt_action().map(OptAction::name));
         });
         j.str("output", output);
     });
@@ -1578,6 +1576,18 @@ mod tests {
         assert!(
             r.stdout.contains("could not elide"),
             "eliminator section present: {}",
+            r.stdout
+        );
+        // `m[r] = …` checks `m +p r`: `m` is a local whose address is never
+        // taken, and the reason names the operand's shape.
+        let src = include_str!("../../../examples/c/matrix.c");
+        let r = drive(&args("profile examples/c/matrix.c").unwrap(), src, b"").unwrap();
+        assert!(
+            r.stdout.contains(
+                "matrix.c:11:9 in main (seq_bounds, 4 hits): pointer is not a trackable scalar: \
+                 it is computed by pointer arithmetic"
+            ),
+            "{}",
             r.stdout
         );
     }

@@ -15,6 +15,7 @@
 //! consults the same [`Solution`].
 
 use crate::hierarchy::Hierarchy;
+use ccured_analysis::{KeepReason, OptAction};
 use ccured_cil::ir::*;
 use ccured_cil::phys::{CastClass, PhysCtx};
 use ccured_cil::types::Type;
@@ -24,7 +25,7 @@ use ccured_infer::{PtrKind, Solution};
 /// The static identity behind a [`SiteId`]: where a check was emitted and
 /// what it guards. Rows are numbered in emission order, so two cures of the
 /// same program with the same configuration always agree on the table.
-/// `elided`/`keep_reason` start empty and are filled in by the optimizer.
+/// `elided`/`keep` start empty and are filled in by the optimizer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckSite {
     /// The id stamped on every instruction emitted for this site.
@@ -42,10 +43,17 @@ pub struct CheckSite {
     pub elided: u64,
     /// Why the optimizer kept the surviving instructions (`None` until the
     /// optimizer runs, or when it deleted every one).
-    pub keep_reason: Option<String>,
-    /// What the loop optimizer did to the surviving instructions
-    /// (`"hoisted"` / `"widened"`, `None` when untouched).
-    pub opt_action: Option<&'static str>,
+    pub keep: Option<KeepReason>,
+}
+
+impl CheckSite {
+    /// What the loop optimizer did to the site, if it rewrote it.
+    pub fn opt_action(&self) -> Option<OptAction> {
+        match self.keep {
+            Some(KeepReason::Rewritten(a)) => Some(a),
+            _ => None,
+        }
+    }
 }
 
 /// Instruments every function body in `prog` in place; returns the static
@@ -200,8 +208,7 @@ impl<'a> Ctx<'a> {
                     kind,
                     static_count: 1,
                     elided: 0,
-                    keep_reason: None,
-                    opt_action: None,
+                    keep: None,
                 });
                 id
             }
@@ -599,6 +606,6 @@ mod tests {
         assert_eq!(null.func, "f");
         assert_eq!(null.kind.ptr_kind(), "safe");
         assert_eq!(null.elided, 0, "optimizer has not run");
-        assert!(null.keep_reason.is_none());
+        assert!(null.keep.is_none());
     }
 }

@@ -41,4 +41,4 @@ pub use hierarchy::Hierarchy;
 pub use pipeline::{isolated, CureError, CureReport, Cured, Curer, StageTimings};
 // Re-exported so downstream users of the report types need not name the
 // analysis crate directly.
-pub use ccured_analysis::StaticFailure;
+pub use ccured_analysis::{KeepReason, OperandShape, OptAction, StaticFailure};

@@ -512,12 +512,7 @@ impl Curer {
             if let Some(n) = elision.site_elides.get(&s.id.0) {
                 s.elided = *n;
             }
-            if let Some(why) = elision.site_keeps.get(&s.id.0) {
-                s.keep_reason = Some(why.clone());
-            }
-            if let Some(a) = opt.actions.get(&s.id.0) {
-                s.opt_action = Some(a.name());
-            }
+            s.keep = elision.site_keeps.remove(&s.id.0);
         }
 
         // Canonical report ordering: every user-visible vector is sorted by

@@ -90,6 +90,7 @@ impl SiteReport {
     /// `profile` reply and `BENCH_profile.json`.
     pub fn write_json(&self, o: &mut json::Object<'_>) {
         let s = &self.site;
+        let keep = s.keep.as_ref().map(ToString::to_string);
         o.str("func", &s.func)
             .num("span_lo", s.span.lo)
             .str("check", s.kind.name())
@@ -100,7 +101,7 @@ impl SiteReport {
             .num("fails", self.fails)
             .num("walk_steps", self.walk_steps)
             .fixed("cost", self.cost, 1)
-            .opt_str("keep_reason", s.keep_reason.as_deref());
+            .opt_str("keep_reason", keep.as_deref());
     }
 }
 
@@ -149,8 +150,7 @@ mod tests {
             kind,
             static_count: 1,
             elided: 0,
-            keep_reason: None,
-            opt_action: None,
+            keep: None,
         }
     }
 

@@ -17,6 +17,7 @@
 //! same site, at the exact same iteration, with the exact same error as the
 //! unoptimized program.
 
+use ccured::OptAction;
 use ccured_cil::ir::CheckKind;
 use ccured_infer::InferOptions;
 use ccured_rt::{Engine, ExecMode, Interp, RunStats};
@@ -308,7 +309,7 @@ fn widened_in(cured: &ccured::Cured, func: &str) -> usize {
     cured
         .sites
         .iter()
-        .filter(|s| s.func == func && s.opt_action == Some("widened"))
+        .filter(|s| s.func == func && s.opt_action() == Some(OptAction::Widened))
         .count()
 }
 
@@ -501,7 +502,7 @@ fn temporal_checks_hoist_only_out_of_call_free_loops() {
     assert!(
         full.sites
             .iter()
-            .any(|s| s.kind == CheckKind::Temporal && s.opt_action == Some("hoisted")),
+            .any(|s| s.kind == CheckKind::Temporal && s.opt_action() == Some(OptAction::Hoisted)),
         "call-free loop: the temporal check must hoist"
     );
     let noloop = cure_temporal(&callfree, true, false);
@@ -542,10 +543,11 @@ fn temporal_checks_hoist_only_out_of_call_free_loops() {
     assert!(!loop_temporals.is_empty(), "the deref emits a key check");
     for s in &loop_temporals {
         assert_eq!(
-            s.opt_action, None,
+            s.opt_action(),
+            None,
             "a calling loop must not hoist temporal checks"
         );
-        let why = s.keep_reason.as_deref().unwrap_or("");
+        let why = s.keep.as_ref().map(ToString::to_string).unwrap_or_default();
         assert!(
             why.contains("free"),
             "keep-reason names the free hazard: {why:?}"
