@@ -1,6 +1,6 @@
 # Convenience targets for ccured-rs.
 
-.PHONY: all test lint tables bench-interp bench-profile bench-opt2 bench-serve bench-synth bench-temporal bench-hierarchy bless doc examples smoke profile-smoke serve-smoke synth-smoke stress clean
+.PHONY: all test lint tables bench-interp bench-profile bench-opt2 bench-serve bench-synth bench-temporal bench-hierarchy bless doc examples smoke profile-smoke serve-smoke synth-smoke perfbench-smoke stress clean
 
 all: test
 
@@ -93,6 +93,12 @@ synth-smoke:
 serve-smoke:
 	cargo build --release -p ccured-cli
 	python3 ci/serve_smoke.py target/release/ccured
+
+# The runtime's digest gate: perfbench exec/cure/recure once at seed 1,
+# each "correct": true, with the exec and cure determinism digests equal
+# to perfbench/baseline.json (also run by CI's perfbench-smoke job).
+perfbench-smoke:
+	sh ci/perfbench_smoke.sh
 
 # Rustdoc with warnings as errors (also run by CI's lint job).
 doc:

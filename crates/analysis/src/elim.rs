@@ -741,6 +741,10 @@ fn decide(
         {
             Decision::Elide
         }
+        // The constant null pointer is null on every path.
+        Check::Null { .. } if matches!(keyed, Exp::Const(Const::Int(0, _), _)) => keep(
+            KeepReason::AlwaysFails("dereference of the constant null pointer".into()),
+        ),
         Check::Null { .. } => match place {
             Some(p) if !fact.nonnull.contains(p) && fact.null.contains(p) => {
                 keep(KeepReason::AlwaysFails(format!(
@@ -1359,6 +1363,32 @@ mod tests {
         let r = optimize_program(&mut prog, false).elision;
         assert_eq!(r.failures.len(), 1);
         assert!(r.failures[0].message.contains("null on every path"));
+        assert_eq!(count_checks(&prog), 1, "the failing check is kept");
+    }
+
+    #[test]
+    fn null_check_of_the_constant_null_is_a_static_failure() {
+        // `*(int *)0`: the null check looks through the cast to the
+        // constant, which no path makes non-null.
+        let mut prog = lower("int f(int *p) { return 0; }");
+        let p = load(&prog, "p");
+        let int_ty = prog.functions[0].ret_type(&prog.types);
+        let zero = Exp::int(0, ccured_cil::types::IntKind::Int, int_ty);
+        let ptr = Exp::Cast(CastId(0), Box::new(zero), p.ty());
+        let c = Instr::Check(Check::Null { ptr }, Span::DUMMY, SiteId(0));
+        prog.functions[0].body.insert(0, Stmt::Instr(vec![c]));
+        let r = optimize_program(&mut prog, false).elision;
+        assert_eq!(r.failures.len(), 1);
+        assert_eq!(
+            r.failures[0].message,
+            "dereference of the constant null pointer"
+        );
+        assert_eq!(
+            r.site_keeps.get(&0),
+            Some(&KeepReason::AlwaysFails(
+                "dereference of the constant null pointer".into()
+            ))
+        );
         assert_eq!(count_checks(&prog), 1, "the failing check is kept");
     }
 

@@ -144,9 +144,7 @@ pub fn run_batch(cfg: &BatchConfig, units: &[PathBuf]) -> io::Result<BatchReport
         c
     };
 
-    // Workers recurse while parsing/lowering deep inputs; give them the
-    // same healthy margin per guest frame the interpreter sandbox assumes.
-    let stack_bytes = (cfg.limits.max_stack_depth * 64 * 1024).max(8 << 20);
+    let stack_bytes = worker_stack_bytes(&cfg.limits);
     let profile = cfg.profile.then_some(cfg.limits);
 
     let wall_start = Instant::now();
@@ -199,6 +197,15 @@ fn claim_order(units: &[PathBuf]) -> Vec<usize> {
     order
         .sort_by_cached_key(|&i| std::cmp::Reverse(fs::metadata(&units[i]).map_or(0, |m| m.len())));
     order
+}
+
+/// The stack of a worker thread that cures units or runs programs under
+/// `limits`. Workers recurse while parsing and lowering deep inputs, and
+/// the tree engine recurses on guest calls, so each guest frame of the
+/// sandbox's stack cap gets a 64 KiB margin; the 8 MiB floor covers the
+/// frontend's nesting limit in an unoptimized build.
+pub fn worker_stack_bytes(limits: &Limits) -> usize {
+    (limits.max_stack_depth * 64 * 1024).max(8 << 20)
 }
 
 /// Runs `work(i)` once for every unit index `i` in `0..n` on `jobs` worker

@@ -46,7 +46,7 @@ pub mod report;
 pub mod serve;
 
 pub use cache::{Cache, CachedUnit};
-pub use engine::{discover_units, run_batch, run_path, run_units, BatchConfig};
+pub use engine::{discover_units, run_batch, run_path, run_units, worker_stack_bytes, BatchConfig};
 pub use report::{BatchReport, CacheStats, StageStat, UnitOutcome, UnitReport, Verdict};
 #[cfg(unix)]
 pub use serve::{request, ServeConfig, Server};

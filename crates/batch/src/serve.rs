@@ -51,7 +51,7 @@
 #![cfg(unix)]
 
 use crate::cache::{Cache, CachedUnit};
-use crate::engine::{profile_unit, record_cure};
+use crate::engine::{profile_unit, record_cure, worker_stack_bytes};
 use crate::hash::hex;
 use crate::report::Verdict;
 use ccured::{isolated, json, CureError, Cured, Curer};
@@ -210,7 +210,7 @@ impl Server {
         });
 
         let workers = shared.cfg.effective_workers();
-        let stack = (shared.cfg.limits.max_stack_depth * 64 * 1024).max(8 << 20);
+        let stack = worker_stack_bytes(&shared.cfg.limits);
         let handles: Vec<std::thread::JoinHandle<()>> = (0..workers)
             .map(|w| spawn_worker(&shared, w, stack))
             .collect::<io::Result<_>>()?;

@@ -1898,19 +1898,19 @@ mod tests {
 
     #[test]
     fn drive_warns_on_static_failures() {
-        let r = drive(
-            &args("t.c").unwrap(),
+        for src in [
             "int main(void) { int *p; p = 0; return *p; }",
-            b"",
-        )
-        .unwrap();
-        assert!(r.stdout.contains("warning:"), "{}", r.stdout);
-        assert!(r.stdout.contains("null"), "{}", r.stdout);
-        assert!(
-            r.stdout.contains("t.c:1:"),
-            "position attached: {}",
-            r.stdout
-        );
+            "int main(void) { int *p = 0; if (p) return 1; return *(int *)0; }",
+        ] {
+            let r = drive(&args("t.c").unwrap(), src, b"").unwrap();
+            assert!(r.stdout.contains("warning:"), "{src}: {}", r.stdout);
+            assert!(r.stdout.contains("null"), "{src}: {}", r.stdout);
+            assert!(
+                r.stdout.contains("t.c:1:"),
+                "{src}: position attached: {}",
+                r.stdout
+            );
+        }
     }
 
     #[test]

@@ -56,19 +56,13 @@ pub struct CrashTest {
 }
 
 impl CrashTest {
-    /// A batch of `mutants` mutants from `seed`, with limits tight enough
-    /// that a runaway mutant (e.g. a weakened loop bound spinning forever)
-    /// exhausts its fuel in well under a second.
+    /// A batch of `mutants` mutants from `seed`, under
+    /// [`Limits::strict`].
     pub fn new(mutants: usize, seed: u64) -> Self {
         CrashTest {
             mutants,
             seed,
-            limits: Limits {
-                fuel: 2_000_000,
-                max_stack_depth: 96,
-                max_heap_bytes: 32 << 20,
-                deadline: None,
-            },
+            limits: Limits::strict(),
             engine: Engine::default(),
             class_offset: 0,
             temporal: false,

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 
 /// Compiles `f` into bytecode, fused with the full superinstruction set.
 /// `mem_locals` is the function's register/memory slot assignment (from
-/// `FnInfo`), which fixes at compile time whether a local access becomes a
+/// `FnPlan`), which fixes at compile time whether a local access becomes a
 /// register op or a memory op.
 pub(crate) fn compile<'p>(it: &Interp<'p>, f: FuncId, mem_locals: &[bool]) -> CompiledFn<'p> {
     let prog: &'p Program = it.prog;

@@ -27,5 +27,4 @@ mod ops;
 mod vm;
 
 pub(crate) use compile::compile;
-pub(crate) use ops::CompiledFn;
-pub(crate) use vm::FramePlan;
+pub(crate) use ops::{CompiledFn, RegNorm};

@@ -2,39 +2,22 @@
 //!
 //! One flat loop drives the whole guest call stack: guest calls push a
 //! suspended `VmFrame` and switch `code`/`pc` instead of recursing on the
-//! host stack (the host-stack-depth sandbox check in `push_frame` still
-//! applies unchanged). All memory, counter, limit and check machinery is
-//! the same `Interp` state the tree engine uses — the ops below call the
-//! exact same `pub(crate)` helpers (`load_place`, `store_mem_checked`,
-//! `apply_binop`, `arith`, `compare`, `eval_cast`, `make_ptr`, ...), so
-//! behaviour can only diverge if compilation placed an op or a cost wrong,
-//! which is what the differential suite pins down.
+//! host stack. Control flow, operand order, register access and the
+//! batched step costs are the VM's own; every memory access, pointer step,
+//! check entry and exit, call and frame is an `Interp` primitive the tree
+//! engine calls too (`push_frame`/`pop_frame`, `load_int`, `store_ptr`,
+//! `deref`, `ptr_add`, `check_begin`/`check_end`, `call_extern`,
+//! `arith`, `compare`, `eval_cast`, `make_ptr`, ...), so behaviour can
+//! only diverge if compilation placed an op or a cost wrong, which is what
+//! the differential suite pins down.
 
-use super::ops::{CompiledFn, OpKind, RegNorm, ZeroKind};
+use super::ops::{CompiledFn, OpKind, ZeroKind};
 use crate::err::RtError;
-use crate::interp::{no_frame, trunc_int, ExecMode, Frame, Interp, LocalSlot, Place};
-use crate::mem::{AllocKind, Pointer};
+use crate::interp::{no_frame, Interp, LocalSlot, Place};
+use crate::mem::Pointer;
 use crate::value::{PtrVal, Value};
-use ccured_cil::ir::{FnRef, FuncId, LocalId};
-use ccured_cil::types::Type;
+use ccured_cil::ir::{ExternId, FnRef, FuncId, LocalId};
 use std::rc::Rc;
-
-/// Precomputed frame layout for the VM's fast call path — everything
-/// `push_frame` re-derives from the type tables on every call, resolved
-/// once per function: which locals get memory slots (and their sizes),
-/// and the store normalization of each register parameter. Functions the
-/// plan cannot describe exactly (an unsized local) fall back to the
-/// generic `push_frame` wholesale; parameters it cannot describe (memory
-/// or aggregate bindings) fall back per-parameter to `store_local`.
-pub(crate) struct FramePlan {
-    /// Per local: `Some(size)` = memory slot of that size, `None` = register.
-    slot_sizes: Vec<Option<u64>>,
-    /// Per parameter: `Some(norm)` = register scalar, stored directly;
-    /// `None` = generic `store_local` (memory slot, aggregate copy).
-    params: Vec<Option<RegNorm>>,
-    /// The shared per-function facts, cloned into each frame.
-    info: Rc<crate::interp::FnInfo>,
-}
 
 /// A suspended caller: where to resume when the callee returns.
 struct VmFrame<'p> {
@@ -52,188 +35,28 @@ impl<'p> Interp<'p> {
     /// The compiled bytecode for `f`, called on every guest entry to `f`:
     /// compiled once with the full superinstruction set, then cached.
     pub(crate) fn compiled_fn(&mut self, f: FuncId) -> Rc<CompiledFn<'p>> {
-        let idx = f.0 as usize;
-        if let Some(Some(code)) = self.compiled.get(idx) {
+        if let Some(code) = &self.compiled[f.idx()] {
             return Rc::clone(code);
         }
-        let info = self.fn_info(f);
-        let code = Rc::new(super::compile(self, f, &info.mem_locals));
-        if self.compiled.len() <= idx {
-            self.compiled.resize(idx + 1, None);
-        }
-        self.compiled[idx] = Some(Rc::clone(&code));
+        let plan = self.plan(f);
+        let code = Rc::new(super::compile(self, f, &plan.mem_locals));
+        self.compiled[f.idx()] = Some(Rc::clone(&code));
         code
-    }
-
-    /// The frame plan for `f`, built on first use. `None` means the
-    /// function has a local the plan cannot size statically; callers use
-    /// the generic `push_frame` for it (preserving its exact error and
-    /// counter behaviour).
-    fn frame_plan(&mut self, f: FuncId) -> Option<Rc<FramePlan>> {
-        let idx = f.0 as usize;
-        if let Some(Some(entry)) = self.frame_plans.get(idx) {
-            return entry.clone();
-        }
-        let info = self.fn_info(f);
-        let func = &self.prog.functions[f.idx()];
-        let mut slot_sizes = Vec::with_capacity(func.locals.len());
-        let mut sizable = true;
-        for (i, l) in func.locals.iter().enumerate() {
-            if info.mem_locals[i] {
-                match self.sized(l.ty, "stack local") {
-                    Ok(size) => slot_sizes.push(Some(size.max(1))),
-                    Err(_) => {
-                        sizable = false;
-                        break;
-                    }
-                }
-            } else {
-                slot_sizes.push(None);
-            }
-        }
-        let entry = if sizable {
-            let params = func
-                .locals
-                .iter()
-                .take(func.param_count)
-                .enumerate()
-                .map(|(i, l)| {
-                    if info.mem_locals[i] {
-                        return None;
-                    }
-                    // The same declared-type table `StoreReg` compilation
-                    // uses; `RegNorm::apply` mirrors `normalize_scalar`.
-                    Some(match self.prog.types.get(l.ty) {
-                        Type::Int(k) => RegNorm::Int(*k),
-                        Type::Float(ccured_cil::types::FloatKind::Float) => RegNorm::Float32,
-                        Type::Float(_) => RegNorm::Float64,
-                        _ => RegNorm::Pass,
-                    })
-                })
-                .collect();
-            Some(Rc::new(FramePlan {
-                slot_sizes,
-                params,
-                info,
-            }))
-        } else {
-            None
-        };
-        if self.frame_plans.len() <= idx {
-            self.frame_plans.resize(idx + 1, None);
-        }
-        self.frame_plans[idx] = Some(entry.clone());
-        entry
-    }
-
-    /// `push_frame` specialized for the VM: same counters, same allocation
-    /// order, same errors — but the type-table walks are precomputed in
-    /// the [`FramePlan`], the frame buffers come from a recycling pool, and
-    /// the arguments are bound straight from the tail of the caller's
-    /// operand stack, so a steady-state call allocates nothing.
-    fn vm_push_frame(
-        &mut self,
-        f: FuncId,
-        vals: &mut Vec<Value>,
-        argc: usize,
-    ) -> Result<(), RtError> {
-        let Some(plan) = self.frame_plan(f) else {
-            let args = vals.split_off(vals.len() - argc);
-            return self.push_frame(f, args);
-        };
-        self.counters.limit_checks += 1;
-        if self.frames.len() >= self.limits.max_stack_depth {
-            return Err(RtError::LimitExceeded {
-                limit: "stack_limit",
-                detail: format!(
-                    "call depth exceeded the {}-frame stack cap",
-                    self.limits.max_stack_depth
-                ),
-            });
-        }
-        let seq = self.next_frame_seq;
-        self.next_frame_seq += 1;
-        let (mut regs, mut slots, mut guards) = self.frame_pool.pop().unwrap_or_default();
-        regs.clear();
-        slots.clear();
-        guards.clear();
-        for sz in &plan.slot_sizes {
-            match sz {
-                None => slots.push(LocalSlot::Reg),
-                Some(size) => {
-                    let id = self.mem.alloc(*size, AllocKind::Stack { frame: seq })?;
-                    self.register_alloc(id);
-                    slots.push(LocalSlot::Mem(id));
-                }
-            }
-            regs.push(None);
-        }
-        self.frames.push(Frame {
-            func: f,
-            seq,
-            regs,
-            slots,
-            info: Rc::clone(&plan.info),
-            guards,
-        });
-        self.counters.calls += 1;
-        self.counters.peak_stack_depth =
-            self.counters.peak_stack_depth.max(self.frames.len() as u64);
-        let base = vals.len() - argc;
-        for i in 0..argc.min(plan.params.len()) {
-            let v = vals[base + i];
-            match plan.params[i] {
-                Some(norm) => {
-                    let v = norm.apply(v, &self.prog.types.machine);
-                    let fr = self.frames.last_mut().ok_or_else(no_frame)?;
-                    fr.regs[i] = Some(v);
-                }
-                None => {
-                    let ty = self.prog.functions[f.idx()].locals[i].ty;
-                    self.store_local(LocalId(i as u32), ty, v)?;
-                }
-            }
-        }
-        vals.truncate(base);
-        Ok(())
-    }
-
-    /// Returns a popped frame's buffers to the recycling pool (bounded, so
-    /// a deep-recursion spike does not pin memory forever).
-    #[inline]
-    fn recycle_frame(&mut self, fr: Frame) {
-        if self.frame_pool.len() < 64 {
-            self.frame_pool.push((fr.regs, fr.slots, fr.guards));
-        }
     }
 
     /// Runs `f` on the bytecode engine — the VM counterpart of
     /// `run_function`, including its error-path frame cleanup: the tree
     /// engine pops one guest frame per unwound host-stack level, the VM
     /// pops every frame above its entry point (observably identical).
-    pub(crate) fn vm_call(
-        &mut self,
-        f: FuncId,
-        args: Vec<Value>,
-    ) -> Result<Option<Value>, RtError> {
-        if !self.globals_ready {
-            self.init_globals()?;
-            self.globals_ready = true;
-        }
+    pub(crate) fn vm_call(&mut self, f: FuncId, args: &[Value]) -> Result<Option<Value>, RtError> {
         let base_frames = self.frames.len();
         let r = self.vm_run(f, args);
         if r.is_err() {
-            // A check operand was mid-evaluation: restore its snapshot,
-            // like the tree engine's `exec_check` does before propagating.
-            if let Some((instrs, loads)) = self.vm_check_save.take() {
-                self.counters.instrs = instrs;
-                self.counters.loads = loads;
-            }
+            // A check operand may have been mid-evaluation, like the tree
+            // engine's `exec_check` unwinding.
+            self.check_restore();
             while self.frames.len() > base_frames {
-                if let Some(fr) = self.frames.last() {
-                    self.mem.kill_frame(fr.seq);
-                }
-                self.frames.pop();
+                self.pop_frame()?;
             }
         }
         r
@@ -261,16 +84,14 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    fn vm_run(&mut self, f: FuncId, args: Vec<Value>) -> Result<Option<Value>, RtError> {
+    fn vm_run(&mut self, f: FuncId, args: &[Value]) -> Result<Option<Value>, RtError> {
         let mut vals: Vec<Value> = Vec::with_capacity(64);
         let mut addrs: Vec<Pointer> = Vec::with_capacity(32);
         let mut stack: Vec<VmFrame<'p>> = Vec::new();
         let mut last: Option<Value> = None;
         let mut val_base = 0usize;
         let mut addr_base = 0usize;
-        let argc = args.len();
-        vals.extend(args);
-        self.vm_push_frame(f, &mut vals, argc)?;
+        self.push_frame(f, args)?;
         let mut code = self.compiled_fn(f);
         let mut pc = 0usize;
         loop {
@@ -292,35 +113,23 @@ impl<'p> Interp<'p> {
                 }
                 OpKind::LoadInt { size, signed } => {
                     let p = addrs.pop().ok_or_else(underflow)?;
-                    self.access_hook(p, *size, false)?;
-                    self.counters.loads += 1;
-                    let v = self.mem.read_int(p, *size, *signed)?;
+                    let v = self.load_int(p, *size, *signed)?;
                     vals.push(Value::Int(v));
                 }
                 OpKind::LoadFloat { size } => {
                     let p = addrs.pop().ok_or_else(underflow)?;
-                    self.access_hook(p, *size, false)?;
-                    self.counters.loads += 1;
-                    let v = self.mem.read_float(p, *size)?;
+                    let v = self.load_float(p, *size)?;
                     vals.push(Value::Float(v));
                 }
                 OpKind::LoadPtr { q } => {
                     let p = addrs.pop().ok_or_else(underflow)?;
-                    self.access_hook(p, self.word, false)?;
-                    self.counters.loads += 1;
-                    let v = self.mem.read_ptr(p, self.word)?;
-                    if let ExecMode::Cured { sol, .. } = self.mode {
-                        if sol.is_split(*q) {
-                            self.counters.meta_ops += 1;
-                        }
-                    }
+                    let v = self.load_ptr(p, *q)?;
                     vals.push(Value::Ptr(v));
                 }
                 OpKind::StoreReg(l, norm) => {
                     let v = vals.pop().ok_or_else(underflow)?;
                     let v = norm.apply(v, &self.prog.types.machine);
-                    let fr = self.frames.last_mut().ok_or_else(no_frame)?;
-                    fr.regs[l.idx()] = Some(v);
+                    self.vm_store_reg(*l, v)?;
                 }
                 OpKind::StoreMem { ty, wild_tag } => {
                     let v = vals.pop().ok_or_else(underflow)?;
@@ -331,59 +140,27 @@ impl<'p> Interp<'p> {
                     let v = vals.pop().ok_or_else(underflow)?;
                     let p = addrs.pop().ok_or_else(underflow)?;
                     self.store_precheck(p, &v, *wild_tag)?;
-                    self.access_hook(p, *size, true)?;
-                    self.counters.stores += 1;
-                    let x = match v {
-                        Value::Int(x) => x,
-                        Value::Float(f) => f as i128,
-                        Value::Ptr(pv) => self.mem.va_of(&pv) as i128,
-                    };
-                    self.mem
-                        .write_int(p, *size, trunc_int(x, *k, &self.prog.types.machine))?;
+                    self.store_int(p, *k, *size, v)?;
                 }
                 OpKind::StoreFloat { size, wild_tag } => {
                     let v = vals.pop().ok_or_else(underflow)?;
                     let p = addrs.pop().ok_or_else(underflow)?;
                     self.store_precheck(p, &v, *wild_tag)?;
-                    self.access_hook(p, *size, true)?;
-                    self.counters.stores += 1;
-                    let f = match v {
-                        Value::Float(f) => f,
-                        Value::Int(x) => x as f64,
-                        Value::Ptr(_) => {
-                            return Err(RtError::Unsupported("pointer stored as float".into()))
-                        }
-                    };
-                    self.mem.write_float(p, *size, f)?;
+                    self.store_float(p, *size, v)?;
                 }
                 OpKind::StorePtr { q, wild_tag } => {
                     let v = vals.pop().ok_or_else(underflow)?;
                     let p = addrs.pop().ok_or_else(underflow)?;
                     self.store_precheck(p, &v, *wild_tag)?;
-                    self.access_hook(p, self.word, true)?;
-                    self.counters.stores += 1;
-                    let pv = match v {
-                        Value::Ptr(pv) => pv,
-                        Value::Int(0) => PtrVal::Null,
-                        Value::Int(x) => PtrVal::IntVal(x as u64),
-                        Value::Float(_) => {
-                            return Err(RtError::Unsupported("float stored as pointer".into()))
-                        }
-                    };
-                    if let ExecMode::Cured { sol, .. } = self.mode {
-                        if sol.is_split(*q) {
-                            self.counters.meta_ops += 1;
-                        }
-                    }
-                    self.mem.write_ptr(p, pv, self.word)?;
+                    self.store_ptr(p, *q, v)?;
                 }
                 OpKind::LocalAddr(l) => {
                     let p = match self.frame()?.slots[l.idx()] {
-                        crate::interp::LocalSlot::Mem(a) => Pointer {
+                        LocalSlot::Mem(a) => Pointer {
                             alloc: a,
                             offset: 0,
                         },
-                        crate::interp::LocalSlot::Reg => {
+                        LocalSlot::Reg => {
                             return Err(RtError::Internal(
                                 "compiled address of a register local".into(),
                             ))
@@ -400,26 +177,7 @@ impl<'p> Interp<'p> {
                 }
                 OpKind::Deref => {
                     let v = vals.pop().ok_or_else(underflow)?;
-                    let pv = v
-                        .as_ptr()
-                        .ok_or_else(|| RtError::Unsupported("deref of non-pointer value".into()))?;
-                    self.deref_hook(&pv)?;
-                    let p = match pv {
-                        PtrVal::Null => return Err(RtError::NullDeref),
-                        PtrVal::IntVal(x) => {
-                            return Err(RtError::InvalidPointer(format!(
-                                "integer {x:#x} dereferenced"
-                            )))
-                        }
-                        PtrVal::Fn(_) => {
-                            return Err(RtError::InvalidPointer(
-                                "function pointer dereferenced".into(),
-                            ))
-                        }
-                        other => other.thin().ok_or_else(|| {
-                            RtError::Internal("dereferenced pointer has no memory position".into())
-                        })?,
-                    };
+                    let p = self.deref(v)?;
                     addrs.push(p);
                 }
                 OpKind::FieldAdd(off) => {
@@ -427,13 +185,9 @@ impl<'p> Interp<'p> {
                     *p = p.offset_by(*off);
                 }
                 OpKind::IndexAdd(es) => {
-                    let i = vals
-                        .pop()
-                        .ok_or_else(underflow)?
-                        .as_int()
-                        .ok_or_else(|| RtError::Unsupported("non-integer index".into()))?;
+                    let i = vals.pop().ok_or_else(underflow)?;
                     let p = addrs.last_mut().ok_or_else(underflow)?;
-                    *p = p.offset_by(i as i64 * *es as i64);
+                    *p = self.index(*p, i, *es)?;
                 }
                 OpKind::MakePtr { ty, extent } => {
                     let (ty, extent) = (*ty, *extent);
@@ -468,16 +222,8 @@ impl<'p> Interp<'p> {
                 OpKind::PtrAdd { elem, neg } => {
                     let b = vals.pop().ok_or_else(underflow)?;
                     let a = vals.pop().ok_or_else(underflow)?;
-                    let pv = a.as_ptr().ok_or_else(|| {
-                        RtError::Unsupported("pointer arithmetic on non-pointer".into())
-                    })?;
-                    let n = b.as_int().ok_or_else(|| {
-                        RtError::Unsupported("pointer arithmetic with non-integer".into())
-                    })?;
-                    let delta = (n as i64).wrapping_mul(*elem as i64);
-                    let delta = if *neg { -delta } else { delta };
-                    self.ptr_arith_hook(&pv)?;
-                    vals.push(Value::Ptr(pv.offset_by(delta)));
+                    let r = self.ptr_add(a, b, Ok(*elem), *neg)?;
+                    vals.push(r);
                 }
                 OpKind::Cast(id) => {
                     let v = vals.pop().ok_or_else(underflow)?;
@@ -512,21 +258,12 @@ impl<'p> Interp<'p> {
                     };
                     continue;
                 }
-                OpKind::CheckBegin(c, site) => {
-                    let (c, site) = (*c, *site);
-                    // Snapshot first (after this op's own cost was charged,
-                    // mirroring `exec_check` running after the instr step).
-                    self.vm_check_save = Some((self.counters.instrs, self.counters.loads));
-                    self.bump_check_counter(c, site);
-                }
+                // The snapshot is taken after this op's own cost was
+                // charged, like `exec_check` running after the instr step.
+                OpKind::CheckBegin(c, site) => self.check_begin(c, *site),
                 OpKind::CheckEnd(c, site) => {
-                    let (c, site) = (*c, *site);
                     let v = vals.pop().ok_or_else(underflow)?;
-                    if let Some((instrs, loads)) = self.vm_check_save.take() {
-                        self.counters.instrs = instrs;
-                        self.counters.loads = loads;
-                    }
-                    self.check_verdict(c, v, site)?;
+                    self.check_end(c, v, *site)?;
                 }
                 OpKind::Hook(c, site) => {
                     let (c, site) = (*c, *site);
@@ -540,59 +277,31 @@ impl<'p> Interp<'p> {
                     vals.push(Value::Ptr(PtrVal::Safe(p)));
                 }
                 OpKind::CopyAgg { size } => {
-                    let size = *size;
                     let src = addrs.pop().ok_or_else(underflow)?;
                     let dst = addrs.pop().ok_or_else(underflow)?;
-                    self.access_hook(src, size, false)?;
-                    self.access_hook(dst, size, true)?;
-                    self.counters.loads += 1;
-                    self.counters.stores += 1;
-                    self.mem.copy_region(dst, src, size)?;
+                    self.copy_agg(dst, src, *size)?;
                 }
                 OpKind::PushResult => {
                     vals.push(last.unwrap_or(Value::Int(0)));
                 }
-                OpKind::CallStatic { f, argc } => {
-                    let (f, argc) = (*f, *argc as usize);
-                    if vals.len() < val_base + argc {
+                OpKind::CallStatic { .. } | OpKind::CallExtern { .. } | OpKind::CallPtr { .. } => {
+                    let (callee, argc) = match &op.kind {
+                        OpKind::CallStatic { f, argc } => (FnRef::Def(*f), *argc),
+                        OpKind::CallExtern { x, argc } => (FnRef::Ext(ExternId(*x)), *argc),
+                        OpKind::CallPtr { argc } => {
+                            let fv = vals.pop().ok_or_else(underflow)?;
+                            (self.resolve_callee(fv)?, *argc)
+                        }
+                        _ => unreachable!("matched a call op"),
+                    };
+                    if vals.len() < val_base + argc as usize {
                         return Err(underflow());
                     }
-                    self.vm_push_frame(f, &mut vals, argc)?;
-                    let callee = self.compiled_fn(f);
-                    stack.push(VmFrame {
-                        code,
-                        pc: (pc + 1) as u32,
-                        val_base,
-                        addr_base,
-                    });
-                    val_base = vals.len();
-                    addr_base = addrs.len();
-                    code = callee;
-                    pc = 0;
-                    continue;
-                }
-                OpKind::CallExtern { x, argc } => {
-                    let (x, argc) = (*x as usize, *argc as usize);
-                    if vals.len() < val_base + argc {
-                        return Err(underflow());
-                    }
-                    let base = vals.len() - argc;
-                    let prog = self.prog;
-                    let name = prog.externals[x].name.as_str();
-                    self.counters.extern_calls += 1;
-                    last = crate::external::call(self, name, &vals[base..])?;
-                    vals.truncate(base);
-                }
-                OpKind::CallPtr { argc } => {
-                    let argc = *argc as usize;
-                    let fv = vals.pop().ok_or_else(underflow)?;
-                    if vals.len() < val_base + argc {
-                        return Err(underflow());
-                    }
-                    match fv.as_ptr() {
-                        Some(PtrVal::Fn(FnRef::Def(f))) => {
-                            self.vm_push_frame(f, &mut vals, argc)?;
-                            let callee = self.compiled_fn(f);
+                    let base = vals.len() - argc as usize;
+                    match callee {
+                        FnRef::Def(f) => {
+                            self.push_frame(f, &vals[base..])?;
+                            vals.truncate(base);
                             stack.push(VmFrame {
                                 code,
                                 pc: (pc + 1) as u32,
@@ -601,57 +310,25 @@ impl<'p> Interp<'p> {
                             });
                             val_base = vals.len();
                             addr_base = addrs.len();
-                            code = callee;
+                            code = self.compiled_fn(f);
                             pc = 0;
                             continue;
                         }
-                        Some(PtrVal::Fn(FnRef::Ext(x))) => {
-                            let base = vals.len() - argc;
-                            let prog = self.prog;
-                            let name = prog.externals[x.idx()].name.as_str();
-                            self.counters.extern_calls += 1;
-                            last = crate::external::call(self, name, &vals[base..])?;
+                        FnRef::Ext(x) => {
+                            last = self.call_extern(x, &vals[base..])?;
                             vals.truncate(base);
                         }
-                        Some(PtrVal::Null) => return Err(RtError::NullDeref),
-                        _ => return Err(RtError::NotAFunction),
                     }
                 }
-                OpKind::Ret { has_value } => {
-                    let v = if *has_value {
-                        Some(vals.pop().ok_or_else(underflow)?)
-                    } else {
-                        None
+                OpKind::Ret { .. } | OpKind::RetDefault(_) => {
+                    last = match &op.kind {
+                        OpKind::Ret { has_value: true } => Some(vals.pop().ok_or_else(underflow)?),
+                        OpKind::RetDefault(v) => *v,
+                        _ => None,
                     };
-                    let seq = self.frame()?.seq;
-                    self.mem.kill_frame(seq);
-                    if let Some(fr) = self.frames.pop() {
-                        self.recycle_frame(fr);
-                    }
+                    self.pop_frame()?;
                     vals.truncate(val_base);
                     addrs.truncate(addr_base);
-                    last = v;
-                    match stack.pop() {
-                        Some(fr) => {
-                            code = fr.code;
-                            pc = fr.pc as usize;
-                            val_base = fr.val_base;
-                            addr_base = fr.addr_base;
-                            continue;
-                        }
-                        None => return Ok(last),
-                    }
-                }
-                OpKind::RetDefault(v) => {
-                    let v = *v;
-                    let seq = self.frame()?.seq;
-                    self.mem.kill_frame(seq);
-                    if let Some(fr) = self.frames.pop() {
-                        self.recycle_frame(fr);
-                    }
-                    vals.truncate(val_base);
-                    addrs.truncate(addr_base);
-                    last = v;
                     match stack.pop() {
                         Some(fr) => {
                             code = fr.code;
@@ -779,9 +456,7 @@ impl<'p> Interp<'p> {
                     c2,
                 } => {
                     let p = addrs.pop().ok_or_else(underflow)?;
-                    self.access_hook(p, *size, false)?;
-                    self.counters.loads += 1;
-                    let x = self.mem.read_int(p, *size, *signed)?;
+                    let x = self.load_int(p, *size, *signed)?;
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
@@ -851,7 +526,7 @@ impl<'p> Interp<'p> {
                     c2,
                     c3,
                 } => {
-                    let pv_v = self.vm_read_reg(*p, *zp)?;
+                    let pv = self.vm_read_reg(*p, *zp)?;
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
@@ -859,16 +534,8 @@ impl<'p> Interp<'p> {
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
-                    let pv = pv_v.as_ptr().ok_or_else(|| {
-                        RtError::Unsupported("pointer arithmetic on non-pointer".into())
-                    })?;
-                    let n = iv.as_int().ok_or_else(|| {
-                        RtError::Unsupported("pointer arithmetic with non-integer".into())
-                    })?;
-                    let delta = (n as i64).wrapping_mul(*elem as i64);
-                    let delta = if *neg { -delta } else { delta };
-                    self.ptr_arith_hook(&pv)?;
-                    vals.push(Value::Ptr(pv.offset_by(delta)));
+                    let r = self.ptr_add(pv, iv, Ok(*elem), *neg)?;
+                    vals.push(r);
                 }
                 OpKind::RegImmArith {
                     l,
@@ -928,9 +595,7 @@ impl<'p> Interp<'p> {
                     c3,
                 } => {
                     let p = addrs.pop().ok_or_else(underflow)?;
-                    self.access_hook(p, *size, false)?;
-                    self.counters.loads += 1;
-                    let b = self.mem.read_int(p, *size, *signed)?;
+                    let b = self.load_int(p, *size, *signed)?;
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
@@ -979,9 +644,7 @@ impl<'p> Interp<'p> {
                     c3,
                 } => {
                     let p = addrs.pop().ok_or_else(underflow)?;
-                    self.access_hook(p, *size, false)?;
-                    self.counters.loads += 1;
-                    let b = self.mem.read_int(p, *size, *signed)?;
+                    let b = self.load_int(p, *size, *signed)?;
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
@@ -1006,9 +669,7 @@ impl<'p> Interp<'p> {
                     c4,
                 } => {
                     let p = addrs.pop().ok_or_else(underflow)?;
-                    self.access_hook(p, *size, false)?;
-                    self.counters.loads += 1;
-                    let a = self.mem.read_int(p, *size, *signed)?;
+                    let a = self.load_int(p, *size, *signed)?;
                     // The folded `Push` does no work, but its step (`c2`)
                     // is still charged at its position.
                     if *c2 != 0 {
@@ -1041,9 +702,7 @@ impl<'p> Interp<'p> {
                     c2,
                     c3,
                 } => {
-                    let (c, site) = (*c, *site);
-                    self.vm_check_save = Some((self.counters.instrs, self.counters.loads));
-                    self.bump_check_counter(c, site);
+                    self.check_begin(c, *site);
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
@@ -1051,11 +710,7 @@ impl<'p> Interp<'p> {
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
-                    if let Some((instrs, loads)) = self.vm_check_save.take() {
-                        self.counters.instrs = instrs;
-                        self.counters.loads = loads;
-                    }
-                    self.check_verdict(c, v, site)?;
+                    self.check_end(c, v, *site)?;
                 }
                 OpKind::CheckSeqIdx {
                     c,
@@ -1071,13 +726,11 @@ impl<'p> Interp<'p> {
                     c4,
                     c5,
                 } => {
-                    let (c, site) = (*c, *site);
-                    self.vm_check_save = Some((self.counters.instrs, self.counters.loads));
-                    self.bump_check_counter(c, site);
+                    self.check_begin(c, *site);
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
-                    let pv_v = self.vm_read_reg(*p, *zp)?;
+                    let pv = self.vm_read_reg(*p, *zp)?;
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
@@ -1085,24 +738,11 @@ impl<'p> Interp<'p> {
                     if *c4 != 0 {
                         self.add_instrs(*c4)?;
                     }
-                    let pv = pv_v.as_ptr().ok_or_else(|| {
-                        RtError::Unsupported("pointer arithmetic on non-pointer".into())
-                    })?;
-                    let n = iv.as_int().ok_or_else(|| {
-                        RtError::Unsupported("pointer arithmetic with non-integer".into())
-                    })?;
-                    let delta = (n as i64).wrapping_mul(*elem as i64);
-                    let delta = if *neg { -delta } else { delta };
-                    self.ptr_arith_hook(&pv)?;
-                    let v = Value::Ptr(pv.offset_by(delta));
+                    let v = self.ptr_add(pv, iv, Ok(*elem), *neg)?;
                     if *c5 != 0 {
                         self.add_instrs(*c5)?;
                     }
-                    if let Some((instrs, loads)) = self.vm_check_save.take() {
-                        self.counters.instrs = instrs;
-                        self.counters.loads = loads;
-                    }
-                    self.check_verdict(c, v, site)?;
+                    self.check_end(c, v, *site)?;
                 }
             }
             pc += 1;

@@ -11,6 +11,7 @@
 //! * **Purify / Valgrind / JonesKelly** modes run the original program with
 //!   the corresponding shadow-memory or registry work on every access.
 
+use crate::bytecode::RegNorm;
 use crate::cost::Counters;
 use crate::err::RtError;
 use crate::external;
@@ -21,7 +22,7 @@ use crate::value::{PtrVal, Value};
 use ccured::hierarchy::Hierarchy;
 use ccured::Cured;
 use ccured_cil::ir::*;
-use ccured_cil::types::{IntKind, Type, TypeId};
+use ccured_cil::types::{IntKind, QualId, Type, TypeId};
 use ccured_infer::{PtrKind, Solution};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -111,7 +112,7 @@ enum Flow {
     Break,
     Continue,
     Return(Option<Value>),
-    /// A pending goto, carrying the interned label id (see [`FnInfo`]).
+    /// A pending goto, carrying the interned label id (see [`FnPlan`]).
     Goto(u32),
 }
 
@@ -125,7 +126,7 @@ pub(crate) struct Frame {
     pub(crate) seq: u64,
     pub(crate) regs: Vec<Option<Value>>,
     pub(crate) slots: Vec<LocalSlot>,
-    pub(crate) info: Rc<FnInfo>,
+    pub(crate) plan: Rc<FnPlan>,
     /// Loop-optimizer guard slots: 0 unset, 1 latched "pass", 2 latched
     /// "fail". Grown on demand by the first probe/reset touching a slot.
     pub(crate) guards: Vec<u8>,
@@ -141,13 +142,23 @@ pub(crate) enum Place {
     Mem(Pointer),
 }
 
-/// Per-function static facts, computed once per interpreter and shared by
-/// refcount (never cloned per call): which locals need memory slots, plus
-/// pre-resolved goto/label tables so jumps cost a hash probe instead of a
-/// linear statement scan and a `String` clone.
-pub(crate) struct FnInfo {
+/// Per-function static facts, computed on the function's first call and
+/// shared by refcount (never cloned per call): the frame layout
+/// [`Interp::push_frame`] follows on both engines, plus pre-resolved
+/// goto/label tables so the tree engine's jumps cost a hash probe instead
+/// of a linear statement scan and a `String` clone.
+pub(crate) struct FnPlan {
     /// Which locals of the function need memory (vs register) slots.
-    pub(crate) mem_locals: Rc<[bool]>,
+    pub(crate) mem_locals: Box<[bool]>,
+    /// Per local, up to the first incomplete memory local: `Some(size)` =
+    /// memory slot of that size, `None` = register.
+    slot_sizes: Vec<Option<u64>>,
+    /// The sizing error of the first memory local whose type is
+    /// incomplete. A call allocates the slots before it, then fails.
+    incomplete: Option<RtError>,
+    /// Per parameter, the normalization a register parameter is stored
+    /// with (its declared type's `StoreReg` rule).
+    params: Vec<RegNorm>,
     /// Interned label names (id -> name), for diagnostics.
     labels: Vec<String>,
     /// Statement index of each label within its enclosing block slice,
@@ -196,23 +207,19 @@ pub struct Interp<'p> {
     /// of tripping the ground-truth uninitialized-read detector.
     pub(crate) zero_init: bool,
     pub(crate) word: u64,
-    pub(crate) globals_ready: bool,
+    globals_ready: bool,
     /// Which execution engine `run` dispatches to.
     engine: Engine,
-    /// Per-function static facts (memory locals, goto/label tables).
-    fn_info: HashMap<u32, Rc<FnInfo>>,
+    /// Per-function plans, indexed by `FuncId`, built on first call.
+    plans: Vec<Option<Rc<FnPlan>>>,
     /// Per-function compiled bytecode (the VM engine's cache).
     pub(crate) compiled: Vec<Option<Rc<crate::bytecode::CompiledFn<'p>>>>,
-    /// Per-function frame layouts for the VM's fast call path, indexed by
-    /// `FuncId`: outer `None` = not built yet, `Some(None)` = this function
-    /// needs the generic `push_frame` (e.g. an unsized local).
-    pub(crate) frame_plans: Vec<Option<Option<Rc<crate::bytecode::FramePlan>>>>,
     /// Recycled frame buffers (`regs`/`slots`/`guards`), so steady-state
-    /// VM calls allocate nothing.
-    pub(crate) frame_pool: Vec<FrameBuffers>,
-    /// Snapshot of (instrs, loads) while a VM check operand re-evaluates,
+    /// calls allocate nothing.
+    frame_pool: Vec<FrameBuffers>,
+    /// Snapshot of (instrs, loads) while a check operand evaluates,
     /// restored when the check completes or its evaluation aborts.
-    pub(crate) vm_check_save: Option<(u64, u64)>,
+    check_save: Option<(u64, u64)>,
     /// Per-site hit/fail/walk-step counters; `None` (the default) keeps
     /// profiling overhead at a single branch per check.
     pub(crate) profile: Option<Box<crate::profile::Profile>>,
@@ -257,11 +264,10 @@ impl<'p> Interp<'p> {
             word: prog.types.machine.ptr_bytes,
             globals_ready: false,
             engine: Engine::Tree,
-            fn_info: HashMap::new(),
-            compiled: Vec::new(),
-            frame_plans: Vec::new(),
+            plans: vec![None; prog.functions.len()],
+            compiled: vec![None; prog.functions.len()],
             frame_pool: Vec::new(),
-            vm_check_save: None,
+            check_save: None,
             profile: None,
             shadow: HashMap::new(),
             registry: BTreeMap::new(),
@@ -364,7 +370,7 @@ impl<'p> Interp<'p> {
             .find_function("main")
             .ok_or_else(|| RtError::Unsupported("no `main` function".into()))?;
         self.arm_deadline();
-        let r = self.dispatch(main, Vec::new());
+        let r = self.init_globals().and_then(|()| self.dispatch(main, &[]));
         self.sync_peaks();
         match r {
             Ok(v) => Ok(v.and_then(|v| v.as_int()).unwrap_or(0) as i64),
@@ -392,7 +398,7 @@ impl<'p> Interp<'p> {
     }
 
     /// Runs `f` on the selected engine.
-    fn dispatch(&mut self, f: FuncId, args: Vec<Value>) -> Result<Option<Value>, RtError> {
+    fn dispatch(&mut self, f: FuncId, args: &[Value]) -> Result<Option<Value>, RtError> {
         match self.engine {
             Engine::Tree => self.run_function(f, args),
             Engine::Vm => self.vm_call(f, args),
@@ -409,20 +415,11 @@ impl<'p> Interp<'p> {
         self.counters.peak_heap_bytes = self.mem.peak_live_bytes;
     }
 
-    fn run_function(&mut self, f: FuncId, args: Vec<Value>) -> Result<Option<Value>, RtError> {
-        if !self.globals_ready {
-            self.init_globals()?;
-            self.globals_ready = true;
-        }
+    fn run_function(&mut self, f: FuncId, args: &[Value]) -> Result<Option<Value>, RtError> {
         self.push_frame(f, args)?;
         let func = &self.prog.functions[f.idx()];
         let flow = self.run_block(&func.body);
-        let seq = match self.frames.last() {
-            Some(fr) => fr.seq,
-            None => return Err(no_frame()),
-        };
-        self.mem.kill_frame(seq);
-        self.frames.pop();
+        self.pop_frame()?;
         let flow = flow?;
         let ret_ty = func.ret_type(&self.prog.types);
         Ok(match flow {
@@ -431,7 +428,7 @@ impl<'p> Interp<'p> {
                 // The label exists somewhere deeper than any block the goto
                 // can reach (e.g. inside a sibling nested block).
                 let label = self
-                    .fn_info(f)
+                    .plan(f)
                     .labels
                     .get(id as usize)
                     .cloned()
@@ -454,7 +451,11 @@ impl<'p> Interp<'p> {
 
     // -------------------------------------------------------------- globals
 
-    pub(crate) fn init_globals(&mut self) -> Result<(), RtError> {
+    /// Allocates and initializes every global, on the first run.
+    fn init_globals(&mut self) -> Result<(), RtError> {
+        if self.globals_ready {
+            return Ok(());
+        }
         for g in &self.prog.globals {
             let size = self.sized(g.ty, &format!("global `{}`", g.name))?;
             let id = self.mem.alloc(size.max(1), AllocKind::Global)?;
@@ -472,6 +473,7 @@ impl<'p> Interp<'p> {
                 self.run_init(base, g.ty, init)?;
             }
         }
+        self.globals_ready = true;
         Ok(())
     }
 
@@ -513,13 +515,15 @@ impl<'p> Interp<'p> {
 
     // --------------------------------------------------------------- frames
 
-    /// Computes [`FnInfo`] for `f`: which locals need memory slots (vs
-    /// registers), plus the goto/label resolution tables.
-    fn build_fn_info(&self, f: FuncId) -> FnInfo {
+    /// Computes the [`FnPlan`] for `f`: which locals need memory slots (vs
+    /// registers) and their sizes, each parameter's binding, plus the
+    /// goto/label resolution tables.
+    fn build_plan(&self, f: FuncId) -> FnPlan {
+        let types = &self.prog.types;
         let func = &self.prog.functions[f.idx()];
         let mut need = vec![false; func.locals.len()];
         for (i, l) in func.locals.iter().enumerate() {
-            if matches!(self.prog.types.get(l.ty), Type::Comp(_) | Type::Array(..)) {
+            if matches!(types.get(l.ty), Type::Comp(_) | Type::Array(..)) {
                 need[i] = true;
             }
         }
@@ -530,6 +534,34 @@ impl<'p> Interp<'p> {
                 }
             }
         });
+        let mut slot_sizes = Vec::with_capacity(func.locals.len());
+        let mut incomplete = None;
+        for (l, &mem) in func.locals.iter().zip(&need) {
+            if !mem {
+                slot_sizes.push(None);
+                continue;
+            }
+            match self.sized(l.ty, "stack local") {
+                Ok(size) => slot_sizes.push(Some(size.max(1))),
+                Err(e) => {
+                    incomplete = Some(e);
+                    break;
+                }
+            }
+        }
+        // The declared-type table `StoreReg` compilation uses;
+        // `RegNorm::apply` mirrors `normalize_scalar`.
+        let params = func
+            .locals
+            .iter()
+            .take(func.param_count)
+            .map(|l| match types.get(l.ty) {
+                Type::Int(k) => RegNorm::Int(*k),
+                Type::Float(ccured_cil::types::FloatKind::Float) => RegNorm::Float32,
+                Type::Float(_) => RegNorm::Float64,
+                _ => RegNorm::Pass,
+            })
+            .collect();
         // Goto/label tables: intern label names and record, per block slice,
         // where each label sits, so a jump is a hash probe instead of a
         // linear scan with `String` comparisons.
@@ -584,28 +616,35 @@ impl<'p> Interp<'p> {
             goto_ids: HashMap::new(),
         };
         lb.walk(&func.body);
-        FnInfo {
+        FnPlan {
             mem_locals: need.into(),
+            slot_sizes,
+            incomplete,
+            params,
             labels: lb.names,
             label_pos: lb.label_pos,
             goto_ids: lb.goto_ids,
         }
     }
 
-    /// The cached [`FnInfo`] for `f`, computing it on first use. The `Rc`
-    /// is shared — callers never clone the underlying tables.
-    pub(crate) fn fn_info(&mut self, f: FuncId) -> Rc<FnInfo> {
-        if let Some(info) = self.fn_info.get(&f.0) {
-            return Rc::clone(info);
+    /// The [`FnPlan`] for `f`, built on first use. The `Rc` is shared —
+    /// callers never clone the underlying tables.
+    pub(crate) fn plan(&mut self, f: FuncId) -> Rc<FnPlan> {
+        if let Some(plan) = &self.plans[f.idx()] {
+            return Rc::clone(plan);
         }
-        let info = Rc::new(self.build_fn_info(f));
-        self.fn_info.insert(f.0, Rc::clone(&info));
-        info
+        let plan = Rc::new(self.build_plan(f));
+        self.plans[f.idx()] = Some(Rc::clone(&plan));
+        plan
     }
 
-    pub(crate) fn push_frame(&mut self, f: FuncId, args: Vec<Value>) -> Result<(), RtError> {
-        // The interpreter recurses on guest calls, so this cap also protects
-        // the *host* stack: it must trip well before the process would.
+    /// Enters `f` with `args` on either engine: the stack cap, the local
+    /// slots (from pooled buffers), the call counters and the parameter
+    /// bindings, all in the order [`FnPlan`] fixes.
+    pub(crate) fn push_frame(&mut self, f: FuncId, args: &[Value]) -> Result<(), RtError> {
+        // The tree engine recurses on guest calls, so this cap also
+        // protects the *host* stack: it must trip well before the process
+        // would.
         self.counters.limit_checks += 1;
         if self.frames.len() >= self.limits.max_stack_depth {
             return Err(RtError::LimitExceeded {
@@ -616,37 +655,61 @@ impl<'p> Interp<'p> {
                 ),
             });
         }
-        let info = self.fn_info(f);
-        let func: &'p Function = &self.prog.functions[f.idx()];
+        let plan = self.plan(f);
         let seq = self.next_frame_seq;
         self.next_frame_seq += 1;
-        let mut regs = Vec::with_capacity(func.locals.len());
-        let mut slots = Vec::with_capacity(func.locals.len());
-        for (i, l) in func.locals.iter().enumerate() {
-            if info.mem_locals[i] {
-                let size = self.sized(l.ty, "stack local")?.max(1);
-                let id = self.mem.alloc(size, AllocKind::Stack { frame: seq })?;
-                self.register_alloc(id);
-                slots.push(LocalSlot::Mem(id));
-            } else {
-                slots.push(LocalSlot::Reg);
-            }
-            regs.push(None);
+        let (mut regs, mut slots, mut guards) = self.frame_pool.pop().unwrap_or_default();
+        slots.clear();
+        guards.clear();
+        for size in &plan.slot_sizes {
+            slots.push(match *size {
+                None => LocalSlot::Reg,
+                Some(size) => {
+                    let id = self.mem.alloc(size, AllocKind::Stack { frame: seq })?;
+                    self.register_alloc(id);
+                    LocalSlot::Mem(id)
+                }
+            });
         }
+        if let Some(e) = &plan.incomplete {
+            return Err(e.clone());
+        }
+        regs.clear();
+        regs.resize(slots.len(), None);
         self.frames.push(Frame {
             func: f,
             seq,
             regs,
             slots,
-            info,
-            guards: Vec::new(),
+            plan: Rc::clone(&plan),
+            guards,
         });
         self.counters.calls += 1;
         self.counters.peak_stack_depth =
             self.counters.peak_stack_depth.max(self.frames.len() as u64);
-        // Bind parameters.
-        for (i, v) in args.into_iter().enumerate().take(func.param_count) {
-            self.store_local(LocalId(i as u32), func.locals[i].ty, v)?;
+        let prog = self.prog;
+        for (i, (&v, norm)) in args.iter().zip(&plan.params).enumerate() {
+            let fr = self.frame_mut()?;
+            match fr.slots[i] {
+                LocalSlot::Reg => fr.regs[i] = Some(norm.apply(v, &prog.types.machine)),
+                LocalSlot::Mem(alloc) => {
+                    let ty = prog.functions[f.idx()].locals[i].ty;
+                    self.bind_mem_param(Pointer { alloc, offset: 0 }, ty, v)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Leaves the current frame, on a return or while unwinding an error:
+    /// its stack allocations die and its buffers go back to the pool
+    /// (bounded, so a deep-recursion spike does not pin memory forever).
+    #[inline(always)]
+    pub(crate) fn pop_frame(&mut self) -> Result<(), RtError> {
+        let fr = self.frames.pop().ok_or_else(no_frame)?;
+        self.mem.kill_frame(fr.seq);
+        if self.frame_pool.len() < 64 {
+            self.frame_pool.push((fr.regs, fr.slots, fr.guards));
         }
         Ok(())
     }
@@ -672,7 +735,7 @@ impl<'p> Interp<'p> {
                 Flow::Normal => i += 1,
                 Flow::Goto(id) => {
                     let key = (stmts.as_ptr() as usize, id);
-                    match self.frame()?.info.label_pos.get(&key).copied() {
+                    match self.frame()?.plan.label_pos.get(&key).copied() {
                         Some(j) => i = j,
                         None => return Ok(Flow::Goto(id)),
                     }
@@ -720,7 +783,7 @@ impl<'p> Interp<'p> {
             Stmt::Goto(_) => {
                 let id = self
                     .frame()?
-                    .info
+                    .plan
                     .goto_ids
                     .get(&(s as *const Stmt as usize))
                     .copied()
@@ -789,26 +852,17 @@ impl<'p> Interp<'p> {
                     }
                     argv.push(self.eval(a)?);
                 }
-                let result = match callee {
-                    Callee::Func(f) => self.run_function(*f, argv)?,
-                    Callee::Extern(x) => {
-                        let name = self.prog.externals[x.idx()].name.clone();
-                        self.counters.extern_calls += 1;
-                        external::call(self, &name, &argv)?
-                    }
+                let callee = match callee {
+                    Callee::Func(f) => FnRef::Def(*f),
+                    Callee::Extern(x) => FnRef::Ext(*x),
                     Callee::Ptr(e) => {
                         let v = self.eval(e)?;
-                        match v.as_ptr() {
-                            Some(PtrVal::Fn(FnRef::Def(f))) => self.run_function(f, argv)?,
-                            Some(PtrVal::Fn(FnRef::Ext(x))) => {
-                                let name = self.prog.externals[x.idx()].name.clone();
-                                self.counters.extern_calls += 1;
-                                external::call(self, &name, &argv)?
-                            }
-                            Some(PtrVal::Null) => return Err(RtError::NullDeref),
-                            _ => return Err(RtError::NotAFunction),
-                        }
+                        self.resolve_callee(v)?
                     }
+                };
+                let result = match callee {
+                    FnRef::Def(f) => self.run_function(f, &argv)?,
+                    FnRef::Ext(x) => self.call_extern(x, &argv)?,
                 };
                 if let Some(lv) = ret {
                     let ty = self.lval_type(lv)?;
@@ -843,25 +897,46 @@ impl<'p> Interp<'p> {
             Place::Mem(p) => p,
             Place::Reg(_) => return Err(RtError::Unsupported("aggregate in register".into())),
         };
-        self.access_hook(src_p, size, false)?;
-        self.access_hook(dst_p, size, true)?;
-        self.counters.loads += 1;
-        self.counters.stores += 1;
-        self.mem.copy_region(dst_p, src_p, size)
+        self.copy_agg(dst_p, src_p, size)
     }
 
     // --------------------------------------------------------------- checks
 
+    /// Executes a check: a plain one through [`Interp::check_begin`], its
+    /// operand and [`Interp::check_end`]; guard machinery structurally.
     pub(crate) fn exec_check(&mut self, c: &Check, site: SiteId) -> Result<(), RtError> {
-        // Check operands are re-evaluations of values the surrounding code
-        // just computed; in compiled CCured they stay in registers. Only the
-        // check-specific cost counters should accrue.
-        let instrs_before = self.counters.instrs;
-        let loads_before = self.counters.loads;
         let r = self.exec_check_inner(c, site);
-        self.counters.instrs = instrs_before;
-        self.counters.loads = loads_before;
+        self.check_restore();
         r
+    }
+
+    /// Enters a check: snapshots (instrs, loads) and counts the check.
+    /// Check operands are re-evaluations of values the surrounding code
+    /// just computed; in compiled CCured they stay in registers, so only
+    /// the check-specific cost counters may accrue until
+    /// [`Interp::check_end`] or [`Interp::check_restore`] restores them.
+    #[inline(always)]
+    pub(crate) fn check_begin(&mut self, c: &Check, site: SiteId) {
+        self.check_save = Some((self.counters.instrs, self.counters.loads));
+        self.bump_check_counter(c, site);
+    }
+
+    /// Leaves a check with its operand's value: restores the snapshot and
+    /// judges the value.
+    #[inline(always)]
+    pub(crate) fn check_end(&mut self, c: &Check, v: Value, site: SiteId) -> Result<(), RtError> {
+        self.check_restore();
+        self.check_verdict(c, v, site)
+    }
+
+    /// Restores the snapshot of the open check, if any: at its end, or
+    /// when an error cut its operand's evaluation short.
+    #[inline(always)]
+    pub(crate) fn check_restore(&mut self) {
+        if let Some((instrs, loads)) = self.check_save.take() {
+            self.counters.instrs = instrs;
+            self.counters.loads = loads;
+        }
     }
 
     fn exec_check_inner(&mut self, c: &Check, site: SiteId) -> Result<(), RtError> {
@@ -883,10 +958,10 @@ impl<'p> Interp<'p> {
             }
             _ => {}
         }
-        self.bump_check_counter(c, site);
+        self.check_begin(c, site);
         let operand = c.operand().expect("plain checks have an operand");
         let v = self.eval(operand)?;
-        self.check_verdict(c, v, site)
+        self.check_end(c, v, site)
     }
 
     /// Runs a loop-optimizer probe: trial-evaluates the summarized checks
@@ -1381,20 +1456,11 @@ impl<'p> Interp<'p> {
         use BinOp::*;
         match op {
             PlusPI | MinusPI => {
-                let pv = a.as_ptr().ok_or_else(|| {
-                    RtError::Unsupported("pointer arithmetic on non-pointer".into())
-                })?;
-                let n = b.as_int().ok_or_else(|| {
-                    RtError::Unsupported("pointer arithmetic with non-integer".into())
-                })?;
                 let elem = match self.prog.types.ptr_parts(a_ty) {
-                    Some((t, _)) => self.elem_size(t)?,
-                    None => 1,
+                    Some((t, _)) => self.elem_size(t),
+                    None => Ok(1),
                 };
-                let delta = (n as i64).wrapping_mul(elem as i64);
-                let delta = if op == MinusPI { -delta } else { delta };
-                self.ptr_arith_hook(&pv)?;
-                Ok(Value::Ptr(pv.offset_by(delta)))
+                self.ptr_add(a, b, elem, op == MinusPI)
             }
             MinusPP => {
                 let pa = a.as_ptr().and_then(|p| p.thin());
@@ -1754,27 +1820,7 @@ impl<'p> Interp<'p> {
                     None => return Err(RtError::Unsupported("deref of non-pointer type".into())),
                 };
                 let v = self.eval(e)?;
-                let pv = v
-                    .as_ptr()
-                    .ok_or_else(|| RtError::Unsupported("deref of non-pointer value".into()))?;
-                self.deref_hook(&pv)?;
-                let p = match pv {
-                    PtrVal::Null => return Err(RtError::NullDeref),
-                    PtrVal::IntVal(x) => {
-                        return Err(RtError::InvalidPointer(format!(
-                            "integer {x:#x} dereferenced"
-                        )))
-                    }
-                    PtrVal::Fn(_) => {
-                        return Err(RtError::InvalidPointer(
-                            "function pointer dereferenced".into(),
-                        ))
-                    }
-                    other => other.thin().ok_or_else(|| {
-                        RtError::Internal("dereferenced pointer has no memory position".into())
-                    })?,
-                };
-                cur = Place::Mem(p);
+                cur = Place::Mem(self.deref(v)?);
             }
         }
         for off in &lv.offsets {
@@ -1793,11 +1839,8 @@ impl<'p> Interp<'p> {
                         Type::Array(elem, _) => (*elem, self.sized(*elem, "array element")?),
                         _ => return Err(RtError::Unsupported("index into non-array".into())),
                     };
-                    let i = self
-                        .eval(e)?
-                        .as_int()
-                        .ok_or_else(|| RtError::Unsupported("non-integer index".into()))?;
-                    cur = Place::Mem(p.offset_by(i as i64 * es as i64));
+                    let i = self.eval(e)?;
+                    cur = Place::Mem(self.index(p, i, es)?);
                     ty = elem;
                 }
             }
@@ -1815,68 +1858,237 @@ impl<'p> Interp<'p> {
                 None => Err(RtError::UninitRead),
             },
             Place::Mem(p) => {
-                let size = self.sized(ty, "load")?;
-                self.access_hook(p, size, false)?;
-                self.counters.loads += 1;
-                match self.prog.types.get(ty) {
-                    Type::Int(k) => Ok(Value::Int(self.mem.read_int(
+                let types = &{ self.prog }.types;
+                match types.get(ty) {
+                    Type::Int(k) => Ok(Value::Int(self.load_int(
                         p,
-                        self.prog.types.machine.int_size(*k),
+                        types.machine.int_size(*k),
                         k.is_signed(),
                     )?)),
                     Type::Float(fk) => Ok(Value::Float(
-                        self.mem
-                            .read_float(p, self.prog.types.machine.float_size(*fk))?,
+                        self.load_float(p, types.machine.float_size(*fk))?,
                     )),
-                    Type::Ptr(_, q) => {
-                        let v = self.mem.read_ptr(p, self.word)?;
-                        if let ExecMode::Cured { sol, .. } = self.mode {
-                            if sol.is_split(*q) {
-                                // Split representation: the metadata lives in
-                                // the parallel structure; loading pays the
-                                // second (shadow) access.
-                                self.counters.meta_ops += 1;
-                            }
-                        }
-                        Ok(Value::Ptr(v))
+                    Type::Ptr(_, q) => Ok(Value::Ptr(self.load_ptr(p, *q)?)),
+                    other => {
+                        let size = self.sized(ty, "load")?;
+                        self.access_hook(p, size, false)?;
+                        self.counters.loads += 1;
+                        Err(RtError::Unsupported(format!("load of {other:?}")))
                     }
-                    other => Err(RtError::Unsupported(format!("load of {other:?}"))),
                 }
             }
         }
     }
 
-    pub(crate) fn store_local(&mut self, l: LocalId, ty: TypeId, v: Value) -> Result<(), RtError> {
-        match self.frame()?.slots[l.idx()] {
-            LocalSlot::Reg => {
-                let v = self.normalize_scalar(ty, v);
-                self.frame_mut()?.regs[l.idx()] = Some(v);
-                Ok(())
-            }
-            LocalSlot::Mem(a) => {
-                let p = Pointer {
-                    alloc: a,
-                    offset: 0,
-                };
-                // By-value aggregate binding: the caller passed the source
-                // address; materialize the copy into the fresh local.
-                if matches!(self.prog.types.get(ty), Type::Comp(_) | Type::Array(..)) {
-                    let src = match v {
-                        Value::Ptr(pv) => pv.thin().ok_or(RtError::NullDeref)?,
-                        _ => {
-                            return Err(RtError::Unsupported(
-                                "aggregate parameter needs an address".into(),
-                            ))
-                        }
-                    };
-                    let size = self.sized(ty, "aggregate parameter")?;
-                    self.counters.loads += 1;
-                    self.counters.stores += 1;
-                    return self.mem.copy_region(p, src, size);
-                }
-                self.store_typed(p, ty, v)
+    // ------------------------------------------------- machine primitives
+    //
+    // Each memory access, pointer step, call and check entry/exit is
+    // written once, here: the tree engine calls these with what it
+    // resolves from the type tables at each visit, the VM with what its
+    // compiler resolved once.
+
+    /// Loads a `size`-byte integer.
+    #[inline(always)]
+    pub(crate) fn load_int(
+        &mut self,
+        p: Pointer,
+        size: u64,
+        signed: bool,
+    ) -> Result<i128, RtError> {
+        self.access_hook(p, size, false)?;
+        self.counters.loads += 1;
+        self.mem.read_int(p, size, signed)
+    }
+
+    /// Loads a `size`-byte (4 or 8) float.
+    #[inline(always)]
+    pub(crate) fn load_float(&mut self, p: Pointer, size: u64) -> Result<f64, RtError> {
+        self.access_hook(p, size, false)?;
+        self.counters.loads += 1;
+        self.mem.read_float(p, size)
+    }
+
+    /// Loads a pointer slot declared with qualifier `q`.
+    #[inline(always)]
+    pub(crate) fn load_ptr(&mut self, p: Pointer, q: QualId) -> Result<PtrVal, RtError> {
+        self.access_hook(p, self.word, false)?;
+        self.counters.loads += 1;
+        let v = self.mem.read_ptr(p, self.word)?;
+        self.split_meta_op(q);
+        Ok(v)
+    }
+
+    /// A split pointer's metadata lives in the parallel structure, so a
+    /// load or store through a SPLIT qualifier pays the second (shadow)
+    /// access.
+    #[inline(always)]
+    fn split_meta_op(&mut self, q: QualId) {
+        if let ExecMode::Cured { sol, .. } = self.mode {
+            if sol.is_split(q) {
+                self.counters.meta_ops += 1;
             }
         }
+    }
+
+    /// Stores `v` as a `size`-byte integer of kind `k`.
+    #[inline(always)]
+    pub(crate) fn store_int(
+        &mut self,
+        p: Pointer,
+        k: IntKind,
+        size: u64,
+        v: Value,
+    ) -> Result<(), RtError> {
+        self.access_hook(p, size, true)?;
+        self.counters.stores += 1;
+        let x = match v {
+            Value::Int(x) => x,
+            Value::Float(f) => f as i128,
+            Value::Ptr(pv) => self.mem.va_of(&pv) as i128,
+        };
+        self.mem
+            .write_int(p, size, trunc_int(x, k, &self.prog.types.machine))
+    }
+
+    /// Stores `v` as a `size`-byte (4 or 8) float.
+    #[inline(always)]
+    pub(crate) fn store_float(&mut self, p: Pointer, size: u64, v: Value) -> Result<(), RtError> {
+        self.access_hook(p, size, true)?;
+        self.counters.stores += 1;
+        let f = match v {
+            Value::Float(f) => f,
+            Value::Int(x) => x as f64,
+            Value::Ptr(_) => return Err(RtError::Unsupported("pointer stored as float".into())),
+        };
+        self.mem.write_float(p, size, f)
+    }
+
+    /// Stores `v` into a pointer slot declared with qualifier `q`.
+    #[inline(always)]
+    pub(crate) fn store_ptr(&mut self, p: Pointer, q: QualId, v: Value) -> Result<(), RtError> {
+        self.access_hook(p, self.word, true)?;
+        self.counters.stores += 1;
+        let pv = match v {
+            Value::Ptr(pv) => pv,
+            Value::Int(0) => PtrVal::Null,
+            Value::Int(x) => PtrVal::IntVal(x as u64),
+            Value::Float(_) => return Err(RtError::Unsupported("float stored as pointer".into())),
+        };
+        self.split_meta_op(q);
+        self.mem.write_ptr(p, pv, self.word)
+    }
+
+    /// Copies a `size`-byte aggregate from `src` to `dst`.
+    #[inline(always)]
+    pub(crate) fn copy_agg(
+        &mut self,
+        dst: Pointer,
+        src: Pointer,
+        size: u64,
+    ) -> Result<(), RtError> {
+        self.access_hook(src, size, false)?;
+        self.access_hook(dst, size, true)?;
+        self.counters.loads += 1;
+        self.counters.stores += 1;
+        self.mem.copy_region(dst, src, size)
+    }
+
+    /// The address a dereferenced pointer value names (after the
+    /// Jones–Kelly registry lookup), or the error its dereference raises.
+    #[inline(always)]
+    pub(crate) fn deref(&mut self, v: Value) -> Result<Pointer, RtError> {
+        let pv = v
+            .as_ptr()
+            .ok_or_else(|| RtError::Unsupported("deref of non-pointer value".into()))?;
+        self.deref_hook(&pv)?;
+        match pv {
+            PtrVal::Null => Err(RtError::NullDeref),
+            PtrVal::IntVal(x) => Err(RtError::InvalidPointer(format!(
+                "integer {x:#x} dereferenced"
+            ))),
+            PtrVal::Fn(_) => Err(RtError::InvalidPointer(
+                "function pointer dereferenced".into(),
+            )),
+            other => other.thin().ok_or_else(|| {
+                RtError::Internal("dereferenced pointer has no memory position".into())
+            }),
+        }
+    }
+
+    /// The address of element `i` of an array of `es`-byte elements at `p`.
+    #[inline(always)]
+    pub(crate) fn index(&self, p: Pointer, i: Value, es: u64) -> Result<Pointer, RtError> {
+        let i = i
+            .as_int()
+            .ok_or_else(|| RtError::Unsupported("non-integer index".into()))?;
+        Ok(p.offset_by(i as i64 * es as i64))
+    }
+
+    /// Pointer arithmetic `a ± b` in `elem`-byte elements (`PlusPI`, or
+    /// `MinusPI` when `neg`), with the Jones–Kelly registry lookup. The
+    /// operands are checked before `elem` is read, so an operand error
+    /// comes before a sizing error.
+    #[inline(always)]
+    pub(crate) fn ptr_add(
+        &mut self,
+        a: Value,
+        b: Value,
+        elem: Result<u64, RtError>,
+        neg: bool,
+    ) -> Result<Value, RtError> {
+        let pv = a
+            .as_ptr()
+            .ok_or_else(|| RtError::Unsupported("pointer arithmetic on non-pointer".into()))?;
+        let n = b
+            .as_int()
+            .ok_or_else(|| RtError::Unsupported("pointer arithmetic with non-integer".into()))?;
+        let delta = (n as i64).wrapping_mul(elem? as i64);
+        let delta = if neg { -delta } else { delta };
+        self.ptr_arith_hook(&pv)?;
+        Ok(Value::Ptr(pv.offset_by(delta)))
+    }
+
+    /// The function a function-pointer value names.
+    #[inline(always)]
+    pub(crate) fn resolve_callee(&self, v: Value) -> Result<FnRef, RtError> {
+        match v.as_ptr() {
+            Some(PtrVal::Fn(f)) => Ok(f),
+            Some(PtrVal::Null) => Err(RtError::NullDeref),
+            _ => Err(RtError::NotAFunction),
+        }
+    }
+
+    /// Calls the external `x` with `args`.
+    pub(crate) fn call_extern(
+        &mut self,
+        x: ExternId,
+        args: &[Value],
+    ) -> Result<Option<Value>, RtError> {
+        let prog = self.prog;
+        self.counters.extern_calls += 1;
+        external::call(self, &prog.externals[x.idx()].name, args)
+    }
+
+    /// Binds a parameter whose slot `p` is in memory. A by-value
+    /// aggregate arrives as its source address and is copied into the
+    /// fresh local; unlike [`Interp::copy_agg`], the copy pays no
+    /// baseline access hooks.
+    fn bind_mem_param(&mut self, p: Pointer, ty: TypeId, v: Value) -> Result<(), RtError> {
+        if matches!(self.prog.types.get(ty), Type::Comp(_) | Type::Array(..)) {
+            let src = match v {
+                Value::Ptr(pv) => pv.thin().ok_or(RtError::NullDeref)?,
+                _ => {
+                    return Err(RtError::Unsupported(
+                        "aggregate parameter needs an address".into(),
+                    ))
+                }
+            };
+            let size = self.sized(ty, "aggregate parameter")?;
+            self.counters.loads += 1;
+            self.counters.stores += 1;
+            return self.mem.copy_region(p, src, size);
+        }
+        self.store_typed(p, ty, v)
     }
 
     pub(crate) fn store_lval(&mut self, lv: &Lval, ty: TypeId, v: Value) -> Result<(), RtError> {
@@ -1975,50 +2187,17 @@ impl<'p> Interp<'p> {
     }
 
     pub(crate) fn store_typed(&mut self, p: Pointer, ty: TypeId, v: Value) -> Result<(), RtError> {
-        let size = self.sized(ty, "store")?;
-        self.access_hook(p, size, true)?;
-        self.counters.stores += 1;
-        match (self.prog.types.get(ty), v) {
-            (Type::Int(k), v) => {
-                let x = match v {
-                    Value::Int(x) => x,
-                    Value::Float(f) => f as i128,
-                    Value::Ptr(pv) => self.mem.va_of(&pv) as i128,
-                };
-                self.mem.write_int(
-                    p,
-                    self.prog.types.machine.int_size(*k),
-                    trunc_int(x, *k, &self.prog.types.machine),
-                )
+        let types = &{ self.prog }.types;
+        match types.get(ty) {
+            Type::Int(k) => self.store_int(p, *k, types.machine.int_size(*k), v),
+            Type::Float(fk) => self.store_float(p, types.machine.float_size(*fk), v),
+            Type::Ptr(_, q) => self.store_ptr(p, *q, v),
+            other => {
+                let size = self.sized(ty, "store")?;
+                self.access_hook(p, size, true)?;
+                self.counters.stores += 1;
+                Err(RtError::Unsupported(format!("store of {other:?}")))
             }
-            (Type::Float(fk), v) => {
-                let f = match v {
-                    Value::Float(f) => f,
-                    Value::Int(x) => x as f64,
-                    Value::Ptr(_) => {
-                        return Err(RtError::Unsupported("pointer stored as float".into()))
-                    }
-                };
-                self.mem
-                    .write_float(p, self.prog.types.machine.float_size(*fk), f)
-            }
-            (Type::Ptr(_, q), v) => {
-                let pv = match v {
-                    Value::Ptr(pv) => pv,
-                    Value::Int(0) => PtrVal::Null,
-                    Value::Int(x) => PtrVal::IntVal(x as u64),
-                    Value::Float(_) => {
-                        return Err(RtError::Unsupported("float stored as pointer".into()))
-                    }
-                };
-                if let ExecMode::Cured { sol, .. } = self.mode {
-                    if sol.is_split(*q) {
-                        self.counters.meta_ops += 1;
-                    }
-                }
-                self.mem.write_ptr(p, pv, self.word)
-            }
-            (other, _) => Err(RtError::Unsupported(format!("store of {other:?}"))),
         }
     }
 
@@ -2094,6 +2273,7 @@ impl<'p> Interp<'p> {
     }
 
     /// Jones–Kelly: pointer dereferences consult the object registry.
+    #[inline(always)]
     pub(crate) fn deref_hook(&mut self, pv: &PtrVal) -> Result<(), RtError> {
         if let ExecMode::JonesKelly = self.mode {
             if let Some(p) = pv.thin() {
@@ -2108,6 +2288,7 @@ impl<'p> Interp<'p> {
     }
 
     /// Jones–Kelly: pointer arithmetic also consults the registry.
+    #[inline(always)]
     pub(crate) fn ptr_arith_hook(&mut self, pv: &PtrVal) -> Result<(), RtError> {
         self.deref_hook(pv)
     }

@@ -58,14 +58,14 @@ impl Default for Limits {
 }
 
 impl Limits {
-    /// Tight limits for adversarial batches (fault injection, fuzzing):
-    /// small enough that a hostile mutant exhausts them quickly, large
-    /// enough that every legitimate workload in the corpus passes.
+    /// The crash-test sandbox (`ccured crash-test`, `ccured campaign`):
+    /// tight enough that a runaway mutant (e.g. a weakened loop bound
+    /// spinning forever) exhausts its fuel in well under a second.
     pub fn strict() -> Self {
         Limits {
-            fuel: 50_000_000,
+            fuel: 2_000_000,
             max_stack_depth: 96,
-            max_heap_bytes: 64 << 20,
+            max_heap_bytes: 32 << 20,
             deadline: None,
         }
     }

@@ -22,7 +22,7 @@
 use crate::gen::{self, GOLDEN};
 use crate::profiles::Profile;
 use ccured::{isolated, json, Curer};
-use ccured_batch::{run_batch, run_units, BatchConfig};
+use ccured_batch::{run_batch, run_units, worker_stack_bytes, BatchConfig};
 use ccured_faultinject::{crash_test, CrashTest, CrashTestReport, FaultClass, Outcome};
 use ccured_rt::{Engine, ExecMode, Interp, Limits, RunStats};
 use ccured_workloads::Workload;
@@ -73,12 +73,7 @@ impl CampaignConfig {
             out_dir,
             cache_dir,
             use_cache: true,
-            limits: Limits {
-                fuel: 2_000_000,
-                max_stack_depth: 96,
-                max_heap_bytes: 32 << 20,
-                deadline: None,
-            },
+            limits: Limits::strict(),
         }
     }
 }
@@ -435,10 +430,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> io::Result<CampaignReport> {
     }
 
     // Stage 3: differential + crash-test, sharded over the worker pool.
-    // The tree engine recurses on guest calls; worker stacks get the
-    // batch engine's 8 MiB floor.
+    // The tree engine recurses on guest calls under the campaign's limits.
     let jobs = bcfg.effective_jobs(units.len());
-    let results = run_units(units.len(), jobs, "ccured-campaign", 8 << 20, |idx| {
+    let stack_bytes = worker_stack_bytes(&cfg.limits);
+    let results = run_units(units.len(), jobs, "ccured-campaign", stack_bytes, |idx| {
         check_unit(&units[idx].1, idx, cfg)
     })?;
 

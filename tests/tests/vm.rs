@@ -7,14 +7,16 @@
 //! every event counter (instruction steps, loads/stores, per-kind check
 //! counts, fuel accounting). The corpus is the full golden workload suite
 //! plus 240 seeded fault-injection mutants (two seeds of 120), so both the
-//! happy paths and the check-failure/error paths are pinned.
+//! happy paths and the check-failure/error paths are pinned, plus SPLIT
+//! and `--temporal` cures and a call that fails on an incomplete local.
 
 use ccured::{isolated, Curer};
+use ccured_cil::ir::CheckKind;
 use ccured_cil::Program;
 use ccured_faultinject::{mutate, FaultClass};
 use ccured_rt::{Engine, ExecMode, Interp, Limits, RtError, RunStats};
 use ccured_workloads::prng::SplitMix64;
-use ccured_workloads::{batch_corpus, micro, suite_corpus, Workload};
+use ccured_workloads::{batch_corpus, daemons, micro, olden, spec, suite_corpus, Workload};
 
 fn observe(
     prog: &Program,
@@ -56,6 +58,13 @@ fn lower(w: &Workload) -> Program {
 
 fn cure(w: &Workload) -> ccured::Cured {
     w.curer().cure_source(&w.source).expect("cure")
+}
+
+/// Cures `w` with its curer after `set` adjusts it.
+fn cure_with(w: &Workload, set: impl FnOnce(&mut Curer)) -> ccured::Cured {
+    let mut curer = w.curer();
+    set(&mut curer);
+    curer.cure_source(&w.source).expect("cure")
 }
 
 fn golden_workloads() -> Vec<Workload> {
@@ -119,6 +128,127 @@ fn golden_corpus_original_is_identical_across_engines() {
             Limits::default(),
             false,
         );
+    }
+}
+
+/// SPLIT cures: a load or store through a split-qualified pointer and
+/// each boundary builtin pays `meta_ops`, which both engines must count
+/// alike. `split_everything` splits every pointer; `split_at_boundaries`
+/// only those that cross into uncured code.
+#[test]
+fn split_cures_are_identical_across_engines() {
+    let everything = [
+        olden::em3d(12, 3, 3),
+        olden::treeadd(5),
+        spec::ijpeg_oo(8, 2),
+        micro::ptr_store(8),
+    ];
+    let boundaries = [
+        daemons::bind_like(4, 3),
+        daemons::openssh_like(4, true),
+        daemons::ssh_client_uncured_ssl(4),
+    ];
+    let split = |w: &Workload, everything: bool| {
+        cure_with(w, |c| {
+            if everything {
+                c.split_everything(true);
+            } else {
+                c.split_at_boundaries(true);
+            }
+        })
+    };
+    let cures = everything
+        .iter()
+        .map(|w| (w, split(w, true)))
+        .chain(boundaries.iter().map(|w| (w, split(w, false))));
+    for (w, cured) in cures {
+        let got = assert_engines_agree(
+            &format!("{} (split)", w.name),
+            &cured.program,
+            ExecMode::cured(&cured),
+            &w.input,
+            Limits::default(),
+            false,
+        );
+        assert!(got.counters.meta_ops > 0, "{}: no metadata upkeep", w.name);
+    }
+}
+
+/// `--temporal` cures: every allocation carries a capability key that
+/// `free` revokes and every temporal check compares, and every counter
+/// must still agree.
+#[test]
+fn temporal_cures_are_identical_across_engines() {
+    let ws = [
+        micro::safe_deref(20),
+        micro::seq_index(12),
+        micro::wild_loop(6),
+        micro::rtti_dispatch(12),
+        micro::ptr_store(8),
+        olden::em3d(12, 3, 3),
+        olden::treeadd(5),
+    ];
+    for w in &ws {
+        let cured = cure_with(w, |c| {
+            c.temporal(true);
+        });
+        let got = assert_engines_agree(
+            &format!("{} (temporal)", w.name),
+            &cured.program,
+            ExecMode::cured(&cured),
+            &w.input,
+            Limits::default(),
+            false,
+        );
+        assert!(
+            got.counters.checks[CheckKind::Temporal] > 0,
+            "{}: no temporal check ran",
+            w.name
+        );
+    }
+}
+
+/// A memory local whose type is incomplete fails the call after the
+/// memory locals before it were allocated (`pad`'s 16 bytes), on both
+/// engines, cured and original, with the same counters.
+#[test]
+fn incomplete_stack_local_is_identical_across_engines() {
+    let cases = [
+        (
+            "incomplete_struct_local",
+            "struct S; int f(void) { int pad[4]; struct S s; pad[0] = 1; return pad[0]; }\n\
+             int main(void) { return f(); }",
+            16,
+        ),
+        (
+            "incomplete_array_local",
+            "int g(int n) { int a[]; return n; } int main(void) { return g(1); }",
+            0,
+        ),
+    ];
+    for (name, src, allocated) in cases {
+        let w = Workload::new(name, src).without_wrappers();
+        let prog = lower(&w);
+        let cured = cure(&w);
+        for (what, prog, mode) in [
+            ("original", &prog, ExecMode::Original),
+            ("cured", &cured.program, ExecMode::cured(&cured)),
+        ] {
+            let got = assert_engines_agree(
+                &format!("{name} ({what})"),
+                prog,
+                mode,
+                &[],
+                Limits::default(),
+                false,
+            );
+            assert!(
+                matches!(got.result(), Err(RtError::Unsupported(m)) if m.starts_with("stack local: ")),
+                "{name} ({what}): got {:?}",
+                got.result()
+            );
+            assert_eq!(got.counters.peak_heap_bytes, allocated, "{name} ({what})");
+        }
     }
 }
 
@@ -256,12 +386,7 @@ fn assert_mutants_agree(seed: u64) {
         .iter()
         .map(|w| (w.name.clone(), w.input.clone(), lower(w)))
         .collect();
-    let limits = Limits {
-        fuel: 2_000_000,
-        max_stack_depth: 96,
-        max_heap_bytes: 32 << 20,
-        deadline: None,
-    };
+    let limits = Limits::strict();
     let ncls = FaultClass::ALL.len();
     let mut compared = 0usize;
     let mut caught = 0usize;
