@@ -1,6 +1,6 @@
 # Convenience targets for ccured-rs.
 
-.PHONY: all test lint tables bench-interp bench-profile bench-opt2 bench-serve bench-synth bench-temporal bench-hierarchy bless doc examples smoke profile-smoke serve-smoke synth-smoke perfbench-smoke stress clean
+.PHONY: all test lint tables bench-interp bench-profile bench-opt2 bench-serve bench-synth bench-temporal bench-hierarchy bless doc examples smoke profile-smoke serve-smoke synth-smoke perfbench-smoke vm-inline stress clean
 
 all: test
 
@@ -99,6 +99,12 @@ serve-smoke:
 # to perfbench/baseline.json (also run by CI's perfbench-smoke job).
 perfbench-smoke:
 	sh ci/perfbench_smoke.sh
+
+# The VM's dispatch loop calls no per-op helper out of line: objdump of
+# the release binary's `vm_run` (also run by CI's bench job).
+vm-inline:
+	cargo build --release -p ccured-cli
+	sh ci/vm_inline.sh target/release/ccured
 
 # Rustdoc with warnings as errors (also run by CI's lint job).
 doc:

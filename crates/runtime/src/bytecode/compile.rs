@@ -883,12 +883,7 @@ impl<'p> Cc<'_, 'p> {
     fn store(&mut self, lv: &'p Lval, ty: TypeId) -> CResult {
         match self.lval(lv)? {
             CPlace::Reg(l) => {
-                let norm = match self.prog.types.get(ty) {
-                    Type::Int(k) => RegNorm::Int(*k),
-                    Type::Float(ccured_cil::types::FloatKind::Float) => RegNorm::Float32,
-                    Type::Float(_) => RegNorm::Float64,
-                    _ => RegNorm::Pass,
-                };
+                let norm = RegNorm::of(&self.prog.types, ty);
                 self.emit(OpKind::StoreReg(l, norm));
             }
             CPlace::Mem => {
@@ -936,12 +931,7 @@ impl<'p> Cc<'_, 'p> {
             Exp::FnAddr(f, _) => self.emit(OpKind::Push(Value::Ptr(PtrVal::Fn(*f)))),
             Exp::Load(lv, ty) => match self.lval(lv)? {
                 CPlace::Reg(l) => {
-                    // Compressed form of `zero_value(*ty)`.
-                    let zk = match self.prog.types.get(*ty) {
-                        Type::Float(_) => ZeroKind::Float,
-                        Type::Ptr(..) => ZeroKind::Ptr,
-                        _ => ZeroKind::Int,
-                    };
+                    let zk = ZeroKind::of(&self.prog.types, *ty);
                     self.emit(OpKind::LoadReg(l, zk));
                 }
                 CPlace::Mem => {
@@ -1042,12 +1032,7 @@ impl<'p> Cc<'_, 'p> {
         if types.ptr_parts(site.from).is_some() || types.ptr_parts(site.to).is_some() {
             return OpKind::Cast(id);
         }
-        OpKind::CastNum(match types.get(site.to) {
-            Type::Int(k) => RegNorm::Int(*k),
-            Type::Float(ccured_cil::types::FloatKind::Float) => RegNorm::Float32,
-            Type::Float(_) => RegNorm::Float64,
-            _ => RegNorm::Pass,
-        })
+        OpKind::CastNum(RegNorm::of(types, site.to))
     }
 
     // --------------------------------------------------------------- lvalues

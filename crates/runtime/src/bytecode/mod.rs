@@ -27,4 +27,4 @@ mod ops;
 mod vm;
 
 pub(crate) use compile::compile;
-pub(crate) use ops::{CompiledFn, RegNorm};
+pub(crate) use ops::{CompiledFn, RegNorm, ZeroKind};

@@ -8,18 +8,18 @@
 //! fuel runs out are identical to the tree engine's.
 
 use crate::err::RtError;
+use crate::interp::IntTrunc;
 use crate::value::Value;
 use ccured_cil::ir::{BinOp, CastId, Check, FuncId, LocalId, SiteId, UnOp};
-use ccured_cil::types::{IntKind, QualId, TypeId};
+use ccured_cil::types::{FloatKind, IntKind, QualId, Type, TypeId, TypeTable};
 
-/// Scalar normalization, resolved from the declared type at compile time.
-/// One rule serves register stores (`normalize_scalar`) and numeric casts
-/// (`eval_cast`'s non-pointer arm) — the reference interpreter applies the
-/// identical conversion table in both places.
+/// Scalar normalization to a declared type: the one conversion table for
+/// register stores (`StoreReg`, `normalize_scalar`, parameter binding) and
+/// numeric casts (`CastNum`, `eval_cast`'s non-pointer arm).
 #[derive(Clone, Copy)]
 pub(crate) enum RegNorm {
     /// Integer target: truncate to the kind's width/signedness.
-    Int(IntKind),
+    Int(IntTrunc),
     /// `float` target: round through `f32`.
     Float32,
     /// `double` target: integers convert, floats pass through.
@@ -29,13 +29,22 @@ pub(crate) enum RegNorm {
 }
 
 impl RegNorm {
-    /// Applies the normalization (see `Interp::normalize_scalar`).
-    #[inline]
-    pub(crate) fn apply(self, v: Value, machine: &ccured_cil::types::Machine) -> Value {
-        use crate::interp::trunc_int;
+    /// The normalization to declared type `ty`.
+    pub(crate) fn of(types: &TypeTable, ty: TypeId) -> RegNorm {
+        match types.get(ty) {
+            Type::Int(k) => RegNorm::Int(IntTrunc::of(*k, &types.machine)),
+            Type::Float(FloatKind::Float) => RegNorm::Float32,
+            Type::Float(_) => RegNorm::Float64,
+            _ => RegNorm::Pass,
+        }
+    }
+
+    /// Applies the normalization.
+    #[inline(always)]
+    pub(crate) fn apply(self, v: Value) -> Value {
         match (self, v) {
-            (RegNorm::Int(k), Value::Int(x)) => Value::Int(trunc_int(x, k, machine)),
-            (RegNorm::Int(k), Value::Float(f)) => Value::Int(trunc_int(f as i128, k, machine)),
+            (RegNorm::Int(t), Value::Int(x)) => Value::Int(t.apply(x)),
+            (RegNorm::Int(t), Value::Float(f)) => Value::Int(t.apply(f as i128)),
             (RegNorm::Float32, Value::Float(f)) => Value::Float(f as f32 as f64),
             (RegNorm::Float32 | RegNorm::Float64, Value::Int(x)) => Value::Float(x as f64),
             (_, v) => v,
@@ -44,7 +53,7 @@ impl RegNorm {
 }
 
 /// The zero value a register local reads as under the zeroing allocator,
-/// compressed from the declared type (see `Interp::zero_value`).
+/// compressed from the declared type.
 #[derive(Clone, Copy)]
 pub(crate) enum ZeroKind {
     /// Integer (and any other non-float, non-pointer) target: `0`.
@@ -56,6 +65,15 @@ pub(crate) enum ZeroKind {
 }
 
 impl ZeroKind {
+    /// The zero value of type `ty`.
+    pub(crate) fn of(types: &TypeTable, ty: TypeId) -> ZeroKind {
+        match types.get(ty) {
+            Type::Float(_) => ZeroKind::Float,
+            Type::Ptr(..) => ZeroKind::Ptr,
+            _ => ZeroKind::Int,
+        }
+    }
+
     /// The zero value itself.
     #[inline]
     pub(crate) fn value(self) -> Value {

@@ -2,21 +2,23 @@
 //!
 //! One flat loop drives the whole guest call stack: guest calls push a
 //! suspended `VmFrame` and switch `code`/`pc` instead of recursing on the
-//! host stack. Control flow, operand order, register access and the
-//! batched step costs are the VM's own; every memory access, pointer step,
-//! check entry and exit, call and frame is an `Interp` primitive the tree
-//! engine calls too (`push_frame`/`pop_frame`, `load_int`, `store_ptr`,
-//! `deref`, `ptr_add`, `check_begin`/`check_end`, `call_extern`,
-//! `arith`, `compare`, `eval_cast`, `make_ptr`, ...), so behaviour can
+//! host stack. Control flow, operand order and the batched step costs are
+//! the VM's own; every register and memory access, pointer step, check
+//! entry and exit, call and frame is an `Interp` primitive the tree engine
+//! calls too (`push_frame`/`pop_frame`, `read_reg`/`write_reg`,
+//! `load_int`, `store_ptr`, `deref`, `ptr_add`, `check_begin`/`check_end`,
+//! `call_extern`, `arith`, `compare`, `eval_cast`, `make_ptr`, ...), and
+//! every one the loop runs per op is `#[inline(always)]` (`make
+//! vm-inline` checks the release binary), so behaviour can
 //! only diverge if compilation placed an op or a cost wrong, which is what
 //! the differential suite pins down.
 
-use super::ops::{CompiledFn, OpKind, ZeroKind};
+use super::ops::{CompiledFn, OpKind};
 use crate::err::RtError;
-use crate::interp::{no_frame, Interp, LocalSlot, Place};
+use crate::interp::{Interp, LocalSlot, Place};
 use crate::mem::Pointer;
 use crate::value::{PtrVal, Value};
-use ccured_cil::ir::{ExternId, FnRef, FuncId, LocalId};
+use ccured_cil::ir::{ExternId, FnRef, FuncId};
 use std::rc::Rc;
 
 /// A suspended caller: where to resume when the callee returns.
@@ -62,28 +64,6 @@ impl<'p> Interp<'p> {
         r
     }
 
-    /// Register read (the `LoadReg` body, shared with the fused forms).
-    #[inline]
-    fn vm_read_reg(&self, l: LocalId, zk: ZeroKind) -> Result<Value, RtError> {
-        let fr = self.frames.last().ok_or_else(no_frame)?;
-        match fr.regs[l.idx()] {
-            Some(v) => Ok(v),
-            // The zeroing allocator extends to register locals, exactly
-            // like `load_place`.
-            None if self.zero_init => Ok(zk.value()),
-            None => Err(RtError::UninitRead),
-        }
-    }
-
-    /// Register write (the `StoreReg` tail, shared with the fused forms;
-    /// the caller has already normalized `v`).
-    #[inline]
-    fn vm_store_reg(&mut self, l: LocalId, v: Value) -> Result<(), RtError> {
-        let fr = self.frames.last_mut().ok_or_else(no_frame)?;
-        fr.regs[l.idx()] = Some(v);
-        Ok(())
-    }
-
     fn vm_run(&mut self, f: FuncId, args: &[Value]) -> Result<Option<Value>, RtError> {
         let mut vals: Vec<Value> = Vec::with_capacity(64);
         let mut addrs: Vec<Pointer> = Vec::with_capacity(32);
@@ -103,7 +83,7 @@ impl<'p> Interp<'p> {
                 OpKind::Nop => {}
                 OpKind::Push(v) => vals.push(*v),
                 OpKind::LoadReg(l, zk) => {
-                    let v = self.vm_read_reg(*l, *zk)?;
+                    let v = self.read_reg(*l, *zk)?;
                     vals.push(v);
                 }
                 OpKind::LoadMem(ty) => {
@@ -128,8 +108,8 @@ impl<'p> Interp<'p> {
                 }
                 OpKind::StoreReg(l, norm) => {
                     let v = vals.pop().ok_or_else(underflow)?;
-                    let v = norm.apply(v, &self.prog.types.machine);
-                    self.vm_store_reg(*l, v)?;
+                    let v = norm.apply(v);
+                    self.write_reg(*l, v)?;
                 }
                 OpKind::StoreMem { ty, wild_tag } => {
                     let v = vals.pop().ok_or_else(underflow)?;
@@ -232,7 +212,7 @@ impl<'p> Interp<'p> {
                 }
                 OpKind::CastNum(norm) => {
                     let v = vals.pop().ok_or_else(underflow)?;
-                    vals.push(norm.apply(v, &self.prog.types.machine));
+                    vals.push(norm.apply(v));
                 }
                 OpKind::Jump(t) => {
                     pc = *t as usize;
@@ -355,7 +335,7 @@ impl<'p> Interp<'p> {
                     trunc,
                     c2,
                 } => {
-                    let b = self.vm_read_reg(*l, *zk)?;
+                    let b = self.read_reg(*l, *zk)?;
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
@@ -370,12 +350,12 @@ impl<'p> Interp<'p> {
                     norm,
                     c2,
                 } => {
-                    let v = self.vm_read_reg(*src, *zk)?;
+                    let v = self.read_reg(*src, *zk)?;
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
-                    let v = norm.apply(v, &self.prog.types.machine);
-                    self.vm_store_reg(*dst, v)?;
+                    let v = norm.apply(v);
+                    self.write_reg(*dst, v)?;
                 }
                 OpKind::PushBinArith { v, op, trunc, c2 } => {
                     if *c2 != 0 {
@@ -417,8 +397,8 @@ impl<'p> Interp<'p> {
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
-                    let v = norm.apply(Value::Int(*v), &self.prog.types.machine);
-                    self.vm_store_reg(*l, v)?;
+                    let v = norm.apply(Value::Int(*v));
+                    self.write_reg(*l, v)?;
                 }
                 OpKind::CmpBranch { op, target, c2 } => {
                     let b = vals.pop().ok_or_else(underflow)?;
@@ -445,8 +425,8 @@ impl<'p> Interp<'p> {
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
-                    let r = norm.apply(r, &self.prog.types.machine);
-                    self.vm_store_reg(*l, r)?;
+                    let r = norm.apply(r);
+                    self.write_reg(*l, r)?;
                 }
                 OpKind::LoadIntStoreReg {
                     size,
@@ -460,8 +440,8 @@ impl<'p> Interp<'p> {
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
-                    let v = norm.apply(Value::Int(x), &self.prog.types.machine);
-                    self.vm_store_reg(*l, v)?;
+                    let v = norm.apply(Value::Int(x));
+                    self.write_reg(*l, v)?;
                 }
 
                 // ---- extended superinstructions -------------------------
@@ -478,11 +458,11 @@ impl<'p> Interp<'p> {
                     c3,
                     c4,
                 } => {
-                    let av = self.vm_read_reg(*a, *za)?;
+                    let av = self.read_reg(*a, *za)?;
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
-                    let bv = self.vm_read_reg(*b, *zb)?;
+                    let bv = self.read_reg(*b, *zb)?;
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
@@ -505,11 +485,11 @@ impl<'p> Interp<'p> {
                     c2,
                     c3,
                 } => {
-                    let av = self.vm_read_reg(*a, *za)?;
+                    let av = self.read_reg(*a, *za)?;
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
-                    let bv = self.vm_read_reg(*b, *zb)?;
+                    let bv = self.read_reg(*b, *zb)?;
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
@@ -526,11 +506,11 @@ impl<'p> Interp<'p> {
                     c2,
                     c3,
                 } => {
-                    let pv = self.vm_read_reg(*p, *zp)?;
+                    let pv = self.read_reg(*p, *zp)?;
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
-                    let iv = self.vm_read_reg(*i, *zi)?;
+                    let iv = self.read_reg(*i, *zi)?;
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
@@ -546,7 +526,7 @@ impl<'p> Interp<'p> {
                     c2,
                     c3,
                 } => {
-                    let a = self.vm_read_reg(*l, *zk)?;
+                    let a = self.read_reg(*l, *zk)?;
                     // The folded `Push` does no work, but its step (`c2`)
                     // is still charged at its position.
                     if *c2 != 0 {
@@ -570,7 +550,7 @@ impl<'p> Interp<'p> {
                     c3,
                     c4,
                 } => {
-                    let a = self.vm_read_reg(*l, *zk)?;
+                    let a = self.read_reg(*l, *zk)?;
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
@@ -581,8 +561,8 @@ impl<'p> Interp<'p> {
                     if *c4 != 0 {
                         self.add_instrs(*c4)?;
                     }
-                    let r = norm.apply(r, &self.prog.types.machine);
-                    self.vm_store_reg(*dst, r)?;
+                    let r = norm.apply(r);
+                    self.write_reg(*dst, r)?;
                 }
                 OpKind::LoadIntArithStore {
                     size,
@@ -604,8 +584,8 @@ impl<'p> Interp<'p> {
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
-                    let r = norm.apply(r, &self.prog.types.machine);
-                    self.vm_store_reg(*l, r)?;
+                    let r = norm.apply(r);
+                    self.write_reg(*l, r)?;
                 }
                 OpKind::RegImmCmpBranch {
                     l,
@@ -617,7 +597,7 @@ impl<'p> Interp<'p> {
                     c3,
                     c4,
                 } => {
-                    let a = self.vm_read_reg(*l, *zk)?;
+                    let a = self.read_reg(*l, *zk)?;
                     // The folded `Push` does no work, but its step (`c2`)
                     // is still charged at its position.
                     if *c2 != 0 {
@@ -706,7 +686,7 @@ impl<'p> Interp<'p> {
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
-                    let v = self.vm_read_reg(*l, *zk)?;
+                    let v = self.read_reg(*l, *zk)?;
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
@@ -730,11 +710,11 @@ impl<'p> Interp<'p> {
                     if *c2 != 0 {
                         self.add_instrs(*c2)?;
                     }
-                    let pv = self.vm_read_reg(*p, *zp)?;
+                    let pv = self.read_reg(*p, *zp)?;
                     if *c3 != 0 {
                         self.add_instrs(*c3)?;
                     }
-                    let iv = self.vm_read_reg(*i, *zi)?;
+                    let iv = self.read_reg(*i, *zi)?;
                     if *c4 != 0 {
                         self.add_instrs(*c4)?;
                     }

@@ -137,7 +137,7 @@ pub fn call(it: &mut Interp<'_>, name: &str, args: &[Value]) -> Result<Option<Va
                     copy,
                 )?;
                 if !it.gc_mode() {
-                    it.mem.free(p.alloc)?;
+                    it.free(p.alloc)?;
                 } else if it.temporal_enabled() {
                     temporal_free(it, p.alloc)?;
                 }
@@ -166,7 +166,7 @@ pub fn call(it: &mut Interp<'_>, name: &str, args: &[Value]) -> Result<Option<Va
             }
             let pv = ptr_arg(args, 0)?;
             if let Some(p) = pv.thin() {
-                it.mem.free(p.alloc)?;
+                it.free(p.alloc)?;
             }
             Ok(None)
         }

@@ -11,7 +11,7 @@
 //! * **Purify / Valgrind / JonesKelly** modes run the original program with
 //!   the corresponding shadow-memory or registry work on every access.
 
-use crate::bytecode::RegNorm;
+use crate::bytecode::{RegNorm, ZeroKind};
 use crate::cost::Counters;
 use crate::err::RtError;
 use crate::external;
@@ -22,7 +22,7 @@ use crate::value::{PtrVal, Value};
 use ccured::hierarchy::Hierarchy;
 use ccured::Cured;
 use ccured_cil::ir::*;
-use ccured_cil::types::{IntKind, QualId, Type, TypeId};
+use ccured_cil::types::{IntKind, Machine, QualId, Type, TypeId};
 use ccured_infer::{PtrKind, Solution};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -549,18 +549,11 @@ impl<'p> Interp<'p> {
                 }
             }
         }
-        // The declared-type table `StoreReg` compilation uses;
-        // `RegNorm::apply` mirrors `normalize_scalar`.
         let params = func
             .locals
             .iter()
             .take(func.param_count)
-            .map(|l| match types.get(l.ty) {
-                Type::Int(k) => RegNorm::Int(*k),
-                Type::Float(ccured_cil::types::FloatKind::Float) => RegNorm::Float32,
-                Type::Float(_) => RegNorm::Float64,
-                _ => RegNorm::Pass,
-            })
+            .map(|l| RegNorm::of(types, l.ty))
             .collect();
         // Goto/label tables: intern label names and record, per block slice,
         // where each label sits, so a jump is a hash probe instead of a
@@ -661,17 +654,25 @@ impl<'p> Interp<'p> {
         let (mut regs, mut slots, mut guards) = self.frame_pool.pop().unwrap_or_default();
         slots.clear();
         guards.clear();
+        // A call that fails part-way kills the slots it allocated: the
+        // caller's stack allocations must stay the tail `kill_frame` pops.
         for size in &plan.slot_sizes {
             slots.push(match *size {
                 None => LocalSlot::Reg,
-                Some(size) => {
-                    let id = self.mem.alloc(size, AllocKind::Stack { frame: seq })?;
-                    self.register_alloc(id);
-                    LocalSlot::Mem(id)
-                }
+                Some(size) => match self.mem.alloc(size, AllocKind::Stack { frame: seq }) {
+                    Ok(id) => {
+                        self.register_alloc(id);
+                        LocalSlot::Mem(id)
+                    }
+                    Err(e) => {
+                        self.kill_slots(seq, &slots);
+                        return Err(e);
+                    }
+                },
             });
         }
         if let Some(e) = &plan.incomplete {
+            self.kill_slots(seq, &slots);
             return Err(e.clone());
         }
         regs.clear();
@@ -691,7 +692,7 @@ impl<'p> Interp<'p> {
         for (i, (&v, norm)) in args.iter().zip(&plan.params).enumerate() {
             let fr = self.frame_mut()?;
             match fr.slots[i] {
-                LocalSlot::Reg => fr.regs[i] = Some(norm.apply(v, &prog.types.machine)),
+                LocalSlot::Reg => fr.regs[i] = Some(norm.apply(v)),
                 LocalSlot::Mem(alloc) => {
                     let ty = prog.functions[f.idx()].locals[i].ty;
                     self.bind_mem_param(Pointer { alloc, offset: 0 }, ty, v)?;
@@ -707,11 +708,24 @@ impl<'p> Interp<'p> {
     #[inline(always)]
     pub(crate) fn pop_frame(&mut self) -> Result<(), RtError> {
         let fr = self.frames.pop().ok_or_else(no_frame)?;
-        self.mem.kill_frame(fr.seq);
+        self.kill_slots(fr.seq, &fr.slots);
         if self.frame_pool.len() < 64 {
             self.frame_pool.push((fr.regs, fr.slots, fr.guards));
         }
         Ok(())
+    }
+
+    /// Kills frame `seq`'s stack allocations and their baseline shadows.
+    #[inline]
+    fn kill_slots(&mut self, seq: u64, slots: &[LocalSlot]) {
+        self.mem.kill_frame(seq);
+        if !self.shadow.is_empty() {
+            for slot in slots {
+                if let LocalSlot::Mem(id) = slot {
+                    self.shadow.remove(&id.0);
+                }
+            }
+        }
     }
 
     pub(crate) fn frame(&self) -> Result<&Frame, RtError> {
@@ -1243,6 +1257,7 @@ impl<'p> Interp<'p> {
     /// used by the bytecode engine: identical counter effects (instruction
     /// count, per-mode shadow work, fuel accounting at the exact step the
     /// tree engine would have failed on) for a single bounds test.
+    #[inline(always)]
     pub(crate) fn add_instrs(&mut self, cost: u32) -> Result<(), RtError> {
         // Fast path for the dispatch loop: within fuel, no 0x4000-boundary
         // poll, and a mode with no per-step shadow work.
@@ -1487,6 +1502,7 @@ impl<'p> Interp<'p> {
     /// An arithmetic or bitwise operator, its integer result truncated to
     /// `trunc` (the kind [`Interp::int_kind`] resolves from the result
     /// type). Both engines evaluate every such operator here.
+    #[inline(always)]
     pub(crate) fn arith(
         &self,
         op: BinOp,
@@ -1502,7 +1518,7 @@ impl<'p> Interp<'p> {
                     Sub => x - y,
                     Mul => x * y,
                     Div => x / y,
-                    _ => return Err(RtError::Unsupported(format!("float operator {op:?}"))),
+                    _ => return Err(float_operator_error(op)),
                 };
                 Ok(Value::Float(r))
             }
@@ -1535,14 +1551,13 @@ impl<'p> Interp<'p> {
                     None => r,
                 }))
             }
-            (x, y) => Err(RtError::Unsupported(format!(
-                "operator {op:?} between {x:?} and {y:?}"
-            ))),
+            (x, y) => Err(operands_error(op, x, y)),
         }
     }
 
     /// A comparison, pointers comparing by virtual address. Both engines
     /// evaluate every comparison here.
+    #[inline(always)]
     pub(crate) fn compare(&self, op: BinOp, a: Value, b: Value) -> Result<bool, RtError> {
         Ok(match (a, b) {
             (Value::Int(x), Value::Int(y)) => compare_i(op, x, y),
@@ -1554,11 +1569,7 @@ impl<'p> Interp<'p> {
             }
             (Value::Ptr(x), Value::Int(y)) => compare_i(op, self.mem.va_of(&x) as i128, y),
             (Value::Int(x), Value::Ptr(y)) => compare_i(op, x, self.mem.va_of(&y) as i128),
-            (x, y) => {
-                return Err(RtError::Unsupported(format!(
-                    "comparison between {x:?} and {y:?}"
-                )))
-            }
+            (x, y) => return Err(comparison_error(x, y)),
         })
     }
 
@@ -1607,24 +1618,8 @@ impl<'p> Interp<'p> {
         let from_ptr = types.ptr_parts(site.from);
         let to_ptr = types.ptr_parts(site.to);
         match (from_ptr, to_ptr) {
-            (None, None) => {
-                // Numeric conversion.
-                Ok(match (types.get(site.to), v) {
-                    (Type::Int(k), Value::Float(f)) => {
-                        Value::Int(trunc_int(f as i128, *k, &types.machine))
-                    }
-                    (Type::Int(k), Value::Int(x)) => Value::Int(trunc_int(x, *k, &types.machine)),
-                    (Type::Float(_), Value::Int(x)) => Value::Float(x as f64),
-                    (Type::Float(fk), Value::Float(f)) => {
-                        if matches!(fk, ccured_cil::types::FloatKind::Float) {
-                            Value::Float(f as f32 as f64)
-                        } else {
-                            Value::Float(f)
-                        }
-                    }
-                    (_, v) => v,
-                })
-            }
+            // Numeric conversion.
+            (None, None) => Ok(RegNorm::of(types, site.to).apply(v)),
             (Some(_), None) => {
                 // Pointer to integer: the virtual address.
                 let p = v
@@ -1850,13 +1845,7 @@ impl<'p> Interp<'p> {
 
     pub(crate) fn load_place(&mut self, place: Place, ty: TypeId) -> Result<Value, RtError> {
         match place {
-            Place::Reg(l) => match self.frame()?.regs[l.idx()] {
-                Some(v) => Ok(v),
-                // The zeroing allocator extends to register-allocated
-                // locals: real CCured programs never observe garbage.
-                None if self.zero_init => Ok(self.zero_value(ty)),
-                None => Err(RtError::UninitRead),
-            },
+            Place::Reg(l) => self.read_reg(l, ZeroKind::of(&self.prog.types, ty)),
             Place::Mem(p) => {
                 let types = &{ self.prog }.types;
                 match types.get(ty) {
@@ -1871,7 +1860,7 @@ impl<'p> Interp<'p> {
                     Type::Ptr(_, q) => Ok(Value::Ptr(self.load_ptr(p, *q)?)),
                     other => {
                         let size = self.sized(ty, "load")?;
-                        self.access_hook(p, size, false)?;
+                        self.access_hook(p, size, false);
                         self.counters.loads += 1;
                         Err(RtError::Unsupported(format!("load of {other:?}")))
                     }
@@ -1882,10 +1871,29 @@ impl<'p> Interp<'p> {
 
     // ------------------------------------------------- machine primitives
     //
-    // Each memory access, pointer step, call and check entry/exit is
-    // written once, here: the tree engine calls these with what it
-    // resolves from the type tables at each visit, the VM with what its
-    // compiler resolved once.
+    // Each register and memory access, pointer step, call and check
+    // entry/exit is written once, here: the tree engine calls these with
+    // what it resolves from the type tables at each visit, the VM with
+    // what its compiler resolved once.
+
+    /// Reads register local `l`. An unset register reads as `zero` under
+    /// the zeroing allocator (real CCured programs never observe garbage),
+    /// else fails as an uninitialized read.
+    #[inline(always)]
+    pub(crate) fn read_reg(&self, l: LocalId, zero: ZeroKind) -> Result<Value, RtError> {
+        match self.frames.last().ok_or_else(no_frame)?.regs[l.idx()] {
+            Some(v) => Ok(v),
+            None if self.zero_init => Ok(zero.value()),
+            None => Err(RtError::UninitRead),
+        }
+    }
+
+    /// Writes register local `l` (`v` is already normalized).
+    #[inline(always)]
+    pub(crate) fn write_reg(&mut self, l: LocalId, v: Value) -> Result<(), RtError> {
+        self.frames.last_mut().ok_or_else(no_frame)?.regs[l.idx()] = Some(v);
+        Ok(())
+    }
 
     /// Loads a `size`-byte integer.
     #[inline(always)]
@@ -1895,7 +1903,7 @@ impl<'p> Interp<'p> {
         size: u64,
         signed: bool,
     ) -> Result<i128, RtError> {
-        self.access_hook(p, size, false)?;
+        self.access_hook(p, size, false);
         self.counters.loads += 1;
         self.mem.read_int(p, size, signed)
     }
@@ -1903,7 +1911,7 @@ impl<'p> Interp<'p> {
     /// Loads a `size`-byte (4 or 8) float.
     #[inline(always)]
     pub(crate) fn load_float(&mut self, p: Pointer, size: u64) -> Result<f64, RtError> {
-        self.access_hook(p, size, false)?;
+        self.access_hook(p, size, false);
         self.counters.loads += 1;
         self.mem.read_float(p, size)
     }
@@ -1911,7 +1919,7 @@ impl<'p> Interp<'p> {
     /// Loads a pointer slot declared with qualifier `q`.
     #[inline(always)]
     pub(crate) fn load_ptr(&mut self, p: Pointer, q: QualId) -> Result<PtrVal, RtError> {
-        self.access_hook(p, self.word, false)?;
+        self.access_hook(p, self.word, false);
         self.counters.loads += 1;
         let v = self.mem.read_ptr(p, self.word)?;
         self.split_meta_op(q);
@@ -1939,7 +1947,7 @@ impl<'p> Interp<'p> {
         size: u64,
         v: Value,
     ) -> Result<(), RtError> {
-        self.access_hook(p, size, true)?;
+        self.access_hook(p, size, true);
         self.counters.stores += 1;
         let x = match v {
             Value::Int(x) => x,
@@ -1953,7 +1961,7 @@ impl<'p> Interp<'p> {
     /// Stores `v` as a `size`-byte (4 or 8) float.
     #[inline(always)]
     pub(crate) fn store_float(&mut self, p: Pointer, size: u64, v: Value) -> Result<(), RtError> {
-        self.access_hook(p, size, true)?;
+        self.access_hook(p, size, true);
         self.counters.stores += 1;
         let f = match v {
             Value::Float(f) => f,
@@ -1966,7 +1974,7 @@ impl<'p> Interp<'p> {
     /// Stores `v` into a pointer slot declared with qualifier `q`.
     #[inline(always)]
     pub(crate) fn store_ptr(&mut self, p: Pointer, q: QualId, v: Value) -> Result<(), RtError> {
-        self.access_hook(p, self.word, true)?;
+        self.access_hook(p, self.word, true);
         self.counters.stores += 1;
         let pv = match v {
             Value::Ptr(pv) => pv,
@@ -1986,8 +1994,8 @@ impl<'p> Interp<'p> {
         src: Pointer,
         size: u64,
     ) -> Result<(), RtError> {
-        self.access_hook(src, size, false)?;
-        self.access_hook(dst, size, true)?;
+        self.access_hook(src, size, false);
+        self.access_hook(dst, size, true);
         self.counters.loads += 1;
         self.counters.stores += 1;
         self.mem.copy_region(dst, src, size)
@@ -2095,8 +2103,7 @@ impl<'p> Interp<'p> {
         match self.resolve_lval(lv)? {
             Place::Reg(l) => {
                 let v = self.normalize_scalar(ty, v);
-                self.frame_mut()?.regs[l.idx()] = Some(v);
-                Ok(())
+                self.write_reg(l, v)
             }
             Place::Mem(p) => {
                 // WILD stores through a deref update the area's tags.
@@ -2162,28 +2169,9 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    /// The zero value of a scalar type (zeroing-allocator semantics).
-    pub(crate) fn zero_value(&self, ty: TypeId) -> Value {
-        match self.prog.types.get(ty) {
-            Type::Float(_) => Value::Float(0.0),
-            Type::Ptr(..) => Value::NULL,
-            _ => Value::Int(0),
-        }
-    }
-
     /// Normalizes a scalar value to its declared type (integer truncation).
     pub(crate) fn normalize_scalar(&self, ty: TypeId, v: Value) -> Value {
-        match (self.prog.types.get(ty), v) {
-            (Type::Int(k), Value::Int(x)) => Value::Int(trunc_int(x, *k, &self.prog.types.machine)),
-            (Type::Int(k), Value::Float(f)) => {
-                Value::Int(trunc_int(f as i128, *k, &self.prog.types.machine))
-            }
-            (Type::Float(ccured_cil::types::FloatKind::Float), Value::Float(f)) => {
-                Value::Float(f as f32 as f64)
-            }
-            (Type::Float(_), Value::Int(x)) => Value::Float(x as f64),
-            _ => v,
-        }
+        RegNorm::of(&self.prog.types, ty).apply(v)
     }
 
     pub(crate) fn store_typed(&mut self, p: Pointer, ty: TypeId, v: Value) -> Result<(), RtError> {
@@ -2194,7 +2182,7 @@ impl<'p> Interp<'p> {
             Type::Ptr(_, q) => self.store_ptr(p, *q, v),
             other => {
                 let size = self.sized(ty, "store")?;
-                self.access_hook(p, size, true)?;
+                self.access_hook(p, size, true);
                 self.counters.stores += 1;
                 Err(RtError::Unsupported(format!("store of {other:?}")))
             }
@@ -2229,13 +2217,25 @@ impl<'p> Interp<'p> {
         }
     }
 
+    /// Frees heap allocation `id` with its baseline shadow (the original
+    /// program's `free` and `realloc`).
+    pub(crate) fn free(&mut self, id: AllocId) -> Result<(), RtError> {
+        self.mem.free(id)?;
+        self.shadow.remove(&id.0);
+        Ok(())
+    }
+
     /// Per-access shadow work for the baselines.
-    pub(crate) fn access_hook(
-        &mut self,
-        p: Pointer,
-        size: u64,
-        write: bool,
-    ) -> Result<(), RtError> {
+    #[inline(always)]
+    pub(crate) fn access_hook(&mut self, p: Pointer, size: u64, write: bool) {
+        if matches!(self.mode, ExecMode::Purify | ExecMode::Valgrind) {
+            self.shadow_access(p, size, write);
+        }
+    }
+
+    /// The Purify/Valgrind shadow-bit upkeep of one access.
+    #[cold]
+    fn shadow_access(&mut self, p: Pointer, size: u64, write: bool) {
         match self.mode {
             ExecMode::Purify => {
                 // Two status bits per byte: addressable | initialized.
@@ -2251,7 +2251,6 @@ impl<'p> Interp<'p> {
                     }
                 }
                 self.counters.shadow_ops += 4 + size;
-                Ok(())
             }
             ExecMode::Valgrind => {
                 // 9 shadow bits per byte (V bits + A bit): heavier upkeep.
@@ -2266,9 +2265,8 @@ impl<'p> Interp<'p> {
                     }
                 }
                 self.counters.shadow_ops += size * 3;
-                Ok(())
             }
-            _ => Ok(()),
+            _ => {}
         }
     }
 
@@ -2298,6 +2296,7 @@ pub(crate) fn no_frame() -> RtError {
     RtError::Internal("no active frame".into())
 }
 
+#[inline(always)]
 fn compare_i(op: BinOp, a: i128, b: i128) -> bool {
     match op {
         BinOp::Lt => a < b,
@@ -2310,6 +2309,7 @@ fn compare_i(op: BinOp, a: i128, b: i128) -> bool {
     }
 }
 
+#[inline(always)]
 fn compare_f(op: BinOp, a: f64, b: f64) -> bool {
     match op {
         BinOp::Lt => a < b,
@@ -2322,18 +2322,55 @@ fn compare_f(op: BinOp, a: f64, b: f64) -> bool {
     }
 }
 
+#[cold]
+fn float_operator_error(op: BinOp) -> RtError {
+    RtError::Unsupported(format!("float operator {op:?}"))
+}
+
+#[cold]
+fn operands_error(op: BinOp, x: Value, y: Value) -> RtError {
+    RtError::Unsupported(format!("operator {op:?} between {x:?} and {y:?}"))
+}
+
+#[cold]
+fn comparison_error(x: Value, y: Value) -> RtError {
+    RtError::Unsupported(format!("comparison between {x:?} and {y:?}"))
+}
+
+/// An integer kind's width and signedness, resolved from the machine
+/// once, so truncating is two shifts.
+#[derive(Clone, Copy)]
+pub(crate) struct IntTrunc {
+    /// 128 minus the kind's width in bits (0 for a 128-bit kind).
+    shift: u32,
+    signed: bool,
+}
+
+impl IntTrunc {
+    /// The truncation to kind `k` on `machine`.
+    #[inline(always)]
+    pub(crate) fn of(k: IntKind, machine: &Machine) -> IntTrunc {
+        IntTrunc {
+            shift: 128u64.saturating_sub(machine.int_size(k).saturating_mul(8)) as u32,
+            signed: k.is_signed(),
+        }
+    }
+
+    /// Truncates `v`.
+    #[inline(always)]
+    pub(crate) fn apply(self, v: i128) -> i128 {
+        if self.signed {
+            (v << self.shift) >> self.shift
+        } else {
+            ((v << self.shift) as u128 >> self.shift) as i128
+        }
+    }
+}
+
 /// Truncates `v` to the width and signedness of `k`.
-pub fn trunc_int(v: i128, k: IntKind, machine: &ccured_cil::types::Machine) -> i128 {
-    let bits = machine.int_size(k) * 8;
-    if bits >= 128 {
-        return v;
-    }
-    let shift = 128 - bits as u32;
-    if k.is_signed() {
-        (v << shift) >> shift
-    } else {
-        ((v << shift) as u128 >> shift) as i128
-    }
+#[inline(always)]
+pub fn trunc_int(v: i128, k: IntKind, machine: &Machine) -> i128 {
+    IntTrunc::of(k, machine).apply(v)
 }
 
 #[cfg(test)]
@@ -2711,6 +2748,75 @@ mod tests {
         assert_eq!(i.run().unwrap(), 0);
         assert!(i.counters.peak_stack_depth >= 21, "main + 21 nested calls");
         assert!(i.counters.peak_heap_bytes >= 1000);
+    }
+
+    #[test]
+    fn dead_frames_release_their_buffers() {
+        // 5,000 calls of a frame with a 64 KiB local: only one frame is
+        // ever live, and a dead one must not keep its bytes or shadow.
+        let src = "int f(int i) { char buf[65536]; buf[0] = (char)i; return buf[0]; }\n\
+                   int main(void) {\n\
+                     int i; int s; i = 0; s = 0;\n\
+                     while (i < 5000) { s = s + f(i); i = i + 1; }\n\
+                     return s & 127;\n\
+                   }";
+        let tu = ccured_ast::parse_translation_unit(src).unwrap();
+        let prog = ccured_cil::lower_translation_unit(&tu).unwrap();
+        let cured = ccured::Curer::new().cure_source(src).unwrap();
+        for engine in [Engine::Tree, Engine::Vm] {
+            for (prog, mode) in [
+                (&prog, ExecMode::Original),
+                (&cured.program, ExecMode::cured(&cured)),
+                (&prog, ExecMode::Purify),
+            ] {
+                let mut i = Interp::new(prog, mode);
+                i.set_engine(engine);
+                let exit = i.run().unwrap();
+                // The sum of the low bytes of 0..5000, as signed chars.
+                let want: i64 = (0..5000i64).map(|i| i as u8 as i8 as i64).sum();
+                assert_eq!(exit, want & 127);
+                assert_eq!(i.counters.calls, 5001);
+                assert!(
+                    i.mem.buffer_bytes() < 65536,
+                    "{engine:?}: dead frames hold {} buffer bytes",
+                    i.mem.buffer_bytes()
+                );
+                assert!(i.shadow.is_empty(), "{engine:?}: dead baseline shadow kept");
+            }
+        }
+    }
+
+    #[test]
+    fn failed_calls_kill_the_slots_they_allocated() {
+        // A call that fails after allocating some of its memory locals (an
+        // incomplete local, or the heap cap) leaves the caller's stack
+        // allocations the tail of the stack index, so unwinding kills them.
+        let incomplete = "struct S;\n\
+                          int f(void) { int pad[4]; struct S s; pad[0] = 1; return pad[0]; }\n\
+                          int main(void) { int m[2]; m[0] = f(); return m[0]; }";
+        let capped = "int f(void) { char a[100]; char b[100]; a[0] = 1; b[0] = 2; return a[0]; }\n\
+                      int main(void) { char m[100]; m[0] = f(); return m[0]; }";
+        for (src, cap, want) in [
+            (incomplete, u64::MAX, "stack local: "),
+            (capped, 250, "heap_limit"),
+        ] {
+            let tu = ccured_ast::parse_translation_unit(src).unwrap();
+            let prog = ccured_cil::lower_translation_unit(&tu).unwrap();
+            for engine in [Engine::Tree, Engine::Vm] {
+                for mode in [ExecMode::Original, ExecMode::Purify] {
+                    let mut i = Interp::new(&prog, mode);
+                    i.set_engine(engine);
+                    i.set_limits(Limits {
+                        max_heap_bytes: cap,
+                        ..Limits::default()
+                    });
+                    let e = i.run().unwrap_err();
+                    assert!(e.to_string().contains(want), "{engine:?}: {e}");
+                    assert_eq!(i.mem.buffer_bytes(), 0, "{engine:?}: slots left live");
+                    assert!(i.shadow.is_empty(), "{engine:?}: baseline shadow left");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,20 +5,32 @@
 //! arithmetic semantics). Each allocation tracks:
 //!
 //! * raw bytes,
-//! * an initialization mask (ground truth for uninitialized reads),
-//! * a provenance map recording which offsets hold stored pointer values —
-//!   this doubles as the WILD **tag bitmap** of paper Figure 10: the tag of
-//!   a word is set iff a provenance entry exists at that offset,
+//! * one shadow byte per byte, Purify-style: an `INIT` bit (ground truth
+//!   for uninitialized reads) and a `TAG` bit — the WILD **tag bitmap** of
+//!   paper Figure 10, set at the first byte of every stored pointer value,
+//! * a provenance map holding the pointer stored at each tagged offset,
+//!   consulted only when the tag bit is set,
 //! * liveness (frees and returned stack frames are detected as ground-truth
-//!   errors).
+//!   errors). A dead allocation drops its bytes and shadow; it keeps its
+//!   size, placement, key and provenance entries, so every later error,
+//!   tag query and WILD extent reads as before.
 //!
 //! Pointer↔integer round trips use stable *virtual addresses*
 //! (`(alloc+1) << 32 | offset`).
 
 use crate::err::RtError;
 use crate::value::PtrVal;
+use ccured_cil::fxhash::FxHashMap;
 use std::cell::Cell;
-use std::collections::HashMap;
+
+/// Shadow bit: the byte is initialized.
+const INIT: u8 = 1;
+/// Shadow bit: a stored pointer starts at this byte (its value is in the
+/// provenance map).
+const TAG: u8 = 2;
+/// The bytes a stored pointer covers for the tag-clearing rule: a write
+/// that overlaps `[o, o + 8)` drops the tag at `o`, whatever the word size.
+const PTR_FOOTPRINT: usize = 8;
 
 /// Identifier of one allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,9 +72,13 @@ pub enum AllocKind {
 /// One allocation.
 #[derive(Debug, Clone)]
 pub struct Allocation {
-    bytes: Vec<u8>,
-    init: Vec<bool>,
-    prov: HashMap<u64, PtrVal>,
+    /// The bytes; empty once dead.
+    bytes: Box<[u8]>,
+    /// One `INIT | TAG` shadow byte per byte; empty once dead.
+    shadow: Box<[u8]>,
+    /// The pointer stored at each tagged offset.
+    prov: FxHashMap<u64, PtrVal>,
+    size: u64,
     /// Placement of the allocation.
     pub kind: AllocKind,
     /// False after free / frame return.
@@ -77,12 +93,139 @@ pub struct Allocation {
 impl Allocation {
     /// Size in bytes.
     pub fn size(&self) -> u64 {
-        self.bytes.len() as u64
+        self.size
     }
 
     /// The allocation's current capability key (0 after revocation).
     pub fn key(&self) -> u64 {
         self.key
+    }
+
+    /// Ends the allocation's lifetime and releases its buffers.
+    fn die(&mut self) {
+        self.live = false;
+        self.key = 0;
+        self.bytes = Box::default();
+        self.shadow = Box::default();
+    }
+
+    /// The `n`-byte little-endian integer at `off`, sign-extended when
+    /// `signed`, or [`RtError::UninitRead`] unless every byte is
+    /// initialized. The caller has validated the range.
+    #[inline(always)]
+    fn load_int(&self, off: usize, n: usize, signed: bool) -> Result<i128, RtError> {
+        let (b, s) = (&self.bytes[off..off + n], &self.shadow[off..off + n]);
+        let (raw, init) = match n {
+            1 => (b[0] as u64, s[0] & INIT != 0),
+            2 => (
+                u16::from_le_bytes([b[0], b[1]]) as u64,
+                u16::from_ne_bytes([s[0], s[1]]) & 0x0101 == 0x0101,
+            ),
+            4 => (
+                u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64,
+                u32::from_ne_bytes([s[0], s[1], s[2], s[3]]) & 0x0101_0101 == 0x0101_0101,
+            ),
+            8 => (
+                u64::from_le_bytes(b.try_into().expect("8 bytes")),
+                u64::from_ne_bytes(s.try_into().expect("8 bytes")) & 0x0101_0101_0101_0101
+                    == 0x0101_0101_0101_0101,
+            ),
+            _ => return self.load_int_wide(off, n, signed),
+        };
+        if !init {
+            return Err(RtError::UninitRead);
+        }
+        let shift = 64 - 8 * n as u32;
+        Ok(if signed {
+            (((raw << shift) as i64) >> shift) as i128
+        } else {
+            raw as i128
+        })
+    }
+
+    /// [`Allocation::load_int`] for the widths the machine has no
+    /// integer kind of (up to 16 bytes).
+    #[cold]
+    fn load_int_wide(&self, off: usize, n: usize, signed: bool) -> Result<i128, RtError> {
+        if !self.shadow[off..off + n].iter().all(|&s| s & INIT != 0) {
+            return Err(RtError::UninitRead);
+        }
+        let mut buf = [0u8; 16];
+        buf[..n].copy_from_slice(&self.bytes[off..off + n]);
+        let raw = u128::from_le_bytes(buf);
+        let shift = 128 - n as u32 * 8;
+        Ok(if signed {
+            ((raw << shift) as i128) >> shift
+        } else {
+            raw as i128
+        })
+    }
+
+    /// Stores the low `n` bytes of `v` at `off`, marking them initialized.
+    /// The caller has validated the range and cleared the tags it covers.
+    #[inline(always)]
+    fn store_int(&mut self, off: usize, n: usize, v: i128) {
+        match n {
+            1 => {
+                self.bytes[off] = v as u8;
+                self.shadow[off] = INIT;
+            }
+            2 => {
+                self.bytes[off..off + 2].copy_from_slice(&(v as u16).to_le_bytes());
+                self.shadow[off..off + 2].copy_from_slice(&[INIT; 2]);
+            }
+            4 => {
+                self.bytes[off..off + 4].copy_from_slice(&(v as u32).to_le_bytes());
+                self.shadow[off..off + 4].copy_from_slice(&[INIT; 4]);
+            }
+            8 => {
+                self.bytes[off..off + 8].copy_from_slice(&(v as u64).to_le_bytes());
+                self.shadow[off..off + 8].copy_from_slice(&[INIT; 8]);
+            }
+            _ => {
+                let raw = (v as u128).to_le_bytes();
+                self.bytes[off..off + n].copy_from_slice(&raw[..n]);
+                self.shadow[off..off + n].fill(INIT);
+            }
+        }
+    }
+
+    /// Drops every tag whose pointer footprint overlaps `[off, off + n)`
+    /// (the WILD tag-clearing rule), scanning the `n + 7` shadow bytes
+    /// such a pointer can start at.
+    #[inline(always)]
+    fn clear_tags(&mut self, off: usize, n: usize) {
+        if !self.prov.is_empty() {
+            self.clear_tags_in(off.saturating_sub(PTR_FOOTPRINT - 1), off + n);
+        }
+    }
+
+    fn clear_tags_in(&mut self, lo: usize, hi: usize) {
+        let hi = hi.min(self.shadow.len());
+        for o in lo..hi {
+            if self.shadow[o] & TAG != 0 {
+                self.shadow[o] &= !TAG;
+                self.prov.remove(&(o as u64));
+            }
+        }
+    }
+
+    /// Records the pointer `v` stored at `off`.
+    fn set_tag(&mut self, off: usize, v: PtrVal) {
+        self.shadow[off] |= TAG;
+        self.prov.insert(off as u64, v);
+    }
+
+    /// The tagged pointers starting in `[off, off + n)`, as (offset from
+    /// `off`, pointer), in offset order.
+    fn tags_in(&self, off: usize, n: usize) -> Vec<(usize, PtrVal)> {
+        if self.prov.is_empty() {
+            return Vec::new();
+        }
+        (off..off + n)
+            .filter(|&o| self.shadow[o] & TAG != 0)
+            .filter_map(|o| Some((o - off, *self.prov.get(&(o as u64))?)))
+            .collect()
     }
 }
 
@@ -163,9 +306,10 @@ impl Memory {
         let key = self.next_key;
         self.next_key += 1;
         self.allocs.push(Allocation {
-            bytes: vec![0; size as usize],
-            init: vec![false; size as usize],
-            prov: HashMap::new(),
+            bytes: vec![0; size as usize].into(),
+            shadow: vec![0; size as usize].into(),
+            prov: FxHashMap::default(),
+            size,
             kind,
             live: true,
             key,
@@ -180,14 +324,24 @@ impl Memory {
 
     /// Marks every byte initialized (calloc, library-produced data).
     pub fn mark_init(&mut self, id: AllocId) {
-        for b in &mut self.allocs[id.0 as usize].init {
-            *b = true;
+        for s in self.allocs[id.0 as usize].shadow.iter_mut() {
+            *s |= INIT;
         }
     }
 
     /// The allocation behind an id.
     pub fn allocation(&self, id: AllocId) -> &Allocation {
         &self.allocs[id.0 as usize]
+    }
+
+    /// Bytes held by the byte and shadow buffers of every allocation, live
+    /// or dead.
+    #[cfg(test)]
+    pub(crate) fn buffer_bytes(&self) -> u64 {
+        self.allocs
+            .iter()
+            .map(|a| (a.bytes.len() + a.shadow.len()) as u64)
+            .sum()
     }
 
     /// Frees a heap allocation.
@@ -204,9 +358,8 @@ impl Memory {
         if !a.live {
             return Err(RtError::DoubleFree);
         }
-        a.live = false;
-        a.key = 0;
-        self.live_bytes = self.live_bytes.saturating_sub(a.size());
+        a.die();
+        self.live_bytes = self.live_bytes.saturating_sub(a.size);
         Ok(())
     }
 
@@ -258,9 +411,8 @@ impl Memory {
             self.stack_index.pop();
             let a = &mut self.allocs[id.0 as usize];
             if a.live {
-                a.live = false;
-                a.key = 0;
-                self.live_bytes = self.live_bytes.saturating_sub(a.size());
+                a.die();
+                self.live_bytes = self.live_bytes.saturating_sub(a.size);
             }
         }
         debug_assert!(
@@ -270,31 +422,42 @@ impl Memory {
     }
 
     /// Validates an access of `size` bytes at `p`.
-    #[inline]
+    #[inline(always)]
     fn check_access(&self, p: Pointer, size: u64) -> Result<&Allocation, RtError> {
-        let a = self
-            .allocs
-            .get(p.alloc.0 as usize)
-            .ok_or_else(|| RtError::InvalidPointer("dangling allocation id".into()))?;
+        match self.allocs.get(p.alloc.0 as usize) {
+            Some(a)
+                if a.live && p.offset >= 0 && (p.offset as u64).saturating_add(size) <= a.size =>
+            {
+                Ok(a)
+            }
+            _ => Err(self.access_error(p, size)),
+        }
+    }
+
+    /// The error a failed [`Memory::check_access`] reports, counting a
+    /// trap on dead memory.
+    #[cold]
+    #[inline(never)]
+    fn access_error(&self, p: Pointer, size: u64) -> RtError {
+        let Some(a) = self.allocs.get(p.alloc.0 as usize) else {
+            return RtError::InvalidPointer("dangling allocation id".into());
+        };
         if !a.live {
             self.uaf_traps.set(self.uaf_traps.get() + 1);
-            return Err(match a.kind {
+            return match a.kind {
                 AllocKind::Heap => RtError::UseAfterFree,
                 AllocKind::Stack { .. } => RtError::UseAfterReturn,
                 AllocKind::Global => RtError::InvalidPointer("dead global".into()),
-            });
+            };
         }
-        if p.offset < 0 || (p.offset as u64).saturating_add(size) > a.size() {
-            return Err(RtError::OutOfBounds {
-                offset: p.offset,
-                size,
-                alloc_size: a.size(),
-            });
+        RtError::OutOfBounds {
+            offset: p.offset,
+            size,
+            alloc_size: a.size,
         }
-        Ok(a)
     }
 
-    #[inline]
+    #[inline(always)]
     fn check_access_mut(&mut self, p: Pointer, size: u64) -> Result<&mut Allocation, RtError> {
         self.check_access(p, size)?;
         Ok(&mut self.allocs[p.alloc.0 as usize])
@@ -306,24 +469,10 @@ impl Memory {
     /// # Errors
     ///
     /// Bounds/liveness errors, or [`RtError::UninitRead`].
-    #[inline]
+    #[inline(always)]
     pub fn read_int(&self, p: Pointer, size: u64, signed: bool) -> Result<i128, RtError> {
-        let a = self.check_access(p, size)?;
-        let off = p.offset as usize;
-        let n = size as usize;
-        if !a.init[off..off + n].iter().all(|&b| b) {
-            return Err(RtError::UninitRead);
-        }
-        let mut buf = [0u8; 16];
-        buf[..n].copy_from_slice(&a.bytes[off..off + n]);
-        let raw = u128::from_le_bytes(buf);
-        let v = if signed {
-            let shift = 128 - size * 8;
-            ((raw << shift) as i128) >> shift
-        } else {
-            raw as i128
-        };
-        Ok(v)
+        self.check_access(p, size)?
+            .load_int(p.offset as usize, size as usize, signed)
     }
 
     /// Writes an integer of `size` bytes, truncating; invalidates any
@@ -332,17 +481,12 @@ impl Memory {
     /// # Errors
     ///
     /// Bounds/liveness errors.
-    #[inline]
+    #[inline(always)]
     pub fn write_int(&mut self, p: Pointer, size: u64, v: i128) -> Result<(), RtError> {
         let a = self.check_access_mut(p, size)?;
-        let off = p.offset as usize;
-        let n = size as usize;
-        let raw = (v as u128).to_le_bytes();
-        a.bytes[off..off + n].copy_from_slice(&raw[..n]);
-        a.init[off..off + n].fill(true);
-        if !a.prov.is_empty() {
-            clear_prov_overlap(&mut a.prov, p.offset as u64, size);
-        }
+        let (off, n) = (p.offset as usize, size as usize);
+        a.clear_tags(off, n);
+        a.store_int(off, n, v);
         Ok(())
     }
 
@@ -351,6 +495,7 @@ impl Memory {
     /// # Errors
     ///
     /// Bounds/liveness errors, or [`RtError::UninitRead`].
+    #[inline(always)]
     pub fn read_float(&self, p: Pointer, size: u64) -> Result<f64, RtError> {
         let raw = self.read_int(p, size, false)? as u128;
         Ok(match size {
@@ -364,6 +509,7 @@ impl Memory {
     /// # Errors
     ///
     /// Bounds/liveness errors.
+    #[inline(always)]
     pub fn write_float(&mut self, p: Pointer, size: u64, v: f64) -> Result<(), RtError> {
         let raw: u128 = match size {
             4 => (v as f32).to_bits() as u128,
@@ -372,24 +518,26 @@ impl Memory {
         self.write_int(p, size, raw as i128)
     }
 
-    /// Reads a pointer-sized slot: a provenance hit yields the stored
-    /// pointer; zero bytes yield null; other initialized bytes yield a
-    /// disguised integer.
+    /// Reads a pointer-sized slot: a tagged slot yields the stored pointer;
+    /// zero bytes yield null; other initialized bytes yield a disguised
+    /// integer.
     ///
     /// # Errors
     ///
     /// Bounds/liveness errors, or [`RtError::UninitRead`].
+    #[inline(always)]
     pub fn read_ptr(&self, p: Pointer, ptr_bytes: u64) -> Result<PtrVal, RtError> {
         let a = self.check_access(p, ptr_bytes)?;
-        if let Some(v) = a.prov.get(&(p.offset as u64)) {
-            return Ok(*v);
+        let off = p.offset as usize;
+        if a.shadow.get(off).is_some_and(|&s| s & TAG != 0) {
+            if let Some(v) = a.prov.get(&(off as u64)) {
+                return Ok(*v);
+            }
         }
-        let raw = self.read_int(p, ptr_bytes, false)? as u64;
-        if raw == 0 {
-            Ok(PtrVal::Null)
-        } else {
-            Ok(PtrVal::IntVal(raw))
-        }
+        Ok(match a.load_int(off, ptr_bytes as usize, false)? as u64 {
+            0 => PtrVal::Null,
+            raw => PtrVal::IntVal(raw),
+        })
     }
 
     /// Whether the slot at `p` currently holds a tagged pointer (the WILD
@@ -397,53 +545,62 @@ impl Memory {
     pub fn has_ptr_tag(&self, p: Pointer) -> bool {
         self.allocs
             .get(p.alloc.0 as usize)
-            .is_some_and(|a| a.prov.contains_key(&(p.offset as u64)))
+            .is_some_and(|a| match a.shadow.get(p.offset as usize) {
+                Some(&s) => s & TAG != 0,
+                // Dead: the shadow is gone, the provenance entries are not.
+                None => a.prov.contains_key(&(p.offset as u64)),
+            })
     }
 
-    /// Writes a pointer value: raw virtual-address bytes plus a provenance
-    /// (tag) entry.
+    /// Writes a pointer value: raw virtual-address bytes plus a tag.
     ///
     /// # Errors
     ///
     /// Bounds/liveness errors.
+    #[inline(always)]
     pub fn write_ptr(&mut self, p: Pointer, v: PtrVal, ptr_bytes: u64) -> Result<(), RtError> {
         let va = self.va_of(&v);
         self.write_int(p, ptr_bytes, va as i128)?;
-        let a = &mut self.allocs[p.alloc.0 as usize];
         if !matches!(v, PtrVal::Null | PtrVal::IntVal(_)) {
-            a.prov.insert(p.offset as u64, v);
+            self.allocs[p.alloc.0 as usize].set_tag(p.offset as usize, v);
         }
         Ok(())
     }
 
     /// Copies `size` bytes from `src` to `dst`, preserving initialization
-    /// masks and pointer provenance (typed struct assignment).
+    /// and the tags that start in the source (typed struct assignment).
+    /// Overlapping copies read the source as it was before the copy.
     ///
     /// # Errors
     ///
     /// Bounds/liveness errors on either side.
     pub fn copy_region(&mut self, dst: Pointer, src: Pointer, size: u64) -> Result<(), RtError> {
-        // Snapshot the source region first (allows overlapping copies).
-        let (bytes, init, prov) = {
-            let a = self.check_access(src, size)?;
-            let off = src.offset as usize;
-            let bytes = a.bytes[off..off + size as usize].to_vec();
-            let init = a.init[off..off + size as usize].to_vec();
-            let prov: Vec<(u64, PtrVal)> = a
-                .prov
-                .iter()
-                .filter(|(o, _)| **o >= src.offset as u64 && **o < src.offset as u64 + size)
-                .map(|(o, v)| (o - src.offset as u64, *v))
-                .collect();
-            (bytes, init, prov)
-        };
-        let a = self.check_access_mut(dst, size)?;
-        let off = dst.offset as usize;
-        a.bytes[off..off + size as usize].copy_from_slice(&bytes);
-        a.init[off..off + size as usize].copy_from_slice(&init);
-        clear_prov_overlap(&mut a.prov, dst.offset as u64, size);
-        for (o, v) in prov {
-            a.prov.insert(dst.offset as u64 + o, v);
+        let (so, n) = (src.offset as usize, size as usize);
+        let tags = self.check_access(src, size)?.tags_in(so, n);
+        self.check_access(dst, size)?;
+        let d_o = dst.offset as usize;
+        let (si, di) = (src.alloc.0 as usize, dst.alloc.0 as usize);
+        // Clearing first drops the destination's old tags; a source slot it
+        // clears on an overlapping copy is restored from `tags` below.
+        self.allocs[di].clear_tags(d_o, n);
+        if si == di {
+            let a = &mut self.allocs[di];
+            a.bytes.copy_within(so..so + n, d_o);
+            a.shadow.copy_within(so..so + n, d_o);
+        } else {
+            let (s, d) = if si < di {
+                let (lo, hi) = self.allocs.split_at_mut(di);
+                (&lo[si], &mut hi[0])
+            } else {
+                let (lo, hi) = self.allocs.split_at_mut(si);
+                (&hi[0], &mut lo[di])
+            };
+            d.bytes[d_o..d_o + n].copy_from_slice(&s.bytes[so..so + n]);
+            d.shadow[d_o..d_o + n].copy_from_slice(&s.shadow[so..so + n]);
+        }
+        let d = &mut self.allocs[di];
+        for (o, v) in tags {
+            d.set_tag(d_o + o, v);
         }
         Ok(())
     }
@@ -467,12 +624,10 @@ impl Memory {
     /// Bounds/liveness errors.
     pub fn write_bytes(&mut self, p: Pointer, data: &[u8]) -> Result<(), RtError> {
         let a = self.check_access_mut(p, data.len() as u64)?;
-        let off = p.offset as usize;
-        a.bytes[off..off + data.len()].copy_from_slice(data);
-        for b in &mut a.init[off..off + data.len()] {
-            *b = true;
-        }
-        clear_prov_overlap(&mut a.prov, p.offset as u64, data.len() as u64);
+        let (off, n) = (p.offset as usize, data.len());
+        a.clear_tags(off, n);
+        a.bytes[off..off + n].copy_from_slice(data);
+        a.shadow[off..off + n].fill(INIT);
         Ok(())
     }
 
@@ -503,6 +658,7 @@ impl Memory {
     }
 
     /// The stable virtual address of a pointer value.
+    #[inline(always)]
     pub fn va_of(&self, v: &PtrVal) -> u64 {
         match v {
             PtrVal::Null => 0,
@@ -530,11 +686,6 @@ impl Memory {
             offset: (va & 0xffff_ffff) as i64,
         })
     }
-}
-
-fn clear_prov_overlap(prov: &mut HashMap<u64, PtrVal>, off: u64, size: u64) {
-    // Pointers occupy 8 bytes; remove any entry overlapping [off, off+size).
-    prov.retain(|&o, _| o.saturating_add(8) <= off || o >= off + size);
 }
 
 #[cfg(test)]
@@ -731,6 +882,57 @@ mod tests {
         assert!(!m.has_ptr_tag(slot));
         // Reading the slot now yields a disguised integer, not a pointer.
         assert!(matches!(m.read_ptr(slot, 8).unwrap(), PtrVal::IntVal(_)));
+    }
+
+    #[test]
+    fn dead_allocations_drop_their_buffers() {
+        let mut m = mem();
+        let h = m.alloc(64, AllocKind::Heap).unwrap();
+        let s = m.alloc(32, AllocKind::Stack { frame: 1 }).unwrap();
+        let t = m.alloc(8, AllocKind::Heap).unwrap();
+        let slot = Pointer {
+            alloc: h,
+            offset: 8,
+        };
+        let target = PtrVal::Safe(Pointer {
+            alloc: t,
+            offset: 0,
+        });
+        m.write_ptr(slot, target, 8).unwrap();
+        assert_eq!(m.buffer_bytes(), 2 * (64 + 32 + 8));
+        m.free(h).unwrap();
+        m.kill_frame(1);
+        assert_eq!(m.buffer_bytes(), 2 * 8, "only the live allocation's");
+        // A dead allocation keeps its size, placement, revoked key and tags.
+        assert_eq!(m.allocation(h).size(), 64);
+        assert_eq!(m.allocation(s).size(), 32);
+        assert_eq!(m.allocation(s).kind, AllocKind::Stack { frame: 1 });
+        assert_eq!((m.allocation(h).key(), m.allocation(s).key()), (0, 0));
+        assert!(m.has_ptr_tag(slot));
+        assert!(!m.has_ptr_tag(slot.offset_by(1)));
+        // Every access reports what it did while the buffers were held.
+        assert_eq!(m.read_ptr(slot, 8), Err(RtError::UseAfterFree));
+        let dead_stack = Pointer {
+            alloc: s,
+            offset: 0,
+        };
+        assert_eq!(m.write_int(dead_stack, 4, 1), Err(RtError::UseAfterReturn));
+        assert_eq!(
+            m.copy_region(dead_stack, slot, 8),
+            Err(RtError::UseAfterFree)
+        );
+        assert_eq!(m.read_c_string(slot), Err(RtError::UseAfterFree));
+        assert_eq!(m.uaf_traps(), 4);
+        assert_eq!(m.free(h), Err(RtError::DoubleFree));
+        m.mark_init(h);
+        assert_eq!(
+            m.buffer_bytes(),
+            2 * 8,
+            "marking a dead allocation is a no-op"
+        );
+        // What stays per dead allocation (DESIGN.md): its record, plus the
+        // provenance table if it stored pointers.
+        assert_eq!(std::mem::size_of::<Allocation>(), 104);
     }
 
     #[test]
